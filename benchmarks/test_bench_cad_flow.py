@@ -1,4 +1,4 @@
-"""CAD-flow benchmark: per-stage wall times, staged vs bundle caching.
+"""CAD-flow benchmark: per-stage wall times and per-stage caching.
 
 Profiles each suite benchmark once, then drives the dynamic partitioning
 module directly (no simulation in the timed sections) to measure:
@@ -7,7 +7,7 @@ module directly (no simulation in the timed sections) to measure:
   where the on-chip CAD time actually goes on the host;
 * **second-pass stage-level hit rate** — an identical second pass over
   the same kernels must serve >= 90% of its cacheable stage lookups from
-  the cache (in practice 100%, via the whole-bundle fast path);
+  the cache (in practice 100%: every keyed stage is a per-stage hit);
 * **staged caching vs cold runs on a routing-only sweep** — changing only
   the fabric's channel width invalidates routing and implementation but
   not synthesis or placement, so the staged flow must beat a fully cold
@@ -26,13 +26,7 @@ import time
 from pathlib import Path
 
 from repro.apps import build_suite
-from repro.cad import (
-    SOURCE_BUNDLE,
-    SOURCE_HIT,
-    SOURCE_MISS,
-    SOURCE_NEGATIVE,
-    CadArtifactCache,
-)
+from repro.cad import CACHE_SERVED_SOURCES, SOURCE_MISS, CadArtifactCache
 from repro.compiler import compile_source
 from repro.fabric import DEFAULT_WCLA
 from repro.microblaze import PAPER_CONFIG, run_program
@@ -48,8 +42,6 @@ MIN_SECOND_PASS_STAGE_HIT_RATE = 0.90
 #: the staged flow skips synthesis+placement — the bulk of the cold wall
 #: time — so the comparison below holds with a ~6x margin).
 REPEATS = 5
-
-STAGE_HIT_SOURCES = (SOURCE_HIT, SOURCE_BUNDLE, SOURCE_NEGATIVE)
 
 
 def _profiled_kernels():
@@ -79,7 +71,7 @@ def _stage_hit_rate(outcomes):
     hits = misses = 0
     for outcome in outcomes:
         for record in outcome.stage_records:
-            if record.source in STAGE_HIT_SOURCES:
+            if record.source in CACHE_SERVED_SOURCES:
                 hits += 1
             elif record.source == SOURCE_MISS:
                 misses += 1

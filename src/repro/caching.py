@@ -5,8 +5,8 @@ Three layers memoize expensive work across the warp service:
 * the compiler cache (:func:`repro.compiler.driver.compile_source_cached`)
   memoizes source → :class:`~repro.compiler.driver.CompilationResult`;
 * the CAD artifact cache (:class:`repro.cad.CadArtifactCache`) memoizes a
-  kernel's synthesis / placement / routing / implementation outputs —
-  whole bundles and per-stage entries — under content-addressed keys;
+  kernel's synthesis / placement / routing / implementation outputs, one
+  content-addressed entry per stage;
 * the persistent :class:`repro.server.store.DiskArtifactStore` sits
   *under* the artifact cache as its disk tier (its mtime-LRU eviction is
   file-based, not this in-memory primitive).

@@ -14,10 +14,11 @@ explicit, first-class pipeline instead of a hardcoded call sequence:
 * :mod:`~repro.cad.stages` — the concrete stages plus registered
   alternates (e.g. the single-pass greedy router ``route-greedy``).
 * :mod:`~repro.cad.keys` — deterministic canonical forms and the SHA-256
-  content digests used for both whole-bundle and per-stage addressing.
-* :mod:`~repro.cad.artifacts` — the :class:`CadArtifactCache`: a
-  whole-bundle fast path plus per-stage content-addressed entries, with
-  memoized capacity rejections surfaced as a distinct counter.
+  content digests the stages build their cache keys from.
+* :mod:`~repro.cad.artifacts` — the :class:`CadArtifactCache` of per-stage
+  content-addressed entries (memoized capacity rejections included), the
+  ``SOURCE_*`` vocabulary of how a stage was satisfied, and
+  :data:`CACHE_SERVED_SOURCES`, the one rule for what counts as a hit.
 
 Stage-key versioning: bump :data:`~repro.cad.keys.CANONICAL_FORM_VERSION`
 when the DADG serialization changes shape (it invalidates every stage);
@@ -28,26 +29,24 @@ automatically through digest chaining).
 
 from .keys import (
     CANONICAL_FORM_VERSION,
-    artifact_cache_key,
     canonical_body_form,
     canonical_wcla_form,
     content_digest,
 )
 from .artifacts import (
-    CadArtifactCache,
-    CadArtifacts,
-    CapacityRejection,
-    is_negative_artifact,
-)
-from .flow import (
-    DEFAULT_STAGE_NAMES,
-    SOURCE_BUNDLE,
+    CACHE_SERVED_SOURCES,
     SOURCE_DISK,
     SOURCE_HIT,
     SOURCE_MISS,
     SOURCE_NEGATIVE,
     SOURCE_PEER,
     SOURCE_UNCACHED,
+    CadArtifactCache,
+    CapacityRejection,
+    is_negative_artifact,
+)
+from .flow import (
+    DEFAULT_STAGE_NAMES,
     CadFlow,
     DpmCostModel,
     FlowContext,
@@ -60,6 +59,7 @@ from .flow import (
     build_flow,
     build_stage,
     register_stage,
+    served_from_cache,
     validate_job_stage_names,
 )
 from .stages import (
@@ -73,16 +73,14 @@ from .stages import (
 
 __all__ = [
     "CANONICAL_FORM_VERSION",
-    "artifact_cache_key",
     "canonical_body_form",
     "canonical_wcla_form",
     "content_digest",
+    "CACHE_SERVED_SOURCES",
     "CadArtifactCache",
-    "CadArtifacts",
     "CapacityRejection",
     "is_negative_artifact",
     "DEFAULT_STAGE_NAMES",
-    "SOURCE_BUNDLE",
     "SOURCE_DISK",
     "SOURCE_HIT",
     "SOURCE_MISS",
@@ -101,6 +99,7 @@ __all__ = [
     "build_flow",
     "build_stage",
     "register_stage",
+    "served_from_cache",
     "validate_job_stage_names",
     "BinaryUpdateStage",
     "DecompileStage",

@@ -1,70 +1,61 @@
-"""CAD artifact types and the two-level content-addressed cache.
+"""The content-addressed cache of CAD stage outputs.
 
 The expensive part of a warp job is not the simulation — it is the CAD
 flow the dynamic partitioning module runs for each critical region.  Two
 jobs that partition *the same loop body* onto *the same WCLA* produce
 identical artifacts, no matter which benchmark instance, processor core or
 sweep configuration the loop came from.  :class:`CadArtifactCache`
-memoizes that work at two granularities:
-
-* **whole bundle** — the legacy fast path: one lookup per partitioning
-  under :func:`~repro.cad.keys.artifact_cache_key` serves all four stage
-  outputs at once on an exact (kernel, WCLA) repeat.  The ``hits`` /
-  ``misses`` / ``counters()`` accounting of this level is unchanged from
-  the pre-staged cache, so per-job cache deltas keep meaning "one lookup
-  per partitioning";
-* **per stage** — each :class:`~repro.cad.flow.FlowStage` stores its
-  output under its own content address.  A sweep that changes only a
-  routing-relevant parameter misses the bundle but still serves synthesis
-  and placement from the stage entries.  Per-stage hit/miss counts are
-  kept separately (:meth:`CadArtifactCache.stage_counters`).
+memoizes that work per stage: each :class:`~repro.cad.flow.FlowStage`
+stores its output under its own content address, so an exact repeat is
+served stage by stage and a sweep that changes only a routing-relevant
+parameter still serves synthesis and placement from the cache.
 
 Capacity rejections are memoized too: a kernel that exceeds the fabric
 (:class:`~repro.fabric.place.FabricCapacityError`, or a placement whose
 ``area.fits`` is false) stores a :class:`CapacityRejection` marker (or the
 non-fitting placement itself) under the same stage address, so repeated
-jobs skip re-running synthesis and placement just to fail again.  Serving
-a memoized negative increments the distinct ``negative_hits`` counter.
+jobs skip re-running synthesis and placement just to fail again.
 
 Per-run quantities — the binary patch and the modelled on-chip
 partitioning time, which depend on the region's concrete addresses — stay
-outside the cache.  Both levels sit on the repo-wide
-:class:`repro.caching.BoundedLRU` (one eviction/accounting implementation,
-one explicit ``clear()``).
+outside the cache.  The in-memory entries sit on the repo-wide
+:class:`repro.caching.BoundedLRU`.
 
-A third, *persistent* tier can be layered underneath: pass a
+A *persistent* tier can be layered underneath: pass a
 :class:`repro.server.store.DiskArtifactStore` (or any object with
-``stage_get``/``stage_put``/``stats``) as ``store``.  Per-stage entries
-are written through to it and a memory miss consults it before counting a
-miss, so a fresh process — or another machine sharing the directory —
-starts warm.  Disk hits are counted separately from memory hits
-(``disk_hits`` / :meth:`CadArtifactCache.stage_disk_hits`), and the flow
-records them as the distinct ``disk-hit`` stage source.
+``stage_get``/``stage_put``/``stats``) as ``store``.  Entries are written
+through to it and a memory miss consults it before counting a miss, so a
+fresh process — or another machine sharing the directory — starts warm.
+
+Every lookup reports how it was satisfied with one ``SOURCE_*`` value,
+which the flow copies onto the stage's record, and the cache counts each
+lookup once under ``(stage, source)``.  Every counter the cache exposes
+derives from that one table.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..caching import BoundedLRU
-from ..decompile.kernel import HardwareKernel
-from ..fabric.architecture import WclaParameters
-from ..fabric.implementation import HardwareImplementation
 from ..fabric.place import PlacementResult
-from ..fabric.route import RoutingResult
-from ..synthesis.datapath import SynthesisResult
-from .keys import artifact_cache_key
 
+#: How a stage was satisfied (a stage record's ``source``).
+SOURCE_MISS = "miss"                  # executed; cache consulted and stored
+SOURCE_HIT = "hit"                    # served from an in-memory entry
+SOURCE_NEGATIVE = "negative-hit"      # memoized capacity rejection replayed
+SOURCE_DISK = "disk-hit"              # served by the persistent store tier
+SOURCE_PEER = "peer-hit"              # pulled from a mesh peer's store
+SOURCE_UNCACHED = "uncached"          # executed; no cache or uncacheable
 
-@dataclass
-class CadArtifacts:
-    """The four memoized stage outputs of one (kernel, WCLA) content."""
+#: The sources that count as served from the cache — the one definition
+#: behind ``cad_cache_hit``, the report's stage hit rates and ``top``.
+CACHE_SERVED_SOURCES = (SOURCE_HIT, SOURCE_NEGATIVE, SOURCE_DISK, SOURCE_PEER)
 
-    synthesis: SynthesisResult
-    placement: PlacementResult
-    routing: RoutingResult
-    implementation: HardwareImplementation
+#: Bound on the in-memory stage entries of one cache.
+STAGE_CACHE_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -87,110 +78,75 @@ def is_negative_artifact(value: object) -> bool:
     return isinstance(value, PlacementResult) and not value.area.fits
 
 
+def _by_stage(counts: Dict[Tuple[str, str], int],
+              *sources: str) -> Dict[str, int]:
+    """Per-stage totals of a ``{(stage, source): n}`` table over
+    ``sources``."""
+    totals: Dict[str, int] = {}
+    for (stage, source), count in sorted(counts.items()):
+        if source in sources:
+            totals[stage] = totals.get(stage, 0) + count
+    return totals
+
+
 class CadArtifactCache:
-    """Bounded content-addressed store of CAD stage outputs and bundles.
+    """Bounded content-addressed store of CAD stage outputs.
 
     One instance is typically shared per process: the serial service path
     keeps a module-level instance, every pool worker owns its own (warmed
     for the worker's lifetime), and a
     :class:`~repro.warp.multiprocessor.MultiProcessorWarpSystem` shares one
     across its cores, mirroring the paper's single DPM serving all
-    processors.
-
-    ``bundle_fast_path=False`` disables the whole-bundle lookup (stores
-    still happen), forcing every partitioning through the per-stage
-    entries — useful for differential tests of the staged path.
+    processors.  Lookups may come from several threads at once (the
+    gateway's concurrent batch executors share the serial path's cache),
+    so the counter table is lock-guarded and every snapshot is taken
+    under that lock.
     """
 
-    def __init__(self, maxsize: Optional[int] = 256,
-                 stage_maxsize: Optional[int] = 1024,
-                 bundle_fast_path: bool = True,
-                 store=None):
-        self._bundle = BoundedLRU(maxsize)
-        self._stages = BoundedLRU(stage_maxsize)
-        self.bundle_fast_path = bundle_fast_path
-        #: Optional persistent tier under the per-stage entries (duck-typed:
+    def __init__(self, store=None):
+        self._stages = BoundedLRU(STAGE_CACHE_ENTRIES)
+        #: Optional persistent tier under the in-memory entries (duck-typed:
         #: ``stage_get``/``stage_put``/``stats``, e.g.
-        #: :class:`repro.server.store.DiskArtifactStore`).  Named
-        #: ``disk_store`` because :meth:`store` is the bundle-store method.
+        #: :class:`repro.server.store.DiskArtifactStore`).
         self.disk_store = store
-        self._stage_hits: Dict[str, int] = {}
-        self._stage_misses: Dict[str, int] = {}
-        self._stage_disk_hits: Dict[str, int] = {}
-        self._stage_peer_hits: Dict[str, int] = {}
-        self.negative_hits = 0
-        self.disk_hits = 0
-        #: Stage lookups satisfied by a mesh peer's store (the persistent
-        #: tier pulled the entry over the wire on a local miss) — a
-        #: network round-trip, so counted apart from ``disk_hits``.
-        self.peer_hits = 0
+        self._lock = threading.Lock()
+        self._lookups: Dict[Tuple[str, str], int] = {}
         #: Write-throughs to the persistent tier that failed (and were
         #: swallowed — persistence is an accelerator, not a dependency).
         self.store_put_errors = 0
-        #: Tier that served the most recent :meth:`stage_lookup` hit
-        #: (``"memory"`` / ``"disk"`` / ``None`` on a miss) — read by the
-        #: flow driver to label the stage record's source.
-        self.last_lookup_tier: Optional[str] = None
-
-    # ----------------------------------------------------------------- bundle
-    def key_for(self, kernel: HardwareKernel, wcla: WclaParameters,
-                flow_token: str = "", body_form: str = None) -> str:
-        return artifact_cache_key(kernel, wcla, flow_token,
-                                  body_form=body_form)
-
-    def lookup(self, key: str) -> Optional[CadArtifacts]:
-        """Fetch a whole bundle by key, counting a hit or a miss."""
-        return self._bundle.get(key)
-
-    def store(self, key: str, artifacts: CadArtifacts) -> None:
-        self._bundle.put(key, artifacts)
 
     # ----------------------------------------------------------------- stages
-    def stage_lookup(self, stage: str, key: str) -> Optional[object]:
-        """Fetch one stage's output, counting per-stage (and negative) hits.
+    def stage_lookup(self, stage: str,
+                     key: str) -> Tuple[Optional[object], str]:
+        """Fetch one stage's output as ``(value, source)``.
 
-        A memory miss consults the persistent tier (when configured)
-        before counting a miss; a disk hit promotes the entry into memory
-        and is tallied separately from memory hits.
+        ``value`` is ``None`` on a miss.  A memory miss consults the
+        persistent tier (when configured); a hit there promotes the entry
+        into memory.  A replayed capacity rejection is a negative hit
+        whichever tier held it, so ``disk-hit``/``peer-hit`` always mean
+        a usable artifact.
         """
-        self.last_lookup_tier = None
-        value = self._stages.get(f"{stage}\x00{key}")
+        entry = f"{stage}\x00{key}"
+        value = self._stages.get(entry)
+        source = SOURCE_HIT
         if value is None and self.disk_store is not None:
             value = self.disk_store.stage_get(stage, key)
             if value is not None:
-                self._stages.put(f"{stage}\x00{key}", value)
+                self._stages.put(entry, value)
                 # The store says how it satisfied the lookup: a plain
-                # local file ("disk") or a mesh peer pull ("peer") —
-                # stores without the attribute are always local.
+                # local file or a mesh peer pull — stores without the
+                # attribute are always local.
                 from_peer = getattr(self.disk_store,
                                     "last_get_source", None) == "peer"
-                self.last_lookup_tier = "peer" if from_peer else "disk"
-                if is_negative_artifact(value):
-                    # A replayed rejection is a stage-level hit plus a
-                    # negative hit — exactly as when memory serves it —
-                    # but never a ``disk_hit``/``peer_hit``, so those
-                    # always equal the number of same-named stage
-                    # records.
-                    self._stage_hits[stage] = \
-                        self._stage_hits.get(stage, 0) + 1
-                    self.negative_hits += 1
-                elif from_peer:
-                    self._stage_peer_hits[stage] = \
-                        self._stage_peer_hits.get(stage, 0) + 1
-                    self.peer_hits += 1
-                else:
-                    self._stage_disk_hits[stage] = \
-                        self._stage_disk_hits.get(stage, 0) + 1
-                    self.disk_hits += 1
-                return value
+                source = SOURCE_PEER if from_peer else SOURCE_DISK
         if value is None:
-            self._stage_misses[stage] = self._stage_misses.get(stage, 0) + 1
-            return None
-        self._stage_hits[stage] = self._stage_hits.get(stage, 0) + 1
-        self.last_lookup_tier = "memory"
-        if is_negative_artifact(value):
-            self.negative_hits += 1
-        return value
+            source = SOURCE_MISS
+        elif is_negative_artifact(value):
+            source = SOURCE_NEGATIVE
+        with self._lock:
+            self._lookups[stage, source] = \
+                self._lookups.get((stage, source), 0) + 1
+        return value, source
 
     def stage_store(self, stage: str, key: str, value: object) -> None:
         self._stages.put(f"{stage}\x00{key}", value)
@@ -203,81 +159,97 @@ class CadArtifactCache:
                 # persistence failed (full disk, dead NFS mount, injected
                 # publish fault).  The loss is counted, the entry still
                 # lives in memory, and the next cold process recomputes.
-                self.store_put_errors += 1
+                with self._lock:
+                    self.store_put_errors += 1
 
     def clear(self) -> None:
-        """Drop the in-memory tiers (the persistent store, when attached,
-        keeps its entries — it has its own ``clear()``)."""
-        self._bundle.clear()
+        """Drop the in-memory entries and counters (the persistent store,
+        when attached, keeps its entries — it has its own ``clear()``)."""
         self._stages.clear()
-        self._stage_hits.clear()
-        self._stage_misses.clear()
-        self._stage_disk_hits.clear()
-        self._stage_peer_hits.clear()
-        self.negative_hits = 0
-        self.disk_hits = 0
-        self.peer_hits = 0
-        self.store_put_errors = 0
-        self.last_lookup_tier = None
+        with self._lock:
+            self._lookups.clear()
+            self.store_put_errors = 0
 
     # -------------------------------------------------------------- accounting
     def __len__(self) -> int:
-        return len(self._bundle) + len(self._stages)
+        return len(self._stages)
+
+    def lookup_counts(self) -> Dict[Tuple[str, str], int]:
+        """Snapshot of the one counter table: ``{(stage, source): n}``."""
+        with self._lock:
+            return dict(self._lookups)
 
     @property
-    def hits(self) -> int:
-        """Bundle-level hits (one lookup per partitioning)."""
-        return self._bundle.hits
+    def negative_hits(self) -> int:
+        """Memoized capacity rejections replayed."""
+        return sum(_by_stage(self.lookup_counts(), SOURCE_NEGATIVE).values())
 
     @property
-    def misses(self) -> int:
-        return self._bundle.misses
+    def disk_hits(self) -> int:
+        """Stage lookups served by the persistent tier."""
+        return sum(self.stage_disk_hits().values())
 
     @property
-    def hit_rate(self) -> float:
-        return self._bundle.hit_rate
-
-    def counters(self) -> Tuple[int, int]:
-        """Bundle-level ``(hits, misses)`` for per-job delta accounting."""
-        return self._bundle.counters()
+    def peer_hits(self) -> int:
+        """Stage lookups pulled from a mesh peer's store — a network
+        round-trip, so counted apart from ``disk_hits``."""
+        return sum(self.stage_peer_hits().values())
 
     def stage_counters(self) -> Dict[str, Tuple[int, int]]:
-        """Per-stage ``{stage: (memory hits, misses)}`` snapshot (disk hits
-        are separate — see :meth:`stage_disk_hits`)."""
-        stages = sorted(set(self._stage_hits) | set(self._stage_misses))
-        return {stage: (self._stage_hits.get(stage, 0),
-                        self._stage_misses.get(stage, 0))
-                for stage in stages}
+        """Per-stage ``{stage: (memory hits, misses)}``.  Memory hits
+        include replayed rejections; disk and peer hits are separate —
+        see :meth:`stage_disk_hits` and :meth:`stage_peer_hits`."""
+        counts = self.lookup_counts()
+        hits = _by_stage(counts, SOURCE_HIT, SOURCE_NEGATIVE)
+        misses = _by_stage(counts, SOURCE_MISS)
+        return {stage: (hits.get(stage, 0), misses.get(stage, 0))
+                for stage in sorted(set(hits) | set(misses))}
 
     def stage_disk_hits(self) -> Dict[str, int]:
         """Per-stage hits served by the persistent tier."""
-        return dict(self._stage_disk_hits)
+        return _by_stage(self.lookup_counts(), SOURCE_DISK)
 
     def stage_peer_hits(self) -> Dict[str, int]:
         """Per-stage hits pulled from a mesh peer's store."""
-        return dict(self._stage_peer_hits)
+        return _by_stage(self.lookup_counts(), SOURCE_PEER)
 
     def stats(self) -> Dict:
+        """Monitoring snapshot of the counter table.
+
+        ``hits``, ``misses`` and ``hit_rate`` are totals over stage
+        lookups: every cache-served source (memory, negative, disk, peer)
+        is a hit, and ``disk_hits``/``peer_hits`` break out the subsets
+        served by the persistent tier — the report's stage-table
+        convention.  ``per_stage`` splits the same numbers by stage.
+        """
+        with self._lock:
+            counts = dict(self._lookups)
+            put_errors = self.store_put_errors
+        per_stage: Dict[str, Dict[str, int]] = {}
+        for (stage, source), count in sorted(counts.items()):
+            bucket = per_stage.setdefault(stage, {
+                "hits": 0, "misses": 0, "disk_hits": 0, "peer_hits": 0})
+            if source == SOURCE_MISS:
+                bucket["misses"] += count
+            else:
+                bucket["hits"] += count
+                if source == SOURCE_DISK:
+                    bucket["disk_hits"] += count
+                elif source == SOURCE_PEER:
+                    bucket["peer_hits"] += count
+        hits = sum(bucket["hits"] for bucket in per_stage.values())
+        misses = sum(bucket["misses"] for bucket in per_stage.values())
+        lookups = hits + misses
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "negative_hits": self.negative_hits,
-            "disk_hits": self.disk_hits,
-            "peer_hits": self.peer_hits,
-            "store_put_errors": self.store_put_errors,
-            "bundle": self._bundle.stats(),
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
+            "negative_hits": sum(_by_stage(counts, SOURCE_NEGATIVE).values()),
+            "disk_hits": sum(b["disk_hits"] for b in per_stage.values()),
+            "peer_hits": sum(b["peer_hits"] for b in per_stage.values()),
+            "store_put_errors": put_errors,
             "stages": self._stages.stats(),
-            "per_stage": {stage: {"hits": self._stage_hits.get(stage, 0),
-                                  "misses": self._stage_misses.get(stage, 0),
-                                  "disk_hits":
-                                      self._stage_disk_hits.get(stage, 0),
-                                  "peer_hits":
-                                      self._stage_peer_hits.get(stage, 0)}
-                          for stage in sorted(set(self._stage_hits)
-                                              | set(self._stage_misses)
-                                              | set(self._stage_disk_hits)
-                                              | set(self._stage_peer_hits))},
+            "per_stage": per_stage,
             "store": self.disk_store.stats()
                      if self.disk_store is not None else None,
         }

@@ -7,14 +7,14 @@ the typed artifacts from stage to stage.  The driver owns everything the
 stages have in common:
 
 * **per-stage caching** — a stage that contributes a content key is served
-  from the :class:`~repro.cad.artifacts.CadArtifactCache`'s stage entries,
-  with capacity rejections memoized as negatives; a whole-bundle fast path
-  serves exact repeats in one lookup;
+  from the :class:`~repro.cad.artifacts.CadArtifactCache`, with capacity
+  rejections memoized as negatives;
 * **accounting** — every stage leaves a :class:`StageRecord` with its host
   wall time, its modelled on-chip cycles (the
   :class:`DpmCostModel` contribution that used to be summed centrally),
-  and how it was satisfied (``miss``/``hit``/``bundle``/``negative-hit``/
-  ``uncached``);
+  and how it was satisfied (a ``SOURCE_*`` value: ``miss``/``hit``/
+  ``negative-hit``/``disk-hit``/``peer-hit``/``uncached``).  Every cache
+  count a job reports derives from these records (:func:`served_from_cache`);
 * **tracing** — hooks invoked after every stage record;
 * **failure mapping** — domain errors are wrapped in :class:`FlowError`
   (keeping the failing stage's name and the original cause) so the DPM can
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import chaos, obs
 from ..decompile.kernel import HardwareKernel
@@ -40,9 +40,13 @@ from ..fabric.implementation import HardwareImplementation
 from ..fabric.place import PlacementResult
 from ..fabric.route import RoutingResult
 from ..synthesis.datapath import SynthesisResult
-from .artifacts import CadArtifactCache, CadArtifacts, CapacityRejection, \
-    is_negative_artifact
-from .keys import canonical_body_form
+from .artifacts import (
+    CACHE_SERVED_SOURCES,
+    SOURCE_MISS,
+    SOURCE_UNCACHED,
+    CadArtifactCache,
+    CapacityRejection,
+)
 
 
 # --------------------------------------------------------------------------- cost model
@@ -105,16 +109,6 @@ class KernelDoesNotFitError(Exception):
 
 
 # --------------------------------------------------------------------------- records
-#: How a stage was satisfied.
-SOURCE_MISS = "miss"                  # executed; cache consulted and stored
-SOURCE_HIT = "hit"                    # served from a per-stage memory entry
-SOURCE_BUNDLE = "bundle"              # served by the whole-bundle fast path
-SOURCE_NEGATIVE = "negative-hit"      # memoized capacity rejection replayed
-SOURCE_DISK = "disk-hit"              # served by the persistent store tier
-SOURCE_PEER = "peer-hit"              # pulled from a mesh peer's store
-SOURCE_UNCACHED = "uncached"          # executed; no cache or uncacheable
-
-
 @dataclass
 class StageRecord:
     """Accounting left behind by one stage of one flow run."""
@@ -125,10 +119,17 @@ class StageRecord:
     modelled_cycles: int = 0
     modelled_seconds: float = 0.0
     key: Optional[str] = None
-    in_bundle: bool = False
     failed: bool = False
     #: Transient faults absorbed while computing this stage.
     retries: int = 0
+
+
+def served_from_cache(records: Iterable[StageRecord]) -> bool:
+    """Whether every keyed stage of a flow run was served from the cache
+    (``False`` when no stage was keyed, e.g. without a cache)."""
+    keyed = [record for record in records if record.key is not None]
+    return bool(keyed) and all(record.source in CACHE_SERVED_SOURCES
+                               for record in keyed)
 
 
 # --------------------------------------------------------------------------- context
@@ -158,16 +159,6 @@ class FlowContext:
     # ---------------------------------------------------------- bookkeeping
     digests: Dict[str, str] = field(default_factory=dict)
     records: List[StageRecord] = field(default_factory=list)
-    bundle_key: Optional[str] = None
-    bundle_hit: bool = False
-    _body_form: Optional[str] = field(default=None, repr=False)
-
-    def body_form(self) -> str:
-        """The kernel's canonical DADG form, serialized once per run (both
-        the bundle key and the synthesis stage key consume it)."""
-        if self._body_form is None:
-            self._body_form = canonical_body_form(self.kernel.body)
-        return self._body_form
 
     # ------------------------------------------------------------ accounting
     def modelled_cycles(self) -> int:
@@ -177,17 +168,6 @@ class FlowContext:
 
     def modelled_seconds(self) -> float:
         return self.modelled_cycles() / (self.cost_model.clock_mhz * 1e6)
-
-    def served_from_cache(self) -> bool:
-        """Whether every CAD artifact came out of the cache (bundle fast
-        path or a full chain of per-stage hits)."""
-        if self.bundle_hit:
-            return True
-        bundle = [record for record in self.records if record.in_bundle]
-        return bool(bundle) and all(record.source in (SOURCE_HIT,
-                                                      SOURCE_BUNDLE,
-                                                      SOURCE_DISK)
-                                    for record in bundle)
 
 
 # --------------------------------------------------------------------------- stages
@@ -217,7 +197,6 @@ class FlowStage:
     name: str = "stage"
     variant: str = "default"
     key_version: int = 1
-    in_bundle: bool = False
     negative_exceptions: Tuple[type, ...] = ()
 
     def cache_token(self) -> str:
@@ -262,20 +241,9 @@ class CadFlow:
                  trace_hooks: Sequence[TraceHook] = ()):
         self.stages = list(stages)
         self.trace_hooks = list(trace_hooks)
-        self._last_bundle_stage: Optional[FlowStage] = None
-        for stage in self.stages:
-            if stage.in_bundle:
-                self._last_bundle_stage = stage
 
     def stage_names(self) -> List[str]:
         return [stage.name for stage in self.stages]
-
-    def bundle_token(self) -> str:
-        """Identity of the bundled passes, part of the whole-bundle key:
-        flows with different stage variants (or key versions) never share
-        a bundle entry."""
-        return "|".join(stage.cache_token() for stage in self.stages
-                        if stage.in_bundle)
 
     def add_trace_hook(self, hook: TraceHook) -> None:
         self.trace_hooks.append(hook)
@@ -291,7 +259,7 @@ class CadFlow:
 
     def _run_stage(self, stage: FlowStage, context: FlowContext) -> None:
         start = time.perf_counter()
-        record = StageRecord(stage=stage.name, in_bundle=stage.in_bundle)
+        record = StageRecord(stage=stage.name)
         # The stage span nests under whatever the calling thread has open
         # (the worker's execute span), so a job's per-stage timeline joins
         # its trace without the flow knowing about jobs at all.
@@ -303,42 +271,22 @@ class CadFlow:
                         stage_span) -> None:
         try:
             cache = context.cache
-            if stage.in_bundle and cache is not None \
-                    and context.bundle_key is None:
-                self._try_bundle(context)
-            if stage.in_bundle and context.bundle_hit:
-                record.source = SOURCE_BUNDLE
-                return
             key = stage.content_key(context) if cache is not None else None
             record.key = key
             if key is not None:
                 context.digests[stage.name] = key
-                cached = cache.stage_lookup(stage.name, key)
+                cached, record.source = cache.stage_lookup(stage.name, key)
                 if isinstance(cached, CapacityRejection):
-                    record.source = SOURCE_NEGATIVE
                     raise stage.revive_negative(cached)
-                if cached is not None:
-                    if is_negative_artifact(cached):
-                        record.source = SOURCE_NEGATIVE
-                    elif cache.last_lookup_tier == "disk":
-                        record.source = SOURCE_DISK
-                    elif cache.last_lookup_tier == "peer":
-                        record.source = SOURCE_PEER
-                    else:
-                        record.source = SOURCE_HIT
-                    stage.install(context, cached)
-                else:
-                    record.source = SOURCE_MISS
-                    value = self._compute(stage, context, key, record)
-                    cache.stage_store(stage.name, key, value)
-                    stage.install(context, value)
+                if record.source == SOURCE_MISS:
+                    cached = self._compute(stage, context, key, record)
+                    cache.stage_store(stage.name, key, cached)
+                stage.install(context, cached)
             else:
                 record.source = SOURCE_UNCACHED
                 stage.install(context,
                               self._compute(stage, context, None, record))
             stage.validate(context)
-            if stage is self._last_bundle_stage:
-                self._store_bundle(context)
         except FlowError:
             record.failed = True
             raise
@@ -395,33 +343,6 @@ class CadFlow:
                     context.cache.stage_store(stage.name, key,
                                               stage.negative_marker(error))
                 raise
-
-    # ------------------------------------------------------------ bundle path
-    def _try_bundle(self, context: FlowContext) -> None:
-        context.bundle_key = context.cache.key_for(
-            context.kernel, context.wcla, self.bundle_token(),
-            body_form=context.body_form())
-        if not context.cache.bundle_fast_path:
-            return
-        artifacts = context.cache.lookup(context.bundle_key)
-        if artifacts is not None:
-            context.bundle_hit = True
-            context.synthesis = artifacts.synthesis
-            context.placement = artifacts.placement
-            context.routing = artifacts.routing
-            context.implementation = artifacts.implementation
-
-    def _store_bundle(self, context: FlowContext) -> None:
-        """Memoize the whole bundle after the last CAD stage (only fitting
-        bundles are stored, so a bundle hit implies the kernel fits)."""
-        cache = context.cache
-        if cache is None or context.bundle_hit or context.bundle_key is None:
-            return
-        if context.placement is None or not context.placement.area.fits:
-            return
-        cache.store(context.bundle_key, CadArtifacts(
-            synthesis=context.synthesis, placement=context.placement,
-            routing=context.routing, implementation=context.implementation))
 
 
 # --------------------------------------------------------------------------- registry

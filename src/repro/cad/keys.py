@@ -1,20 +1,14 @@
 """Content addressing for the staged CAD flow.
 
-Two granularities share the canonical forms defined here:
-
-* the **whole-bundle key** (:func:`artifact_cache_key`) — a SHA-256 over
-  the kernel's canonical DADG form plus the full WCLA parameters.  It
-  addresses the complete synthesis/placement/routing/implementation
-  bundle and backs the cache's fast path for exact repeats;
-* the **per-stage keys** built by the stages themselves out of
-  :func:`content_digest` — each stage hashes only the inputs it actually
-  consumes (synthesis: canonical DADG + LUT/memory parameters; placement:
-  the synthesis digest + fabric geometry; routing: the placement digest +
-  channel capacity; implementation: the routing digest + the full WCLA),
-  chaining the upstream stage's digest so an upstream invalidation
-  propagates downstream automatically.  A sweep that changes only a
-  routing-relevant parameter therefore re-runs routing and implementation
-  while synthesis and placement are served from the cache.
+The stages build their cache keys out of the canonical forms and
+:func:`content_digest` defined here.  Each stage hashes only the inputs it
+actually consumes (synthesis: canonical DADG + LUT/memory parameters;
+placement: the synthesis digest + fabric geometry; routing: the placement
+digest + channel capacity; implementation: the routing digest + the full
+WCLA), chaining the upstream stage's digest so an upstream invalidation
+propagates downstream automatically.  A sweep that changes only a
+routing-relevant parameter therefore re-runs routing and implementation
+while synthesis and placement are served from the cache.
 
 The canonical DADG form is deterministic and address-independent: register
 updates in register order, stores in program order, the continue condition,
@@ -47,7 +41,6 @@ from ..decompile.expr import (
     Node,
     UnExpr,
 )
-from ..decompile.kernel import HardwareKernel
 from ..decompile.symexec import SymbolicLoopBody
 from ..fabric.architecture import WclaParameters
 
@@ -142,21 +135,3 @@ def content_digest(*parts: str) -> str:
     recorded digests stay valid.
     """
     return sha256_hex(*parts)
-
-
-def artifact_cache_key(kernel: HardwareKernel, wcla: WclaParameters,
-                       flow_token: str = "",
-                       body_form: str = None) -> str:
-    """Whole-bundle content address of ``(kernel DADG, full WCLA)``.
-
-    ``flow_token`` is the flow's bundled-stage identity (see
-    :meth:`repro.cad.flow.CadFlow.bundle_token`): two flows with different
-    passes (e.g. the default router vs ``route-greedy``) produce different
-    bundles and must never share one bundle entry.  ``body_form`` lets a
-    caller that already serialized the kernel's canonical DADG form pass
-    it in instead of re-walking the DAG.
-    """
-    if body_form is None:
-        body_form = canonical_body_form(kernel.body)
-    return content_digest("bundle", body_form,
-                          canonical_wcla_form(wcla), flow_token)

@@ -36,7 +36,7 @@ from .flow import (
     KernelRejectedError,
     register_stage,
 )
-from .keys import canonical_wcla_form, content_digest
+from .keys import canonical_body_form, canonical_wcla_form, content_digest
 
 
 # --------------------------------------------------------------------------- decompile
@@ -73,12 +73,11 @@ class SynthesisStage(FlowStage):
     """Datapath synthesis and technology mapping onto the WCLA."""
 
     name = "synthesis"
-    in_bundle = True
 
     def content_key(self, context: FlowContext) -> Optional[str]:
         fabric = context.wcla.fabric
         return content_digest(self.cache_token(),
-                              context.body_form(),
+                              canonical_body_form(context.kernel.body),
                               f"lut_inputs={fabric.lut_inputs}",
                               f"memory_ports={context.wcla.memory_ports}")
 
@@ -108,7 +107,6 @@ class PlacementStage(FlowStage):
     """
 
     name = "place"
-    in_bundle = True
     negative_exceptions = (FabricCapacityError,)
 
     def content_key(self, context: FlowContext) -> Optional[str]:
@@ -145,7 +143,6 @@ class RouteStage(FlowStage):
     """
 
     name = "route"
-    in_bundle = True
 
     def __init__(self, variant: str = "default", max_iterations: int = 4):
         self.variant = variant
@@ -177,7 +174,6 @@ class ImplementationStage(FlowStage):
     """Clock estimation and the symbolic configuration bitstream."""
 
     name = "implement"
-    in_bundle = True
 
     def content_key(self, context: FlowContext) -> Optional[str]:
         return content_digest(self.cache_token(),

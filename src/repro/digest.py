@@ -3,7 +3,7 @@
 Three subsystems need the *same* notion of a stable content digest:
 
 * the CAD flow's content addresses (:mod:`repro.cad.keys`) hash canonical
-  text forms into whole-bundle and per-stage keys;
+  text forms into per-stage keys;
 * the worker pool's content-affinity routing
   (:meth:`repro.service.pool.WarpService._shard_index`) and the remote
   backend's gateway routing (:class:`repro.server.client.RemoteWorkerBackend`)

@@ -33,6 +33,7 @@ from ..cad import (
     KernelRejectedError,
     StageRecord,
     build_flow,
+    served_from_cache,
 )
 from ..decompile.kernel import HardwareKernel
 from ..decompile.symexec import DecompilationError
@@ -63,18 +64,19 @@ class PartitioningOutcome:
     implementation: Optional[HardwareImplementation] = None
     patch: Optional[BinaryPatch] = None
     dpm_seconds: float = 0.0
-    #: Whether the CAD artifacts came from the content-addressed cache
-    #: (host-side memoization; the *modelled* on-chip tool time
-    #: ``dpm_seconds`` is unaffected, it is a property of the simulated
-    #: system, not of how fast this process produced the artifacts).
-    cad_cache_hit: bool = False
-    #: Content address of the (kernel, WCLA) pair when a cache was in use.
-    cad_cache_key: Optional[str] = None
     #: Per-stage accounting of the flow run that produced this outcome:
     #: host wall time, modelled DPM cycles, and how each stage was
-    #: satisfied (executed, per-stage cache hit, bundle fast path, memoized
-    #: capacity rejection).
+    #: satisfied (executed, cache hit by tier, memoized capacity
+    #: rejection).
     stage_records: List[StageRecord] = field(default_factory=list)
+
+    @property
+    def cad_cache_hit(self) -> bool:
+        """Whether every keyed CAD stage was served from the cache
+        (host-side memoization; the *modelled* DPM CAD time
+        ``dpm_seconds`` is unaffected, it is a property of the simulated
+        system, not of how fast this process produced the artifacts)."""
+        return served_from_cache(self.stage_records)
 
     def summary(self) -> str:
         if not self.success:
@@ -95,9 +97,8 @@ class DynamicPartitioningModule:
     the CAD stage outputs under content addresses of the kernel's dataflow
     graph and the WCLA parameters: repeated partitioning of the same loop
     body — across service jobs, across the cores of a multiprocessor
-    system, across sweep repetitions — skips the CAD work, stage by stage
-    or (on an exact repeat) as a whole bundle.  Without a cache the flow
-    always runs, exactly as before.
+    system, across sweep repetitions — skips the CAD work stage by stage.
+    Without a cache the flow always runs, exactly as before.
 
     The flow is pluggable: pass ``stage_names`` (registry names, e.g.
     swapping ``"route"`` for ``"route-greedy"``) or a prebuilt ``flow`` to
@@ -156,8 +157,6 @@ class DynamicPartitioningModule:
             implementation=context.implementation,
             patch=context.patch,
             dpm_seconds=context.modelled_seconds(),
-            cad_cache_hit=context.served_from_cache(),
-            cad_cache_key=context.bundle_key,
             stage_records=list(context.records),
         )
 
@@ -183,14 +182,14 @@ class DynamicPartitioningModule:
             return PartitioningOutcome(
                 success=False, region=region, reason=str(cause),
                 kernel=context.kernel, synthesis=context.synthesis,
-                cad_cache_key=context.bundle_key, stage_records=records)
+                stage_records=records)
         if isinstance(cause, KernelDoesNotFitError):
             return PartitioningOutcome(
                 success=False, region=region,
                 reason="kernel does not fit the fabric",
                 kernel=context.kernel, synthesis=context.synthesis,
                 placement=context.placement, routing=context.routing,
-                cad_cache_key=context.bundle_key, stage_records=records)
+                stage_records=records)
         if isinstance(cause, PatchError):
             return PartitioningOutcome(
                 success=False, region=region,
@@ -198,12 +197,11 @@ class DynamicPartitioningModule:
                 kernel=context.kernel, synthesis=context.synthesis,
                 placement=context.placement, routing=context.routing,
                 implementation=context.implementation,
-                cad_cache_hit=context.served_from_cache(),
-                cad_cache_key=context.bundle_key, stage_records=records)
+                stage_records=records)
         return PartitioningOutcome(
             success=False, region=region,
             reason=f"CAD stage {error.stage!r} failed: {cause}",
             kernel=context.kernel, synthesis=context.synthesis,
             placement=context.placement, routing=context.routing,
             implementation=context.implementation,
-            cad_cache_key=context.bundle_key, stage_records=records)
+            stage_records=records)

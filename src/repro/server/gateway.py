@@ -798,22 +798,16 @@ class WarpGateway:
         await protocol.write_frame(writer, reply)
 
     async def _verb_cache_stats(self, writer) -> None:
-        cache = self.service.artifact_cache
-        # The executor thread mutates the cache's counter dicts while a
-        # batch runs; iterating them here can race ("dictionary changed
-        # size during iteration").  Stats are a monitoring snapshot, so
-        # retrying the read is both safe and sufficient.
-        for _ in range(10):
-            try:
-                stats = cache.stats()
-                break
-            except RuntimeError:
-                await asyncio.sleep(0)
-        else:
-            stats = {"error": "cache busy, stats unavailable"}
+        """Reply with the CAD cache, store and queue statistics.
+
+        The ``cache`` block is :meth:`CadArtifactCache.stats`, snapshotted
+        under the cache's own lock (safe while executor threads run
+        batches): its ``hits``, ``misses`` and ``hit_rate`` are totals
+        over stage lookups, with ``per_stage`` splitting them by stage.
+        """
         reply = {
             "ok": True,
-            "cache": stats,
+            "cache": self.service.artifact_cache.stats(),
             "pending_jobs": self._pending_jobs,
             "queue_depth": self._pending_jobs,
             "queue_limit": self.queue_limit,

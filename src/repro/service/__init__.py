@@ -12,10 +12,8 @@ framing from one simulation to batches:
   priority/FIFO ordering.
 * :mod:`~repro.service.pool` — a process worker pool with a serial
   in-process fallback, per-worker warm caches and worker-fault isolation;
-  :class:`WarpService` ties scheduler, pool and cache together.
-* :mod:`~repro.service.artifact_cache` — compatibility shim over
-  :mod:`repro.cad`, the home of the staged CAD flow and its two-level
-  (whole-bundle + per-stage) content-addressed cache.
+  :class:`WarpService` ties scheduler, pool and the per-stage CAD
+  artifact cache of :mod:`repro.cad` together.
 * :mod:`~repro.service.cli` — the ``repro-warp`` command-line front end.
 
 CPU checkpoint/restore — the primitive behind job preemption, migration
@@ -25,9 +23,7 @@ and scenario fan-out — lives at the simulator layer in
 
 from ..cad import (
     CadArtifactCache,
-    CadArtifacts,
     CapacityRejection,
-    artifact_cache_key,
     canonical_body_form,
 )
 from .jobs import (
@@ -49,9 +45,7 @@ from .scheduler import JobScheduler, ScheduledJob
 
 __all__ = [
     "CadArtifactCache",
-    "CadArtifacts",
     "CapacityRejection",
-    "artifact_cache_key",
     "canonical_body_form",
     "SERVICE_PLATFORM_ORDER",
     "JobSpecError",

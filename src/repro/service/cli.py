@@ -94,6 +94,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from ..cad import CACHE_SERVED_SOURCES
 from ..microblaze.config import MINIMAL_CONFIG, PAPER_CONFIG, MicroBlazeConfig
 from .jobs import JobSpecError, ServiceReport, WarpJob, suite_sweep_jobs
 from .pool import WarpService
@@ -606,11 +607,6 @@ def _cmd_mesh(args) -> int:
 
 
 # ----------------------------------------------------------------- repro-warp top
-#: Stage-lookup sources that count as cache-served in the top view
-#: (mirrors the report's stage hit accounting).
-_TOP_HIT_SOURCES = ("hit", "bundle", "negative-hit", "disk-hit", "peer-hit")
-
-
 def _samples(metrics: Dict, family: str) -> List[Dict]:
     return (metrics.get(family) or {}).get("samples", [])
 
@@ -644,10 +640,10 @@ def _render_top(reply: Dict, new_spans: int) -> str:
     for sample in _samples(metrics, "warp_stage_lookups_total"):
         stage = sample["labels"].get("stage", "?")
         source = sample["labels"].get("source", "?")
-        if source not in _TOP_HIT_SOURCES and source != "miss":
+        if source not in CACHE_SERVED_SOURCES and source != "miss":
             continue  # uncached stages have no hit rate to show
         bucket = stages.setdefault(stage, {"hits": 0, "misses": 0})
-        if source in _TOP_HIT_SOURCES:
+        if source in CACHE_SERVED_SOURCES:
             bucket["hits"] += int(sample["value"])
         else:
             bucket["misses"] += int(sample["value"])

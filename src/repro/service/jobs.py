@@ -22,11 +22,9 @@ from dataclasses import fields as dataclasses_fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cad import (
-    SOURCE_BUNDLE,
+    CACHE_SERVED_SOURCES,
     SOURCE_DISK,
-    SOURCE_HIT,
     SOURCE_MISS,
-    SOURCE_NEGATIVE,
     SOURCE_PEER,
     validate_job_stage_names,
 )
@@ -43,13 +41,6 @@ SERVICE_PLATFORM_ORDER = ("MicroBlaze", "MicroBlaze (Warp)")
 
 #: Column order of the per-stage CAD flow table.
 STAGE_METRIC_ORDER = ("wall ms", "hits", "misses", "hit rate")
-
-#: Stage record sources that count as stage-level cache hits (the bundle
-#: fast path serves every bundled stage at once; a negative hit replays a
-#: memoized capacity rejection without re-running the stage; disk and peer
-#: hits are served by the persistent store tier — also tallied separately).
-_STAGE_HIT_SOURCES = (SOURCE_HIT, SOURCE_BUNDLE, SOURCE_NEGATIVE, SOURCE_DISK,
-                      SOURCE_PEER)
 
 #: The single mapping from report metric names (``"<block>.<key>"``) to the
 #: :class:`ServiceResult` field carrying the per-job count.  Report
@@ -267,7 +258,9 @@ class ServiceResult:
     mb_energy_mj: float = 0.0
     warp_energy_mj: float = 0.0
     normalized_warp_energy: float = 1.0
-    #: CAD artifact cache accounting for this job (delta while it ran).
+    #: CAD artifact cache accounting for this job, derived from its own
+    #: stage records: ``cad_cache_hit`` when every keyed stage was
+    #: cache-served, and one hit or one miss per partitioning.
     cad_cache_hit: bool = False
     cache_hits: int = 0
     cache_misses: int = 0
@@ -279,8 +272,9 @@ class ServiceResult:
     #: network round-trip, not a local file read).
     cache_peer_hits: int = 0
     #: Per-stage CAD flow accounting: host wall milliseconds per stage and
-    #: how each stage was satisfied ("miss"/"hit"/"bundle"/"negative-hit"/
-    #: "uncached"); memoized capacity rejections served to this job.
+    #: how each stage was satisfied ("miss"/"hit"/"negative-hit"/
+    #: "disk-hit"/"peer-hit"/"uncached"); memoized capacity rejections
+    #: served to this job.
     stage_wall_ms: Dict[str, float] = field(default_factory=dict)
     stage_cache: Dict[str, str] = field(default_factory=dict)
     cache_negative_hits: int = 0
@@ -477,8 +471,8 @@ class ServiceReport:
         """Per-stage aggregate: total host wall ms, cache hits/misses and
         the stage-level hit rate across every executed job.
 
-        ``hits`` counts every cache-served stage (memory, bundle, negative,
-        disk and peer); ``disk hits`` / ``peer hits`` additionally break
+        ``hits`` counts every cache-served stage (memory, negative, disk
+        and peer); ``disk hits`` / ``peer hits`` additionally break
         out the subsets served by the persistent store tier locally and
         pulled from a mesh peer.
         """
@@ -489,7 +483,7 @@ class ServiceReport:
             for result in self.results:
                 wall_ms += result.stage_wall_ms.get(stage, 0.0)
                 source = result.stage_cache.get(stage)
-                if source in _STAGE_HIT_SOURCES:
+                if source in CACHE_SERVED_SOURCES:
                     hits += 1
                     if source == SOURCE_DISK:
                         disk += 1

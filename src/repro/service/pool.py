@@ -48,13 +48,18 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import chaos, obs
-from ..cad import SOURCE_DISK, SOURCE_NEGATIVE, SOURCE_PEER
+from ..cad import (
+    SOURCE_DISK,
+    SOURCE_NEGATIVE,
+    SOURCE_PEER,
+    CadArtifactCache,
+    served_from_cache,
+)
 from ..compiler import compile_source_cached
 from ..digest import shard_index
 from ..microblaze.engines import DEFAULT_ENGINE
 from ..power.energy import microblaze_energy, warp_energy
 from ..warp.processor import WarpProcessor
-from .artifact_cache import CadArtifactCache
 from .jobs import ServiceReport, ServiceResult, WarpJob
 from .scheduler import JobScheduler, ScheduledJob
 
@@ -255,9 +260,7 @@ def _execute_attempt(job: WarpJob,
         processor = WarpProcessor(config=job.config, wcla=job.wcla,
                                   engine=job.engine, artifact_cache=cache,
                                   stage_names=job.stages)
-        hits_before, misses_before = cache.counters()
         warp = processor.run(program, max_instructions=job.max_instructions)
-        hits_after, misses_after = cache.counters()
 
         outcome = warp.partitioning
         result.partitioned = outcome.success
@@ -267,21 +270,7 @@ def _execute_attempt(job: WarpJob,
         result.software_ms = warp.software_seconds * 1e3
         result.warp_ms = warp.warp_seconds * 1e3
         result.dpm_ms = outcome.dpm_seconds * 1e3
-        result.cad_cache_hit = outcome.cad_cache_hit
-        result.cache_hits = hits_after - hits_before
-        result.cache_misses = misses_after - misses_before
-        for record in outcome.stage_records:
-            result.stage_wall_ms[record.stage] = record.wall_seconds * 1e3
-            result.stage_cache[record.stage] = record.source
-        result.cache_negative_hits = sum(
-            1 for record in outcome.stage_records
-            if record.source == SOURCE_NEGATIVE)
-        result.cache_disk_hits = sum(
-            1 for record in outcome.stage_records
-            if record.source == SOURCE_DISK)
-        result.cache_peer_hits = sum(
-            1 for record in outcome.stage_records
-            if record.source == SOURCE_PEER)
+        _account_cache(result, outcome.stage_records)
         if obs.ACTIVE is not None:
             software = warp.software_result
             obs.inc("warp_engine_instructions_total",
@@ -316,6 +305,28 @@ def _execute_attempt(job: WarpJob,
     return result
 
 
+def _account_cache(result: ServiceResult, records) -> None:
+    """Fill every cache field of ``result`` from the job's own stage
+    records — never from the shared cache's counters, which concurrent
+    jobs move too.
+
+    ``cache_hits``/``cache_misses`` count one per partitioning that
+    consulted the cache: a hit when every keyed stage was cache-served.
+    The tier counters count matching stage records.
+    """
+    sources = [record.source for record in records]
+    for record in records:
+        result.stage_wall_ms[record.stage] = record.wall_seconds * 1e3
+        result.stage_cache[record.stage] = record.source
+    result.cad_cache_hit = served_from_cache(records)
+    if any(record.key is not None for record in records):
+        result.cache_hits = int(result.cad_cache_hit)
+        result.cache_misses = 1 - result.cache_hits
+    result.cache_negative_hits = sources.count(SOURCE_NEGATIVE)
+    result.cache_disk_hits = sources.count(SOURCE_DISK)
+    result.cache_peer_hits = sources.count(SOURCE_PEER)
+
+
 def _worker_entry(job: WarpJob) -> ServiceResult:
     """Module-level pool entry point (must be picklable by reference)."""
     return execute_job(job)
@@ -335,8 +346,6 @@ def _collect_cache_metrics(registry) -> None:
         events = registry.gauge(
             "warp_cache_events",
             "CAD artifact cache events by kind (cumulative)")
-        events.set(cache.hits, kind="bundle-hit")
-        events.set(cache.misses, kind="bundle-miss")
         events.set(cache.negative_hits, kind="negative-hit")
         events.set(cache.disk_hits, kind="disk-hit")
         events.set(cache.peer_hits, kind="peer-hit")

@@ -2,7 +2,7 @@
 
 Covers the ISSUE 3 acceptance criteria: the staged flow must produce
 outcomes bit-identical to the monolithic flow on every cache path
-(uncached, cold, whole-bundle warm, per-stage warm), a routing-only WCLA
+(uncached, cold, warm), a routing-only WCLA
 sweep must reuse synthesis and placement via stage-level cache entries,
 capacity rejections must be memoized with a distinct counter, and
 alternate passes must be swappable through the stage registry.
@@ -85,10 +85,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register_stage("route", RouteStage)
 
-    def test_flow_variants_have_distinct_bundle_identities(self):
-        assert build_flow().bundle_token() \
-            != build_flow(GREEDY_STAGES).bundle_token()
-
 
 # --------------------------------------------------------------------------- bit-exactness
 class TestBitExactEquivalence:
@@ -103,21 +99,13 @@ class TestBitExactEquivalence:
             cold = dpm.partition(program.copy(), region)
             warm = dpm.partition(program.copy(), region)
 
-            staged_cache = CadArtifactCache(bundle_fast_path=False)
-            staged_dpm = DynamicPartitioningModule(artifact_cache=staged_cache)
-            staged_cold = staged_dpm.partition(program.copy(), region)
-            staged_warm = staged_dpm.partition(program.copy(), region)
-
-            for outcome in (cold, warm, staged_cold, staged_warm):
+            for outcome in (cold, warm):
                 _assert_outcomes_match(reference, outcome)
 
             assert not cold.cad_cache_hit
+            # The warm run is a full chain of per-stage hits.
             assert warm.cad_cache_hit
-            assert _sources(warm)["synthesis"] == "bundle"
-            # With the bundle fast path off, the warm run is a full chain
-            # of per-stage hits — and still counts as served from cache.
-            assert staged_warm.cad_cache_hit
-            assert all(_sources(staged_warm)[stage] == "hit"
+            assert all(_sources(warm)[stage] == "hit"
                        for stage in ("synthesis", "place", "route",
                                      "implement"))
 
@@ -174,13 +162,13 @@ class TestPartialStageReuse:
             program.copy(), region)
         _assert_outcomes_match(cold, swept)
 
-        # An exact repeat of the swept parameters now takes the bundle
-        # fast path.
+        # An exact repeat of the swept parameters is served entirely
+        # from the stage entries.
         again = DynamicPartitioningModule(
             wcla=narrow, artifact_cache=cache).partition(program.copy(),
                                                          region)
         assert again.cad_cache_hit
-        assert _sources(again)["route"] == "bundle"
+        assert _sources(again)["route"] == "hit"
 
     def test_lut_inputs_change_invalidates_from_synthesis_down(self,
                                                                profiled):
@@ -392,12 +380,3 @@ class TestLayering:
         source = inspect.getsource(dpm)
         assert "from ..service" not in source
         assert "repro.service" not in source
-
-    def test_service_artifact_cache_shim_reexports_cad_types(self):
-        import repro.cad as cad
-        from repro.service import artifact_cache as shim
-        assert shim.CadArtifactCache is cad.CadArtifactCache
-        assert shim.CadArtifacts is cad.CadArtifacts
-        assert shim.canonical_body_form is cad.canonical_body_form
-        assert shim.artifact_cache_key is cad.artifact_cache_key
-        assert shim.CANONICAL_FORM_VERSION == cad.CANONICAL_FORM_VERSION

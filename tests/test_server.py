@@ -361,17 +361,17 @@ class TestCacheDiskTier:
         assert warm.partitioned
         assert warm.speedup == cold.speedup
         assert warm.cad_cache_hit
-        bundled = [stage for stage, source in warm.stage_cache.items()
-                   if source != "uncached"]
-        assert bundled and all(warm.stage_cache[s] == SOURCE_DISK
-                               for s in bundled)
-        assert warm.cache_disk_hits == len(bundled)
+        keyed = [stage for stage, source in warm.stage_cache.items()
+                 if source != "uncached"]
+        assert keyed and all(warm.stage_cache[s] == SOURCE_DISK
+                             for s in keyed)
+        assert warm.cache_disk_hits == len(keyed)
         # Counted separately: no *memory* stage hits happened at all.
-        assert warm_cache.disk_hits == len(bundled)
+        assert warm_cache.disk_hits == len(keyed)
         assert all(hits == 0 for hits, _ in
                    warm_cache.stage_counters().values())
-        assert warm_cache.stats()["disk_hits"] == len(bundled)
-        assert warm_cache.stats()["store"]["hits"] == len(bundled)
+        assert warm_cache.stats()["disk_hits"] == len(keyed)
+        assert warm_cache.stats()["store"]["hits"] == len(keyed)
 
     def test_report_aggregates_disk_hits(self, tmp_path):
         job = WarpJob(name="j", benchmark="brev", small=True)
@@ -386,8 +386,7 @@ class TestCacheDiskTier:
         assert plain["stages"]["synthesis"]["hits"] == 1  # disk is a hit too
 
     def test_memory_tier_still_wins_when_warm(self, tmp_path):
-        cache = CadArtifactCache(store=DiskArtifactStore(tmp_path),
-                                 bundle_fast_path=False)
+        cache = CadArtifactCache(store=DiskArtifactStore(tmp_path))
         job = WarpJob(name="j", benchmark="brev", small=True)
         execute_job(job, cache)
         second = execute_job(job, cache)
@@ -931,6 +930,7 @@ class TestGatewayMesh:
         assert cold.cache_disk_hits == 0  # nothing was local yet
         result = cold.results[0]
         assert "peer-hit" in result.stage_cache.values()
+        assert result.cad_cache_hit  # peer-served stages are cache hits
         # The report's stage table breaks peer hits out.
         plain = cold.to_plain()
         assert sum(stage["peer_hits"]

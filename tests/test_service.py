@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -12,16 +14,17 @@ from repro.apps import build_benchmark
 from repro.caching import BoundedLRU, lru_memoize
 from repro.compiler import (clear_compile_cache, compile_cache_stats,
                             compile_source, compile_source_cached)
+from repro.cad import canonical_wcla_form
 from repro.fabric import DEFAULT_WCLA
 from repro.fabric.architecture import WclaParameters
 from repro.microblaze import MINIMAL_CONFIG, PAPER_CONFIG
+from repro.server import DiskArtifactStore
 from repro.service import (
     CadArtifactCache,
     JobScheduler,
     JobSpecError,
     WarpJob,
     WarpService,
-    artifact_cache_key,
     canonical_body_form,
     execute_job,
     suite_sweep_jobs,
@@ -162,6 +165,11 @@ class TestJobScheduler:
 
 
 # --------------------------------------------------------------------------- artifact cache
+def _hits_misses(cache):
+    stats = cache.stats()
+    return stats["hits"], stats["misses"]
+
+
 class TestArtifactCache:
     def _kernel_for(self, name, config=PAPER_CONFIG):
         bench = build_benchmark(name, small=True)
@@ -178,17 +186,15 @@ class TestArtifactCache:
         kernel_b = self._kernel_for("brev")
         assert canonical_body_form(kernel_a.body) \
             == canonical_body_form(kernel_b.body)
-        assert artifact_cache_key(kernel_a, DEFAULT_WCLA) \
-            == artifact_cache_key(kernel_b, DEFAULT_WCLA)
 
     def test_key_distinguishes_kernels_and_wcla(self):
         brev = self._kernel_for("brev")
         matmul = self._kernel_for("matmul")
-        assert artifact_cache_key(brev, DEFAULT_WCLA) \
-            != artifact_cache_key(matmul, DEFAULT_WCLA)
+        assert canonical_body_form(brev.body) \
+            != canonical_body_form(matmul.body)
         other_wcla = WclaParameters(memory_ports=2)
-        assert artifact_cache_key(brev, DEFAULT_WCLA) \
-            != artifact_cache_key(brev, other_wcla)
+        assert canonical_wcla_form(DEFAULT_WCLA) \
+            != canonical_wcla_form(other_wcla)
 
     def test_warp_flow_hits_on_repeat_and_skips_cad(self):
         cache = CadArtifactCache()
@@ -200,12 +206,12 @@ class TestArtifactCache:
                               artifact_cache=cache).run(program.copy())
         assert first.partitioning.success
         assert not first.partitioning.cad_cache_hit
-        assert cache.counters() == (0, 1)
+        assert _hits_misses(cache) == (0, 4)  # the four keyed CAD stages
 
         second = WarpProcessor(config=PAPER_CONFIG,
                                artifact_cache=cache).run(program.copy())
         assert second.partitioning.cad_cache_hit
-        assert cache.counters() == (1, 1)
+        assert _hits_misses(cache) == (4, 4)
         # Served from cache, yet numerically identical.
         assert second.speedup == first.speedup
         assert second.partitioning.synthesis is first.partitioning.synthesis
@@ -226,7 +232,7 @@ class TestArtifactCache:
         result = WarpProcessor(config=PAPER_CONFIG,
                                artifact_cache=cache).run(program.copy())
         assert not result.partitioning.cad_cache_hit
-        assert cache.counters() == (0, 1)
+        assert _hits_misses(cache) == (0, 4)
 
 
 # --------------------------------------------------------------------------- execution
@@ -291,6 +297,56 @@ class TestWarpServiceSerial:
         assert first.cache_hit_rate == 0.0
         assert second.cache_hit_rate == 1.0
         assert all(r.cad_cache_hit for r in second.results)
+
+
+class TestConcurrentCacheAccounting:
+    """Threads sharing one cache — what the gateway's concurrent batch
+    executors do with ``workers=0`` — must each be credited exactly their
+    own lookups: per-job counts come from the job's stage records, never
+    from deltas of the shared cache's counters."""
+
+    THREADS = 4
+    ROUNDS = 5
+
+    def _run_in_threads(self, jobs, cache):
+        def run_all(_):
+            return [execute_job(job, cache) for job in jobs]
+        with ThreadPoolExecutor(self.THREADS) as pool:
+            batches = list(pool.map(run_all, range(self.THREADS),
+                                    timeout=120))
+        return [result for batch in batches for result in batch]
+
+    def test_warm_shared_cache_credits_one_hit_per_job(self):
+        jobs = suite_sweep_jobs(small=True)
+        cache = CadArtifactCache()
+        for job in jobs:
+            execute_job(job, cache)
+        results = self._run_in_threads(jobs, cache)
+        assert len(results) == self.THREADS * len(jobs)
+        assert all(result.ok for result in results)
+        assert [(result.cache_hits, result.cache_misses)
+                for result in results] == [(1, 0)] * len(results)
+
+    def test_disk_hits_per_job_sum_to_the_cache_count(self, tmp_path):
+        """Each round races fresh in-memory caches over one warm store:
+        which thread's lookup hits disk first is up to the scheduler, but
+        the per-job counts must always add up to the cache's own."""
+        jobs = suite_sweep_jobs(small=True)
+        warm = CadArtifactCache(store=DiskArtifactStore(tmp_path))
+        for job in jobs:
+            execute_job(job, warm)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for _ in range(self.ROUNDS):
+                cache = CadArtifactCache(store=DiskArtifactStore(tmp_path))
+                results = self._run_in_threads(jobs, cache)
+                assert all(result.ok and result.cad_cache_hit
+                           for result in results)
+                assert sum(result.cache_disk_hits for result in results) \
+                    == cache.disk_hits > 0
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # --------------------------------------------------------------------------- the pool
@@ -423,5 +479,5 @@ class TestMultiprocessorSharedCache:
         assert all(core.partitioning.success for core in result.per_core)
         assert not result.per_core[0].partitioning.cad_cache_hit
         assert result.per_core[1].partitioning.cad_cache_hit
-        assert cache.counters() == (1, 1)
+        assert _hits_misses(cache) == (4, 4)
         assert result.per_core[0].speedup == result.per_core[1].speedup
