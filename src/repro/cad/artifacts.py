@@ -23,7 +23,8 @@ outside the cache.  The in-memory entries sit on the repo-wide
 
 A *persistent* tier can be layered underneath: pass a
 :class:`repro.server.store.DiskArtifactStore` (or any object with
-``stage_get``/``stage_put``/``stats``) as ``store``.  Entries are written
+``stage_get``/``stage_put``/``stats``, where ``stage_get`` returns
+``(value, "disk" | "peer" | "miss")``) as ``store``.  Entries are written
 through to it and a memory miss consults it before counting a miss, so a
 fresh process — or another machine sharing the directory — starts warm.
 
@@ -106,7 +107,7 @@ class CadArtifactCache:
     def __init__(self, store=None):
         self._stages = BoundedLRU(STAGE_CACHE_ENTRIES)
         #: Optional persistent tier under the in-memory entries (duck-typed:
-        #: ``stage_get``/``stage_put``/``stats``, e.g.
+        #: ``stage_get`` -> ``(value, source)``/``stage_put``/``stats``, e.g.
         #: :class:`repro.server.store.DiskArtifactStore`).
         self.disk_store = store
         self._lock = threading.Lock()
@@ -130,15 +131,12 @@ class CadArtifactCache:
         value = self._stages.get(entry)
         source = SOURCE_HIT
         if value is None and self.disk_store is not None:
-            value = self.disk_store.stage_get(stage, key)
+            value, found = self.disk_store.stage_get(stage, key)
             if value is not None:
                 self._stages.put(entry, value)
-                # The store says how it satisfied the lookup: a plain
-                # local file or a mesh peer pull — stores without the
-                # attribute are always local.
-                from_peer = getattr(self.disk_store,
-                                    "last_get_source", None) == "peer"
-                source = SOURCE_PEER if from_peer else SOURCE_DISK
+                # The store says how it satisfied this lookup: a plain
+                # local file or a mesh peer pull.
+                source = SOURCE_PEER if found == "peer" else SOURCE_DISK
         if value is None:
             source = SOURCE_MISS
         elif is_negative_artifact(value):

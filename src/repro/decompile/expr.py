@@ -296,6 +296,21 @@ class ExpressionBuilder:
         return list(self._nodes)
 
 
+def operands(node: Node) -> Tuple[Node, ...]:
+    """The direct inputs of ``node`` (none for constants and live-ins)."""
+    if isinstance(node, BinExpr):
+        return node.left, node.right
+    if isinstance(node, UnExpr):
+        return (node.operand,)
+    if isinstance(node, Load):
+        return (node.address,)
+    if isinstance(node, Mux):
+        return node.condition, node.if_true, node.if_false
+    if isinstance(node, Condition):
+        return (node.value,)
+    return ()
+
+
 def walk(node: Node) -> Iterable[Node]:
     """Yield ``node`` and every node reachable from it (depth first, deduped)."""
     seen = set()
@@ -306,191 +321,15 @@ def walk(node: Node) -> Iterable[Node]:
             continue
         seen.add(id(current))
         yield current
-        if isinstance(current, BinExpr):
-            stack.extend([current.left, current.right])
-        elif isinstance(current, UnExpr):
-            stack.append(current.operand)
-        elif isinstance(current, Load):
-            stack.append(current.address)
-        elif isinstance(current, Mux):
-            stack.extend([current.condition, current.if_true, current.if_false])
-        elif isinstance(current, Condition):
-            stack.append(current.value)
-
-
-def compile_node(node: Node, _cache: Optional[dict] = None):
-    """Compile ``node`` once into a closure evaluating it per iteration.
-
-    The returned callable has the signature
-    ``fn(state, memory_read, loads_cache) -> int`` with the same contract
-    as :func:`evaluate`, but all structural dispatch — node types, operator
-    kinds, condition relations — is resolved here, at compile time, so the
-    per-iteration cost is just the closure calls.  This is the same
-    translate-once idea the threaded-code CPU engine applies to machine
-    instructions, applied to the decompiled dataflow graph the WCLA
-    executes: the warp co-simulation evaluates each kernel body thousands
-    of times, and the recursive interpreter was one of the two hottest
-    paths of the whole evaluation harness.
-
-    The compiled form is observationally identical to :func:`evaluate`:
-    ``Mux`` arms stay lazy (only the chosen side touches memory), each
-    ``Load`` node reads memory at most once per iteration through
-    ``loads_cache``, and every result is masked to 32 bits.
-
-    Expressions form a structurally shared DAG, so compilation memoises
-    per node (``_cache``): a shared sub-term compiles to one closure
-    reused by every consumer, mirroring the one-adder-per-distinct-term
-    sharing of the hardware itself.
-    """
-    if _cache is None:
-        _cache = {}
-    cached = _cache.get(id(node))
-    if cached is not None:
-        return cached
-    _cache[id(node)] = fn = _compile_node_uncached(node, _cache)
-    return fn
-
-
-def _compile_node_uncached(node: Node, _cache: dict):
-    if isinstance(node, Const):
-        value = node.value & WORD_MASK
-        return lambda state, memory_read, loads_cache: value
-    if isinstance(node, LiveIn):
-        register = node.register
-        def fn(state, memory_read, loads_cache):
-            return state.get(register, 0) & WORD_MASK
-        return fn
-    if isinstance(node, Load):
-        address_fn = compile_node(node.address, _cache)
-        node_id, width = node.node_id, node.width
-        def fn(state, memory_read, loads_cache):
-            # Load results are unsigned words, so -1 is a safe "missing"
-            # sentinel and avoids a second dictionary probe.
-            value = loads_cache.get(node_id, -1)
-            if value < 0:
-                value = memory_read(
-                    address_fn(state, memory_read, loads_cache), width
-                ) & WORD_MASK
-                loads_cache[node_id] = value
-            return value
-        return fn
-    if isinstance(node, UnExpr):
-        operand_fn = compile_node(node.operand, _cache)
-        op = node.op
-        if op is OpKind.NEG:
-            def fn(state, memory_read, loads_cache):
-                return (-operand_fn(state, memory_read, loads_cache)) & WORD_MASK
-        elif op is OpKind.NOT:
-            def fn(state, memory_read, loads_cache):
-                return (~operand_fn(state, memory_read, loads_cache)) & WORD_MASK
-        elif op is OpKind.SEXT8:
-            def fn(state, memory_read, loads_cache):
-                value = operand_fn(state, memory_read, loads_cache)
-                return _signed((value & 0xFF) | (0xFFFFFF00 if value & 0x80 else 0)) & WORD_MASK
-        elif op is OpKind.SEXT16:
-            def fn(state, memory_read, loads_cache):
-                value = operand_fn(state, memory_read, loads_cache)
-                return _signed((value & 0xFFFF) | (0xFFFF0000 if value & 0x8000 else 0)) & WORD_MASK
-        else:
-            raise ValueError(f"unknown unary op {op}")
-        return fn
-    if isinstance(node, Mux):
-        condition_fn = compile_node(node.condition, _cache)
-        true_fn = compile_node(node.if_true, _cache)
-        false_fn = compile_node(node.if_false, _cache)
-        def fn(state, memory_read, loads_cache):
-            if condition_fn(state, memory_read, loads_cache):
-                return true_fn(state, memory_read, loads_cache)
-            return false_fn(state, memory_read, loads_cache)
-        return fn
-    if isinstance(node, Condition):
-        value_fn = compile_node(node.value, _cache)
-        relation = node.relation
-        SIGN = 0x8000_0000
-        if relation == "eq":
-            def fn(state, memory_read, loads_cache):
-                return int(value_fn(state, memory_read, loads_cache) == 0)
-        elif relation == "ne":
-            def fn(state, memory_read, loads_cache):
-                return int(value_fn(state, memory_read, loads_cache) != 0)
-        elif relation == "lt":
-            def fn(state, memory_read, loads_cache):
-                return int(value_fn(state, memory_read, loads_cache) >= SIGN)
-        elif relation == "le":
-            def fn(state, memory_read, loads_cache):
-                value = value_fn(state, memory_read, loads_cache)
-                return int(value >= SIGN or value == 0)
-        elif relation == "gt":
-            def fn(state, memory_read, loads_cache):
-                return int(0 < value_fn(state, memory_read, loads_cache) < SIGN)
-        elif relation == "ge":
-            def fn(state, memory_read, loads_cache):
-                return int(value_fn(state, memory_read, loads_cache) < SIGN)
-        else:
-            raise ValueError(f"unknown condition relation {relation!r}")
-        return fn
-    if isinstance(node, BinExpr):
-        left_fn = compile_node(node.left, _cache)
-        right_fn = compile_node(node.right, _cache)
-        op = node.op
-        if op is OpKind.ADD:
-            def fn(state, memory_read, loads_cache):
-                return (left_fn(state, memory_read, loads_cache)
-                        + right_fn(state, memory_read, loads_cache)) & WORD_MASK
-        elif op is OpKind.SUB:
-            def fn(state, memory_read, loads_cache):
-                return (left_fn(state, memory_read, loads_cache)
-                        - right_fn(state, memory_read, loads_cache)) & WORD_MASK
-        elif op is OpKind.MUL:
-            def fn(state, memory_read, loads_cache):
-                return (left_fn(state, memory_read, loads_cache)
-                        * right_fn(state, memory_read, loads_cache)) & WORD_MASK
-        elif op is OpKind.AND:
-            def fn(state, memory_read, loads_cache):
-                return left_fn(state, memory_read, loads_cache) \
-                    & right_fn(state, memory_read, loads_cache)
-        elif op is OpKind.OR:
-            def fn(state, memory_read, loads_cache):
-                return left_fn(state, memory_read, loads_cache) \
-                    | right_fn(state, memory_read, loads_cache)
-        elif op is OpKind.XOR:
-            def fn(state, memory_read, loads_cache):
-                return left_fn(state, memory_read, loads_cache) \
-                    ^ right_fn(state, memory_read, loads_cache)
-        elif op is OpKind.ANDN:
-            def fn(state, memory_read, loads_cache):
-                return left_fn(state, memory_read, loads_cache) \
-                    & ~right_fn(state, memory_read, loads_cache) & WORD_MASK
-        elif op is OpKind.SHL:
-            def fn(state, memory_read, loads_cache):
-                return (left_fn(state, memory_read, loads_cache)
-                        << (right_fn(state, memory_read, loads_cache) & 31)) & WORD_MASK
-        elif op is OpKind.SHR_LOGICAL:
-            def fn(state, memory_read, loads_cache):
-                return left_fn(state, memory_read, loads_cache) \
-                    >> (right_fn(state, memory_read, loads_cache) & 31)
-        elif op is OpKind.SHR_ARITH:
-            def fn(state, memory_read, loads_cache):
-                return (_signed(left_fn(state, memory_read, loads_cache))
-                        >> (right_fn(state, memory_read, loads_cache) & 31)) & WORD_MASK
-        elif op is OpKind.CMP_SIGN:
-            def fn(state, memory_read, loads_cache):
-                sa = _signed(left_fn(state, memory_read, loads_cache))
-                sb = _signed(right_fn(state, memory_read, loads_cache))
-                return (1 if sb > sa else 0 if sb == sa else -1) & WORD_MASK
-        elif op is OpKind.CMP_SIGN_U:
-            def fn(state, memory_read, loads_cache):
-                a = left_fn(state, memory_read, loads_cache)
-                b = right_fn(state, memory_read, loads_cache)
-                return (1 if b > a else 0 if a == b else -1) & WORD_MASK
-        else:
-            raise ValueError(f"unknown binary op {op}")
-        return fn
-    raise TypeError(f"cannot compile node {node!r}")
+        stack.extend(operands(current))
 
 
 def evaluate(node: Node, live_values: Dict[int, int], memory_read, loads_cache: Dict[int, int]) -> int:
     """Evaluate ``node`` for one iteration.
+
+    This is the reference semantics of the dataflow graph: the WCLA model
+    (:mod:`repro.fabric.hw_exec`) lowers whole kernel bodies to generated
+    Python source for speed and is tested against this function.
 
     ``live_values`` maps architectural register numbers to their values at
     the start of the iteration, ``memory_read(address, width)`` performs a

@@ -81,6 +81,13 @@ class DiskStoreSchemaError(DiskStoreError):
     """An entry (or the store marker) has an unsupported schema version."""
 
 
+#: How :meth:`DiskArtifactStore.stage_get` reports each lookup outcome: a
+#: quarantined corrupt entry is a miss to the caller (its span says
+#: ``corrupt``).
+_GET_SOURCES = {"disk": "disk", "peer": "peer", "miss": "miss",
+                "corrupt": "miss"}
+
+
 class DiskArtifactStore:
     """A size-bounded, content-addressed artifact store in one directory.
 
@@ -133,10 +140,6 @@ class DiskArtifactStore:
         self.peer_hits = 0
         #: Peer fetches that returned an undecodable blob.
         self.peer_fetch_errors = 0
-        #: How the most recent :meth:`stage_get` was satisfied:
-        #: ``"disk"``, ``"peer"`` or ``"miss"`` (``None`` before any
-        #: lookup).  Read by the cache tier above to attribute the hit.
-        self.last_get_source: Optional[str] = None
         #: Running size estimate so a write only pays a full directory
         #: scan when the bound is (approximately) crossed.  Other
         #: processes' writes are invisible to it, but eviction itself
@@ -256,8 +259,15 @@ class DiskArtifactStore:
         os.replace(tmp, path)
 
     # ---------------------------------------------------------------- entries
-    def stage_get(self, stage: str, key: str) -> Optional[object]:
-        """Fetch one stage entry, or ``None`` on a miss.
+    def stage_get(self, stage: str,
+                  key: str) -> Tuple[Optional[object], str]:
+        """Fetch one stage entry as ``(value, source)``.
+
+        ``source`` says how the lookup was satisfied: ``"disk"`` (a local
+        file), ``"peer"`` (pulled from a mesh peer on a local miss) or
+        ``"miss"``, where ``value`` is ``None``.  It comes back with the
+        value rather than through shared state, so concurrent lookups on
+        one store never see each other's source.
 
         A hit refreshes the entry's mtime (the LRU clock).  A truncated,
         zero-length or undecodable entry is **quarantined** (moved to
@@ -269,25 +279,23 @@ class DiskArtifactStore:
         disagree, and recomputing would silently discard a warm store.
         """
         if obs.ACTIVE is None:
-            return self._stage_get(stage, key)
+            value, outcome = self._stage_get(stage, key)
+            return value, _GET_SOURCES[outcome]
         start = time.perf_counter()
-        hits_before = self.hits
-        peer_before = self.peer_hits
-        corrupt_before = self.corrupt_entries
+        outcome = "miss"
         try:
-            return self._stage_get(stage, key)
+            value, outcome = self._stage_get(stage, key)
+            return value, _GET_SOURCES[outcome]
         finally:
             # Nests under the caller's open span (the CAD stage that
             # missed in memory), joining the job's trace.
-            outcome = "hit" if self.hits > hits_before else \
-                ("peer" if self.peer_hits > peer_before
-                 else ("corrupt" if self.corrupt_entries > corrupt_before
-                       else "miss"))
             obs.record_span("store-load",
-                            time.perf_counter() - start,
-                            stage=stage, outcome=outcome)
+                            time.perf_counter() - start, stage=stage,
+                            outcome="hit" if outcome == "disk" else outcome)
 
-    def _stage_get(self, stage: str, key: str) -> Optional[object]:
+    def _stage_get(self, stage: str,
+                   key: str) -> Tuple[Optional[object], str]:
+        """``(value, outcome)``: the outcome is a :data:`_GET_SOURCES` key."""
         path = self._entry_path(stage, key)
         try:
             blob = path.read_bytes()
@@ -295,10 +303,9 @@ class DiskArtifactStore:
             if self.peer_fetcher is not None:
                 value = self._peer_get(stage, key, path)
                 if value is not None:
-                    return value
+                    return value, "peer"
             self.misses += 1
-            self.last_get_source = "miss"
-            return None
+            return None, "miss"
         if chaos.ACTIVE_PLAN is not None:
             injection = chaos.fire(chaos.SITE_STORE_LOAD, label=path.name)
             if injection is not None:
@@ -320,14 +327,13 @@ class DiskArtifactStore:
             self._quarantine(path)
             self.corrupt_entries += 1
             self.misses += 1
-            return None
+            return None, "corrupt"
         try:
             os.utime(path)
         except OSError:  # pragma: no cover - entry evicted under our feet
             pass
         self.hits += 1
-        self.last_get_source = "disk"
-        return value
+        return value, "disk"
 
     def _peer_get(self, stage: str, key: str, path: Path) -> Optional[object]:
         """Try the mesh on a local miss: fetch the raw entry blob from a
@@ -356,7 +362,6 @@ class DiskArtifactStore:
             return None
         self._store_blob(path, blob)
         self.peer_hits += 1
-        self.last_get_source = "peer"
         return value
 
     def _quarantine(self, path: Path) -> None:
@@ -465,7 +470,6 @@ class DiskArtifactStore:
         self.orphan_tmp_removed = 0
         self.peer_hits = 0
         self.peer_fetch_errors = 0
-        self.last_get_source = None
         self._approx_bytes = None
 
     # -------------------------------------------------------------- accounting

@@ -8,6 +8,7 @@ import json
 import os
 import pickle
 import socket
+import threading
 import time
 
 import pytest
@@ -16,8 +17,10 @@ from repro.cad import (
     CadArtifactCache,
     CapacityRejection,
     SOURCE_DISK,
+    SOURCE_PEER,
     is_negative_artifact,
 )
+from repro import obs
 from repro.cad.keys import content_digest
 from repro.digest import digest_int, sha256_hex, shard_index
 from repro.fabric.architecture import FabricParameters, WclaParameters
@@ -226,9 +229,9 @@ class TestWireProtocol:
 class TestDiskArtifactStore:
     def test_roundtrip_and_counters(self, tmp_path):
         store = DiskArtifactStore(tmp_path / "store")
-        assert store.stage_get("synthesis", "a" * 8) is None
+        assert store.stage_get("synthesis", "a" * 8) == (None, "miss")
         store.stage_put("synthesis", "a" * 8, {"luts": 12})
-        assert store.stage_get("synthesis", "a" * 8) == {"luts": 12}
+        assert store.stage_get("synthesis", "a" * 8) == ({"luts": 12}, "disk")
         stats = store.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["writes"] == 1 and stats["entries"] == 1
@@ -236,12 +239,13 @@ class TestDiskArtifactStore:
 
     def test_entries_survive_a_new_instance(self, tmp_path):
         DiskArtifactStore(tmp_path).stage_put("place", "k1", (1, 2, 3))
-        assert DiskArtifactStore(tmp_path).stage_get("place", "k1") == (1, 2, 3)
+        assert DiskArtifactStore(tmp_path).stage_get("place", "k1") == \
+            ((1, 2, 3), "disk")
 
     def test_capacity_rejections_persist(self, tmp_path):
         DiskArtifactStore(tmp_path).stage_put(
             "place", "k", CapacityRejection(message="too big"))
-        value = DiskArtifactStore(tmp_path).stage_get("place", "k")
+        value, _ = DiskArtifactStore(tmp_path).stage_get("place", "k")
         assert isinstance(value, CapacityRejection)
         assert is_negative_artifact(value)
 
@@ -256,8 +260,8 @@ class TestDiskArtifactStore:
             os.utime(path, (now - age, now - age))
         store.max_bytes = store.size_bytes() - 1  # force eviction of >= 1
         store.stage_put("route", "key4", b"x" * 64)
-        assert store.stage_get("route", "key0") is None  # oldest went first
-        assert store.stage_get("route", "key4") == b"x" * 64
+        assert store.stage_get("route", "key0")[0] is None  # oldest went first
+        assert store.stage_get("route", "key4")[0] == b"x" * 64
         assert store.evictions >= 1
         assert store.size_bytes() <= store.max_bytes
 
@@ -298,21 +302,78 @@ class TestDiskArtifactStore:
         path = store._entry_path("route", "bad")
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])  # torn write
-        assert store.stage_get("route", "bad") is None
+        assert store.stage_get("route", "bad") == (None, "miss")
         assert store.corrupt_entries == 1
         assert not path.exists()
         assert path.with_name(path.name + ".quarantine").exists()
         # The slot is reusable after recompute.
         store.stage_put("route", "bad", {"x": 1})
-        assert store.stage_get("route", "bad") == {"x": 1}
+        assert store.stage_get("route", "bad") == ({"x": 1}, "disk")
 
     def test_zero_length_entry_is_tolerated(self, tmp_path):
         """Satellite: a crash between open and write leaves a zero-length
         file; it must read as a miss, not an exception."""
         store = DiskArtifactStore(tmp_path)
         store._entry_path("route", "empty").write_bytes(b"")
-        assert store.stage_get("route", "empty") is None
+        assert store.stage_get("route", "empty") == (None, "miss")
         assert store.corrupt_entries == 1
+
+    def test_concurrent_peer_pulls_and_disk_hits_keep_their_labels(
+            self, tmp_path, monkeypatch):
+        """The store returns each lookup's source with its value, so a mesh
+        peer pull on one thread and local disk hits on another, through
+        one store, never swap the ``peer-hit``/``disk-hit`` labels."""
+        peer = DiskArtifactStore(tmp_path / "peer")
+
+        def fetch(stage, key):
+            path = peer._entry_path(stage, key)
+            return path.read_bytes() if path.exists() else None
+
+        local = DiskArtifactStore(tmp_path / "local", peer_fetcher=fetch)
+        count = 20
+        for index in range(count):
+            peer.stage_put("route", f"p{index}", {"index": index})
+            local.stage_put("route", f"d{index}", {"index": index})
+        # Force the worst interleaving.  A lookup's store-load span is
+        # recorded after the store has answered and before the cache has
+        # read the answer, so each disk hit parks there until the other
+        # thread has completed one whole peer pull.
+        turn, pulled = threading.Semaphore(0), threading.Semaphore(0)
+        record_span = obs.record_span
+
+        def parked(name, duration_s, **attrs):
+            if attrs.get("outcome") == "hit":
+                turn.release()
+                pulled.acquire(timeout=10)
+            return record_span(name, duration_s, **attrs)
+
+        monkeypatch.setattr(obs, "record_span", parked)
+        labels = {SOURCE_PEER: [], SOURCE_DISK: []}
+
+        def pull_from_peer():
+            cache = CadArtifactCache(store=local)
+            for index in range(count):
+                turn.acquire(timeout=10)
+                labels[SOURCE_PEER].append(
+                    cache.stage_lookup("route", f"p{index}")[1])
+                pulled.release()
+
+        def hit_disk():
+            cache = CadArtifactCache(store=local)
+            for index in range(count):
+                labels[SOURCE_DISK].append(
+                    cache.stage_lookup("route", f"d{index}")[1])
+
+        with obs.active_telemetry():
+            threads = [threading.Thread(target=pull_from_peer),
+                       threading.Thread(target=hit_disk)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert labels[SOURCE_PEER] == [SOURCE_PEER] * count
+        assert labels[SOURCE_DISK] == [SOURCE_DISK] * count
+        assert local.peer_hits == count and local.hits == count
 
     def test_orphan_tmp_files_are_collected_at_open(self, tmp_path):
         """Satellite: ``*.tmp`` droppings from a crashed publisher are
