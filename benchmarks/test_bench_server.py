@@ -3,7 +3,7 @@ throughput, and the gateway mesh.
 
 Three claims are measured and floored:
 
-* **warm disk store across processes** — the full-size threaded-engine
+* **warm disk store across processes** — the full-size default-engine
   suite sweep runs twice through the ``repro-warp suite`` CLI, each time
   in a *fresh subprocess* sharing one ``--store`` directory.  The second
   process starts with cold in-memory caches but a warm
@@ -45,6 +45,7 @@ import threading
 import time
 from pathlib import Path
 
+from repro.microblaze import DEFAULT_ENGINE
 from repro.server import GatewayClient, HashRing, WarpGateway, \
     start_gateway_thread
 from repro.service import WarpJob, suite_sweep_jobs
@@ -89,14 +90,14 @@ def _cpu_count() -> int:
 
 
 def _suite_cli(store: Path, out: Path) -> None:
-    """One full-size threaded-engine sweep in a fresh interpreter."""
+    """One full-size default-engine sweep in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env.pop(STORE_ENV_VAR, None)  # the --store flag must do the wiring
     subprocess.run(
         [sys.executable, "-m", "repro.service.cli", "suite",
-         "--engines", "threaded", "--store", str(store),
+         "--store", str(store),
          "--out", str(out), "--quiet"],
         check=True, env=env, cwd=REPO_ROOT, timeout=600,
     )
@@ -156,13 +157,12 @@ def test_warm_disk_store_and_gateway_throughput(tmp_path):
         assert a["normalized_warp_energy"] == b["normalized_warp_energy"]
 
     # ------------------------------------------------------ gateway throughput
-    jobs = suite_sweep_jobs(engines=("threaded", "interp"))
+    jobs = suite_sweep_jobs(engines=(DEFAULT_ENGINE, "interp"))
     gateway_workers = 3
     # Both gateways execute one small job before their clock starts, so
     # pool fork + first-import cost lands outside the measured window and
     # the comparison is steady-state serial vs. batch submission.
-    warmup = suite_sweep_jobs(engines=("threaded",), benchmarks=["brev"],
-                              small=True)
+    warmup = suite_sweep_jobs(benchmarks=["brev"], small=True)
 
     # Serial submission: one connection, one job per request, to a pooled
     # gateway.  Each request executes alone — no batch to fan out.
@@ -259,14 +259,14 @@ def _load_bench() -> dict:
 
 # ------------------------------------------------------------------ mesh bench
 def _mesh_jobs():
-    """Two configs x six benchmarks, small + threaded: enough distinct
+    """Two configs x six benchmarks, small + default engine: enough distinct
     dedup keys to spread over a small ring, fast enough to run thrice."""
     from repro.microblaze import PAPER_CONFIG
     from repro.microblaze.config import MINIMAL_CONFIG
 
     return suite_sweep_jobs(
         configs=[("paper", PAPER_CONFIG), ("minimal", MINIMAL_CONFIG)],
-        engines=("threaded",), small=True)
+        small=True)
 
 
 def _spawn_gateway(store: Path, peers=()):

@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 
 from repro.compiler import clear_compile_cache
-from repro.microblaze import PAPER_CONFIG
+from repro.microblaze import DEFAULT_ENGINE, PAPER_CONFIG
 from repro.service import WarpService, process_artifact_cache, suite_sweep_jobs
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
@@ -49,7 +49,7 @@ def _cpu_count() -> int:
 
 def _sweep_jobs():
     return suite_sweep_jobs(configs=[("paper", PAPER_CONFIG)],
-                            engines=("threaded", "interp"))
+                            engines=(DEFAULT_ENGINE, "interp"))
 
 
 def _timed_run(service, jobs):

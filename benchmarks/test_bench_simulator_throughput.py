@@ -1,21 +1,22 @@
-"""Simulator throughput trajectory — interp vs threaded vs jit vs region.
+"""Simulator throughput trajectory — interp vs jit vs region.
 
 Measures, at full benchmark size:
 
 * **cold** simulated instructions per second over the six-application
-  suite on the reference interpreter and the threaded-code engine (the
-  PR-1 metric, kept for trajectory continuity: fresh system per run,
-  translation included), plus the translation-cost breakdown of the two
-  source-generating engines (``codegen_stats()``: compiles, cache hits
-  and ``compile_seconds`` for jit and region separately);
-* **steady-state** throughput of the block engines — threaded, the
+  suite on every registered engine (fresh system per run, translation
+  included: the process-wide code cache is emptied first, so the first
+  block engine compiles every superblock), plus the translation-cost
+  breakdown of the two source-generating engines (``codegen_stats()``:
+  compiles, cache hits and ``compile_seconds`` for jit and region
+  separately);
+* **steady-state** throughput of the block engines — the
   source-generating jit and the region-fusing engine — with warm
   translation caches (one warm-up run, then timed repeats through the
   same system).  This is the service's operating model: worker processes
   keep systems and the process-wide code cache warm across jobs, so
   steady state is what repeated sweeps actually pay;
 * the wall time of the full ``run_evaluation()`` pipeline (Figures 6 and
-  7) on all four engines, asserting the checksums along the way;
+  7) on every engine, asserting the checksums along the way;
 * differential fuzzing campaign throughput (``repro.fuzz``): generated
   programs per second and fuzzed instructions per second with every
   registered engine cross-checked per program — the fleet's programs/s
@@ -24,11 +25,10 @@ Measures, at full benchmark size:
 Bit-exactness of the fast engines is asserted before any speed is
 compared.  Results are appended to ``BENCH_simulator.json`` at the
 repository root (the previous record is preserved under ``history``), and
-the acceptance floors — at least 5x cold throughput for the threaded
-engine (ISSUE 1), at least 1.5x steady-state suite throughput of jit over
-threaded (ISSUE 5), and at least 1.8x steady-state suite throughput of
-region over jit (ISSUE 8) — are asserted here so a regression cannot
-land silently.
+the acceptance floors — at least 5x cold throughput and 3x evaluation
+wall time of the default engine over the interpreter, and at least 1.8x
+steady-state suite throughput of region over jit — are asserted here so
+a regression cannot land silently.
 """
 
 from __future__ import annotations
@@ -44,24 +44,32 @@ from repro.apps import build_suite
 from repro.compiler import compile_source_cached
 from repro.eval import run_evaluation
 from repro.fuzz import run_campaign
-from repro.microblaze import PAPER_CONFIG, MicroBlazeSystem, run_program
-from repro.microblaze.engines.jit import codegen_stats, reset_codegen_stats
+from repro.microblaze import (
+    DEFAULT_ENGINE,
+    PAPER_CONFIG,
+    MicroBlazeSystem,
+    engine_names,
+    run_program,
+)
+from repro.microblaze.engines.jit import (
+    _CODE_CACHE,
+    codegen_stats,
+    reset_codegen_stats,
+)
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
 
-#: Acceptance thresholds of the threaded-code engine work (ISSUE 1).
+#: Acceptance thresholds of the default engine over the interpreter:
+#: cold suite throughput and ``run_evaluation()`` wall time.
 MIN_THROUGHPUT_SPEEDUP = 5.0
 MIN_EVALUATION_SPEEDUP = 3.0
-#: Acceptance threshold of the source-generating jit engine (ISSUE 5):
-#: steady-state suite throughput over the threaded engine.
-MIN_JIT_OVER_THREADED = 1.5
 #: Acceptance threshold of the region-fusing engine (ISSUE 8):
 #: steady-state suite throughput over the jit engine.  Measured at
 #: 2.2x-2.3x on the reference container; the floor leaves noise headroom.
 MIN_REGION_OVER_JIT = 1.8
 
 #: Seeds per fuzz-campaign throughput measurement (every program runs on
-#: all four registered engines, so the per-seed cost is a fleet-width
+#: every registered engine, so the per-seed cost is a fleet-width
 #: cross-check, not a single simulation).
 FUZZ_CAMPAIGN_SEEDS = 40
 
@@ -143,56 +151,50 @@ def _measure_steady(programs, engines, repeats=STEADY_REPEATS):
 
 def test_simulator_throughput_and_evaluation_walltime():
     programs = _suite_programs()
+    engines = engine_names()
 
     reset_codegen_stats()
-    interp_instr, interp_seconds, interp_results = \
-        _measure_cold(programs, "interp")
-    threaded_instr, threaded_seconds, threaded_results = \
-        _measure_cold(programs, "threaded")
-    jit_instr, jit_seconds, jit_results = _measure_cold(programs, "jit")
-    region_instr, region_seconds, region_results = \
-        _measure_cold(programs, "region")
+    _CODE_CACHE.clear()
+    cold = {engine: _measure_cold(programs, engine) for engine in engines}
     # Translation-cost breakdown of the cold suite runs: the region
     # engine pays block compiles (its cold dispatch) *plus* region
     # fusion; both are reported per engine label.
     codegen = codegen_stats()
 
     # The engines must agree bit-for-bit before their speeds are compared.
-    assert threaded_instr == interp_instr == jit_instr == region_instr
-    for name, _ in programs:
-        for results in (threaded_results, jit_results, region_results):
+    interp_instr, _, interp_results = cold["interp"]
+    default_instr, _, default_results = cold[DEFAULT_ENGINE]
+    for engine in engines:
+        instructions, _, results = cold[engine]
+        assert instructions == interp_instr, engine
+        for name, _ in programs:
             assert results[name].stats == interp_results[name].stats, name
             assert results[name].return_value \
                 == interp_results[name].return_value, name
 
-    interp_ips = interp_instr / interp_seconds
-    threaded_ips = threaded_instr / threaded_seconds
-    jit_cold_ips = jit_instr / jit_seconds
-    region_cold_ips = region_instr / region_seconds
-    throughput_speedup = threaded_ips / interp_ips
+    cold_ips = {engine: instructions / seconds
+                for engine, (instructions, seconds, _) in cold.items()}
+    throughput_speedup = cold_ips[DEFAULT_ENGINE] / cold_ips["interp"]
 
     # Steady state: the jit and region engines' acceptance metric (warm
     # translation caches, the service's operating model).
-    steady = _measure_steady(programs, ("threaded", "jit", "region"))
-    steady_threaded_instr, steady_threaded_seconds = steady["threaded"]
+    steady = _measure_steady(programs, ("jit", "region"))
     steady_jit_instr, steady_jit_seconds = steady["jit"]
     steady_region_instr, steady_region_seconds = steady["region"]
-    assert steady_threaded_instr == steady_jit_instr == steady_region_instr
-    steady_threaded_ips = steady_threaded_instr / steady_threaded_seconds
+    assert steady_jit_instr == steady_region_instr
     steady_jit_ips = steady_jit_instr / steady_jit_seconds
     steady_region_ips = steady_region_instr / steady_region_seconds
-    jit_speedup = steady_jit_ips / steady_threaded_ips
     region_speedup = steady_region_ips / steady_jit_ips
 
     # Evaluation pipeline wall time (compile cache warmed by all paths
     # equally via the shared compile_source_cached above).
     evaluation = {}
-    for engine in ("interp", "threaded", "jit", "region"):
+    for engine in engines:
         start = time.perf_counter()
         suite = run_evaluation(engine=engine)
         evaluation[engine] = time.perf_counter() - start
         assert suite.all_checksums_match, engine
-    evaluation_speedup = evaluation["interp"] / evaluation["threaded"]
+    evaluation_speedup = evaluation["interp"] / evaluation[DEFAULT_ENGINE]
 
     # Differential fuzzing campaign throughput: one mixed-profile seed
     # range, every registered engine cross-checked per program.  The
@@ -202,15 +204,12 @@ def test_simulator_throughput_and_evaluation_walltime():
 
     record = {
         "suite": {
-            "instructions": threaded_instr,
-            "interp_seconds": round(interp_seconds, 4),
-            "threaded_seconds": round(threaded_seconds, 4),
-            "jit_seconds": round(jit_seconds, 4),
-            "region_seconds": round(region_seconds, 4),
-            "interp_kips": round(interp_ips / 1e3, 1),
-            "threaded_kips": round(threaded_ips / 1e3, 1),
-            "jit_kips": round(jit_cold_ips / 1e3, 1),
-            "region_kips": round(region_cold_ips / 1e3, 1),
+            "instructions": default_instr,
+            "default_engine": DEFAULT_ENGINE,
+            **{f"{engine}_seconds": round(seconds, 4)
+               for engine, (_, seconds, _) in cold.items()},
+            **{f"{engine}_kips": round(ips / 1e3, 1)
+               for engine, ips in cold_ips.items()},
             "throughput_speedup": round(throughput_speedup, 2),
         },
         "compile_seconds": {
@@ -225,17 +224,13 @@ def test_simulator_throughput_and_evaluation_walltime():
         },
         "steady_state": {
             "repeats": STEADY_REPEATS,
-            "threaded_kips": round(steady_threaded_ips / 1e3, 1),
             "jit_kips": round(steady_jit_ips / 1e3, 1),
             "region_kips": round(steady_region_ips / 1e3, 1),
-            "jit_over_threaded": round(jit_speedup, 2),
             "region_over_jit": round(region_speedup, 2),
         },
         "evaluation": {
-            "interp_seconds": round(evaluation["interp"], 4),
-            "threaded_seconds": round(evaluation["threaded"], 4),
-            "jit_seconds": round(evaluation["jit"], 4),
-            "region_seconds": round(evaluation["region"], 4),
+            **{f"{engine}_seconds": round(seconds, 4)
+               for engine, seconds in evaluation.items()},
             "speedup": round(evaluation_speedup, 2),
         },
         "fuzz_campaign": {
@@ -253,15 +248,14 @@ def test_simulator_throughput_and_evaluation_walltime():
         },
         "per_benchmark": {
             name: {
-                "instructions": threaded_results[name].instructions,
-                "cycles": threaded_results[name].cycles,
+                "instructions": default_results[name].instructions,
+                "cycles": default_results[name].cycles,
             }
             for name, _ in programs
         },
         "thresholds": {
             "throughput_speedup": MIN_THROUGHPUT_SPEEDUP,
             "evaluation_speedup": MIN_EVALUATION_SPEEDUP,
-            "jit_over_threaded": MIN_JIT_OVER_THREADED,
             "region_over_jit": MIN_REGION_OVER_JIT,
         },
         "environment": {
@@ -284,7 +278,6 @@ def test_simulator_throughput_and_evaluation_walltime():
 
     assert throughput_speedup >= MIN_THROUGHPUT_SPEEDUP, record["suite"]
     assert evaluation_speedup >= MIN_EVALUATION_SPEEDUP, record["evaluation"]
-    assert jit_speedup >= MIN_JIT_OVER_THREADED, record["steady_state"]
     assert region_speedup >= MIN_REGION_OVER_JIT, record["steady_state"]
     # The breakdown must actually have seen both source-generating
     # engines translate, and region fusion must have fired.
@@ -294,7 +287,7 @@ def test_simulator_throughput_and_evaluation_walltime():
     assert fuzz_report.programs_per_second > 0
 
 
-@pytest.mark.parametrize("engine", ["threaded", "jit", "region"])
+@pytest.mark.parametrize("engine", ["jit", "region"])
 def test_engine_throughput_floor(benchmark, engine):
     """Absolute per-run throughput of both fast engines (trend metric).
 

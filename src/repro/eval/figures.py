@@ -276,11 +276,10 @@ def run_evaluation(names: Optional[Sequence[str]] = None, small: bool = False,
     """Run the whole evaluation suite (Figures 6 and 7).
 
     ``engine`` selects the simulator execution engine by registry name
-    (:func:`repro.microblaze.engine_names`; ``"threaded"`` by default);
+    (:func:`repro.microblaze.engine_names`; ``"jit"`` by default);
     the benchmark harness uses ``engine="interp"`` to measure the seed
-    interpreter and ``engine="jit"`` for the generated-source engine's
-    trajectory.  Unknown names fail with the registry's
-    :class:`~repro.microblaze.engines.UnknownEngineError`.
+    interpreter against the default engine.  Unknown names fail with the
+    registry's :class:`~repro.microblaze.engines.UnknownEngineError`.
     """
     benchmarks = build_suite(small=small, names=list(names) if names else None)
     suite = EvaluationSuite()

@@ -18,7 +18,7 @@ same primitive: a *bit-exact*, engine-independent snapshot of a
 Decode caches and superblock translations are deliberately *not* captured:
 they are derived state and are rebuilt lazily after a restore (the
 restoring CPU may even use a different execution engine — a checkpoint
-taken on the threaded engine resumes bit-exactly on the interpreter and
+taken on the jit engine resumes bit-exactly on the interpreter and
 vice versa, which the differential tests assert).
 
 Blob format (:data:`CHECKPOINT_VERSION`): an 8-byte magic, a 2-byte

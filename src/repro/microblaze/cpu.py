@@ -27,10 +27,11 @@ The architectural model is shared by every registered execution engine
 interpreter implemented here — fetch, dispatch on the instruction class,
 execute, record — and the only path that can feed full per-instruction
 :class:`~repro.microblaze.trace.TraceEvent` streams to listeners;
-``threaded`` (the default) and ``jit`` compile superblocks once at decode
-time and dispatch block-at-a-time.  Listeners that only need branch
-events (the on-chip profiler) subscribe through the zero-allocation
-branch-hook protocol and keep working at full speed on every engine;
+``jit`` (the default) and ``region`` compile superblocks to generated
+source once at decode time and dispatch block-at-a-time.  Listeners that
+only need branch events (the on-chip profiler) subscribe through the
+zero-allocation branch-hook protocol and keep working at full speed on
+every engine;
 attaching a full-trace listener transparently falls back to the
 interpreter, as does any run outside the selected engine's declared
 capabilities (cycle budgets, halt addresses).  This module is a thin
@@ -179,16 +180,16 @@ class MicroBlazeCPU:
         self.instr_bram = instr_bram
         self.data_bram = data_bram
         self.opb = opb
-        #: Opt-in exact fault-path statistics for the threaded engine: the
-        #: block compiler emits per-handler statistics translations so a
+        #: Opt-in exact fault-path statistics for the block engines: the
+        #: block compiler emits per-instruction statistics code so a
         #: runtime fault landing mid-superblock leaves stats/pc/imm-latch
         #: in the interpreter's fault-point state.  No effect on the
         #: interpreter engine or on fault-free runs (which are always
         #: bit-exact).
         self.precise_fault_stats = bool(precise_fault_stats)
         #: Register file.  The list identity is stable for the CPU's whole
-        #: lifetime (reset mutates in place) because the threaded engine's
-        #: compiled handlers bind it once.
+        #: lifetime (reset mutates in place) because the block engines'
+        #: generated code binds it once.
         self.registers: List[int] = [0] * NUM_REGISTERS
         self.pc = 0
         self.halted = False
@@ -300,7 +301,7 @@ class MicroBlazeCPU:
         """Architectural state as plain builtins (checkpoint/restore hook).
 
         The scalar counter array is folded into :attr:`stats` first, so the
-        snapshot is engine-independent: a state captured on the threaded
+        snapshot is engine-independent: a state captured on the jit
         engine restores bit-exactly onto the interpreter and vice versa.
         Decode and superblock caches are *not* part of the architectural
         state (they are rebuilt lazily after a restore).

@@ -1,72 +1,31 @@
-"""Threaded-code execution engine for the MicroBlaze simulator.
+"""Counter layout and decode tables shared by the MicroBlaze engines.
 
-The seed interpreter re-resolves every instruction on every execution: a
-~40-branch ``if/elif`` chain over the mnemonic, dictionary lookups for the
-memory width, an ``_effective_imm`` check even for instructions that can
-never carry an ``imm`` prefix, and two dictionary updates in
-``ExecutionStats.record`` per instruction.  This module performs all of
-that work *once, at decode time* — the classic threaded-code / template
-translation applied by dynamic binary translators:
+The reference interpreter (:mod:`repro.microblaze.cpu`) and the block
+engines (:mod:`repro.microblaze.engines.jit`,
+:mod:`repro.microblaze.engines.region`) record statistics into one flat
+list of integer counters, ``MicroBlazeCPU._counters``, which
+``MicroBlazeCPU._sync_counters`` folds into
+:class:`~repro.microblaze.cpu.ExecutionStats`.  This module fixes that
+layout:
 
-* every instruction compiles into a specialized closure with its operand
-  indices, immediate, latency and OPB-routing decision bound as locals;
-* straight-line runs ending in a branch compile into a *superblock*: a
-  tuple of handler closures plus one terminator closure that resolves the
-  branch and returns the next program counter;
-* per-instruction statistics are pre-aggregated per block into a list of
-  ``(counter_index, delta)`` pairs applied once per block execution, with
-  only genuinely dynamic contributions (OPB access penalties, branch
-  taken/not-taken cycles, delay-slot costs) accounted at run time;
-* ``imm`` prefixes are fused statically: the prefix and its consumer are
-  compiled together with the full 32-bit immediate precomputed, so the
-  hot path never touches the ``_imm_latch``.
+* ``CNT_*`` name the scalar slots (cycles, instructions, taken and
+  not-taken branches, loads, stores, OPB reads and writes);
+* ``CNT_CLASS_COUNT + i`` and ``CNT_CLASS_CYCLES + i`` hold the count and
+  the cycles of instruction class ``CLASS_LIST[i]`` (``CLASS_INDEX`` maps
+  a class to ``i``); ``NUM_COUNTERS`` is the length of the list.
 
-The engine is *bit-exact* with the interpreter: identical cycle counts,
-``ExecutionStats`` contents (including the seed's double-charging of
-delay-slot cycles to both the slot's class and the branch's class),
-branch-event streams, and memory-port access counters.  The differential
-test in ``tests/test_threaded_engine.py`` asserts this on every suite
-benchmark.
-
-Superblocks live in the engine's block cache
-(:class:`repro.microblaze.engines.threaded.ThreadedEngine`, visible as
-``MicroBlazeCPU._blocks``) keyed by entry address and are invalidated
-together with the decode cache when the dynamic partitioning module
-patches the binary (see
-:meth:`~repro.microblaze.cpu.MicroBlazeCPU.invalidate_decode_cache`).
-
-Known, intentional divergence: when an instruction *faults at run time*
-(misaligned access, unmapped OPB address) in the middle of a superblock,
-the statistics of the other instructions of that block may differ from
-the interpreter's by up to one block, because block statistics are
-applied wholesale.  Architectural state (registers, memory) is identical;
-fault-free runs — everything the experiment harness measures — are exact.
-Compile-time faults (unknown opcodes, instructions needing an absent
-hardware unit, branches in delay slots) are compiled into *raiser*
-terminators so they fire at the same execution point, with the same
-exception type and message, as the interpreter.
-
-That divergence can be closed by opting in to **precise fault statistics**
-(``precise_fault_stats=True`` on the CPU / system / ``run_program``): the
-compiler then emits *per-handler* statistics translations — every
-instruction of a block self-records its counters exactly the way delay
-slots always have, maintains the program counter and the ``imm`` latch at
-instruction granularity, and the block carries no wholesale deltas.  A
-fault that lands mid-block therefore leaves ``ExecutionStats``, ``pc``
-and the latch in exactly the interpreter's fault-point state, at the cost
-of per-instruction counter updates on the hot path.  Fault-free behaviour
-is unchanged and remains bit-exact.
+It also holds the decode tables and helpers whose semantics every engine
+must share: the load/store access widths, the absolute-branch mnemonics,
+:data:`MAX_BLOCK_INSTRUCTIONS` (the superblock length bound) and
+:func:`signed_division`, the exact ``idiv``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Tuple
 
-from ..isa.encoding import EncodingError
-from ..isa.instructions import Instruction, InstrClass
-from ..isa.registers import WORD_MASK, to_signed
-from .memory import MemoryError_
-from .opb import OPB_BASE_ADDRESS
+from ..isa.instructions import InstrClass
+from ..isa.registers import WORD_MASK
 
 #: Order in which instruction classes map onto counter-array slots.
 CLASS_LIST: Tuple[InstrClass, ...] = tuple(InstrClass)
@@ -94,17 +53,6 @@ _LOAD_WIDTHS = {"lw": 4, "lwi": 4, "lhu": 2, "lhui": 2, "lbu": 1, "lbui": 1}
 _STORE_WIDTHS = {"sw": 4, "swi": 4, "sh": 2, "shi": 2, "sb": 1, "sbi": 1}
 _ABSOLUTE_BRANCHES = frozenset(("bra", "brad", "brald", "brai", "bralid"))
 
-#: A compiled superblock: ``(n_instructions, stats_deltas, body, terminator,
-#: entry_address, end_address, static_cycles)``.  ``stats_deltas`` is a
-#: tuple of ``(counter_index, delta)`` pairs covering every *static*
-#: statistic of the straight-line body (empty in precise mode); ``body`` is
-#: a tuple of argument-less handler closures; ``terminator`` returns the
-#: next program counter.  ``entry`` / ``end`` delimit the byte range the
-#: block was compiled from (inclusive), which selective invalidation uses.
-#: ``static_cycles`` is the statically known straight-line cycle count,
-#: tracked in both modes for the tick-batching deadline pre-check.
-Block = Tuple[int, tuple, tuple, Callable[[], int], int, int, int]
-
 
 def signed_division(dividend: int, divisor: int) -> int:
     """Exact MicroBlaze ``idiv``: truncation toward zero, masked to 32 bits.
@@ -123,697 +71,3 @@ def signed_division(dividend: int, divisor: int) -> int:
     if (dividend < 0) != (divisor < 0):
         quotient = -quotient
     return quotient & WORD_MASK
-
-
-class BlockCompiler:
-    """Compiles superblocks for one :class:`MicroBlazeCPU` instance.
-
-    The compiler binds the CPU's register file, memories and peripheral
-    bus once; every closure it emits reuses those bindings, which is why
-    ``MicroBlazeCPU.reset`` must mutate the register list in place rather
-    than rebinding it.
-    """
-
-    def __init__(self, cpu, blocks: Optional[dict] = None) -> None:
-        self.cpu = cpu
-        #: Superblock cache the compiler publishes into (owned by the
-        #: :class:`~repro.microblaze.engines.threaded.ThreadedEngine`).
-        self.blocks = blocks if blocks is not None else {}
-        #: Precise-fault-statistics mode: every instruction self-records its
-        #: counters, program counter and imm latch (see the module docstring).
-        self.precise = bool(getattr(cpu, "precise_fault_stats", False))
-
-    # ------------------------------------------------------------------ entry
-    def compile_block(self, entry: int) -> Block:
-        cpu = self.cpu
-        precise = self.precise
-        body: List[Callable[[], None]] = []
-        deltas = [0] * NUM_COUNTERS
-        timings = cpu.config.timings
-        #: Statically known straight-line cycle count, tracked in *both*
-        #: modes (precise blocks carry no wholesale deltas, but the
-        #: tick-batching dispatch loop still needs the bound for its
-        #: deadline pre-check).
-        static_cycles = 0
-        n = 0
-        pc = entry
-        pending_imm: Optional[int] = None
-
-        while True:
-            try:
-                instr = cpu.fetch(pc)
-            except (EncodingError, MemoryError_):
-                # Undecodable word or fetch past the end of the instruction
-                # BRAM: compile a raiser so the fault fires at run time, at
-                # the same execution point (after the block's earlier
-                # instructions) and with the same exception as the
-                # interpreter's fetch.
-                term = self._raiser_refetch(pc)
-                if precise:
-                    term = self._precise_term(term, pc)
-                return self._finish(entry, pc, n, deltas, body, term,
-                                    static_cycles)
-
-            unit = instr.requires
-            if unit is not None and not cpu.config.has_unit(unit):
-                term = self._raiser_unit(instr)
-                if precise:
-                    term = self._precise_term(term, pc)
-                return self._finish(entry, pc, n, deltas, body, term,
-                                    static_cycles)
-
-            klass = instr.klass
-            if klass is InstrClass.IMM_PREFIX:
-                pending_imm = instr.imm & 0xFFFF
-                static_cycles += timings.imm_prefix
-                if precise:
-                    body.append(self._record_imm_prefix(pc, pending_imm))
-                else:
-                    deltas[CNT_CYCLES] += timings.imm_prefix
-                    deltas[CNT_INSTRUCTIONS] += 1
-                    ci = CLASS_INDEX[klass]
-                    deltas[CNT_CLASS_COUNT + ci] += 1
-                    deltas[CNT_CLASS_CYCLES + ci] += timings.imm_prefix
-                n += 1
-                pc += 4
-                continue
-
-            if instr.is_branch:
-                term, extra_instructions, end = self._compile_terminator(
-                    pc, instr, pending_imm)
-                if precise:
-                    term = self._precise_term(term, pc)
-                n += 1 + extra_instructions
-                return self._finish(entry, end, n, deltas, body, term,
-                                    static_cycles)
-
-            if precise:
-                # Per-handler statistics: reuse the delay-slot (self-
-                # recording) flavour of every handler and add pc / latch
-                # maintenance, so a mid-block fault leaves the CPU in
-                # exactly the interpreter's fault-point state.
-                handler, cycles = self._compile_straightline(
-                    instr, pending_imm, slot_mode=True)
-                body.append(self._precise_body(handler, pc,
-                                               pending_imm is not None))
-            else:
-                handler, cycles = self._compile_straightline(
-                    instr, pending_imm, slot_mode=False)
-                if handler is not None:
-                    body.append(handler)
-                deltas[CNT_CYCLES] += cycles
-                deltas[CNT_INSTRUCTIONS] += 1
-                ci = CLASS_INDEX[klass]
-                deltas[CNT_CLASS_COUNT + ci] += 1
-                deltas[CNT_CLASS_CYCLES + ci] += cycles
-                if klass is InstrClass.LOAD:
-                    deltas[CNT_LOADS] += 1
-                elif klass is InstrClass.STORE:
-                    deltas[CNT_STORES] += 1
-            static_cycles += cycles
-            pending_imm = None
-            n += 1
-            pc += 4
-
-            if n >= MAX_BLOCK_INSTRUCTIONS and pending_imm is None:
-                next_pc = pc
-                term = lambda: next_pc  # noqa: E731 - fall-through terminator
-                return self._finish(entry, pc - 4, n, deltas, body, term,
-                                    static_cycles)
-
-    def _finish(self, entry: int, end: int, n: int, deltas: List[int],
-                body: List[Callable[[], None]],
-                term: Callable[[], int], static_cycles: int = 0) -> Block:
-        pairs = tuple((index, delta) for index, delta in enumerate(deltas)
-                      if delta)
-        block: Block = (n, pairs, tuple(body), term, entry, end,
-                        static_cycles)
-        self.blocks[entry] = block
-        return block
-
-    # ------------------------------------------------- precise-fault-stats mode
-    def _record_imm_prefix(self, pc: int, latch_value: int) -> Callable[[], None]:
-        """Precise-mode handler for an ``imm`` prefix.
-
-        The prefix's semantics stay statically fused into its consumer; at
-        run time the handler only records the prefix's own statistics and
-        mirrors the interpreter's latch state so that a fault in the
-        consumer leaves ``_imm_latch`` set, exactly as the interpreter
-        would.
-        """
-        cpu = self.cpu
-        cnt = cpu._counters
-        cycles = cpu.config.timings.imm_prefix
-        ci_count = CNT_CLASS_COUNT + CLASS_INDEX[InstrClass.IMM_PREFIX]
-        ci_cycles = CNT_CLASS_CYCLES + CLASS_INDEX[InstrClass.IMM_PREFIX]
-
-        def h() -> None:
-            cpu.pc = pc
-            cpu._imm_latch = latch_value
-            cnt[CNT_CYCLES] += cycles
-            cnt[CNT_INSTRUCTIONS] += 1
-            cnt[ci_count] += 1
-            cnt[ci_cycles] += cycles
-
-        return h
-
-    def _precise_body(self, handler: Callable, pc: int,
-                      clears_latch: bool) -> Callable[[], None]:
-        """Wrap a self-recording handler with pc / imm-latch maintenance."""
-        cpu = self.cpu
-        if clears_latch:
-            def h() -> None:
-                cpu.pc = pc
-                handler()
-                cpu._imm_latch = None
-        else:
-            def h() -> None:
-                cpu.pc = pc
-                handler()
-        return h
-
-    def _precise_term(self, term: Callable[[], int],
-                      pc: int) -> Callable[[], int]:
-        """Wrap a terminator: pc points at the branch while it executes and
-        the imm latch is consumed when it completes (interpreter order)."""
-        cpu = self.cpu
-
-        def wrapped() -> int:
-            cpu.pc = pc
-            next_pc = term()
-            cpu._imm_latch = None
-            return next_pc
-
-        return wrapped
-
-    def _precise_slot(self, slot_handler: Callable[[], int],
-                      slot_pc: int) -> Callable[[], int]:
-        """Delay-slot wrapper: the interpreter executes the slot with
-        ``self.pc`` pointing at the slot, so a faulting slot must leave the
-        pc there."""
-        cpu = self.cpu
-
-        def wrapped() -> int:
-            cpu.pc = slot_pc
-            return slot_handler()
-
-        return wrapped
-
-    # ------------------------------------------------------- raiser terminators
-    def _raiser_refetch(self, pc: int) -> Callable[[], int]:
-        """Re-raise the fetch/decode error exactly where the interpreter would."""
-        cpu = self.cpu
-
-        def term() -> int:
-            cpu.fetch(pc)  # raises the original EncodingError / MemoryError_
-            raise AssertionError("unreachable: refetch did not raise")
-
-        return term
-
-    def _raiser_unit(self, instr: Instruction) -> Callable[[], int]:
-        cpu = self.cpu
-
-        def term() -> int:
-            cpu._check_unit(instr)  # raises IllegalInstruction
-            raise AssertionError("unreachable: unit check did not raise")
-
-        return term
-
-    def _raiser_delay_slot(self, branch_pc: int) -> Callable[[], int]:
-        """Branch whose delay slot holds a branch/imm: raise at execution."""
-        cpu = self.cpu
-
-        def term() -> int:
-            cpu._execute_delay_slot(branch_pc)  # raises IllegalInstruction
-            raise AssertionError("unreachable: delay slot check did not raise")
-
-        return term
-
-    # ------------------------------------------------------- straight-line ops
-    def _compile_straightline(self, instr: Instruction,
-                              pending_imm: Optional[int],
-                              slot_mode: bool):
-        """Compile one non-branch instruction.
-
-        Returns ``(handler, static_cycles)``.  In *body* mode the handler
-        performs only the architectural side effect (statistics are the
-        enclosing block's pre-aggregated deltas) and may be ``None`` when
-        the instruction has no observable effect; dynamic OPB penalties are
-        accounted by the handler itself.  In *slot* mode — delay slots,
-        whose statistics the seed interpreter records per execution — the
-        handler records all of its statistics and returns its actual cycle
-        cost (the branch adds that to its own recorded cycles, reproducing
-        the interpreter's double charge).
-        """
-        klass = instr.klass
-        if klass is InstrClass.LOAD:
-            return self._compile_load(instr, pending_imm, slot_mode)
-        if klass is InstrClass.STORE:
-            return self._compile_store(instr, pending_imm, slot_mode)
-        handler, cycles = self._compile_compute(instr, pending_imm)
-        if not slot_mode:
-            return handler, cycles
-        return self._wrap_slot(handler, klass, cycles), cycles
-
-    def _wrap_slot(self, handler, klass: InstrClass, cycles: int):
-        """Slot-mode wrapper for computes: self-record statistics."""
-        cnt = self.cpu._counters
-        ci_count = CNT_CLASS_COUNT + CLASS_INDEX[klass]
-        ci_cycles = CNT_CLASS_CYCLES + CLASS_INDEX[klass]
-
-        def slot() -> int:
-            if handler is not None:
-                handler()
-            cnt[CNT_CYCLES] += cycles
-            cnt[CNT_INSTRUCTIONS] += 1
-            cnt[ci_count] += 1
-            cnt[ci_cycles] += cycles
-            return cycles
-
-        return slot
-
-    def _effective_imm(self, instr: Instruction,
-                       pending_imm: Optional[int]) -> int:
-        """The statically fused immediate (decode-time ``imm`` handling)."""
-        if pending_imm is None:
-            return instr.imm
-        return to_signed(((pending_imm << 16) | (instr.imm & 0xFFFF))
-                         & WORD_MASK)
-
-    def _compile_compute(self, instr: Instruction,
-                         pending_imm: Optional[int]):
-        """ALU / logical / shift / multiply / divide / compare / sext."""
-        regs = self.cpu.registers
-        timings = self.cpu.config.timings
-        cycles = timings.for_class(instr.klass)
-        m = instr.mnemonic
-        rd, ra, rb = instr.rd, instr.ra, instr.rb
-        imm = self._effective_imm(instr, pending_imm)
-        M = WORD_MASK
-
-        if rd == 0:
-            # Writes to r0 are discarded and none of the compute operations
-            # has another side effect, so the handler degenerates to a NOP;
-            # the block's statistics deltas still account for it.
-            return None, cycles
-
-        h: Optional[Callable[[], None]] = None
-        if m in ("add", "addk"):
-            def h(): regs[rd] = (regs[ra] + regs[rb]) & M
-        elif m in ("addi", "addik"):
-            def h(): regs[rd] = (regs[ra] + imm) & M
-        elif m in ("rsub", "rsubk"):
-            def h(): regs[rd] = (regs[rb] - regs[ra]) & M
-        elif m in ("rsubi", "rsubik"):
-            def h(): regs[rd] = (imm - regs[ra]) & M
-        elif m == "mul":
-            def h(): regs[rd] = (regs[ra] * regs[rb]) & M
-        elif m == "muli":
-            def h(): regs[rd] = (regs[ra] * imm) & M
-        elif m == "idiv":
-            def h():
-                regs[rd] = signed_division(to_signed(regs[rb]),
-                                           to_signed(regs[ra]))
-        elif m == "idivu":
-            def h():
-                divisor = regs[ra]
-                regs[rd] = (regs[rb] // divisor) & M if divisor else 0
-        elif m == "cmp":
-            def h():
-                a, b = to_signed(regs[ra]), to_signed(regs[rb])
-                regs[rd] = (1 if b > a else 0 if b == a else -1) & M
-        elif m == "cmpu":
-            def h():
-                a, b = regs[ra], regs[rb]
-                regs[rd] = (1 if b > a else 0 if b == a else -1) & M
-        elif m == "and":
-            def h(): regs[rd] = regs[ra] & regs[rb]
-        elif m == "andi":
-            masked = imm & M
-            def h(): regs[rd] = regs[ra] & masked
-        elif m == "or":
-            def h(): regs[rd] = regs[ra] | regs[rb]
-        elif m == "ori":
-            masked = imm & M
-            def h(): regs[rd] = regs[ra] | masked
-        elif m == "xor":
-            def h(): regs[rd] = regs[ra] ^ regs[rb]
-        elif m == "xori":
-            masked = imm & M
-            def h(): regs[rd] = regs[ra] ^ masked
-        elif m == "andn":
-            def h(): regs[rd] = regs[ra] & ~regs[rb] & M
-        elif m == "andni":
-            masked = ~(imm & M) & M
-            def h(): regs[rd] = regs[ra] & masked
-        elif m == "sra":
-            def h(): regs[rd] = (to_signed(regs[ra]) >> 1) & M
-        elif m in ("srl", "src"):
-            def h(): regs[rd] = regs[ra] >> 1
-        elif m == "sext8":
-            def h(): regs[rd] = to_signed(regs[ra] & 0xFF, 8) & M
-        elif m == "sext16":
-            def h(): regs[rd] = to_signed(regs[ra] & 0xFFFF, 16) & M
-        elif m == "bsll":
-            def h(): regs[rd] = (regs[ra] << (regs[rb] & 31)) & M
-        elif m == "bslli":
-            # Barrel-shift immediates use the raw 5-bit field, never a fused
-            # imm prefix (the interpreter reads instr.imm directly too).
-            shift = instr.imm & 31
-            def h(): regs[rd] = (regs[ra] << shift) & M
-        elif m == "bsrl":
-            def h(): regs[rd] = regs[ra] >> (regs[rb] & 31)
-        elif m == "bsrli":
-            shift = instr.imm & 31
-            def h(): regs[rd] = regs[ra] >> shift
-        elif m == "bsra":
-            def h(): regs[rd] = (to_signed(regs[ra]) >> (regs[rb] & 31)) & M
-        elif m == "bsrai":
-            shift = instr.imm & 31
-            def h(): regs[rd] = (to_signed(regs[ra]) >> shift) & M
-        else:
-            from .cpu import IllegalInstruction
-            raise IllegalInstruction(f"unhandled data instruction {m}")
-        return h, cycles
-
-    # --------------------------------------------------------------- memories
-    def _compile_load(self, instr: Instruction, pending_imm: Optional[int],
-                      slot_mode: bool):
-        cpu = self.cpu
-        regs = cpu.registers
-        cnt = cpu._counters
-        bram = cpu.data_bram
-        opb = cpu.opb
-        timings = cpu.config.timings
-        width = _LOAD_WIDTHS[instr.mnemonic]
-        base_cycles = timings.load
-        opb_extra = timings.opb_access_extra
-        rd, ra, rb = instr.rd, instr.ra, instr.rb
-        type_a = instr.spec.fmt.value == "A"
-        imm = self._effective_imm(instr, pending_imm)
-        M = WORD_MASK
-        ci_cycles = CNT_CLASS_CYCLES + CLASS_INDEX[InstrClass.LOAD]
-        ci_count = CNT_CLASS_COUNT + CLASS_INDEX[InstrClass.LOAD]
-
-        if type_a:
-            def address() -> int:
-                return (regs[ra] + regs[rb]) & M
-        else:
-            def address() -> int:
-                return (regs[ra] + imm) & M
-
-        if not slot_mode:
-            def h() -> None:
-                a = address()
-                if opb is not None and a >= OPB_BASE_ADDRESS and opb.owns(a):
-                    value = opb.read(a)
-                    cnt[CNT_CYCLES] += opb_extra
-                    cnt[ci_cycles] += opb_extra
-                    cnt[CNT_OPB_READS] += 1
-                else:
-                    value = bram.load(a, width)
-                if rd:
-                    regs[rd] = value & M
-            return h, base_cycles
-
-        def slot() -> int:
-            a = address()
-            cycles = base_cycles
-            if opb is not None and a >= OPB_BASE_ADDRESS and opb.owns(a):
-                value = opb.read(a)
-                cycles += opb_extra
-                cnt[CNT_OPB_READS] += 1
-            else:
-                value = bram.load(a, width)
-            if rd:
-                regs[rd] = value & M
-            cnt[CNT_CYCLES] += cycles
-            cnt[CNT_INSTRUCTIONS] += 1
-            cnt[CNT_LOADS] += 1
-            cnt[ci_count] += 1
-            cnt[ci_cycles] += cycles
-            return cycles
-        return slot, base_cycles
-
-    def _compile_store(self, instr: Instruction, pending_imm: Optional[int],
-                       slot_mode: bool):
-        cpu = self.cpu
-        regs = cpu.registers
-        cnt = cpu._counters
-        bram = cpu.data_bram
-        opb = cpu.opb
-        timings = cpu.config.timings
-        width = _STORE_WIDTHS[instr.mnemonic]
-        base_cycles = timings.store
-        opb_extra = timings.opb_access_extra
-        rd, ra, rb = instr.rd, instr.ra, instr.rb
-        type_a = instr.spec.fmt.value == "A"
-        imm = self._effective_imm(instr, pending_imm)
-        M = WORD_MASK
-        ci_cycles = CNT_CLASS_CYCLES + CLASS_INDEX[InstrClass.STORE]
-        ci_count = CNT_CLASS_COUNT + CLASS_INDEX[InstrClass.STORE]
-
-        if type_a:
-            def address() -> int:
-                return (regs[ra] + regs[rb]) & M
-        else:
-            def address() -> int:
-                return (regs[ra] + imm) & M
-
-        if not slot_mode:
-            def h() -> None:
-                a = address()
-                if opb is not None and a >= OPB_BASE_ADDRESS and opb.owns(a):
-                    opb.write(a, regs[rd])
-                    cnt[CNT_CYCLES] += opb_extra
-                    cnt[ci_cycles] += opb_extra
-                    cnt[CNT_OPB_WRITES] += 1
-                else:
-                    bram.store(a, regs[rd], width)
-            return h, base_cycles
-
-        def slot() -> int:
-            a = address()
-            cycles = base_cycles
-            if opb is not None and a >= OPB_BASE_ADDRESS and opb.owns(a):
-                opb.write(a, regs[rd])
-                cycles += opb_extra
-                cnt[CNT_OPB_WRITES] += 1
-            else:
-                bram.store(a, regs[rd], width)
-            cnt[CNT_CYCLES] += cycles
-            cnt[CNT_INSTRUCTIONS] += 1
-            cnt[CNT_STORES] += 1
-            cnt[ci_count] += 1
-            cnt[ci_cycles] += cycles
-            return cycles
-        return slot, base_cycles
-
-    # -------------------------------------------------------------- terminators
-    def _compile_terminator(self, pc: int, instr: Instruction,
-                            pending_imm: Optional[int]):
-        """Compile the branch ending a block (plus its delay slot, if any).
-
-        Returns ``(terminator, extra_instructions, end_address)``.
-        """
-        cpu = self.cpu
-        klass = instr.klass
-        end = pc
-        slot_handler = None
-        extra = 0
-        if instr.has_delay_slot:
-            end = pc + 4
-            try:
-                slot_instr = cpu.fetch(pc + 4)
-            except (EncodingError, MemoryError_):
-                # The interpreter faults while fetching the slot during the
-                # branch's execution; reproduce via the slot raiser (the
-                # refetch raises the same exception inside it).
-                return self._raiser_refetch_slot(pc), 0, end
-            if slot_instr.is_branch or slot_instr.klass is InstrClass.IMM_PREFIX:
-                return self._raiser_delay_slot(pc), 0, end
-            unit = slot_instr.requires
-            if unit is not None and not cpu.config.has_unit(unit):
-                return self._raiser_slot_unit(pc, slot_instr), 0, end
-            # The interpreter clears the imm latch only after the whole
-            # branch (including its delay slot) has executed, so a pending
-            # imm prefix fuses into the slot's immediate as well as the
-            # branch's offset.
-            slot_handler, _ = self._compile_straightline(slot_instr,
-                                                         pending_imm,
-                                                         slot_mode=True)
-            if self.precise:
-                slot_handler = self._precise_slot(slot_handler, pc + 4)
-            extra = 1
-
-        if klass is InstrClass.BRANCH_COND:
-            term = self._compile_cond_branch(pc, instr, pending_imm,
-                                             slot_handler)
-        else:
-            term = self._compile_uncond_branch(pc, instr, pending_imm,
-                                               slot_handler)
-        return term, extra, end
-
-    def _raiser_refetch_slot(self, branch_pc: int) -> Callable[[], int]:
-        cpu = self.cpu
-
-        def term() -> int:
-            cpu.fetch(branch_pc + 4)  # raises EncodingError
-            raise AssertionError("unreachable: slot refetch did not raise")
-
-        return term
-
-    def _raiser_slot_unit(self, branch_pc: int,
-                          slot_instr: Instruction) -> Callable[[], int]:
-        """Delay slot needs an absent unit: the interpreter charges the
-        branch, executes the slot via ``_execute`` and faults in its unit
-        check; statistics for neither are recorded because the branch's
-        ``stats.record`` happens after the slot runs.  Reproduce by
-        deferring to the interpreter's own delay-slot execution."""
-        cpu = self.cpu
-
-        def term() -> int:
-            cpu._execute_delay_slot(branch_pc)  # raises IllegalInstruction
-            raise AssertionError("unreachable: slot unit check did not raise")
-
-        return term
-
-    def _compile_cond_branch(self, pc: int, instr: Instruction,
-                             pending_imm: Optional[int], slot_handler):
-        cpu = self.cpu
-        regs = cpu.registers
-        cnt = cpu._counters
-        timings = cpu.config.timings
-        taken_cycles = timings.branch_taken
-        not_taken_cycles = timings.branch_not_taken
-        ra = instr.ra
-        rb = instr.rb
-        type_a = instr.spec.fmt.value == "A"
-        M = WORD_MASK
-        ci_count = CNT_CLASS_COUNT + CLASS_INDEX[InstrClass.BRANCH_COND]
-        ci_cycles = CNT_CLASS_CYCLES + CLASS_INDEX[InstrClass.BRANCH_COND]
-        has_slot = slot_handler is not None
-        fallthrough = pc + 8 if has_slot else pc + 4
-
-        name = instr.spec.condition.name
-        # Conditions test the signed value of ra; on the raw 32-bit pattern
-        # "negative" is simply >= 2**31.
-        SIGN = 0x8000_0000
-        if name == "EQ":
-            def taken_fn(): return regs[ra] == 0
-        elif name == "NE":
-            def taken_fn(): return regs[ra] != 0
-        elif name == "LT":
-            def taken_fn(): return regs[ra] >= SIGN
-        elif name == "LE":
-            def taken_fn():
-                v = regs[ra]
-                return v >= SIGN or v == 0
-        elif name == "GT":
-            def taken_fn(): return 0 < regs[ra] < SIGN
-        else:  # GE
-            def taken_fn(): return regs[ra] < SIGN
-
-        if type_a:
-            def target_fn() -> int:
-                return (pc + to_signed(regs[rb])) & M
-            static_target = None
-        else:
-            offset = self._effective_imm(instr, pending_imm)
-            static_target = (pc + to_signed(offset)) & M
-            def target_fn() -> int:
-                return static_target
-
-        def term() -> int:
-            taken = taken_fn()
-            if taken:
-                target = target_fn()
-                cycles = taken_cycles
-                next_pc = target
-            else:
-                target = None
-                cycles = not_taken_cycles
-                next_pc = fallthrough
-            # The slot executes before any of the branch's own statistics
-            # are recorded (interpreter order — a faulting slot must leave
-            # the branch unrecorded).
-            if has_slot:
-                cycles += slot_handler()
-            if taken:
-                cnt[CNT_BRANCHES_TAKEN] += 1
-            else:
-                cnt[CNT_BRANCHES_NOT_TAKEN] += 1
-            cnt[CNT_CYCLES] += cycles
-            cnt[CNT_INSTRUCTIONS] += 1
-            cnt[ci_count] += 1
-            cnt[ci_cycles] += cycles
-            hooks = cpu._branch_hooks
-            if hooks:
-                for hook in hooks:
-                    hook.on_branch(pc, target, taken)
-            return next_pc
-
-        return term
-
-    def _compile_uncond_branch(self, pc: int, instr: Instruction,
-                               pending_imm: Optional[int], slot_handler):
-        """BRANCH_UNCOND, CALL and RETURN terminators (always taken)."""
-        cpu = self.cpu
-        regs = cpu.registers
-        cnt = cpu._counters
-        timings = cpu.config.timings
-        klass = instr.klass
-        M = WORD_MASK
-        ci_count = CNT_CLASS_COUNT + CLASS_INDEX[klass]
-        ci_cycles = CNT_CLASS_CYCLES + CLASS_INDEX[klass]
-        has_slot = slot_handler is not None
-        is_uncond = klass is InstrClass.BRANCH_UNCOND
-        is_call = klass is InstrClass.CALL
-        rd = instr.rd
-        ra = instr.ra
-        rb = instr.rb
-        imm = self._effective_imm(instr, pending_imm)
-
-        if klass is InstrClass.RETURN:
-            base_cycles = timings.ret
-
-            def target_fn() -> int:
-                return (regs[ra] + imm) & M
-        else:
-            base_cycles = timings.call if is_call else timings.branch_taken
-            absolute = instr.mnemonic in _ABSOLUTE_BRANCHES
-            if instr.spec.fmt.value == "A":
-                if absolute:
-                    def target_fn() -> int:
-                        return regs[rb] & M
-                else:
-                    def target_fn() -> int:
-                        return (pc + to_signed(regs[rb])) & M
-            else:
-                static = imm & M if absolute else (pc + to_signed(imm)) & M
-
-                def target_fn() -> int:
-                    return static
-
-        def term() -> int:
-            target = target_fn()
-            cycles = base_cycles
-            if is_call and rd:
-                regs[rd] = pc & M
-            halts = is_uncond and target == pc
-            if halts:
-                cpu.halted = True
-            if has_slot and not halts:
-                cycles += slot_handler()
-            cnt[CNT_CYCLES] += cycles
-            cnt[CNT_INSTRUCTIONS] += 1
-            cnt[ci_count] += 1
-            cnt[ci_cycles] += cycles
-            cnt[CNT_BRANCHES_TAKEN] += 1
-            hooks = cpu._branch_hooks
-            if hooks:
-                for hook in hooks:
-                    hook.on_branch(pc, target, True)
-            return target
-
-        return term

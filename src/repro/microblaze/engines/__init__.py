@@ -11,22 +11,21 @@ producing an :class:`ExecutionEngine` bound to one
 resolves engine names through :func:`validate_engine_name` /
 :func:`engine_names` instead of a copy of the list.
 
-Four engines register themselves on import:
+Three engines register themselves on import:
 
 * ``interp`` — the reference interpreter (defines the semantics; the only
   engine that can feed full per-instruction trace events);
-* ``threaded`` (the default) — the threaded-code engine: per-instruction
-  handler closures strung into superblocks with pre-aggregated statistics
-  (:mod:`repro.microblaze.engine` holds its block compiler);
-* ``jit`` — the source-generating engine: per superblock it emits
-  specialized Python source (handler bodies inlined, statistics folded
-  into constants, the terminating branch at the end), ``exec``\\ s it once
-  into a cached closure, and dispatches block-at-a-time.
+* ``jit`` (the default) — the source-generating engine: per superblock it
+  emits specialized Python source (handler bodies inlined, statistics
+  folded into constants, the terminating branch at the end), ``exec``\\ s
+  it once into a cached closure, and dispatches block-at-a-time
+  (:mod:`repro.microblaze.engine` holds the counter layout and decode
+  tables it shares with the interpreter);
 * ``region`` — the region JIT: jit superblocks whose entries prove hot
   (edge-profile seeded, tunable threshold) are fused — successors chained
   — into one generated code object with internal ``while``-loop dispatch
   and deferred block-count statistics, eliminating per-block dispatch on
-  hot paths.
+  hot paths.  Opt-in: it costs more memory per job than ``jit``.
 
 **The engine contract** covers four responsibilities:
 
@@ -66,7 +65,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 #: Engine used when a CPU (or system, job, sweep) is built without an
 #: explicit choice.
-DEFAULT_ENGINE = "threaded"
+DEFAULT_ENGINE = "jit"
 
 
 class UnknownEngineError(ValueError):
@@ -213,7 +212,6 @@ def create_engine(name: Optional[str], cpu) -> ExecutionEngine:
 # Self-registration of the built-in engines (import order matters only in
 # that the registry functions above must exist first).
 from . import interp as _interp  # noqa: E402  (registration side effect)
-from . import threaded as _threaded  # noqa: E402
 from . import jit as _jit  # noqa: E402
 from . import region as _region  # noqa: E402
 

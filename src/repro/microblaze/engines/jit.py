@@ -1,11 +1,12 @@
 """Source-generating JIT engine: one specialized Python function per superblock.
 
-The threaded engine already compiles each instruction once, but it still
-pays one Python *call* per instruction (the handler closure) and a tuple
-walk per block (the pre-aggregated statistics deltas).  This engine takes
-the next step the ROADMAP names — the lifting step of static binary
+The reference interpreter re-resolves every instruction on every
+execution: a dispatch over the mnemonic, width lookups, ``imm`` latch
+checks and per-instruction statistics updates.  This engine does that
+work once, at decode time — the lifting step of static binary
 translators (decode once, generate code, run many): for every superblock
-it emits specialized Python **source** in which
+(a straight-line run ending in a branch) it emits specialized Python
+**source** in which
 
 * the straight-line handler bodies are inlined as plain statements with
   operand indices, immediates (``imm`` prefixes statically fused) and
@@ -22,21 +23,24 @@ counter array, memories, peripheral bus, branch-hook list) is bound via
 an outer factory function, so the hot path runs on fast closure lookups —
 and then dispatches block-at-a-time: one Python call per superblock.
 
-Semantics are inherited from the threaded engine's compiler line by line:
-the generated code reproduces the interpreter bit-exactly on fault-free
-runs (statistics, cycles, branch-event streams, memory-port counters,
-the seed's delay-slot double charge), compiles compile-time faults into
-raiser blocks that fire at the same execution point with the same
-exception and message, and supports ``precise_fault_stats`` by emitting
-per-instruction statistics/pc/imm-latch maintenance instead of the
-wholesale block constants — a mid-block runtime fault then leaves exactly
-the interpreter's fault-point state.  The same known divergence as the
-threaded engine applies in default mode: a *runtime* fault landing
-mid-block can leave statistics ahead by up to one block.
+Semantics are defined by the ``interp`` reference interpreter: the
+generated code reproduces it bit-exactly on fault-free runs (statistics,
+cycles, branch-event streams, memory-port counters, the seed's delay-slot
+double charge), compiles compile-time faults into raiser blocks that
+fire at the same execution point with the same exception and message,
+and supports ``precise_fault_stats`` by emitting per-instruction
+statistics/pc/imm-latch maintenance instead of the wholesale block
+constants — a mid-block runtime fault then leaves exactly the
+interpreter's fault-point state.  One divergence is known and
+intentional in default mode: a *runtime* fault (misaligned access,
+unmapped OPB address) landing mid-block can leave statistics ahead by up
+to one block, because block statistics are applied wholesale.
+Architectural state is identical either way.
 
-OPB peripheral time is batched exactly like the threaded engine: one
-``tick(n)`` per block for opted-in peripherals, dropping to interpreter
-granularity when a declared tick deadline falls inside the block.
+OPB peripheral time is batched: one ``tick(n)`` per block for opted-in
+peripherals, dropping to interpreter granularity when a declared tick
+deadline falls inside the block, so timed device models never observe a
+batch crossing their deadline.
 """
 
 from __future__ import annotations
@@ -491,7 +495,7 @@ class SourceBlockCompiler:
             return lines
 
         # Block-constant statistics: only the dynamic OPB penalty is
-        # recorded inline (exactly the threaded body-mode handlers).
+        # recorded inline.
         lines.append(f"if _a >= {OPB_BASE_ADDRESS} and opb_owns(_a):")
         if load:
             lines.append(f"    _v = opb_read(_a)")
@@ -765,10 +769,10 @@ class JitEngine(ExecutionEngine):
     # ------------------------------------------------------------- dispatch
     def run(self, max_instructions: int,
             max_cycles: Optional[int] = None) -> None:
-        # NOTE: deliberately mirrors ThreadedEngine.run line for line (a
-        # shared base with a per-block virtual call would tax both hot
-        # paths); keep the budget/tick-deadline/fault handling in sync.
         cpu = self.cpu
+        # A pending imm latch (left by manual step() calls) is consumed by
+        # the interpreter so that block entry always starts latch-free,
+        # which is what the statically fused translations assume.
         cpu._drain_imm_latch(max_instructions)
         counters = cpu._counters
         blocks = self.blocks
@@ -826,6 +830,9 @@ class JitEngine(ExecutionEngine):
             cpu.pc = pc
             cpu._sync_counters()
         if near_budget:
+            # Within one block of the budget: finish (or fault) on the
+            # interpreter, whose per-instruction checks raise at exactly
+            # the same point the reference engine does.
             cpu._run_interpreted(max_instructions, None)
 
 

@@ -45,8 +45,8 @@ Invariants inherited from the jit engine:
 * capability flags match the jit engine, so a full-trace listener still
   falls back to the interpreter in the CPU driver.
 
-In default (imprecise) mode the same known divergence as the threaded
-and jit engines applies, with the same bound: a *runtime* fault landing
+In default (imprecise) mode the same known divergence as the jit
+engine applies, with the same bound: a *runtime* fault landing
 mid-block can leave statistics ahead by up to one block, because block
 deltas are counted at block entry and flushed on the fault path.
 """
@@ -1231,11 +1231,10 @@ class RegionEngine(ExecutionEngine):
     # ------------------------------------------------------------- dispatch
     def run(self, max_instructions: int,
             max_cycles: Optional[int] = None) -> None:
-        # NOTE: mirrors JitEngine.run line for line (itself mirroring the
-        # threaded engine); the additions are the region lookup and the
-        # hot counting, both strictly after the budget check — a region
-        # that breaks immediately on budget must land on the outer
-        # near-budget path, never re-enter itself.
+        # NOTE: mirrors JitEngine.run line for line; the additions are the
+        # region lookup and the hot counting, both strictly after the
+        # budget check — a region that breaks immediately on budget must
+        # land on the outer near-budget path, never re-enter itself.
         cpu = self.cpu
         cpu._drain_imm_latch(max_instructions)
         counters = cpu._counters

@@ -85,16 +85,16 @@ class MicroBlazeSystem:
         processor attaches the WCLA here.
     engine:
         Execution engine for the CPU core, resolved against the engine
-        registry (:mod:`repro.microblaze.engines`): ``"threaded"`` (the
-        default threaded-code engine), ``"jit"`` (the source-generating
-        superblock engine) or ``"interp"`` (the reference interpreter) —
-        plus anything registered with
+        registry (:mod:`repro.microblaze.engines`): ``"jit"`` (the
+        default, source-generating superblock engine), ``"region"`` (the
+        region JIT fusing hot superblocks) or ``"interp"`` (the reference
+        interpreter) — plus anything registered with
         :func:`~repro.microblaze.engines.register_engine`.  The built-in
         engines are bit-exact with one another; unknown names raise
         :class:`~repro.microblaze.engines.UnknownEngineError` listing the
         registered engines.
     precise_fault_stats:
-        Opt-in exact fault-path statistics for the threaded engine (see
+        Opt-in exact fault-path statistics for the block engines (see
         :class:`~repro.microblaze.cpu.MicroBlazeCPU`).
     """
 

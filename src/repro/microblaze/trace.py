@@ -42,7 +42,7 @@ class TraceListener(Protocol):
 
     Full-trace listeners receive one :class:`TraceEvent` per executed
     instruction.  That allocation-per-instruction is exactly what the
-    threaded-code engine removes from the hot path, so attaching a
+    block engines remove from the hot path, so attaching a
     full-trace listener makes the CPU fall back to the reference
     interpreter for the duration of the run.  Observers that only need
     branches — the on-chip profiler snoops nothing else — should implement

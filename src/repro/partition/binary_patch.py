@@ -113,7 +113,7 @@ def apply_patch(program: Program, kernel: HardwareKernel,
     DPM's second port and the CPU's decode cache and superblock
     translations covering the touched addresses are invalidated — the
     mid-execution binary update of Section 3.  Without invalidation the
-    threaded-code engine (and the decode cache before it) would keep
+    block engines (and the decode cache before them) would keep
     executing the stale translation of the loop header.
     """
     region = kernel.region

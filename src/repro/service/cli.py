@@ -3,7 +3,7 @@
 Local subcommands::
 
     repro-warp suite [--benchmarks brev,matmul] [--configs paper,minimal]
-                     [--engines threaded,jit,interp] [--small] [--workers N]
+                     [--engines jit,region,interp] [--small] [--workers N]
                      [--stages decompile,synthesis,...] [--store DIR]
                      [--repeat N] [--out report.json]
 
@@ -45,7 +45,7 @@ queue depth, shard occupancy, per-stage hit rates and retry/timeout
 counters.  Local runs accept ``--trace-out spans.jsonl`` to record and
 export the run's trace spans.  Finally ::
 
-    repro-warp hot-edges [--benchmarks brev,...] [--engine threaded]
+    repro-warp hot-edges [--benchmarks brev,...] [--engine jit]
                          [--top N] [--small] [--out edges.json]
 
 profiles each kernel with the on-chip profiler model and dumps its
@@ -53,7 +53,7 @@ hottest taken-branch edges — the counts the region engine's promotion
 threshold (and ``_seed_from_hooks`` pre-warming) operates on, and ::
 
     repro-warp fuzz [--seeds N] [--seed-start S] [--profile mixed]
-                    [--engines interp,threaded,...] [--jobs N]
+                    [--engines interp,jit,...] [--jobs N]
                     [--precise-fault-stats] [--workers N] [--out ...]
 
 runs a differential fuzzing campaign (see :mod:`repro.fuzz`): N generated
@@ -65,7 +65,7 @@ JSON report.
 Job files are JSON::
 
     {"jobs": [
-        {"name": "brev-fast", "benchmark": "brev", "engine": "threaded"},
+        {"name": "brev-fast", "benchmark": "brev", "engine": "jit"},
         {"name": "brev-nobs", "benchmark": "brev", "small": true,
          "priority": 5, "config": {"use_barrel_shifter": false},
          "config_label": "no-bs"},
@@ -150,8 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--configs", default="paper",
                          help=f"comma-separated configuration names from "
                               f"{sorted(NAMED_CONFIGS)} (default: paper)")
-        from ..microblaze.engines import engine_names
-        sub.add_argument("--engines", default="threaded",
+        from ..microblaze.engines import DEFAULT_ENGINE, engine_names
+        sub.add_argument("--engines", default=DEFAULT_ENGINE,
                          help="comma-separated execution engines from the "
                               f"registry ({', '.join(engine_names())})")
         sub.add_argument("--small", action="store_true",
@@ -299,8 +299,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(default: the full six-benchmark suite)")
     hot.add_argument("--config", choices=sorted(NAMED_CONFIGS),
                      default="paper", help="processor configuration")
+    from ..microblaze.engines import DEFAULT_ENGINE as _DEFAULT_ENGINE
     from ..microblaze.engines import engine_names as _engine_names
-    hot.add_argument("--engine", default="threaded",
+    hot.add_argument("--engine", default=_DEFAULT_ENGINE,
                      help="execution engine carrying the profiler hook "
                           f"({', '.join(_engine_names())})")
     hot.add_argument("--small", action="store_true",

@@ -32,7 +32,11 @@ from ..eval.figures import metric_rows
 from ..eval.reporting import format_table
 from ..fabric.architecture import DEFAULT_WCLA, WclaParameters
 from ..microblaze.config import MicroBlazeConfig, PAPER_CONFIG
-from ..microblaze.engines import UnknownEngineError, validate_engine_name
+from ..microblaze.engines import (
+    DEFAULT_ENGINE,
+    UnknownEngineError,
+    validate_engine_name,
+)
 
 #: Column order of the service's suite-level tables (the service compares
 #: software-only MicroBlaze against the warp-processed MicroBlaze; the ARM
@@ -616,7 +620,7 @@ class ServiceReport:
 # --------------------------------------------------------------------------- sweeps
 def suite_sweep_jobs(
     configs: Optional[Sequence[Tuple[str, MicroBlazeConfig]]] = None,
-    engines: Sequence[str] = ("threaded",),
+    engines: Sequence[str] = (DEFAULT_ENGINE,),
     benchmarks: Optional[Sequence[str]] = None,
     small: bool = False,
     wcla: WclaParameters = DEFAULT_WCLA,

@@ -159,8 +159,9 @@ class WarpProcessor:
         """Phase 1: run the program on the MicroBlaze alone while profiling.
 
         The profiler subscribes through the branch-hook protocol, so this
-        run stays on the threaded-code engine: branch handlers feed the
-        profiler scalars directly and no trace events are allocated.
+        run never falls back to the interpreter: the engine's branch code
+        feeds the profiler scalars directly and no trace events are
+        allocated.
         """
         profiler = OnChipProfiler(
             BranchFrequencyCache(num_entries=self.profiler_cache_entries)

@@ -29,7 +29,7 @@ from repro.microblaze import (
     run_slice,
     spawn_from_checkpoint,
 )
-from repro.microblaze import engine_names
+from repro.microblaze import UnknownEngineError, engine_names
 from repro.microblaze.opb import OPB_BASE_ADDRESS
 
 #: Every registered engine: a new registration is pulled into the
@@ -96,9 +96,9 @@ class TestRoundTrip:
         """Preempting every few hundred instructions (with a checkpoint/
         restore cycle at every preemption) changes nothing."""
         program = compiled_small_programs["canrdr"]
-        reference = _reference_run(program, "threaded")
+        reference = _reference_run(program, "jit")
 
-        system = MicroBlazeSystem(config=PAPER_CONFIG, engine="threaded")
+        system = MicroBlazeSystem(config=PAPER_CONFIG, engine="jit")
         system.start(program)
         hops = 0
         while not run_slice(system, 300):
@@ -114,7 +114,7 @@ class TestRoundTrip:
     def test_checkpoint_captures_registers_exactly(self,
                                                    compiled_small_programs):
         program = compiled_small_programs["bitmnp"]
-        source, blob = _checkpoint_mid_run(program, "threaded")
+        source, blob = _checkpoint_mid_run(program, "jit")
         restored = spawn_from_checkpoint(blob)
         assert list(restored.cpu.registers) == list(source.cpu.registers)
         assert restored.cpu.pc == source.cpu.pc
@@ -126,12 +126,12 @@ class TestMigration:
         """Worker migration: the blob crosses a process boundary and the
         resumed run still matches the uninterrupted reference."""
         program = compiled_small_programs["matmul"]
-        reference = _reference_run(program, "threaded")
-        _, blob = _checkpoint_mid_run(program, "threaded")
+        reference = _reference_run(program, "jit")
+        _, blob = _checkpoint_mid_run(program, "jit")
 
         with ProcessPoolExecutor(max_workers=1) as pool:
             stats, return_value, data_image, _ = pool.submit(
-                _resume_in_worker, blob, "threaded").result()
+                _resume_in_worker, blob, "jit").result()
 
         assert stats == reference.stats
         assert return_value == reference.return_value
@@ -139,7 +139,7 @@ class TestMigration:
 
     def test_blob_is_plain_bytes(self, compiled_small_programs):
         _, blob = _checkpoint_mid_run(compiled_small_programs["brev"],
-                                      "threaded")
+                                      "jit")
         assert isinstance(blob, bytes)
         assert blob.startswith(CHECKPOINT_MAGIC)
         # Round-trips through pickle untouched (what the pool would do).
@@ -175,7 +175,7 @@ class TestFanOut:
 
         # Checkpoint after the 3-instruction setup, before the loop reads
         # the array.
-        system = MicroBlazeSystem(config=PAPER_CONFIG, engine="threaded")
+        system = MicroBlazeSystem(config=PAPER_CONFIG, engine="jit")
         system.start(program)
         assert not run_slice(system, 3)
         blob = capture_checkpoint(system)
@@ -184,7 +184,7 @@ class TestFanOut:
         fanned = fan_out(blob, [poke(value) for value in values])
 
         for value, result in zip(values, fanned):
-            scratch = MicroBlazeSystem(config=PAPER_CONFIG, engine="threaded")
+            scratch = MicroBlazeSystem(config=PAPER_CONFIG, engine="jit")
             scratch.start(program)
             scratch.data_bram.store_port_b(64, value, 4)
             reference = scratch.resume()
@@ -258,8 +258,8 @@ class TestFanOut:
 
     def test_fan_out_engine_override(self, compiled_small_programs):
         program = compiled_small_programs["brev"]
-        reference = _reference_run(program, "threaded")
-        _, blob = _checkpoint_mid_run(program, "threaded")
+        reference = _reference_run(program, "jit")
+        _, blob = _checkpoint_mid_run(program, "jit")
         results = fan_out(blob, [None, None], engine="interp")
         for result in results:
             assert result.stats == reference.stats
@@ -296,7 +296,7 @@ class TestPeripheralState:
 
     def test_topology_mismatch_rejected(self, compiled_small_programs):
         _, blob = _checkpoint_mid_run(compiled_small_programs["brev"],
-                                      "threaded")
+                                      "jit")
         periph = SimplePeripheral(base_address=OPB_BASE_ADDRESS)
         target = MicroBlazeSystem(config=PAPER_CONFIG, peripherals=[periph])
         with pytest.raises(CheckpointError, match="topology"):
@@ -315,7 +315,7 @@ class TestValidation:
         from repro.microblaze.checkpoint import CHECKPOINT_VERSION
 
         _, blob = _checkpoint_mid_run(compiled_small_programs["brev"],
-                                      "threaded")
+                                      "jit")
         tampered = CHECKPOINT_MAGIC + (999).to_bytes(2, "big") \
             + blob[len(CHECKPOINT_MAGIC) + 2:]
         system = MicroBlazeSystem(config=PAPER_CONFIG)
@@ -332,10 +332,50 @@ class TestValidation:
 
     def test_config_mismatch_rejected(self, compiled_small_programs):
         _, blob = _checkpoint_mid_run(compiled_small_programs["brev"],
-                                      "threaded")
+                                      "jit")
         other = MicroBlazeSystem(config=MicroBlazeConfig(clock_mhz=100.0))
         with pytest.raises(CheckpointError, match="configuration"):
             restore_checkpoint(other, blob)
+
+    @staticmethod
+    def _blob_recording_threaded(program):
+        """A mid-run checkpoint whose payload names the deleted
+        ``threaded`` engine, as a blob written before its deletion does."""
+        import zlib
+
+        _, blob = _checkpoint_mid_run(program, "jit")
+        header = len(CHECKPOINT_MAGIC) + 2
+        payload = pickle.loads(zlib.decompress(blob[header:]))
+        payload["engine"] = "threaded"
+        return blob[:header] + zlib.compress(pickle.dumps(payload))
+
+    @pytest.mark.parametrize("spawn", [
+        spawn_from_checkpoint,
+        lambda blob: fan_out(blob, [None]),
+    ], ids=["spawn_from_checkpoint", "fan_out"])
+    def test_deleted_engine_name_rejected_unless_overridden(
+            self, spawn, compiled_small_programs):
+        """A blob recording the deleted ``threaded`` engine fails loudly
+        through the registry when it names the engine to resume on."""
+        old_blob = self._blob_recording_threaded(
+            compiled_small_programs["brev"])
+        with pytest.raises(UnknownEngineError) as info:
+            spawn(old_blob)
+        assert "'threaded'" in str(info.value)
+        assert "registered engines: interp, jit, region" in str(info.value)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_deleted_engine_name_resumes_with_override(
+            self, engine, compiled_small_programs):
+        """The same blob resumes bit-exactly once the caller picks a
+        registered engine."""
+        program = compiled_small_programs["brev"]
+        reference = _reference_run(program, "interp")
+        old_blob = self._blob_recording_threaded(program)
+        result = spawn_from_checkpoint(old_blob, engine=engine).resume()
+        assert result.stats == reference.stats
+        assert result.return_value == reference.return_value
+        assert result.data_image == reference.data_image
 
     def test_unstarted_system_cannot_checkpoint(self):
         system = MicroBlazeSystem(config=PAPER_CONFIG)

@@ -66,7 +66,7 @@ class TestFuzzVerb:
 
     def test_engine_subset_is_honoured(self, tmp_path):
         out = tmp_path / "fuzz.json"
-        code = main(["fuzz", "--seeds", "1", "--engines", "threaded",
+        code = main(["fuzz", "--seeds", "1", "--engines", "jit",
                      "--workers", "0", "--quiet", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
@@ -79,13 +79,13 @@ class TestFuzzJobFiles:
         jobfile.write_text(json.dumps({"jobs": [
             {"name": "night-shift", "fuzz_profile": "alu",
              "fuzz_seed": 3, "fuzz_count": 2,
-             "fuzz_engines": ["threaded", "jit"]},
+             "fuzz_engines": ["jit", "region"]},
         ]}))
         jobs = load_job_file(jobfile)
         assert jobs[0].fuzz_profile == "alu"
         assert jobs[0].fuzz_seed == 3
         assert jobs[0].fuzz_count == 2
-        assert jobs[0].fuzz_engines == ("threaded", "jit")
+        assert jobs[0].fuzz_engines == ("jit", "region")
         assert jobs[0].describe() == "night-shift: fuzz:alu[3..5) " \
             "on paper/default"
 

@@ -23,10 +23,13 @@ from repro.microblaze import (
     validate_engine_name,
 )
 from repro.microblaze.engines import _REGISTRY, create_engine
-from repro.microblaze.engines.threaded import ThreadedEngine
+from repro.microblaze.engines.jit import JitEngine
 from repro.microblaze.opb import OnChipPeripheralBus
 from repro.service.cli import main as cli_main
 from repro.service.jobs import JobSpecError, WarpJob, suite_sweep_jobs
+
+#: Every engine that translates blocks (everything but the reference).
+BLOCK_ENGINES = tuple(name for name in engine_names() if name != "interp")
 
 LOOP = """
     addi r5, r0, 10
@@ -42,10 +45,8 @@ loop:
 # ------------------------------------------------------------------ registry
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        names = engine_names()
-        for name in ("interp", "threaded", "jit", "region"):
-            assert name in names
-        assert DEFAULT_ENGINE in names
+        assert engine_names() == ("interp", "jit", "region")
+        assert DEFAULT_ENGINE == "jit"
 
     def test_validate_none_resolves_default(self):
         assert validate_engine_name(None) == DEFAULT_ENGINE
@@ -66,7 +67,7 @@ class TestRegistry:
         """A registered third-party engine is selectable everywhere a name
         is: system construction, run_program, WarpJob."""
 
-        class CountingEngine(ThreadedEngine):
+        class CountingEngine(JitEngine):
             runs = 0
 
             def run(self, max_instructions, max_cycles=None):
@@ -91,7 +92,7 @@ class TestRegistry:
         system = MicroBlazeSystem(config=PAPER_CONFIG, engine="interp")
         impl = system.cpu._engine_impl
         assert impl.full_trace and impl.supports_max_cycles
-        for engine in ("threaded", "jit", "region"):
+        for engine in BLOCK_ENGINES:
             impl = MicroBlazeSystem(config=PAPER_CONFIG,
                                     engine=engine).cpu._engine_impl
             assert impl.branch_hooks
@@ -107,7 +108,7 @@ class TestRegistry:
         interpreter so the hook still sees every branch."""
         from repro.profiler.profiler import OnChipProfiler
 
-        class DeafEngine(ThreadedEngine):
+        class DeafEngine(JitEngine):
             branch_hooks = False
             dispatches = 0
 
@@ -162,12 +163,16 @@ class TestServiceValidation:
 
     def test_sweep_rejects_unknown_engine(self):
         with pytest.raises(JobSpecError):
-            suite_sweep_jobs(engines=("threaded", "turbo"))
+            suite_sweep_jobs(engines=("jit", "turbo"))
 
-    def test_sweep_accepts_jit(self):
-        jobs = suite_sweep_jobs(engines=("threaded", "jit", "interp"),
+    def test_sweep_defaults_to_the_default_engine(self):
+        jobs = suite_sweep_jobs(benchmarks=("brev",))
+        assert [job.engine for job in jobs] == [DEFAULT_ENGINE]
+
+    def test_sweep_accepts_every_engine(self):
+        jobs = suite_sweep_jobs(engines=("region", "jit", "interp"),
                                 benchmarks=("brev",))
-        assert [job.engine for job in jobs] == ["threaded", "jit", "interp"]
+        assert [job.engine for job in jobs] == ["region", "jit", "interp"]
         # Distinct engines are distinct content (no accidental dedup).
         assert len({job.dedup_key() for job in jobs}) == 3
 
@@ -192,6 +197,79 @@ class TestServiceValidation:
         plain["engine"] = "turbo"
         with pytest.raises(JobSpecError):
             job_from_plain(plain)
+
+
+class TestDeletedThreadedEngine:
+    """The closure-based ``threaded`` engine is gone with no alias: every
+    entry point that takes an engine name — simulator, job, sweep, wire
+    message, CLI verb — fails loudly at the registry check (the
+    checkpoint path is pinned in ``test_checkpoint.py``)."""
+
+    @staticmethod
+    def _assert_rejected(info):
+        cause = info.value.__cause__
+        assert isinstance(cause, UnknownEngineError)
+        assert cause.name == "threaded"
+        assert "registered engines: interp, jit, region" in str(info.value)
+
+    def test_warpjob_rejects_threaded(self):
+        with pytest.raises(JobSpecError) as info:
+            WarpJob(name="old", benchmark="brev", engine="threaded")
+        self._assert_rejected(info)
+
+    def test_wire_codec_rejects_threaded(self):
+        from repro.server.protocol import job_from_plain, job_to_plain
+
+        plain = job_to_plain(WarpJob(name="wired", benchmark="brev"))
+        plain["engine"] = "threaded"
+        with pytest.raises(JobSpecError) as info:
+            job_from_plain(plain)
+        self._assert_rejected(info)
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--engines", "threaded"],
+        ["hot-edges", "--engine", "threaded", "--small"],
+        ["fuzz", "--seeds", "1", "--engines", "interp,threaded"],
+    ], ids=["suite", "hot-edges", "fuzz"])
+    def test_cli_rejects_threaded(self, argv, capsys):
+        assert cli_main(argv + ["--quiet"]) == 2
+        assert "registered engines: interp, jit, region" \
+            in capsys.readouterr().err
+
+    def test_sweep_rejects_threaded(self):
+        with pytest.raises(JobSpecError) as info:
+            suite_sweep_jobs(engines=("threaded",), benchmarks=("brev",))
+        self._assert_rejected(info)
+
+    @pytest.mark.parametrize("entry", [
+        lambda: validate_engine_name("threaded"),
+        lambda: MicroBlazeSystem(config=PAPER_CONFIG, engine="threaded"),
+        lambda: run_program(assemble(LOOP), PAPER_CONFIG, engine="threaded"),
+    ], ids=["validate_engine_name", "MicroBlazeSystem", "run_program"])
+    def test_simulator_entry_points_reject_threaded(self, entry):
+        with pytest.raises(UnknownEngineError) as info:
+            entry()
+        assert info.value.name == "threaded"
+        assert "registered engines: interp, jit, region" in str(info.value)
+
+    def test_threaded_module_and_block_compiler_are_gone(self):
+        import importlib
+
+        from repro.microblaze import engine
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.microblaze.engines.threaded")
+        assert not hasattr(engine, "BlockCompiler")
+
+    @pytest.mark.parametrize("argv,attribute", [
+        (["suite"], "engines"),
+        (["hot-edges"], "engine"),
+    ], ids=["suite", "hot-edges"])
+    def test_cli_defaults_to_the_default_engine(self, argv, attribute):
+        from repro.service.cli import _build_parser
+
+        args = _build_parser().parse_args(argv)
+        assert getattr(args, attribute) == DEFAULT_ENGINE
 
 
 # ------------------------------------------------------------- OPB tick batching
@@ -236,14 +314,14 @@ class PeriodicTicker(TickCounter):
 
 
 class TestTickBatching:
-    @pytest.mark.parametrize("engine", ["interp", "threaded", "jit", "region"])
+    @pytest.mark.parametrize("engine", engine_names())
     def test_ticked_time_equals_stats_cycles(self, engine):
         peripheral = TickCounter()
         result = run_program(assemble(LOOP), PAPER_CONFIG, engine=engine,
                              peripherals=[peripheral])
         assert peripheral.total == result.stats.cycles
 
-    @pytest.mark.parametrize("engine", ["threaded", "jit", "region"])
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
     def test_block_engines_batch_ticks(self, engine):
         batched = TickCounter()
         result = run_program(assemble(LOOP), PAPER_CONFIG, engine=engine,
@@ -255,7 +333,7 @@ class TestTickBatching:
         # One tick per superblock, not one per instruction.
         assert batched.calls < reference.calls
 
-    @pytest.mark.parametrize("engine", ["interp", "threaded", "jit", "region"])
+    @pytest.mark.parametrize("engine", engine_names())
     def test_deadline_peripheral_time_is_exact(self, engine):
         peripheral = PeriodicTicker(period=16)
         result = run_program(assemble(LOOP), PAPER_CONFIG, engine=engine,
@@ -263,7 +341,7 @@ class TestTickBatching:
         assert peripheral.total == result.stats.cycles
         assert peripheral.events == result.stats.cycles // 16
 
-    @pytest.mark.parametrize("engine", ["threaded", "jit", "region"])
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
     def test_deadline_refines_batching(self, engine):
         """A declared deadline inside a block drops delivery to finer
         granularity than deadline-free batching."""
@@ -281,7 +359,7 @@ class TestTickBatching:
         assert system.opb.ticking == []
         assert system.opb.next_deadline() is None
 
-    @pytest.mark.parametrize("engine", ["interp", "threaded", "jit", "region"])
+    @pytest.mark.parametrize("engine", engine_names())
     def test_engine_time_skips_non_opted_peripherals(self, engine):
         """Engine-driven ticks go only to opted-in peripherals; a plain
         peripheral attached alongside a ticking one receives none."""
@@ -294,7 +372,7 @@ class TestTickBatching:
         assert opted.total == result.stats.cycles
         assert bystander.total == 0 and bystander.calls == 0
 
-    @pytest.mark.parametrize("engine", ["threaded", "jit", "region"])
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
     def test_deadline_respected_in_precise_mode(self, engine):
         """Precise-fault-stats blocks carry no wholesale deltas, but the
         deadline pre-check still needs their static cycle count: a
@@ -329,7 +407,7 @@ class TestTickBatching:
         assert sum(chunks) == 12
         assert chunks == [5, 7]
 
-    @pytest.mark.parametrize("engine", ["threaded", "jit", "region"])
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
     @pytest.mark.parametrize("period", [2, 3, 5, 7])
     def test_deadline_step_preserves_imm_fusion(self, engine, period):
         """Deadline stepping must never leave an imm latch behind and
@@ -356,7 +434,7 @@ class TestTickBatching:
         assert observed.stats == reference.stats
         assert peripheral.total == observed.stats.cycles
 
-    @pytest.mark.parametrize("engine", ["interp", "threaded", "jit", "region"])
+    @pytest.mark.parametrize("engine", engine_names())
     @pytest.mark.parametrize("precise", [False, True])
     def test_mid_block_fault_still_delivers_ticks(self, engine, precise):
         """A block faulting mid-way must still deliver the cycles it
@@ -379,7 +457,7 @@ class TestTickBatching:
             system.run(assemble(source, name="faulty"))
         assert peripheral.total == system.cpu.stats.cycles
 
-    @pytest.mark.parametrize("engine", ["interp", "threaded", "jit", "region"])
+    @pytest.mark.parametrize("engine", engine_names())
     def test_suite_benchmark_with_ticking_peripheral(self, engine,
                                                      compiled_small_programs):
         """Ticking changes nothing about execution itself."""

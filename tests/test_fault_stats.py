@@ -1,19 +1,20 @@
-"""Fault-path statistics: the opt-in precise mode of the threaded engine.
+"""Fault-path statistics: the opt-in precise mode of the block engines.
 
-The threaded engine applies a superblock's statistics wholesale, so a
+The block engines apply a superblock's statistics wholesale, so a
 runtime fault landing mid-block can leave statistics ahead of the
 interpreter's by up to one block (a documented divergence since PR 1).
-With ``precise_fault_stats=True`` the block compiler emits per-handler
-statistics translations instead; these tests assert that a fault landing
-mid-block then leaves *identical* statistics, registers, pc and imm-latch
-state to the reference interpreter — and that fault-free runs stay
-bit-exact in precise mode.
+With ``precise_fault_stats=True`` the block compiler emits
+per-instruction statistics code instead; these tests assert that a fault
+landing mid-block then leaves *identical* statistics, registers, pc and
+imm-latch state to the reference interpreter — and that fault-free runs
+stay bit-exact in precise mode.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.apps import build_suite
 from repro.isa.assembler import assemble
 from repro.microblaze import (
     MINIMAL_CONFIG,
@@ -21,7 +22,13 @@ from repro.microblaze import (
     IllegalInstruction,
     MemoryError_,
     MicroBlazeSystem,
+    engine_names,
 )
+
+#: Every engine that translates blocks (everything but the reference).
+BLOCK_ENGINES = tuple(name for name in engine_names() if name != "interp")
+
+SUITE_NAMES = [benchmark.name for benchmark in build_suite(small=True)]
 
 #: A misaligned word load (address 9) landing mid-superblock: three
 #: completed instructions before it, live instructions after it, one
@@ -83,42 +90,47 @@ def _assert_fault_state_equal(reference, observed):
 
 
 class TestPreciseFaultStats:
-    def test_misaligned_fault_mid_block_matches_interpreter(self):
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
+    def test_misaligned_fault_mid_block_matches_interpreter(self, engine):
         """The differential test of the ISSUE: a misaligned access landing
         mid-block leaves interpreter-identical statistics in precise mode."""
         interp = _run_to_fault(MISALIGNED_MID_BLOCK, "interp")
-        precise = _run_to_fault(MISALIGNED_MID_BLOCK, "threaded", precise=True)
+        precise = _run_to_fault(MISALIGNED_MID_BLOCK, engine, precise=True)
         _assert_fault_state_equal(interp, precise)
         # The interpreter charged exactly the four completed instructions.
         assert interp["stats"].instructions == 4
 
-    def test_default_mode_documents_the_divergence(self):
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
+    def test_default_mode_documents_the_divergence(self, engine):
         """Without the flag the wholesale-block accounting is visible (this
         is the documented PR 1 behaviour the flag closes)."""
         interp = _run_to_fault(MISALIGNED_MID_BLOCK, "interp")
-        plain = _run_to_fault(MISALIGNED_MID_BLOCK, "threaded", precise=False)
+        plain = _run_to_fault(MISALIGNED_MID_BLOCK, engine, precise=False)
         # Architectural state stays identical even without the flag...
         assert plain["registers"] == interp["registers"]
         assert plain["message"] == interp["message"]
         # ...but the wholesale statistics ran ahead of the fault point.
         assert plain["stats"].instructions > interp["stats"].instructions
 
-    def test_fault_with_pending_imm_latch(self):
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
+    def test_fault_with_pending_imm_latch(self, engine):
         interp = _run_to_fault(MISALIGNED_AFTER_IMM, "interp")
-        precise = _run_to_fault(MISALIGNED_AFTER_IMM, "threaded", precise=True)
+        precise = _run_to_fault(MISALIGNED_AFTER_IMM, engine, precise=True)
         _assert_fault_state_equal(interp, precise)
         # The imm prefix itself was recorded before the fault.
         assert interp["stats"].instructions == 2
 
-    def test_fault_in_delay_slot(self):
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
+    def test_fault_in_delay_slot(self, engine):
         interp = _run_to_fault(MISALIGNED_IN_DELAY_SLOT, "interp")
-        precise = _run_to_fault(MISALIGNED_IN_DELAY_SLOT, "threaded",
+        precise = _run_to_fault(MISALIGNED_IN_DELAY_SLOT, engine,
                                 precise=True)
         _assert_fault_state_equal(interp, precise)
         # Neither the branch nor the slot is recorded by the interpreter.
         assert interp["stats"].branches_taken == 0
 
-    def test_missing_unit_fault(self):
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
+    def test_missing_unit_fault(self, engine):
         """Compile-time-detected faults (absent hardware unit) also leave
         identical state in precise mode."""
         source = """
@@ -129,19 +141,20 @@ class TestPreciseFaultStats:
         """
         interp = _run_to_fault(source, "interp", config=MINIMAL_CONFIG,
                                exception=IllegalInstruction)
-        precise = _run_to_fault(source, "threaded", precise=True,
+        precise = _run_to_fault(source, engine, precise=True,
                                 config=MINIMAL_CONFIG,
                                 exception=IllegalInstruction)
         _assert_fault_state_equal(interp, precise)
 
-    @pytest.mark.parametrize("name", ["brev", "canrdr", "idct"])
-    def test_fault_free_runs_stay_bit_exact(self, name,
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_fault_free_runs_stay_bit_exact(self, engine, name,
                                             compiled_small_programs):
         """Precise mode must not perturb fault-free execution at all."""
         program = compiled_small_programs[name]
         reference = MicroBlazeSystem(config=PAPER_CONFIG,
                                      engine="interp").run(program)
-        precise = MicroBlazeSystem(config=PAPER_CONFIG, engine="threaded",
+        precise = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine,
                                    precise_fault_stats=True).run(program)
         assert precise.stats == reference.stats
         assert precise.return_value == reference.return_value

@@ -133,7 +133,7 @@ class TestMutantPinpointing:
 class TestAgreementAndFaults:
     def test_agreeing_engines_bisect_to_none(self):
         program = generate_program(2, "alu")
-        assert bisect_divergence(program, "threaded", seed=2,
+        assert bisect_divergence(program, "jit", seed=2,
                                  profile="alu") is None
 
     def test_divergent_fault_attribution(self, mutant_engine):

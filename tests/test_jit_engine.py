@@ -1,17 +1,14 @@
 """Tests for the source-generating JIT execution engine.
 
-Mirrors the threaded-engine test structure one engine further out:
-
 * **Differential equivalence** — every suite benchmark runs on the
   reference interpreter and on ``engine="jit"`` and must produce
   identical ``ExecutionStats``, register files, data-BRAM images and
-  profiler rankings (and the jit engine must also agree with the threaded
-  engine, closing the triangle).
+  profiler rankings.
 * **Fault paths** — a misaligned access landing mid-superblock, a fault
   behind a fused ``imm`` prefix, and a fault in a delay slot must leave
   interpreter-identical state under ``precise_fault_stats=True``;
   default mode keeps architectural state identical and documents the
-  same wholesale-statistics divergence as the threaded engine.
+  wholesale-statistics divergence.
 * **Cache invalidation** — generated blocks must drop when the dynamic
   partitioning module patches the executing binary.
 * **Semantics edges** — imm fusion, delay slots, budgets, dynamic
@@ -61,13 +58,12 @@ class TestDifferential:
         program = compiled_small_programs[name]
         systems = {}
         results = {}
-        for engine in ("interp", "threaded", "jit"):
+        for engine in ("interp", "jit"):
             system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
             results[engine] = system.run(program)
             systems[engine] = system
 
         assert_equivalent(results["interp"], results["jit"])
-        assert_equivalent(results["threaded"], results["jit"])
         assert systems["jit"].cpu.registers == systems["interp"].cpu.registers
         assert bytes(systems["jit"].data_bram.storage) \
             == bytes(systems["interp"].data_bram.storage)
@@ -161,9 +157,9 @@ class TestFaultPaths:
         assert interp["stats"].instructions == expected_instructions
 
     def test_default_mode_keeps_architectural_state(self):
-        """Without the flag, the jit engine documents the same wholesale
-        block-statistics divergence as the threaded engine — registers and
-        the fault itself stay identical."""
+        """Without the flag, the jit engine documents the wholesale
+        block-statistics divergence — registers and the fault itself stay
+        identical."""
         interp = _run_to_fault(MISALIGNED_MID_BLOCK, "interp")
         plain = _run_to_fault(MISALIGNED_MID_BLOCK, "jit", precise=False)
         assert plain["registers"] == interp["registers"]

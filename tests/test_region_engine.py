@@ -209,6 +209,25 @@ class TestInvalidation:
         patch_live_words(system, 20, [assemble("bri 0").text[0]])
         assert impl.regions == regions_before
 
+    def test_selective_invalidation_drops_only_covering_blocks(self):
+        """Invalidating one word drops exactly the superblocks and regions
+        whose range covers it; everything else stays warm."""
+        system, _program = self._warm()
+        cpu, impl = system.cpu, _impl(system)
+        blocks_before = dict(cpu._blocks)
+        regions_before = dict(impl._region_meta)
+        # Byte 0 is covered by the entry superblock but not by the loop
+        # region, which starts at the loop header (byte 8).
+        cpu.invalidate_decode_cache(0)
+        for entry, block in blocks_before.items():
+            # Block layout shared with jit: (n, fn, entry, end, cycles).
+            assert (entry in cpu._blocks) == (not block[2] <= 0 <= block[3])
+        for entry, (low, high, _members) in regions_before.items():
+            assert (entry in impl.regions) == (not low <= 0 <= high)
+        assert 0 in blocks_before and 0 not in cpu._blocks
+        assert impl.regions, "the loop region must survive"
+        assert 0 not in cpu._decoded
+
     def test_wholesale_invalidate_clears_everything(self):
         system, _program = self._warm()
         impl = _impl(system)

@@ -213,7 +213,7 @@ class TestWireProtocol:
 
     def test_result_and_report_roundtrip(self):
         result = ServiceResult(job_name="j", workload="brev",
-                               config_label="paper", engine="threaded",
+                               config_label="paper", engine="jit",
                                speedup=2.5, cache_disk_hits=3,
                                stage_cache={"synthesis": "disk-hit"})
         report = ServiceReport(results=[result], wall_seconds=1.25,

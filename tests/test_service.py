@@ -109,7 +109,7 @@ class TestWarpJob:
     def test_suite_sweep_enumerates_the_cross_product(self):
         jobs = suite_sweep_jobs(configs=[("paper", PAPER_CONFIG),
                                          ("minimal", MINIMAL_CONFIG)],
-                                engines=("threaded", "interp"),
+                                engines=("jit", "interp"),
                                 benchmarks=["brev", "matmul"], small=True)
         assert len(jobs) == 2 * 2 * 2
         assert len({job.name for job in jobs}) == len(jobs)
@@ -151,7 +151,7 @@ class TestJobScheduler:
         from repro.service.jobs import expand_duplicate
         from repro.service import ServiceResult
         primary = ServiceResult(job_name="a", workload="brev",
-                                config_label="paper", engine="threaded",
+                                config_label="paper", engine="jit",
                                 speedup=2.0, cache_hits=3, cache_misses=1)
         twin = WarpJob(name="b", benchmark="brev", small=True,
                        config_label="my-label")
