@@ -4,8 +4,10 @@ Measures, at full benchmark size:
 
 * **cold** simulated instructions per second over the six-application
   suite on every registered engine (fresh system per run, translation
-  included: the process-wide code cache is emptied first, so the first
-  block engine compiles every superblock), plus the translation-cost
+  included: the process-wide code cache — bytecode and the per-program
+  translation table alike — is emptied before each engine's runs, so
+  every block engine translates every superblock itself), plus the
+  translation-cost
   breakdown of the two source-generating engines (``codegen_stats()``:
   compiles, cache hits and ``compile_seconds`` for jit and region
   separately);
@@ -88,7 +90,10 @@ def _suite_programs():
 
 
 def _measure_cold(programs, engine):
-    """Total instructions and wall seconds, fresh system per run."""
+    """Total instructions and wall seconds, fresh system per run, starting
+    from an empty code cache (one ``clear()`` drops the bytecode and the
+    translation table)."""
+    _CODE_CACHE.clear()
     instructions = 0
     seconds = 0.0
     results = {}
@@ -154,7 +159,6 @@ def test_simulator_throughput_and_evaluation_walltime():
     engines = engine_names()
 
     reset_codegen_stats()
-    _CODE_CACHE.clear()
     cold = {engine: _measure_cold(programs, engine) for engine in engines}
     # Translation-cost breakdown of the cold suite runs: the region
     # engine pays block compiles (its cold dispatch) *plus* region

@@ -1,6 +1,6 @@
 """One stable SHA-256 digest helper for every content-addressing layer.
 
-Three subsystems need the *same* notion of a stable content digest:
+Four subsystems need the *same* notion of a stable content digest:
 
 * the CAD flow's content addresses (:mod:`repro.cad.keys`) hash canonical
   text forms into per-stage keys;
@@ -9,7 +9,10 @@ Three subsystems need the *same* notion of a stable content digest:
   backend's gateway routing (:class:`repro.server.client.RemoteWorkerBackend`)
   map a job's content onto a shard/gateway index;
 * the persistent on-disk artifact store (:mod:`repro.server.store`) names
-  its entry files after the same digests.
+  its entry files after the same digests;
+* the jit's per-program translation table
+  (:mod:`repro.microblaze.engines.jit`) keys translations by a digest of
+  the instruction BRAM image.
 
 All of them must avoid the builtin ``hash()``: string hashing is salted
 per interpreter launch (``PYTHONHASHSEED``), so it is neither stable
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 
-__all__ = ["sha256_hex", "digest_int", "shard_index"]
+__all__ = ["sha256_hex", "bytes_digest", "digest_int", "shard_index"]
 
 
 def sha256_hex(*parts: str) -> str:
@@ -36,6 +39,11 @@ def sha256_hex(*parts: str) -> str:
         digest.update(part.encode())
         digest.update(b"\x00")
     return digest.hexdigest()
+
+
+def bytes_digest(data) -> str:
+    """SHA-256 hex digest of a binary image (e.g. a BRAM's ``storage``)."""
+    return hashlib.sha256(data).hexdigest()
 
 
 def digest_int(text: str) -> int:

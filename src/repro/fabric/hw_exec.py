@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..caching import BoundedLRU
 from ..decompile.expr import (
@@ -43,7 +43,7 @@ from ..decompile.expr import (
     operands,
 )
 from ..microblaze.engines.jit import _record_translation
-from ..microblaze.memory import BlockRAM
+from ..microblaze.memory import BlockRAM, inline_access_source
 from .implementation import HardwareImplementation
 
 
@@ -150,6 +150,16 @@ class _KernelSource:
     def line(self, scope: _Scope, text: str) -> None:
         self.lines.append(scope.indent + text)
 
+    def access(self, scope: _Scope, load: bool, width: int, address: str,
+               value: str) -> None:
+        """One port-B access, indexing the BRAM storage directly when the
+        address is valid (loaded words are zero-extended, never wider
+        than 32 bits)."""
+        for text in inline_access_source(
+                load, width, address, value, "mem",
+                "load" if load else "store", f"top{width}", "pb += 1"):
+            self.line(scope, text)
+
     def value(self, node: Node, scope: _Scope) -> str:
         """Emit whatever ``node`` needs in ``scope``; return its operand
         source (a literal or a local name)."""
@@ -173,7 +183,7 @@ class _KernelSource:
                 target = scope.child()
             self._loads_emitted.add(key)
             address = self.value(node.address, target)
-            self.line(target, f"{name} = load({address}, {node.width}) & {_M}")
+            self.access(target, True, node.width, address, name)
         elif isinstance(node, BinExpr):
             template = _BINARY.get(node.op)
             if template is None:
@@ -242,8 +252,8 @@ def _certain(node: Node, defined: Set[int],
 
 
 def kernel_source(body) -> str:
-    """The source of ``_kernel(live_in, load, store, max_iterations)`` for
-    one loop body (a :class:`~repro.decompile.symexec.SymbolicLoopBody`).
+    """The source of ``_kernel(live_in, bram, max_iterations)`` for one
+    loop body (a :class:`~repro.decompile.symexec.SymbolicLoopBody`).
 
     The function runs iterations until the continue condition fails and
     returns ``(live_out, iterations)``, or ``(None, max_iterations)`` once
@@ -251,10 +261,13 @@ def kernel_source(body) -> str:
     evaluates the register updates, then the stores in program order,
     then the continue condition, all against the registers at the start
     of the iteration, and only then commits the register updates
-    (registered semantics).
+    (registered semantics).  Memory is the data BRAM's port B: valid
+    accesses index its storage directly and are counted in a local that
+    is added to ``port_b_accesses`` on every exit; the rest go through
+    ``load_port_b`` / ``store_port_b``, which raise.
     """
     emitter = _KernelSource()
-    scope = _Scope(" " * 8, set())
+    scope = _Scope(" " * 12, set())
     updates = [(register, emitter.value(expr, scope))
                for register, expr in body.register_updates.items()]
     for store in body.stores:
@@ -264,7 +277,7 @@ def kernel_source(body) -> str:
             target = scope.child()
         address = emitter.value(store.address, target)
         value = emitter.value(store.value, target)
-        emitter.line(target, f"store({address}, {value}, {store.width})")
+        emitter.access(target, False, store.width, address, value)
     keep = emitter.value(body.continue_condition, scope)
     emitter.line(scope, f"keep = {keep}")
     if updates:
@@ -274,16 +287,24 @@ def kernel_source(body) -> str:
     live_out = ", ".join(f"{register}: r{register}" for register, _ in updates)
     prologue = [f"    r{register} = live_in.get({register}, 0) & {_M}"
                 for register in sorted(emitter.registers)]
-    resets = [f"        {name} = -1" for name in emitter.sentinels]
+    resets = [f"            {name} = -1" for name in emitter.sentinels]
     return "\n".join([
-        "def _kernel(live_in, load, store, max_iterations):",
+        "def _kernel(live_in, bram, max_iterations):",
+        "    mem = bram.storage",
+        "    load = bram.load_port_b",
+        "    store = bram.store_port_b",
+        "    top1, top2, top4 = bram.size - 1, bram.size - 2, bram.size - 4",
         *prologue,
-        "    for iteration in range(1, max_iterations + 1):",
+        "    pb = 0",
+        "    try:",
+        "        for iteration in range(1, max_iterations + 1):",
         *resets,
         *emitter.lines,
-        "        if not keep:",
-        f"            return {{{live_out}}}, iteration",
-        "    return None, max_iterations",
+        "            if not keep:",
+        f"                return {{{live_out}}}, iteration",
+        "        return None, max_iterations",
+        "    finally:",
+        "        bram.port_b_accesses += pb",
         "",
     ])
 
@@ -321,17 +342,18 @@ class WclaExecutionEngine:
     def execute(
         self,
         live_in: Dict[int, int],
-        memory_read: Callable[[int, int], int],
-        memory_write: Callable[[int, int, int], None],
+        bram: BlockRAM,
     ) -> Tuple[Dict[int, int], KernelInvocation]:
         """Run the kernel until its continue condition fails.
 
         ``live_in`` maps architectural register numbers to their values at
         loop entry; the returned dictionary holds the values of every
-        register the loop writes, as of loop exit.
+        register the loop writes, as of loop exit.  The kernel reads and
+        writes ``bram`` through its second port (the WCLA's data address
+        generator side).
         """
-        live_out, iterations = self._kernel(live_in, memory_read,
-                                            memory_write, self.max_iterations)
+        live_out, iterations = self._kernel(live_in, bram,
+                                            self.max_iterations)
         if live_out is None:
             raise HardwareExecutionError(
                 f"kernel at {self.kernel.region.start_address:#x} exceeded "
@@ -430,9 +452,7 @@ class WclaPeripheral:
         kernel = self.implementation.kernel
         live_in = {register: self.register_file[register]
                    for register in kernel.live_in_registers}
-        live_out, invocation = self.engine.execute(
-            live_in, self.data_bram.load_port_b, self.data_bram.store_port_b
-        )
+        live_out, invocation = self.engine.execute(live_in, self.data_bram)
         for register, value in live_out.items():
             self.register_file[register] = value & 0xFFFFFFFF
         self.invocations += 1

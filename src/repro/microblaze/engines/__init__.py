@@ -34,9 +34,13 @@ Three engines register themselves on import:
    fit the run (otherwise it falls back to the interpreter, e.g. for
    full-trace listeners).
 2. *Decode-cache invalidation* — :meth:`ExecutionEngine.invalidate` drops
-   derived translations covering a patched byte address (or everything).
-   The CPU's word-level decode cache is invalidated by the driver; the
-   engine only manages its own translations.
+   derived translations covering a patched byte address (or everything)
+   and forgets the instruction-image digest (:meth:`~ExecutionEngine.
+   image_digest`) that keys the process-wide translation table.  Every
+   write to the instruction BRAM — ``MicroBlazeSystem.load``, live
+   patching, checkpoint restore — goes through it.  The CPU's word-level
+   decode cache is invalidated by the driver; the engine only manages its
+   own translations.
 3. *Checkpoint derived-state rebuild* — :meth:`ExecutionEngine.on_restore`
    runs after a checkpoint restore; translations are derived state, never
    part of a snapshot, and must be rebuilt lazily.
@@ -62,6 +66,8 @@ travels: ``MicroBlazeSystem(engine=...)``, ``WarpJob(engine=...)``,
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
+
+from ...digest import bytes_digest
 
 #: Engine used when a CPU (or system, job, sweep) is built without an
 #: explicit choice.
@@ -116,6 +122,17 @@ class ExecutionEngine:
         #: Derived translations keyed by entry address (block engines).
         #: The interpreter keeps it empty.
         self.blocks: Dict[int, tuple] = {}
+        self._image_digest: Optional[str] = None
+
+    def image_digest(self) -> str:
+        """SHA-256 of the instruction BRAM image, computed on first use
+        after each :meth:`invalidate` (block engines key shared
+        translations by it)."""
+        digest = self._image_digest
+        if digest is None:
+            digest = self._image_digest = bytes_digest(
+                self.cpu.instr_bram.storage)
+        return digest
 
     # ------------------------------------------------------------- dispatch
     def run(self, max_instructions: int,
@@ -130,8 +147,10 @@ class ExecutionEngine:
         ``address=None`` drops everything; a byte address drops only the
         translations whose compiled range covers it (the granularity at
         which the dynamic partitioning module patches single words).
-        Engines that cache nothing inherit this no-op-on-empty default.
+        Either way the image digest is recomputed on next use.  Engines
+        that cache nothing inherit this no-op-on-empty default.
         """
+        self._image_digest = None
         if address is None:
             self.blocks.clear()
             return

@@ -70,8 +70,6 @@ from ..engine import (
     CNT_CYCLES,
     CNT_INSTRUCTIONS,
     CNT_LOADS,
-    CNT_OPB_READS,
-    CNT_OPB_WRITES,
     CNT_STORES,
     MAX_BLOCK_INSTRUCTIONS,
     _ABSOLUTE_BRANCHES,
@@ -80,14 +78,13 @@ from ..engine import (
 from ..memory import MemoryError_
 from . import ExecutionEngine, register_engine
 from .jit import (
+    FACTORY_PARAMS,
     SourceBlockCompiler,
-    _CODE_CACHE,
-    _LOAD_WIDTHS,
-    _STORE_WIDTHS,
     _codegen_bucket,
     _record_translation,
+    bind,
+    compile_source,
 )
-from ..opb import OPB_BASE_ADDRESS
 
 _M = WORD_MASK
 _SIGN = 0x8000_0000
@@ -297,8 +294,12 @@ class _RegionScanner(SourceBlockCompiler):
     where their exact fault semantics are already proven.
     """
 
-    def __init__(self, cpu) -> None:
-        super().__init__(cpu, {}, stats_label="region")
+    #: Region bodies count port-A accesses in a local, flushed into the
+    #: BRAM at every region exit.
+    _PORT_A_COUNT = "_pa += 1"
+
+    def __init__(self, engine) -> None:
+        super().__init__(engine, stats_label="region")
         #: Register → known constant value at the current scan point.
         self._known: Dict[int, int] = {}
         #: Register → register it currently mirrors (move coalescing).
@@ -432,76 +433,18 @@ class _RegionScanner(SourceBlockCompiler):
             return ea
         return f"({ea} + {imm}) & {_M}"
 
+    def _operand(self, idx: int) -> str:
+        return self._val(idx)[1]
+
     def _memory(self, instr, pending_imm: Optional[int],
                 dynamic_stats: bool, accumulate: bool,
                 load: bool) -> List[str]:
-        if dynamic_stats or accumulate:
-            lines = super()._memory(instr, pending_imm, dynamic_stats,
-                                    accumulate, load)
-            if load:
-                self._wrote(instr.rd)
-            return lines
-
-        # Block-constant statistics (the only mode the scanner uses):
-        # same shape as the jit emission, with the BRAM arm inlined to a
-        # direct little-endian ``dmem`` access.  The bounds/alignment
-        # guard routes bad addresses into ``bram_load``/``bram_store``
-        # so the exact :class:`MemoryError_` fires at the exact point;
-        # the ``_pa`` deferred counter replaces the per-access
-        # ``port_a_accesses`` increment (flushed at region exit).
-        cpu = self.cpu
-        timings = cpu.config.timings
-        rd = instr.rd
-        width = (_LOAD_WIDTHS if load else _STORE_WIDTHS)[instr.mnemonic]
-        extra = timings.opb_access_extra
-        ci = CLASS_INDEX[InstrClass.LOAD if load else InstrClass.STORE]
-        port_counter = CNT_OPB_READS if load else CNT_OPB_WRITES
-        size = cpu.data_bram.size
-        guard = f"_a > {size - width}" if width == 1 else \
-            f"_a & {width - 1} or _a > {size - width}"
-        src = self._val(rd)[1] if not load else None
-
-        lines = [f"_a = {self._address(instr, pending_imm)}"]
-        has_opb = cpu.opb is not None
-        indent = ""
-        if has_opb:
-            lines.append(f"if _a >= {OPB_BASE_ADDRESS} and opb_owns(_a):")
-            if load:
-                lines.append("    _v = opb_read(_a)")
-                if rd:
-                    lines.append(f"    regs[{rd}] = _v & {_M}")
-            else:
-                lines.append(f"    opb_write(_a, {src})")
-            lines += [f"    cnt[{CNT_CYCLES}] += {extra}",
-                      f"    cnt[{CNT_CLASS_CYCLES + ci}] += {extra}",
-                      f"    cnt[{port_counter}] += 1",
-                      "else:"]
-            indent = "    "
-        lines.append(f"{indent}if {guard}:")
-        if load:
-            lines.append(f"{indent}    bram_load(_a, {width})")
-            if width == 1:
-                value = "dmem[_a]"
-            else:
-                value = f'int.from_bytes(dmem[_a:_a + {width}], "little")'
-            target = f"regs[{rd}]" if rd else "_v"
-            lines.append(f"{indent}{target} = {value}")
-        else:
-            lines.append(f"{indent}    bram_store(_a, {src}, {width})")
-            if width == 1:
-                lines.append(f"{indent}dmem[_a] = ({src}) & 255")
-            elif width == 4:
-                # Register values are already masked to 32 bits.
-                lines.append(f"{indent}dmem[_a:_a + 4] = "
-                             f'({src}).to_bytes(4, "little")')
-            else:
-                lines.append(f"{indent}dmem[_a:_a + 2] = "
-                             f'(({src}) & 65535).to_bytes(2, "little")')
-        lines.append(f"{indent}_pa += 1")
+        lines = super()._memory(instr, pending_imm, dynamic_stats,
+                                accumulate, load)
         if load:
             # The loaded value is dynamic (tracking uses the pre-load
             # state for the address, so invalidate only afterwards).
-            self._wrote(rd)
+            self._wrote(instr.rd)
         return lines
 
     def _compute(self, instr, pending_imm: Optional[int]) -> List[str]:
@@ -1064,9 +1007,7 @@ def _emit_region(root: int, members: Dict[int, _BlockIR],
     flush_src = "\n".join("            " + line for line in flush) \
         or "            pass"
     return (
-        "def _make(cpu, regs, cnt, bram_load, bram_store, opb_owns, "
-        "opb_read, opb_write, hooks, to_signed, signed_division, "
-        "IllegalInstruction, dmem, dbram):\n"
+        f"def _make({FACTORY_PARAMS}):\n"
         f"    def _region(_e, _b):\n"
         f"        pc = {root}\n"
         "        _pa = 0\n"
@@ -1097,9 +1038,8 @@ class RegionEngine(ExecutionEngine):
 
     def __init__(self, cpu) -> None:
         super().__init__(cpu)
-        self.compiler = SourceBlockCompiler(cpu, self.blocks,
-                                            stats_label="region")
-        self._scanner = _RegionScanner(cpu)
+        self.compiler = SourceBlockCompiler(self, stats_label="region")
+        self._scanner = _RegionScanner(self)
         #: Region root pc → region function ``fn(executed, budget) ->
         #: (next_pc, executed)``.
         self.regions: Dict[int, object] = {}
@@ -1115,13 +1055,12 @@ class RegionEngine(ExecutionEngine):
 
     # ---------------------------------------------------------- invalidation
     def invalidate(self, address: Optional[int] = None) -> None:
+        super().invalidate(address)
         if address is None:
-            self.blocks.clear()
             self.regions.clear()
             self._region_meta.clear()
             self._entry_counts.clear()
             return
-        super().invalidate(address)
         dead = [root for root, (low, high, _members)
                 in self._region_meta.items() if low <= address <= high]
         for root in dead:
@@ -1151,6 +1090,7 @@ class RegionEngine(ExecutionEngine):
         """Scan out from ``root`` along static successors and fuse the
         reachable superblocks into one region function (or mark the root
         unregionable)."""
+        start = time.perf_counter()
         counts = self._entry_counts
         members: Dict[int, _BlockIR] = {}
         order: List[int] = []
@@ -1182,26 +1122,8 @@ class RegionEngine(ExecutionEngine):
         # do take the pc-to-label scan find their arm early.
         order.sort(key=lambda e: (e != root, -max(counts.get(e, 0), 0)))
         source = _emit_region(root, members, order)
-        start = time.perf_counter()
-        hits_before = _CODE_CACHE.hits
-        code = _CODE_CACHE.get_or_create(
-            source,
-            lambda: compile(source, f"<region {root:#x}>", "exec"))
-        cached = _CODE_CACHE.hits > hits_before
-        namespace: Dict[str, object] = {}
-        exec(code, namespace)
-        cpu = self.cpu
-        opb = cpu.opb
-        from ..cpu import IllegalInstruction
-        fn = namespace["_make"](
-            cpu, cpu.registers, cpu._counters,
-            cpu.data_bram.load, cpu.data_bram.store,
-            opb.owns if opb is not None else None,
-            opb.read if opb is not None else None,
-            opb.write if opb is not None else None,
-            cpu._branch_hooks, to_signed, signed_division,
-            IllegalInstruction, cpu.data_bram.storage, cpu.data_bram,
-        )
+        code, cached = compile_source(source, f"<region {root:#x}>")
+        fn = bind(code, self.cpu)
         _record_translation("region", "region", cached,
                             time.perf_counter() - start)
         bucket = _codegen_bucket("region")

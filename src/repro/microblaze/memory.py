@@ -127,6 +127,46 @@ class BlockRAM:
         struct.pack_into(f"<{len(words)}I", self.storage, address, *words)
 
 
+def inline_access_source(load: bool, width: int, address: str, value: str,
+                         memory: str, checked: str, top: str,
+                         count: str) -> List[str]:
+    """Source lines of one BRAM access that generated code runs inline.
+
+    The jit and region engines (port A) and the generated WCLA kernels
+    (port B) all emit their data-BRAM accesses through this helper.  An
+    address that :meth:`BlockRAM._check` accepts indexes ``memory`` (the
+    BRAM's ``storage``) directly and runs the ``count`` statement, which
+    keeps the port counter exact.  Every address ``_check`` rejects
+    (negative, past the end, misaligned) calls ``checked`` instead, the
+    BRAM's own method for that port, so the same :class:`MemoryError_`
+    fires at the same point.
+
+    ``address`` is a local name or a literal (it is read more than once)
+    and ``top`` the source of the highest valid address for ``width``
+    bytes (``size - width``).  For a load ``value`` is the assignment
+    target; for a store it is the source of a 32-bit word, of which the
+    low ``width`` bytes are written.
+    """
+    guard = f"not 0 <= {address} <= {top}"
+    if width > 1:
+        guard = f"{address} & {width - 1} or {guard}"
+    span = f"{memory}[{address}:{address} + {width}]"
+    if load:
+        slow = f"{value} = {checked}({address}, {width})"
+        fast = f"{value} = {memory}[{address}]" if width == 1 else \
+            f'{value} = int.from_bytes({span}, "little")'
+    else:
+        slow = f"{checked}({address}, {value}, {width})"
+        if width == 1:
+            fast = f"{memory}[{address}] = ({value}) & 255"
+        elif width == 2:
+            fast = f'{span} = (({value}) & 65535).to_bytes(2, "little")'
+        else:
+            fast = f'{span} = ({value}).to_bytes(4, "little")'
+    return [f"if {guard}:", f"    {slow}", "else:", f"    {fast}",
+            f"    {count}"]
+
+
 @dataclass
 class LocalMemoryBus:
     """A local memory bus (LMB) connecting the core to one BRAM.

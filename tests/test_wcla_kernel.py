@@ -17,6 +17,9 @@ small reference loop written here on top of
 * **Budget** — a kernel that does not terminate raises
   :class:`~repro.fabric.hw_exec.HardwareExecutionError` with the budget
   message, after the same memory traffic as the reference.
+* **Port-B boundaries** — loads and stores of every width at the last
+  valid address, past the end and misaligned raise the reference's
+  exception after the same counted traffic.
 * **Telemetry** — kernel translations show up in the code-generation
   accounting and the live metrics under ``engine="wcla"``.
 """
@@ -40,7 +43,12 @@ from repro.fabric.hw_exec import (
     WclaExecutionEngine,
     WclaPeripheral,
 )
-from repro.microblaze import PAPER_CONFIG, BlockRAM, MicroBlazeSystem
+from repro.microblaze import (
+    PAPER_CONFIG,
+    BlockRAM,
+    MemoryError_,
+    MicroBlazeSystem,
+)
 from repro.microblaze.engines.jit import codegen_stats, reset_codegen_stats
 from repro.warp import WarpProcessor
 
@@ -95,16 +103,15 @@ def _warp_run(warp, patched, implementation, reference):
     engine = peripheral.engine
     live_outs = []
 
-    def execute(live_in, memory_read, memory_write):
+    def execute(live_in, bram):
         if reference:
             live_out, iterations = reference_execute(
-                engine.body, live_in, memory_read, memory_write,
+                engine.body, live_in, bram.load_port_b, bram.store_port_b,
                 engine.max_iterations)
             result = live_out, KernelInvocation(
                 iterations, implementation.cycles_for_iterations(iterations))
         else:
-            result = type(engine).execute(engine, live_in, memory_read,
-                                          memory_write)
+            result = type(engine).execute(engine, live_in, bram)
         live_outs.append(result[0])
         return result
 
@@ -272,8 +279,7 @@ def _run_both(body, live_in, image, max_iterations):
                 engine = WclaExecutionEngine(
                     _implementation(body), max_iterations_per_invocation=
                     max_iterations)
-                live_out, invocation = engine.execute(
-                    live_in, bram.load_port_b, bram.store_port_b)
+                live_out, invocation = engine.execute(live_in, bram)
                 outcome = live_out, invocation.iterations
         except HardwareExecutionError:
             outcome = "budget"
@@ -346,7 +352,59 @@ def test_budget_exhaustion_raises_after_the_same_traffic():
     bram = BlockRAM(MEMORY_BYTES)
     with pytest.raises(HardwareExecutionError,
                        match=r"kernel at 0x1230 exceeded 7 iterations"):
-        engine.execute(live_in, bram.load_port_b, bram.store_port_b)
+        engine.execute(live_in, bram)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["load", "store"])
+def test_port_b_boundaries_match_the_reference(kind, width):
+    """The inline port-B accesses against ``load_port_b``/``store_port_b``:
+    the first iteration accesses address 0, the second the boundary
+    address.  Only the last valid address is accessible; everything else
+    raises the reference's ``MemoryError_`` after the same counted
+    traffic."""
+    b = ExpressionBuilder()
+    counter = b.binary(OpKind.ADD, b.live_in(COUNTER), b.const(1))
+    address = b.binary(OpKind.MUL, b.live_in(COUNTER), b.live_in(1))
+    updates = {COUNTER: counter}
+    stores = []
+    if kind == "load":
+        updates[2] = b.load(address, width, 1)
+    else:
+        stores.append(StoreOp(address=address, value=b.live_in(2),
+                              width=width, sequence=1))
+    body = SymbolicLoopBody(
+        builder=b, region=None, register_updates=updates, stores=stores,
+        continue_condition=b.condition(
+            b.binary(OpKind.SUB, counter, b.const(2)), "lt"))
+    boundaries = [MEMORY_BYTES - width, MEMORY_BYTES - width + 1,
+                  MEMORY_BYTES, 0x1_0000_0000 - width]
+    if width > 1:
+        boundaries.append(MEMORY_BYTES - 2 * width + 1)
+    faults = 0
+    for boundary in boundaries:
+        live_in = {1: boundary, 2: 0xA5C3_E1F7, COUNTER: 0}
+        results = []
+        for reference in (False, True):
+            bram = BlockRAM(MEMORY_BYTES, name="data")
+            bram.load_image(bytes(range(MEMORY_BYTES)))
+            try:
+                if reference:
+                    outcome = reference_execute(
+                        body, live_in, bram.load_port_b, bram.store_port_b,
+                        10)
+                else:
+                    live_out, invocation = WclaExecutionEngine(
+                        _implementation(body)).execute(live_in, bram)
+                    outcome = live_out, invocation.iterations
+            except MemoryError_ as error:
+                outcome = str(error)
+            results.append((outcome, bram.port_b_accesses,
+                            bytes(bram.storage)))
+        assert results[0] == results[1], boundary
+        faults += isinstance(results[1][0], str)
+        assert results[1][1] == (1 if isinstance(results[1][0], str) else 2)
+    assert faults == len(boundaries) - 1
 
 
 def test_if_converted_chains_generate_linear_source():
