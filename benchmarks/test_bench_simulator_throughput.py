@@ -1,4 +1,4 @@
-"""Simulator throughput trajectory — interp vs jit vs region.
+"""Simulator throughput trajectory — interp vs jit.
 
 Measures, at full benchmark size:
 
@@ -7,14 +7,10 @@ Measures, at full benchmark size:
   included: the process-wide code cache — bytecode and the per-program
   translation table alike — is emptied before each engine's runs, so
   every block engine translates every superblock itself), plus the
-  translation-cost
-  breakdown of the two source-generating engines (``codegen_stats()``:
-  compiles, cache hits and ``compile_seconds`` for jit and region
-  separately);
-* **steady-state** throughput of the block engines — the
-  source-generating jit and the region-fusing engine — with warm
-  translation caches (one warm-up run, then timed repeats through the
-  same system).  This is the service's operating model: worker processes
+  translation-cost breakdown of the source-generating engine
+  (``codegen_stats()``: compiles, cache hits and ``compile_seconds``);
+* **steady-state** throughput of the jit with warm translation caches
+  (one warm-up run, then timed repeats through the same system).  This is the service's operating model: worker processes
   keep systems and the process-wide code cache warm across jobs, so
   steady state is what repeated sweeps actually pay;
 * the wall time of the full ``run_evaluation()`` pipeline (Figures 6 and
@@ -28,9 +24,8 @@ Bit-exactness of the fast engines is asserted before any speed is
 compared.  Results are appended to ``BENCH_simulator.json`` at the
 repository root (the previous record is preserved under ``history``), and
 the acceptance floors — at least 5x cold throughput and 3x evaluation
-wall time of the default engine over the interpreter, and at least 1.8x
-steady-state suite throughput of region over jit — are asserted here so
-a regression cannot land silently.
+wall time of the default engine over the interpreter — are asserted
+here so a regression cannot land silently.
 """
 
 from __future__ import annotations
@@ -65,10 +60,6 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
 #: cold suite throughput and ``run_evaluation()`` wall time.
 MIN_THROUGHPUT_SPEEDUP = 5.0
 MIN_EVALUATION_SPEEDUP = 3.0
-#: Acceptance threshold of the region-fusing engine (ISSUE 8):
-#: steady-state suite throughput over the jit engine.  Measured at
-#: 2.2x-2.3x on the reference container; the floor leaves noise headroom.
-MIN_REGION_OVER_JIT = 1.8
 
 #: Seeds per fuzz-campaign throughput measurement (every program runs on
 #: every registered engine, so the per-seed cost is a fleet-width
@@ -76,9 +67,8 @@ MIN_REGION_OVER_JIT = 1.8
 FUZZ_CAMPAIGN_SEEDS = 40
 
 #: Steady-state timed repeats per benchmark (after one warm-up run).
-#: The per-engine time is the *minimum* over the repeats, and the
-#: engines' repeats are interleaved, so scheduler noise and frequency
-#: drift from the surrounding benchmark session cannot bias the ratio.
+#: The per-engine time is the *minimum* over the repeats, so scheduler
+#: noise from the surrounding benchmark session biases it least.
 STEADY_REPEATS = 7
 
 
@@ -106,52 +96,40 @@ def _measure_cold(programs, engine):
     return instructions, seconds, results
 
 
-def _measure_steady(programs, engines, repeats=STEADY_REPEATS):
-    """Steady-state: per program and engine, one warm-up run through a
-    fresh system, then ``repeats`` timed re-runs through the *same*
-    system (translation caches stay warm, exactly like a warm service
-    worker).  Engines are timed in interleaved rounds and the per-program
-    cost is the minimum over the rounds — the least-interfered estimate
-    of each engine's true steady-state cost.
+def _measure_steady(programs, engine, repeats=STEADY_REPEATS):
+    """Steady-state: per program, one warm-up run through a fresh system,
+    then ``repeats`` timed re-runs through the *same* system (translation
+    caches stay warm, exactly like a warm service worker).  The
+    per-program cost is the minimum over the repeats — the
+    least-interfered estimate of the engine's true steady-state cost.
 
-    Returns ``{engine: (total_instructions, best_seconds)}``.
+    Returns ``(total_instructions, best_seconds)``.
     """
-    totals = {engine: [0, 0.0] for engine in engines}
+    total_instructions, total_seconds = 0, 0.0
     for name, program in programs:
-        systems = {}
-        reference = {}
-        pristine = {}
-        for engine in engines:
-            system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
-            system.load(program)
-            # The canonical pre-run data image: repeats restore it in
-            # place (BRAM identity is stable, so the warm translations
-            # survive; a full load() would invalidate them).
-            pristine[engine] = bytes(system.data_bram.storage)
-            result = system.run()  # warm-up: compile superblocks
-            systems[engine] = system
-            reference[engine] = (result.stats.instructions,
-                                 result.return_value)
-        times = {engine: [] for engine in engines}
-        instructions = {}
+        system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
+        system.load(program)
+        # The canonical pre-run data image: repeats restore it in place
+        # (BRAM identity is stable, so the warm translations survive; a
+        # full load() would invalidate them).
+        pristine = bytes(system.data_bram.storage)
+        result = system.run()  # warm-up: compile superblocks
+        reference = (result.stats.instructions, result.return_value)
+        times = []
         for _ in range(repeats):
-            for engine in engines:
-                system = systems[engine]
-                system.data_bram.storage[:] = pristine[engine]
-                system.cpu.reset(entry_point=program.entry_point,
-                                 stack_pointer=system.data_bram.size - 4)
-                start = time.perf_counter()
-                stats = system.cpu.run()
-                times[engine].append(time.perf_counter() - start)
-                # Every timed repeat must be the canonical workload, not
-                # a re-run over mutated data memory.
-                assert (stats.instructions, system.cpu.read_register(3)) \
-                    == reference[engine], (name, engine)
-                instructions[engine] = stats.instructions
-        for engine in engines:
-            totals[engine][0] += instructions[engine]
-            totals[engine][1] += min(times[engine])
-    return {engine: tuple(values) for engine, values in totals.items()}
+            system.data_bram.storage[:] = pristine
+            system.cpu.reset(entry_point=program.entry_point,
+                             stack_pointer=system.data_bram.size - 4)
+            start = time.perf_counter()
+            stats = system.cpu.run()
+            times.append(time.perf_counter() - start)
+            # Every timed repeat must be the canonical workload, not a
+            # re-run over mutated data memory.
+            assert (stats.instructions, system.cpu.read_register(3)) \
+                == reference, (name, engine)
+        total_instructions += stats.instructions
+        total_seconds += min(times)
+    return total_instructions, total_seconds
 
 
 def test_simulator_throughput_and_evaluation_walltime():
@@ -160,9 +138,7 @@ def test_simulator_throughput_and_evaluation_walltime():
 
     reset_codegen_stats()
     cold = {engine: _measure_cold(programs, engine) for engine in engines}
-    # Translation-cost breakdown of the cold suite runs: the region
-    # engine pays block compiles (its cold dispatch) *plus* region
-    # fusion; both are reported per engine label.
+    # Translation-cost breakdown of the cold suite runs, per engine label.
     codegen = codegen_stats()
 
     # The engines must agree bit-for-bit before their speeds are compared.
@@ -180,15 +156,10 @@ def test_simulator_throughput_and_evaluation_walltime():
                 for engine, (instructions, seconds, _) in cold.items()}
     throughput_speedup = cold_ips[DEFAULT_ENGINE] / cold_ips["interp"]
 
-    # Steady state: the jit and region engines' acceptance metric (warm
-    # translation caches, the service's operating model).
-    steady = _measure_steady(programs, ("jit", "region"))
-    steady_jit_instr, steady_jit_seconds = steady["jit"]
-    steady_region_instr, steady_region_seconds = steady["region"]
-    assert steady_jit_instr == steady_region_instr
+    # Steady state: warm translation caches, the service's operating
+    # model (a trend metric, no floor).
+    steady_jit_instr, steady_jit_seconds = _measure_steady(programs, "jit")
     steady_jit_ips = steady_jit_instr / steady_jit_seconds
-    steady_region_ips = steady_region_instr / steady_region_seconds
-    region_speedup = steady_region_ips / steady_jit_ips
 
     # Evaluation pipeline wall time (compile cache warmed by all paths
     # equally via the shared compile_source_cached above).
@@ -221,16 +192,12 @@ def test_simulator_throughput_and_evaluation_walltime():
                 "compiles": int(bucket["compiles"]),
                 "cache_hits": int(bucket["cache_hits"]),
                 "compile_seconds": round(bucket["compile_seconds"], 4),
-                "regions": int(bucket["regions"]),
-                "region_blocks": int(bucket["region_blocks"]),
             }
             for engine, bucket in sorted(codegen.items())
         },
         "steady_state": {
             "repeats": STEADY_REPEATS,
             "jit_kips": round(steady_jit_ips / 1e3, 1),
-            "region_kips": round(steady_region_ips / 1e3, 1),
-            "region_over_jit": round(region_speedup, 2),
         },
         "evaluation": {
             **{f"{engine}_seconds": round(seconds, 4)
@@ -260,7 +227,6 @@ def test_simulator_throughput_and_evaluation_walltime():
         "thresholds": {
             "throughput_speedup": MIN_THROUGHPUT_SPEEDUP,
             "evaluation_speedup": MIN_EVALUATION_SPEEDUP,
-            "region_over_jit": MIN_REGION_OVER_JIT,
         },
         "environment": {
             "python": platform.python_version(),
@@ -282,22 +248,18 @@ def test_simulator_throughput_and_evaluation_walltime():
 
     assert throughput_speedup >= MIN_THROUGHPUT_SPEEDUP, record["suite"]
     assert evaluation_speedup >= MIN_EVALUATION_SPEEDUP, record["evaluation"]
-    assert region_speedup >= MIN_REGION_OVER_JIT, record["steady_state"]
-    # The breakdown must actually have seen both source-generating
-    # engines translate, and region fusion must have fired.
+    # The breakdown must actually have seen the jit translate.
     assert codegen["jit"]["compiles"] + codegen["jit"]["cache_hits"] > 0
-    assert codegen["region"]["regions"] > 0
     assert fuzz_report.programs == FUZZ_CAMPAIGN_SEEDS
     assert fuzz_report.programs_per_second > 0
 
 
-@pytest.mark.parametrize("engine", ["jit", "region"])
+@pytest.mark.parametrize("engine", ["jit"])
 def test_engine_throughput_floor(benchmark, engine):
-    """Absolute per-run throughput of both fast engines (trend metric).
+    """Absolute per-run throughput of the fast engine (trend metric).
 
-    Both non-reference engines sit in the benchmark matrix so a
-    regression in either shows up in the recorded trend, not just in the
-    relative floors above.
+    It sits in the benchmark matrix so a regression shows up in the
+    recorded trend, not just in the relative floors above.
     """
     name, program = _suite_programs()[0]  # brev
 

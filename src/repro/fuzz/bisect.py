@@ -35,7 +35,6 @@ from ..microblaze import PAPER_CONFIG
 from ..microblaze.checkpoint import run_slice, spawn_from_checkpoint
 from ..microblaze.config import MicroBlazeConfig
 from .harness import (
-    DEFAULT_HOT_THRESHOLD,
     DEFAULT_MAX_INSTRUCTIONS,
     REFERENCE_ENGINE,
     _build_system,
@@ -74,28 +73,22 @@ class _Replayer:
 
     def __init__(self, program: Program, engine: str, *,
                  precise_fault_stats: bool, config: MicroBlazeConfig,
-                 with_opb: bool, hot_threshold: Optional[int]):
+                 with_opb: bool):
         self.engine = engine
         self.precise_fault_stats = precise_fault_stats
         self.config = config
         self.with_opb = with_opb
-        self.hot_threshold = hot_threshold
         system = _build_system(engine, precise_fault_stats, config,
-                               with_opb, hot_threshold)
+                               with_opb)
         system.start(program)
         #: instruction count -> WARPCKPT blob at that boundary.
         self.checkpoints: Dict[int, bytes] = {0: system.checkpoint()}
 
     def _spawn(self, blob: bytes):
         peripherals = fuzz_peripherals() if self.with_opb else ()
-        system = spawn_from_checkpoint(
+        return spawn_from_checkpoint(
             blob, peripherals=peripherals, engine=self.engine,
             precise_fault_stats=self.precise_fault_stats)
-        impl = system.cpu._engine_impl
-        if self.hot_threshold is not None \
-                and hasattr(impl, "hot_threshold"):
-            impl.hot_threshold = self.hot_threshold
-        return system
 
     def state_at(self, count: int) -> _BoundaryState:
         """The state at instruction boundary ``count`` (snapped forward to
@@ -237,7 +230,6 @@ def bisect_divergence(program: Program, engine: str, *,
                       precise_fault_stats: bool = False,
                       config: MicroBlazeConfig = PAPER_CONFIG,
                       with_opb: bool = False,
-                      hot_threshold: Optional[int] = DEFAULT_HOT_THRESHOLD,
                       max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                       ) -> Optional[ReproBundle]:
     """Locate the first divergent instruction of ``engine`` vs the
@@ -250,12 +242,10 @@ def bisect_divergence(program: Program, engine: str, *,
     """
     ref_side = _Replayer(program, reference,
                          precise_fault_stats=precise_fault_stats,
-                         config=config, with_opb=with_opb,
-                         hot_threshold=hot_threshold)
+                         config=config, with_opb=with_opb)
     eng_side = _Replayer(program, engine,
                          precise_fault_stats=precise_fault_stats,
-                         config=config, with_opb=with_opb,
-                         hot_threshold=hot_threshold)
+                         config=config, with_opb=with_opb)
     steps = 0
 
     def probe(count: int) -> Tuple[int, bool, _BoundaryState,
@@ -325,7 +315,6 @@ def bisect_divergence(program: Program, engine: str, *,
             "engine": engine,
             "reference": reference,
             "precise_fault_stats": precise_fault_stats,
-            "hot_threshold": hot_threshold,
         },
     )
     return bundle

@@ -52,11 +52,6 @@ from .generator import generate_program, resolve_profile
 #: Reference engine every other engine is compared against.
 REFERENCE_ENGINE = "interp"
 
-#: Promotion threshold installed on threshold-capable engines so the
-#: region engine actually forms fused regions inside the short generated
-#: kernels (mirrors the registry-wide differential test suite).
-DEFAULT_HOT_THRESHOLD = 8
-
 #: Default per-run instruction budget.  Generated programs are bounded by
 #: construction (all loops are down-counters); an engine that fails to
 #: terminate within this budget shows up as an ``outcome`` divergence.
@@ -118,23 +113,18 @@ class EngineObservation:
 
 
 def _build_system(engine: str, precise_fault_stats: bool,
-                  config: MicroBlazeConfig, with_opb: bool,
-                  hot_threshold: Optional[int]) -> MicroBlazeSystem:
+                  config: MicroBlazeConfig,
+                  with_opb: bool) -> MicroBlazeSystem:
     peripherals = fuzz_peripherals() if with_opb else ()
-    system = MicroBlazeSystem(config=config, peripherals=peripherals,
-                              engine=engine,
-                              precise_fault_stats=precise_fault_stats)
-    impl = system.cpu._engine_impl
-    if hot_threshold is not None and hasattr(impl, "hot_threshold"):
-        impl.hot_threshold = hot_threshold
-    return system
+    return MicroBlazeSystem(config=config, peripherals=peripherals,
+                            engine=engine,
+                            precise_fault_stats=precise_fault_stats)
 
 
 def observe(program: Program, engine: str, *,
             precise_fault_stats: bool = False,
             config: MicroBlazeConfig = PAPER_CONFIG,
             with_opb: bool = False,
-            hot_threshold: Optional[int] = DEFAULT_HOT_THRESHOLD,
             max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
             ) -> EngineObservation:
     """Run ``program`` once on ``engine`` and capture the full observation.
@@ -144,8 +134,7 @@ def observe(program: Program, engine: str, *,
     component, so an engine that faults differently — or fails to
     terminate when the reference halts — diverges loudly.
     """
-    system = _build_system(engine, precise_fault_stats, config, with_opb,
-                           hot_threshold)
+    system = _build_system(engine, precise_fault_stats, config, with_opb)
     profiler = OnChipProfiler()
     system.cpu.add_listener(profiler)
     outcome, error = "halted", None
@@ -280,7 +269,6 @@ def check_program(program: Program, *, seed: int = -1, profile: str = "?",
                   precise_modes: Sequence[bool] = (False,),
                   config: MicroBlazeConfig = PAPER_CONFIG,
                   with_opb: bool = False,
-                  hot_threshold: Optional[int] = DEFAULT_HOT_THRESHOLD,
                   max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                   ) -> ProgramVerdict:
     """Run ``program`` across every engine (× precise modes) and compare
@@ -293,7 +281,7 @@ def check_program(program: Program, *, seed: int = -1, profile: str = "?",
     for precise in precise_modes:
         reference = observe(program, REFERENCE_ENGINE,
                             precise_fault_stats=precise, config=config,
-                            with_opb=with_opb, hot_threshold=hot_threshold,
+                            with_opb=with_opb,
                             max_instructions=max_instructions)
         verdict.instructions = max(verdict.instructions,
                                    reference.stats["instructions"])
@@ -302,7 +290,6 @@ def check_program(program: Program, *, seed: int = -1, profile: str = "?",
                 continue
             observed = observe(program, engine, precise_fault_stats=precise,
                                config=config, with_opb=with_opb,
-                               hot_threshold=hot_threshold,
                                max_instructions=max_instructions)
             fields = compare_observations(reference, observed)
             if fields:
@@ -369,7 +356,6 @@ def run_campaign(count: int, *, start_seed: int = 0, profile="mixed",
                  engines: Optional[Sequence[str]] = None,
                  precise_modes: Sequence[bool] = (False,),
                  config: MicroBlazeConfig = PAPER_CONFIG,
-                 hot_threshold: Optional[int] = DEFAULT_HOT_THRESHOLD,
                  max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                  bisect_divergences: bool = True,
                  time_budget_s: Optional[float] = None) -> CampaignReport:
@@ -404,7 +390,7 @@ def run_campaign(count: int, *, start_seed: int = 0, profile="mixed",
         verdict = check_program(
             program, seed=seed, profile=resolved.name, engines=engines,
             precise_modes=precise_modes, config=config,
-            with_opb=resolved.opb_traffic, hot_threshold=hot_threshold,
+            with_opb=resolved.opb_traffic,
             max_instructions=max_instructions)
         report.programs += 1
         # Every engine (reference included) executes the whole program, so
@@ -433,7 +419,6 @@ def run_campaign(count: int, *, start_seed: int = 0, profile="mixed",
                     profile=resolved.name,
                     precise_fault_stats=divergence.precise_fault_stats,
                     with_opb=resolved.opb_traffic,
-                    hot_threshold=hot_threshold,
                     max_instructions=max_instructions)
                 if bundle is not None:
                     report.bisect_steps += bundle.bisect_steps

@@ -27,8 +27,8 @@ The architectural model is shared by every registered execution engine
 interpreter implemented here — fetch, dispatch on the instruction class,
 execute, record — and the only path that can feed full per-instruction
 :class:`~repro.microblaze.trace.TraceEvent` streams to listeners;
-``jit`` (the default) and ``region`` compile superblocks to generated
-source once at decode time and dispatch block-at-a-time.  Listeners that
+``jit`` (the default) compiles superblocks to generated source once at
+decode time and dispatches block-at-a-time.  Listeners that
 only need branch events (the on-chip profiler) subscribe through the
 zero-allocation branch-hook protocol and keep working at full speed on
 every engine;

@@ -1,9 +1,8 @@
 """Counter layout and decode tables shared by the MicroBlaze engines.
 
 The reference interpreter (:mod:`repro.microblaze.cpu`) and the block
-engines (:mod:`repro.microblaze.engines.jit`,
-:mod:`repro.microblaze.engines.region`) record statistics into one flat
-list of integer counters, ``MicroBlazeCPU._counters``, which
+engine (:mod:`repro.microblaze.engines.jit`) record statistics into one
+flat list of integer counters, ``MicroBlazeCPU._counters``, which
 ``MicroBlazeCPU._sync_counters`` folds into
 :class:`~repro.microblaze.cpu.ExecutionStats`.  This module fixes that
 layout:

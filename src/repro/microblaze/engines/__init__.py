@@ -11,7 +11,7 @@ producing an :class:`ExecutionEngine` bound to one
 resolves engine names through :func:`validate_engine_name` /
 :func:`engine_names` instead of a copy of the list.
 
-Three engines register themselves on import:
+Two engines register themselves on import:
 
 * ``interp`` — the reference interpreter (defines the semantics; the only
   engine that can feed full per-instruction trace events);
@@ -20,12 +20,7 @@ Three engines register themselves on import:
   folded into constants, the terminating branch at the end), ``exec``\\ s
   it once into a cached closure, and dispatches block-at-a-time
   (:mod:`repro.microblaze.engine` holds the counter layout and decode
-  tables it shares with the interpreter);
-* ``region`` — the region JIT: jit superblocks whose entries prove hot
-  (edge-profile seeded, tunable threshold) are fused — successors chained
-  — into one generated code object with internal ``while``-loop dispatch
-  and deferred block-count statistics, eliminating per-block dispatch on
-  hot paths.  Opt-in: it costs more memory per job than ``jit``.
+  tables it shares with the interpreter).
 
 **The engine contract** covers four responsibilities:
 
@@ -232,7 +227,6 @@ def create_engine(name: Optional[str], cpu) -> ExecutionEngine:
 # that the registry functions above must exist first).
 from . import interp as _interp  # noqa: E402  (registration side effect)
 from . import jit as _jit  # noqa: E402
-from . import region as _region  # noqa: E402
 
 __all__ = [
     "DEFAULT_ENGINE",

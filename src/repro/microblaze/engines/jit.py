@@ -103,8 +103,7 @@ class _CodeCache(BoundedLRU):
     block).  The source is a complete content address for its code object
     (every operand, immediate, latency and address is a literal, and CPU
     state arrives through the factory call, never through globals), so
-    identical blocks of different programs, and region bodies, share
-    bytecode.
+    identical blocks of different programs share bytecode.
 
     The translation table maps ``(compiler class, precise_fault_stats,
     OPB present, cpu.config, data BRAM size, instruction BRAM digest,
@@ -135,16 +134,13 @@ _CODE_CACHE = _CodeCache(maxsize=8192, table_size=1024)
 #: how many translations were compiled vs served from :data:`_CODE_CACHE`
 #: (a translation-table hit or a reused code object), the wall seconds
 #: spent translating (table lookup, fetch + decode, source emission,
-#: bytecode compile and closure bind), and — for the region engine — how
-#: many regions were formed and how many superblocks they fused.  The
-#: simulator benchmark reads this through :func:`codegen_stats` to break
-#: the cold-suite time into run cost vs translation cost, and the
-#: telemetry collector below mirrors it into the live ``metrics``
-#: snapshot.
+#: bytecode compile and closure bind).  The simulator benchmark reads
+#: this through :func:`codegen_stats` to break the cold-suite time into
+#: run cost vs translation cost, and the telemetry collector below
+#: mirrors it into the live ``metrics`` snapshot.
 _CODEGEN: Dict[str, Dict[str, float]] = {}
 
-_CODEGEN_KEYS = ("compiles", "cache_hits", "compile_seconds",
-                 "regions", "region_blocks")
+_CODEGEN_KEYS = ("compiles", "cache_hits", "compile_seconds")
 
 
 def _codegen_bucket(label: str) -> Dict[str, float]:
@@ -212,8 +208,8 @@ def _r(index: int) -> str:
     return "0" if index == 0 else f"regs[{index}]"
 
 
-#: Parameter list of every generated factory ``_make`` (jit blocks and
-#: region bodies): the CPU state a translation binds, see :func:`bind`.
+#: Parameter list of every generated factory ``_make``: the CPU state a
+#: translation binds, see :func:`bind`.
 FACTORY_PARAMS = ("cpu, regs, cnt, bram_load, bram_store, opb_owns, "
                   "opb_read, opb_write, hooks, to_signed, signed_division, "
                   "IllegalInstruction, dmem, dbram")
@@ -254,18 +250,11 @@ def bind(code, cpu):
 class SourceBlockCompiler:
     """Generates, compiles and caches jit superblocks for one engine."""
 
-    #: Statement counting one inline data-BRAM access on port A.
-    _PORT_A_COUNT = "dbram.port_a_accesses += 1"
-
-    def __init__(self, engine: ExecutionEngine,
-                 stats_label: str = "jit") -> None:
+    def __init__(self, engine: ExecutionEngine) -> None:
         self.engine = engine
         self.cpu = cpu = engine.cpu
         self.blocks = engine.blocks
         self.precise = bool(getattr(cpu, "precise_fault_stats", False))
-        #: Engine label under which translations are accounted (the
-        #: region engine reuses this compiler for its cold blocks).
-        self.stats_label = stats_label
         #: Instructions fetched by the translation in progress; ``None``
         #: once a fetch faulted (raiser blocks are never shared through the
         #: translation table).
@@ -303,7 +292,7 @@ class SourceBlockCompiler:
         block: JitBlock = (n, bind(code, cpu), entry, end,
                            static_cycles)
         self.blocks[entry] = block
-        _record_translation(self.stats_label, "block", cached,
+        _record_translation("jit", "block", cached,
                             time.perf_counter() - start)
         return block
 
@@ -565,19 +554,6 @@ class SourceBlockCompiler:
             raise IllegalInstruction(f"unhandled data instruction {m}")
         return [f"regs[{rd}] = {expr}"]
 
-    def _address(self, instr: Instruction,
-                 pending_imm: Optional[int]) -> str:
-        """Effective-address expression of a load/store (overridable —
-        the region scanner substitutes known-constant operands)."""
-        if instr.spec.fmt.value == "A":
-            return f"({_r(instr.ra)} + {_r(instr.rb)}) & {_M}"
-        return f"({_r(instr.ra)} + {self._imm(instr, pending_imm)}) & {_M}"
-
-    def _operand(self, idx: int) -> str:
-        """Source of a register operand (overridable — the region scanner
-        substitutes known constants)."""
-        return _r(idx)
-
     def _memory(self, instr: Instruction, pending_imm: Optional[int],
                 dynamic_stats: bool, accumulate: bool,
                 load: bool) -> List[str]:
@@ -594,14 +570,16 @@ class SourceBlockCompiler:
         # Loaded words are zero-extended and at most 32 bits wide, so they
         # land in the register unmasked; a load into r0 still accesses
         # memory (faults and port counters) into a scratch local.
-        value = (f"regs[{rd}]" if rd else "_v") if load \
-            else self._operand(rd)
+        value = (f"regs[{rd}]" if rd else "_v") if load else _r(rd)
         access = inline_access_source(
             load, width, "_a", value, "dmem",
             "bram_load" if load else "bram_store",
-            str(self.cpu.data_bram.size - width), self._PORT_A_COUNT)
+            str(self.cpu.data_bram.size - width),
+            "dbram.port_a_accesses += 1")
 
-        lines = [f"_a = {self._address(instr, pending_imm)}"]
+        offset = _r(instr.rb) if instr.spec.fmt.value == "A" \
+            else self._imm(instr, pending_imm)
+        lines = [f"_a = ({_r(instr.ra)} + {offset}) & {_M}"]
         if not has_opb:
             # No peripheral bus attached: the OPB arm can never be taken,
             # so the access specializes to the data BRAM alone.

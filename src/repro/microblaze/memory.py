@@ -132,8 +132,8 @@ def inline_access_source(load: bool, width: int, address: str, value: str,
                          count: str) -> List[str]:
     """Source lines of one BRAM access that generated code runs inline.
 
-    The jit and region engines (port A) and the generated WCLA kernels
-    (port B) all emit their data-BRAM accesses through this helper.  An
+    The jit engine (port A) and the generated WCLA kernels (port B)
+    both emit their data-BRAM accesses through this helper.  An
     address that :meth:`BlockRAM._check` accepts indexes ``memory`` (the
     BRAM's ``storage``) directly and runs the ``count`` statement, which
     keeps the port counter exact.  Every address ``_check`` rejects

@@ -86,9 +86,8 @@ class MicroBlazeSystem:
     engine:
         Execution engine for the CPU core, resolved against the engine
         registry (:mod:`repro.microblaze.engines`): ``"jit"`` (the
-        default, source-generating superblock engine), ``"region"`` (the
-        region JIT fusing hot superblocks) or ``"interp"`` (the reference
-        interpreter) — plus anything registered with
+        default, source-generating superblock engine) or ``"interp"``
+        (the reference interpreter) — plus anything registered with
         :func:`~repro.microblaze.engines.register_engine`.  The built-in
         engines are bit-exact with one another; unknown names raise
         :class:`~repro.microblaze.engines.UnknownEngineError` listing the

@@ -3,7 +3,7 @@
 Local subcommands::
 
     repro-warp suite [--benchmarks brev,matmul] [--configs paper,minimal]
-                     [--engines jit,region,interp] [--small] [--workers N]
+                     [--engines jit,interp] [--small] [--workers N]
                      [--stages decompile,synthesis,...] [--store DIR]
                      [--repeat N] [--out report.json]
 
@@ -48,9 +48,8 @@ export the run's trace spans.  Finally ::
     repro-warp hot-edges [--benchmarks brev,...] [--engine jit]
                          [--top N] [--small] [--out edges.json]
 
-profiles each kernel with the on-chip profiler model and dumps its
-hottest taken-branch edges — the counts the region engine's promotion
-threshold (and ``_seed_from_hooks`` pre-warming) operates on, and ::
+profiles each kernel with the on-chip profiler model and dumps the
+profiler's taken-branch edge counts, hottest first, and ::
 
     repro-warp fuzz [--seeds N] [--seed-start S] [--profile mixed]
                     [--engines interp,jit,...] [--jobs N]
@@ -291,9 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(fuzz)
 
     hot = subparsers.add_parser(
-        "hot-edges", help="profile benchmark kernels and dump their "
-                          "hottest branch edges (the candidates the "
-                          "region engine promotes past its threshold)")
+        "hot-edges", help="profile benchmark kernels and dump the "
+                          "profiler's taken-branch edge counts, hottest "
+                          "first")
     hot.add_argument("--benchmarks", default=None,
                      help="comma-separated benchmark names "
                           "(default: the full six-benchmark suite)")
@@ -706,10 +705,9 @@ def _cmd_top(args) -> int:
 def _cmd_hot_edges(args) -> int:
     """Profile each selected kernel and dump its hottest branch edges.
 
-    This is the offline view of what the region engine's promotion
-    heuristic sees: taken-branch edges by execution count, hottest
-    first, with backward (loop) edges marked — exactly the counts
-    :meth:`RegionEngine._seed_from_hooks` would warm up from.
+    The dump is :attr:`OnChipProfiler.edge_counts`: taken-branch edges
+    by execution count, hottest first, with backward (loop) edges
+    marked.
     """
     from ..apps import build_suite
     from ..compiler.driver import compile_source_cached

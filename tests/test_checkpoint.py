@@ -36,6 +36,9 @@ from repro.microblaze.opb import OPB_BASE_ADDRESS
 #: same-engine round trips and all ordered cross-engine pairs below.
 ENGINES = engine_names()
 
+#: Engines deleted without an alias; blobs may still record their names.
+DELETED_ENGINES = ("threaded", "region")
+
 
 def _reference_run(program, engine):
     system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
@@ -338,40 +341,42 @@ class TestValidation:
             restore_checkpoint(other, blob)
 
     @staticmethod
-    def _blob_recording_threaded(program):
-        """A mid-run checkpoint whose payload names the deleted
-        ``threaded`` engine, as a blob written before its deletion does."""
+    def _blob_recording(program, deleted):
+        """A mid-run checkpoint whose payload names the deleted engine
+        ``deleted``, as a blob written before its deletion does."""
         import zlib
 
         _, blob = _checkpoint_mid_run(program, "jit")
         header = len(CHECKPOINT_MAGIC) + 2
         payload = pickle.loads(zlib.decompress(blob[header:]))
-        payload["engine"] = "threaded"
+        payload["engine"] = deleted
         return blob[:header] + zlib.compress(pickle.dumps(payload))
 
+    @pytest.mark.parametrize("deleted", DELETED_ENGINES)
     @pytest.mark.parametrize("spawn", [
         spawn_from_checkpoint,
         lambda blob: fan_out(blob, [None]),
     ], ids=["spawn_from_checkpoint", "fan_out"])
     def test_deleted_engine_name_rejected_unless_overridden(
-            self, spawn, compiled_small_programs):
-        """A blob recording the deleted ``threaded`` engine fails loudly
-        through the registry when it names the engine to resume on."""
-        old_blob = self._blob_recording_threaded(
-            compiled_small_programs["brev"])
+            self, spawn, deleted, compiled_small_programs):
+        """A blob recording a deleted engine fails loudly through the
+        registry when it names the engine to resume on."""
+        old_blob = self._blob_recording(compiled_small_programs["brev"],
+                                        deleted)
         with pytest.raises(UnknownEngineError) as info:
             spawn(old_blob)
-        assert "'threaded'" in str(info.value)
-        assert "registered engines: interp, jit, region" in str(info.value)
+        assert repr(deleted) in str(info.value)
+        assert "registered engines: interp, jit" in str(info.value)
 
+    @pytest.mark.parametrize("deleted", DELETED_ENGINES)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_deleted_engine_name_resumes_with_override(
-            self, engine, compiled_small_programs):
+            self, engine, deleted, compiled_small_programs):
         """The same blob resumes bit-exactly once the caller picks a
         registered engine."""
         program = compiled_small_programs["brev"]
         reference = _reference_run(program, "interp")
-        old_blob = self._blob_recording_threaded(program)
+        old_blob = self._blob_recording(program, deleted)
         result = spawn_from_checkpoint(old_blob, engine=engine).resume()
         assert result.stats == reference.stats
         assert result.return_value == reference.return_value

@@ -1,4 +1,5 @@
-"""The ``repro-warp fuzz`` verb and engine-name validation exit codes."""
+"""The ``repro-warp fuzz`` and ``hot-edges`` verbs and engine-name
+validation exit codes."""
 
 from __future__ import annotations
 
@@ -35,6 +36,19 @@ class TestEngineNameValidation:
 
     def test_fuzz_rejects_non_positive_seed_count(self):
         assert main(["fuzz", "--seeds", "0", "--quiet"]) == 2
+
+
+class TestHotEdgesVerb:
+    def test_dump_ranks_the_profilers_edge_counts(self, tmp_path):
+        out = tmp_path / "edges.json"
+        assert main(["hot-edges", "--benchmarks", "brev", "--small",
+                     "--top", "5", "--quiet", "--out", str(out)]) == 0
+        edges = json.loads(out.read_text())["brev"]
+        assert 0 < len(edges) <= 5
+        counts = [edge["count"] for edge in edges]
+        assert counts == sorted(counts, reverse=True)
+        # The hottest edge of a loop kernel is its backward branch.
+        assert edges[0]["backward"] and edges[0]["dst"] <= edges[0]["src"]
 
 
 class TestFuzzVerb:
@@ -79,13 +93,13 @@ class TestFuzzJobFiles:
         jobfile.write_text(json.dumps({"jobs": [
             {"name": "night-shift", "fuzz_profile": "alu",
              "fuzz_seed": 3, "fuzz_count": 2,
-             "fuzz_engines": ["jit", "region"]},
+             "fuzz_engines": ["interp", "jit"]},
         ]}))
         jobs = load_job_file(jobfile)
         assert jobs[0].fuzz_profile == "alu"
         assert jobs[0].fuzz_seed == 3
         assert jobs[0].fuzz_count == 2
-        assert jobs[0].fuzz_engines == ("jit", "region")
+        assert jobs[0].fuzz_engines == ("interp", "jit")
         assert jobs[0].describe() == "night-shift: fuzz:alu[3..5) " \
             "on paper/default"
 

@@ -1,7 +1,7 @@
 """Differential equivalence of *every* registered execution engine.
 
-The per-engine test modules (``test_jit_engine``, ``test_region_engine``)
-pin each engine's own mechanisms; this module is the registry-wide
+The per-engine test module (``test_jit_engine``) pins the jit's own
+mechanisms; this module is the registry-wide
 contract: every name :func:`engine_names` returns must reproduce the
 reference interpreter bit for bit — statistics, register file, data
 image, *and* memory-port access counters — across the six-benchmark
@@ -45,18 +45,9 @@ BLOCK_ENGINES = tuple(name for name in engine_names() if name != "interp")
 DIVIDER_CONFIG = MicroBlazeConfig(use_barrel_shifter=True, use_multiplier=True,
                                   use_divider=True)
 
-#: Low promotion threshold so the region engine actually forms regions
-#: inside the small suite runs (the default threshold is tuned for the
-#: full-size kernels).
-HOT_THRESHOLD = 8
-
 
 def _system(engine: str) -> MicroBlazeSystem:
-    system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
-    impl = system.cpu._engine_impl
-    if hasattr(impl, "hot_threshold"):
-        impl.hot_threshold = HOT_THRESHOLD
-    return system
+    return MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
 
 
 def _observe(system: MicroBlazeSystem, result) -> tuple:
@@ -337,9 +328,6 @@ class TestFaultPaths:
         for which in ("interp", engine):
             system = MicroBlazeSystem(config=PAPER_CONFIG, engine=which,
                                       precise_fault_stats=True)
-            impl = system.cpu._engine_impl
-            if hasattr(impl, "hot_threshold"):
-                impl.hot_threshold = HOT_THRESHOLD
             with pytest.raises(MemoryError_) as info:
                 system.run(program)
             states[which] = (system.cpu.stats, list(system.cpu.registers),
@@ -375,8 +363,7 @@ loop:
 
 class TestLivePatchInvalidation:
     """The dynamic partitioning module patches the *executing* binary;
-    every engine must drop any translation covering the patched words —
-    superblocks and fused regions alike."""
+    every engine must drop any translation covering the patched words."""
 
     #: Byte address of the first loop-body instruction.
     ADDRESS = 8
@@ -386,8 +373,7 @@ class TestLivePatchInvalidation:
         system = _system(engine)
         system.load(program)
         system.cpu.reset(entry_point=program.entry_point)
-        # Deep enough into the run that the block engines are warm and
-        # the region engine has promoted the loop past HOT_THRESHOLD.
+        # Deep enough into the run that the loop's superblocks are warm.
         with pytest.raises(ExecutionLimitExceeded):
             system.cpu.run(max_instructions=80)
         patched = assemble(PATCH_LOOP.replace("addi r3, r3, 1",

@@ -45,7 +45,7 @@ loop:
 # ------------------------------------------------------------------ registry
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert engine_names() == ("interp", "jit", "region")
+        assert engine_names() == ("interp", "jit")
         assert DEFAULT_ENGINE == "jit"
 
     def test_validate_none_resolves_default(self):
@@ -97,6 +97,8 @@ class TestRegistry:
                                     engine=engine).cpu._engine_impl
             assert impl.branch_hooks
             assert not impl.full_trace
+            assert not impl.supports_max_cycles
+            assert not impl.supports_halt_address
 
     def test_create_engine_binds_name(self):
         cpu = MicroBlazeSystem(config=PAPER_CONFIG).cpu
@@ -170,17 +172,27 @@ class TestServiceValidation:
         assert [job.engine for job in jobs] == [DEFAULT_ENGINE]
 
     def test_sweep_accepts_every_engine(self):
-        jobs = suite_sweep_jobs(engines=("region", "jit", "interp"),
+        jobs = suite_sweep_jobs(engines=("jit", "interp"),
                                 benchmarks=("brev",))
-        assert [job.engine for job in jobs] == ["region", "jit", "interp"]
+        assert [job.engine for job in jobs] == ["jit", "interp"]
         # Distinct engines are distinct content (no accidental dedup).
-        assert len({job.dedup_key() for job in jobs}) == 3
+        assert len({job.dedup_key() for job in jobs}) == 2
 
     def test_cli_suite_rejects_unknown_engine(self, capsys):
         exit_code = cli_main(["suite", "--engines", "turbo", "--quiet"])
         assert exit_code == 2
         err = capsys.readouterr().err
         assert "turbo" in err and "registered engines" in err
+
+    @pytest.mark.parametrize("argv,attribute", [
+        (["suite"], "engines"),
+        (["hot-edges"], "engine"),
+    ], ids=["suite", "hot-edges"])
+    def test_cli_defaults_to_the_default_engine(self, argv, attribute):
+        from repro.service.cli import _build_parser
+
+        args = _build_parser().parse_args(argv)
+        assert getattr(args, attribute) == DEFAULT_ENGINE
 
     def test_wire_codec_round_trips_engine(self):
         from repro.server.protocol import job_from_plain, job_to_plain
@@ -199,77 +211,98 @@ class TestServiceValidation:
             job_from_plain(plain)
 
 
-class TestDeletedThreadedEngine:
-    """The closure-based ``threaded`` engine is gone with no alias: every
-    entry point that takes an engine name — simulator, job, sweep, wire
-    message, CLI verb — fails loudly at the registry check (the
-    checkpoint path is pinned in ``test_checkpoint.py``)."""
+#: Engines deleted without an alias; each name must fail at the registry.
+DELETED_ENGINES = ("threaded", "region")
+
+
+@pytest.mark.parametrize("deleted", DELETED_ENGINES)
+class TestDeletedEngines:
+    """The closure-based ``threaded`` engine and the region-fusing
+    ``region`` engine are gone with no alias: every entry point that
+    takes an engine name — simulator, job, job file, sweep, wire message,
+    CLI verb — fails loudly at the registry check (the checkpoint path
+    is pinned in ``test_checkpoint.py``)."""
 
     @staticmethod
-    def _assert_rejected(info):
+    def _assert_rejected(info, deleted):
         cause = info.value.__cause__
         assert isinstance(cause, UnknownEngineError)
-        assert cause.name == "threaded"
-        assert "registered engines: interp, jit, region" in str(info.value)
+        assert cause.name == deleted
+        assert "registered engines: interp, jit" in str(info.value)
 
-    def test_warpjob_rejects_threaded(self):
+    def test_warpjob_rejects_deleted(self, deleted):
         with pytest.raises(JobSpecError) as info:
-            WarpJob(name="old", benchmark="brev", engine="threaded")
-        self._assert_rejected(info)
+            WarpJob(name="old", benchmark="brev", engine=deleted)
+        self._assert_rejected(info, deleted)
 
-    def test_wire_codec_rejects_threaded(self):
+    def test_fuzz_job_rejects_deleted(self, deleted, tmp_path):
+        import json
+
+        from repro.service.cli import load_job_file
+
+        jobfile = tmp_path / "jobs.json"
+        jobfile.write_text(json.dumps({"jobs": [
+            {"name": "old", "fuzz_profile": "alu",
+             "fuzz_engines": ["jit", deleted]}]}))
+        with pytest.raises(JobSpecError) as info:
+            load_job_file(jobfile)
+        self._assert_rejected(info, deleted)
+
+    def test_wire_codec_rejects_deleted(self, deleted):
         from repro.server.protocol import job_from_plain, job_to_plain
 
         plain = job_to_plain(WarpJob(name="wired", benchmark="brev"))
-        plain["engine"] = "threaded"
+        plain["engine"] = deleted
         with pytest.raises(JobSpecError) as info:
             job_from_plain(plain)
-        self._assert_rejected(info)
+        self._assert_rejected(info, deleted)
 
     @pytest.mark.parametrize("argv", [
-        ["suite", "--engines", "threaded"],
-        ["hot-edges", "--engine", "threaded", "--small"],
-        ["fuzz", "--seeds", "1", "--engines", "interp,threaded"],
+        ["suite", "--engines", "{}"],
+        ["hot-edges", "--engine", "{}", "--small"],
+        ["fuzz", "--seeds", "1", "--engines", "interp,{}"],
     ], ids=["suite", "hot-edges", "fuzz"])
-    def test_cli_rejects_threaded(self, argv, capsys):
+    def test_cli_rejects_deleted(self, deleted, argv, capsys):
+        argv = [arg.format(deleted) for arg in argv]
         assert cli_main(argv + ["--quiet"]) == 2
-        assert "registered engines: interp, jit, region" \
-            in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert repr(deleted) in err
+        assert "registered engines: interp, jit" in err
 
-    def test_sweep_rejects_threaded(self):
+    def test_sweep_rejects_deleted(self, deleted):
         with pytest.raises(JobSpecError) as info:
-            suite_sweep_jobs(engines=("threaded",), benchmarks=("brev",))
-        self._assert_rejected(info)
+            suite_sweep_jobs(engines=(deleted,), benchmarks=("brev",))
+        self._assert_rejected(info, deleted)
 
     @pytest.mark.parametrize("entry", [
-        lambda: validate_engine_name("threaded"),
-        lambda: MicroBlazeSystem(config=PAPER_CONFIG, engine="threaded"),
-        lambda: run_program(assemble(LOOP), PAPER_CONFIG, engine="threaded"),
+        lambda name: validate_engine_name(name),
+        lambda name: MicroBlazeSystem(config=PAPER_CONFIG, engine=name),
+        lambda name: run_program(assemble(LOOP), PAPER_CONFIG, engine=name),
     ], ids=["validate_engine_name", "MicroBlazeSystem", "run_program"])
-    def test_simulator_entry_points_reject_threaded(self, entry):
+    def test_simulator_entry_points_reject_deleted(self, deleted, entry):
         with pytest.raises(UnknownEngineError) as info:
-            entry()
-        assert info.value.name == "threaded"
-        assert "registered engines: interp, jit, region" in str(info.value)
+            entry(deleted)
+        assert info.value.name == deleted
+        assert "registered engines: interp, jit" in str(info.value)
 
-    def test_threaded_module_and_block_compiler_are_gone(self):
+    def test_deleted_module_is_gone(self, deleted):
         import importlib
 
-        from repro.microblaze import engine
-
         with pytest.raises(ModuleNotFoundError):
-            importlib.import_module("repro.microblaze.engines.threaded")
-        assert not hasattr(engine, "BlockCompiler")
+            importlib.import_module(f"repro.microblaze.engines.{deleted}")
 
-    @pytest.mark.parametrize("argv,attribute", [
-        (["suite"], "engines"),
-        (["hot-edges"], "engine"),
-    ], ids=["suite", "hot-edges"])
-    def test_cli_defaults_to_the_default_engine(self, argv, attribute):
-        from repro.service.cli import _build_parser
 
-        args = _build_parser().parse_args(argv)
-        assert getattr(args, attribute) == DEFAULT_ENGINE
+def test_deleted_engines_left_no_seams():
+    """Nothing the deleted engines subclassed or counted survives: no
+    closure ``BlockCompiler``, no overridable operand/address emitters on
+    the jit compiler, no region rows in the translation accounting."""
+    from repro.microblaze import engine
+    from repro.microblaze.engines import jit
+
+    assert not hasattr(engine, "BlockCompiler")
+    assert not hasattr(jit.SourceBlockCompiler, "_operand")
+    assert not hasattr(jit.SourceBlockCompiler, "_address")
+    assert jit._CODEGEN_KEYS == ("compiles", "cache_hits", "compile_seconds")
 
 
 # ------------------------------------------------------------- OPB tick batching

@@ -10,7 +10,13 @@
   default mode keeps architectural state identical and documents the
   wholesale-statistics divergence.
 * **Cache invalidation** — generated blocks must drop when the dynamic
-  partitioning module patches the executing binary.
+  partitioning module patches the executing binary, survive a patch
+  outside their range, and all drop on a wholesale ``invalidate()`` or a
+  checkpoint restore.
+* **Dispatch fallback** — a full-trace listener keeps the run on the
+  interpreter.
+* **Telemetry** — translations land in ``codegen_stats()`` and in the
+  live ``warp_codegen_*`` metric families under ``engine="jit"``.
 * **Semantics edges** — imm fusion, delay slots, budgets, dynamic
   self-branch halts: everything the generated source specializes.
 """
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.apps import build_benchmark, build_suite
 from repro.compiler import compile_source
 from repro.isa import assemble
@@ -30,7 +37,14 @@ from repro.microblaze import (
     MicroBlazeSystem,
     MINIMAL_CONFIG,
     PAPER_CONFIG,
+    capture_checkpoint,
+    restore_checkpoint,
     run_program,
+)
+from repro.microblaze.engines.jit import (
+    _CODE_CACHE,
+    codegen_stats,
+    reset_codegen_stats,
 )
 from repro.partition.binary_patch import patch_live_words
 from repro.profiler.branch_cache import BranchFrequencyCache
@@ -320,3 +334,96 @@ class TestCacheInvalidation:
             else:
                 assert entry in cpu._blocks
         assert 8 not in cpu._decoded
+
+    def test_patch_outside_a_block_keeps_its_translation(self):
+        system, _program = self._warm_system()
+        impl = system.cpu._engine_impl
+        blocks_before = dict(impl.blocks)
+        # The final ``bri 0`` at byte 20 lies outside every warm block.
+        assert all(not block[2] <= 20 <= block[3]
+                   for block in blocks_before.values())
+        patch_live_words(system, 20, [assemble("bri 0").text[0]])
+        assert impl.blocks.keys() == blocks_before.keys()
+        assert all(impl.blocks[entry] is block
+                   for entry, block in blocks_before.items())
+        system.cpu.run()
+        assert system.cpu.read_register(3) == 10
+
+    def test_wholesale_invalidate_clears_everything(self):
+        system, _program = self._warm_system()
+        impl = system.cpu._engine_impl
+        impl.image_digest()
+        impl.invalidate()
+        assert not impl.blocks
+        assert impl._image_digest is None
+        system.cpu.run()
+        assert system.cpu.read_register(3) == 10
+
+    def test_checkpoint_restore_drops_translations(self):
+        """Translations are derived state: restoring a checkpoint onto a
+        warm system drops them all, and the resumed run rebuilds them."""
+        system, _program = self._warm_system()
+        impl = system.cpu._engine_impl
+        blob = capture_checkpoint(system)
+        system.cpu.run()
+        assert impl.blocks
+        restore_checkpoint(system, blob)
+        assert not impl.blocks
+        assert impl._image_digest is None
+        system.resume()
+        assert system.cpu.read_register(3) == 10
+
+
+# ------------------------------------------------------------ dispatch fallback
+def test_full_trace_listener_falls_back_to_interpreter():
+    """A full-trace listener (no ``on_branch``) keeps the CPU off the jit,
+    so the listener still sees every instruction."""
+    events = []
+
+    class Recorder:
+        def on_instruction(self, event):
+            events.append(event.pc)
+
+    system = MicroBlazeSystem(config=PAPER_CONFIG, engine="jit")
+    system.cpu.add_listener(Recorder())
+    result = system.run(assemble(TestCacheInvalidation.LOOP))
+    assert not system.cpu._engine_impl.blocks  # the jit never dispatched
+    assert len(events) == result.stats.instructions
+
+
+# -------------------------------------------------------------------- telemetry
+def test_translations_are_accounted_and_scraped():
+    """A cold run compiles every superblock it dispatches; a second fresh
+    system on the same program serves all of them from the translation
+    table.  Both land in ``codegen_stats()`` and in the live snapshot."""
+    program = assemble(TestCacheInvalidation.LOOP, name="telemetry-loop")
+    _CODE_CACHE.clear()
+    reset_codegen_stats()
+    with obs.active_telemetry() as telemetry:
+        MicroBlazeSystem(config=PAPER_CONFIG, engine="jit").run(program)
+        cold = codegen_stats()["jit"]
+        MicroBlazeSystem(config=PAPER_CONFIG, engine="jit").run(program)
+        warm = codegen_stats()["jit"]
+        snapshot = telemetry.snapshot()
+    assert cold["compiles"] > 0 and cold["cache_hits"] == 0
+    assert warm["compiles"] == warm["cache_hits"] == cold["compiles"]
+    assert set(warm) == {"compiles", "cache_hits", "compile_seconds"}
+
+    def jit_samples(family):
+        return [sample for sample in snapshot[family]["samples"]
+                if sample["labels"].get("engine") == "jit"]
+
+    labels = {"engine": "jit", "kind": "block"}
+    assert [(sample["labels"], sample["value"])
+            for sample in jit_samples("warp_codegen_compiles")] \
+        == [(labels, cold["compiles"])]
+    assert [(sample["labels"], sample["value"])
+            for sample in jit_samples("warp_codegen_cache_hits")] \
+        == [(labels, cold["compiles"])]
+    assert [sample["count"]
+            for sample in jit_samples("warp_codegen_compile_ms")] \
+        == [2 * cold["compiles"]]
+    events = {sample["labels"]["kind"]: sample["value"]
+              for sample in jit_samples("warp_codegen_events")}
+    assert events.keys() == {"compiles", "cache_hits", "compile_seconds"}
+    assert snapshot["warp_codegen_cache_entries"]["samples"][0]["value"] > 0

@@ -98,7 +98,7 @@ class TestProfiler:
         assert sum(profiler.edge_counts.values()) \
             == result.stats.branches_taken
 
-    @pytest.mark.parametrize("engine", ["interp", "jit", "region"])
+    @pytest.mark.parametrize("engine", ["interp", "jit"])
     def test_edge_profile_identical_across_engines(self, engine,
                                                    compiled_small_programs):
         reference = OnChipProfiler()

@@ -4,7 +4,7 @@ split points.
 The checkpoint plane promises that preemption at *any* instruction
 boundary is invisible: a run carved into slices finishes with the same
 architectural state as an uninterrupted one, on every engine, even when
-the budget expires inside a promoted hot region, lands in the middle of
+the budget expires inside a hot translated loop, lands in the middle of
 an atomic branch/delay-slot pair, or stops one instruction short of a
 fault.  The divergence bisector (:mod:`repro.fuzz.bisect`) leans on
 exactly this property, so these splits are pinned here directly.
@@ -23,12 +23,8 @@ from repro.microblaze import (
 )
 from repro.microblaze.checkpoint import run_slice, spawn_from_checkpoint
 
-#: Same promotion threshold as the fuzz harness / differential suite, so
-#: the region and jit engines really compile the hot loop mid-run.
-HOT_THRESHOLD = 8
-
-#: 64 iterations of a 3-instruction loop — promoted long before it exits —
-#: then a misaligned word load faults.
+#: 64 iterations of a 3-instruction loop — translated long before it
+#: exits — then a misaligned word load faults.
 HOT_LOOP_THEN_FAULT = """
     addi r5, r0, 64
     addi r3, r0, 0
@@ -58,12 +54,8 @@ BIG = 1_000_000
 
 
 def _system(engine: str, precise: bool = False) -> MicroBlazeSystem:
-    system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine,
-                              precise_fault_stats=precise)
-    impl = system.cpu._engine_impl
-    if hasattr(impl, "hot_threshold"):
-        impl.hot_threshold = HOT_THRESHOLD
-    return system
+    return MicroBlazeSystem(config=PAPER_CONFIG, engine=engine,
+                            precise_fault_stats=precise)
 
 
 def _architectural(system: MicroBlazeSystem) -> tuple:
@@ -108,8 +100,8 @@ def _fault_count(program) -> int:
 
 
 class TestSplitInsideHotRegion:
-    """Budget expiry after the loop is promoted but before it exits: the
-    block engine is preempted mid-translation-lifetime."""
+    """Budget expiry after the loop is translated but before it exits:
+    the block engine is preempted mid-translation-lifetime."""
 
     @pytest.mark.parametrize("engine", engine_names())
     @pytest.mark.parametrize("split", (2, 30, 100))
@@ -131,9 +123,6 @@ class TestSplitInsideHotRegion:
         assert not run_slice(prefix, 50)
         blob = prefix.checkpoint()
         resumed = spawn_from_checkpoint(blob, engine=engine)
-        impl = resumed.cpu._engine_impl
-        if hasattr(impl, "hot_threshold"):
-            impl.hot_threshold = HOT_THRESHOLD
         assert run_slice(resumed, BIG)
         reference, _ = _run_whole(program, "interp")
         assert _full(resumed) == _full(reference)
