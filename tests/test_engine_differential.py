@@ -5,8 +5,9 @@ mechanisms; this module is the registry-wide
 contract: every name :func:`engine_names` returns must reproduce the
 reference interpreter bit for bit — statistics, register file, data
 image, *and* memory-port access counters — across the six-benchmark
-suite, through the whole warp flow, under profiler hooks, through live
-binary patches and on the precise-fault paths.  A future engine
+suite (also compiled for the Section 2 reduced configurations), through
+the whole warp flow, under profiler hooks, through live binary patches,
+on the precise-fault paths and on a fixed corpus of generated programs.  A future engine
 registered into the registry is pulled into all of these tests
 automatically.
 """
@@ -16,10 +17,18 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import build_suite
+from repro.compiler import compile_source_cached
 from repro.fabric.hw_exec import WclaPeripheral
-from repro.isa import assemble
+from repro.fuzz import (
+    check_program,
+    generate_program,
+    profile_names,
+    resolve_profile,
+)
+from repro.isa import HwUnit, assemble
 from repro.microblaze import (
     ExecutionLimitExceeded,
+    MINIMAL_CONFIG,
     MemoryError_,
     MicroBlazeConfig,
     MicroBlazeSystem,
@@ -45,9 +54,23 @@ BLOCK_ENGINES = tuple(name for name in engine_names() if name != "interp")
 DIVIDER_CONFIG = MicroBlazeConfig(use_barrel_shifter=True, use_multiplier=True,
                                   use_divider=True)
 
+#: The Section 2 reduced configurations.  The compiler replaces each
+#: removed unit with a software routine, so the block engine translates
+#: different code than it does for :data:`PAPER_CONFIG`.
+REDUCED_CONFIGS = {
+    "no-barrel-shifter": PAPER_CONFIG.without(HwUnit.BARREL_SHIFTER),
+    "no-multiplier": PAPER_CONFIG.without(HwUnit.MULTIPLIER),
+    "minimal": MINIMAL_CONFIG,
+}
 
-def _system(engine: str) -> MicroBlazeSystem:
-    return MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
+#: Seeds of every generator profile that tier-1 runs, one test per
+#: program (the ``fuzz`` CLI verb runs longer campaigns).
+CORPUS_SEEDS = range(6)
+
+
+def _system(engine: str, config: MicroBlazeConfig = PAPER_CONFIG
+            ) -> MicroBlazeSystem:
+    return MicroBlazeSystem(config=config, engine=engine)
 
 
 def _observe(system: MicroBlazeSystem, result) -> tuple:
@@ -79,6 +102,21 @@ class TestSuiteBitExact:
         reference = _observe(reference_system,
                              reference_system.run(program))
         system = _system(engine)
+        observed = _observe(system, system.run(program))
+        assert observed == reference
+
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
+    @pytest.mark.parametrize("config", sorted(REDUCED_CONFIGS))
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_reduced_configuration_bit_exact(self, engine, config, name,
+                                             small_benchmarks):
+        reduced = REDUCED_CONFIGS[config]
+        program = compile_source_cached(small_benchmarks[name].source,
+                                        name=name, config=reduced).program
+        reference_system = _system("interp", reduced)
+        reference = _observe(reference_system,
+                             reference_system.run(program))
+        system = _system(engine, reduced)
         observed = _observe(system, system.run(program))
         assert observed == reference
 
@@ -452,3 +490,27 @@ class TestLivePatchInvalidation:
         assert system.cpu.read_register(3) == software.return_value
         assert peripheral.invocations == 0
         assert stats.instructions == software.instructions
+
+
+# ---------------------------------------------------------- generated programs
+class TestGeneratedPrograms:
+    @pytest.mark.parametrize("precise", [False, True],
+                             ids=["default", "precise"])
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
+    @pytest.mark.parametrize("seed", CORPUS_SEEDS)
+    @pytest.mark.parametrize("profile", profile_names())
+    def test_generated_program_matches_interpreter(self, profile, seed,
+                                                   engine, precise):
+        """Registers, data BRAM, OPB state, statistics, port counters and
+        profiler rankings match the reference.  Only a program of the
+        near-fault profile may differ, and only in the documented
+        mid-block-fault shapes."""
+        resolved = resolve_profile(profile)
+        verdict = check_program(generate_program(seed, resolved), seed=seed,
+                                profile=profile, engines=(engine,),
+                                precise_modes=(precise,),
+                                with_opb=resolved.opb_traffic)
+        assert verdict.instructions > 0
+        assert [d.fields for d in verdict.unexplained] == []
+        if not resolved.near_fault:
+            assert [d.fields for d in verdict.divergences] == []

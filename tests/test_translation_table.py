@@ -10,9 +10,10 @@
   checkpoint restore re-keys the next translations to the new image.
 * **Inline BRAM accesses** — every load/store width at the last valid
   address, just past the end, misaligned and at a wrapped negative
-  address, on every block engine in both statistics modes, against the
-  interpreter's exception, message, statistics and port counters; and
-  the emitted guard itself against ``BlockRAM``'s checked methods.
+  address, on two data-BRAM sizes, on every block engine in both
+  statistics modes, against the interpreter's exception, message,
+  statistics and port counters; and the emitted guard itself against
+  ``BlockRAM``'s checked methods.
 
 No test depends on what earlier tests left in the table: each either
 warms it with a *different* program that shares entry pcs first or runs
@@ -277,9 +278,10 @@ def test_checkpoint_restore_rekeys_translations(engine,
 
 
 # ------------------------------------------------------ inline accesses
-SMALL_DATA = MicroBlazeConfig(use_barrel_shifter=True, use_multiplier=True,
-                              data_bram_kb=1)
-SIZE = SMALL_DATA.data_bram_kb * 1024
+#: Data-BRAM sizes the boundary cases run on: the jit bakes ``size -
+#: width`` into each emitted guard, so the end of the BRAM must follow
+#: the configuration.
+DATA_BRAM_KB = (1, 8)
 WIDTHS = {"lbu": 1, "lhu": 2, "lw": 4, "lbui": 1, "lhui": 2, "lwi": 4,
           "sb": 1, "sh": 2, "sw": 4, "sbi": 1, "shi": 2, "swi": 4}
 STORES = {"sb", "sh", "sw", "sbi", "shi", "swi"}
@@ -287,12 +289,17 @@ STORES = {"sb", "sh", "sw", "sbi", "shi", "swi"}
 PATTERN = -1234
 
 
-def _addresses(width: int):
+def _config(data_kb: int) -> MicroBlazeConfig:
+    return MicroBlazeConfig(use_barrel_shifter=True, use_multiplier=True,
+                            data_bram_kb=data_kb)
+
+
+def _addresses(width: int, size: int):
     """Last valid, straddling the end, first aligned past the end,
     misaligned in range, and a wrapped negative address."""
-    addresses = [SIZE - width, SIZE - width + 1, SIZE, -width]
+    addresses = [size - width, size - width + 1, size, -width]
     if width > 1:
-        addresses.append(SIZE - 2 * width + 1)
+        addresses.append(size - 2 * width + 1)
     return addresses
 
 
@@ -302,10 +309,10 @@ def _access(op: str) -> str:
     return f"{op} {register}, r5, {operand}"
 
 
-def _straight_line(op: str, address: int) -> str:
+def _straight_line(op: str, address: int, size: int) -> str:
     return f"""
         addi r6, r0, {PATTERN}
-        swi  r6, r0, {SIZE - 4}
+        swi  r6, r0, {size - 4}
         addi r5, r0, {address}
         {_access(op)}
         addi r8, r0, 1
@@ -320,7 +327,7 @@ LOOP_ENTRY = 20
 BEFORE_LAST_ITERATION = 5 + 11 * 9
 
 
-def _hot_loop(op: str, address: int) -> str:
+def _hot_loop(op: str, address: int, size: int) -> str:
     """Twelve accesses at a valid address, the last one at ``address``.
 
     The address is selected without a branch, so the loop body is one
@@ -328,7 +335,7 @@ def _hot_loop(op: str, address: int) -> str:
     the boundary access from that cached translation."""
     return f"""
         addi r6, r0, {PATTERN}
-        swi  r6, r0, {SIZE - 4}
+        swi  r6, r0, {size - 4}
         addi r10, r0, {address}
         addi r13, r0, 16
         addi r9, r0, 12
@@ -346,9 +353,9 @@ def _hot_loop(op: str, address: int) -> str:
     """
 
 
-def _outcome(source: str, engine: str, precise: bool,
-             hot_loop: bool = False) -> tuple:
-    system = MicroBlazeSystem(config=SMALL_DATA, engine=engine,
+def _outcome(source: str, engine: str, precise: bool, hot_loop: bool,
+             config: MicroBlazeConfig) -> tuple:
+    system = MicroBlazeSystem(config=config, engine=engine,
                               precise_fault_stats=precise)
     try:
         if hot_loop:
@@ -383,17 +390,22 @@ def _outcome(source: str, engine: str, precise: bool,
 @pytest.mark.parametrize("op", sorted(WIDTHS))
 @pytest.mark.parametrize("shape", [_straight_line, _hot_loop],
                          ids=["straight-line", "hot-loop"])
-def test_bram_boundaries_match_the_interpreter(shape, op, engine, precise):
+@pytest.mark.parametrize("data_kb", DATA_BRAM_KB,
+                         ids=[f"{kb}KiB" for kb in DATA_BRAM_KB])
+def test_bram_boundaries_match_the_interpreter(data_kb, shape, op, engine,
+                                               precise):
+    config = _config(data_kb)
+    addresses = _addresses(WIDTHS[op], data_kb * 1024)
     faults = 0
     hot_loop = shape is _hot_loop
-    for address in _addresses(WIDTHS[op]):
-        source = shape(op, address)
-        expected = _outcome(source, "interp", precise, hot_loop)
-        assert _outcome(source, engine, precise, hot_loop) == expected, \
-            (op, address)
+    for address in addresses:
+        source = shape(op, address, data_kb * 1024)
+        expected = _outcome(source, "interp", precise, hot_loop, config)
+        assert _outcome(source, engine, precise, hot_loop, config) \
+            == expected, (op, address)
         faults += expected[0] is not None
     # Only the last valid address is accessible.
-    assert faults == len(_addresses(WIDTHS[op])) - 1
+    assert faults == len(addresses) - 1
 
 
 @pytest.mark.parametrize("width", [1, 2, 4])
