@@ -14,11 +14,12 @@ Three claims are measured and floored:
   submitted to a WARPNET gateway backed by a 3-worker pool, once as
   single-job submissions over one connection (serial round trips, serial
   execution) and once as one 12-job batch (the pool's content-affinity
-  shards run concurrently).  Both gateways execute one warm-up job
-  before the clock starts, so the measurement compares steady-state
-  submission paths rather than who pays the pool fork.  On a machine
-  with >= 2 CPUs the batch must be at least as fast as serial
-  (``batch_speedup >= 1.0``).
+  shards run concurrently), alternately for :data:`GATEWAY_ROUNDS`
+  rounds.  Every pass gets a fresh gateway that executes one warm-up job
+  before the clock starts, so both sides start from the same state and
+  the measurement compares steady-state submission paths rather than
+  who pays the pool fork.  On a machine with >= 2 CPUs the median batch
+  speedup must be at least 1.0.
 * **gateway mesh** — the two-config small sweep driven by concurrent
   ring-routed clients against real ``repro-warp serve`` subprocesses:
   a 2-gateway mesh vs. one gateway (>= 0.7x throughput on >= 2 CPUs —
@@ -39,6 +40,7 @@ import os
 import platform
 import re
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -57,8 +59,17 @@ BENCH_PATH = REPO_ROOT / "BENCH_server.json"
 #: Acceptance floor: CAD stage hit rate of a fresh process on a warm store.
 MIN_WARM_STORE_STAGE_HIT_RATE = 0.90
 
-#: Acceptance floor (>= 2 CPUs): batch submission must not lose to serial.
+#: Acceptance floor (>= 2 CPUs): batch submission must not lose to serial,
+#: judged on the median serial/batch ratio of :data:`GATEWAY_ROUNDS`.
 MIN_BATCH_SPEEDUP = 1.0
+
+#: Alternating serial/batch pass pairs, judged on their median ratio.  A
+#: single pair ranged 0.95-1.48 on 2-CPU containers (BENCH_server.json
+#: history), so one unlucky pass used to decide the floor.
+GATEWAY_ROUNDS = 5
+
+#: Pool size of the gateways in the throughput comparison.
+GATEWAY_WORKERS = 3
 
 #: Acceptance floor (>= 2 CPUs): 2-gateway mesh vs. single-gateway
 #: throughput for concurrent ring-routed clients.  Set from the recorded
@@ -118,6 +129,33 @@ def _stage_totals(report: dict) -> dict:
     }
 
 
+def _gateway_pass(jobs, warmup, batch: bool):
+    """Time ``jobs`` through a fresh 3-worker gateway, after one untimed
+    warm-up job (pool fork and first imports stay off the clock).
+
+    Serial submission sends one job per request over one connection, so
+    each job executes alone; batch submission sends them all in one
+    request, so the pool's shards run concurrently.  Returns the seconds
+    and the results."""
+    gateway = WarpGateway(port=0, workers=GATEWAY_WORKERS, queue_limit=64)
+    thread = start_gateway_thread(gateway)
+    try:
+        with GatewayClient(gateway.address) as client:
+            assert client.submit(warmup).num_failed == 0
+            started = time.perf_counter()
+            if batch:
+                results = client.submit(jobs).results
+            else:
+                results = [client.submit([job]).results[0] for job in jobs]
+            seconds = time.perf_counter() - started
+    finally:
+        gateway.request_stop()
+        thread.join(timeout=60)
+    for result in results:
+        assert result.ok, (result.job_name, result.error)
+    return seconds, results
+
+
 def test_warm_disk_store_and_gateway_throughput(tmp_path):
     cpus = _cpu_count()
 
@@ -158,52 +196,27 @@ def test_warm_disk_store_and_gateway_throughput(tmp_path):
 
     # ------------------------------------------------------ gateway throughput
     jobs = suite_sweep_jobs(engines=(DEFAULT_ENGINE, "interp"))
-    gateway_workers = 3
-    # Both gateways execute one small job before their clock starts, so
-    # pool fork + first-import cost lands outside the measured window and
-    # the comparison is steady-state serial vs. batch submission.
     warmup = suite_sweep_jobs(benchmarks=["brev"], small=True)
-
-    # Serial submission: one connection, one job per request, to a pooled
-    # gateway.  Each request executes alone — no batch to fan out.
-    serial_gateway = WarpGateway(port=0, workers=gateway_workers,
-                                 queue_limit=64)
-    serial_thread = start_gateway_thread(serial_gateway)
-    try:
-        with GatewayClient(serial_gateway.address) as client:
-            assert client.submit(warmup).num_failed == 0
-            serial_started = time.perf_counter()
-            serial_results = []
-            for job in jobs:
-                report = client.submit([job])
-                serial_results.extend(report.results)
-            serial_seconds = time.perf_counter() - serial_started
-    finally:
-        serial_gateway.request_stop()
-        serial_thread.join(timeout=60)
-    assert all(result.ok for result in serial_results)
-
-    # Batch submission: the same jobs in one request; the gateway's
-    # 2-worker pool runs its content-affinity shards concurrently.
-    batch_gateway = WarpGateway(port=0, workers=gateway_workers,
-                                queue_limit=64)
-    batch_thread = start_gateway_thread(batch_gateway)
-    try:
-        with GatewayClient(batch_gateway.address) as client:
-            assert client.submit(warmup).num_failed == 0
-            batch_started = time.perf_counter()
-            batch_report = client.submit(jobs)
-            batch_seconds = time.perf_counter() - batch_started
-    finally:
-        batch_gateway.request_stop()
-        batch_thread.join(timeout=60)
-    assert batch_report.num_failed == 0
-
-    # Same numbers either way (and either way matches the fresh-process
-    # CLI runs above).
-    by_name = {result.job_name: result for result in serial_results}
-    for result in batch_report.results:
-        assert result.speedup == by_name[result.job_name].speedup
+    rounds = []
+    reference = None
+    for _ in range(GATEWAY_ROUNDS):
+        serial_seconds, serial_results = _gateway_pass(jobs, warmup,
+                                                       batch=False)
+        batch_seconds, batch_results = _gateway_pass(jobs, warmup,
+                                                     batch=True)
+        # Same numbers either way, every round (and either way matches
+        # the fresh-process CLI runs above).
+        if reference is None:
+            reference = {result.job_name: result.speedup
+                         for result in serial_results}
+        for result in serial_results + batch_results:
+            assert result.speedup == reference[result.job_name]
+        rounds.append({
+            "serial_submission_seconds": round(serial_seconds, 4),
+            "batch_submission_seconds": round(batch_seconds, 4),
+            "batch_speedup": round(serial_seconds / batch_seconds, 2),
+        })
+    batch_speedup = statistics.median(r["batch_speedup"] for r in rounds)
 
     record = {
         "jobs": len(jobs),
@@ -216,15 +229,15 @@ def test_warm_disk_store_and_gateway_throughput(tmp_path):
             "warm_disk_hits": warm["cache"]["disk_hits"],
         },
         "gateway": {
-            "workers": gateway_workers,
-            "serial_submission_seconds": round(serial_seconds, 4),
-            "batch_submission_seconds": round(batch_seconds, 4),
-            "batch_speedup": round(serial_seconds / batch_seconds, 2),
+            "workers": GATEWAY_WORKERS,
+            "batch_speedup": batch_speedup,
+            "rounds": rounds,
         },
         "thresholds": {
             "warm_store_stage_hit_rate": MIN_WARM_STORE_STAGE_HIT_RATE,
             "batch_speedup": MIN_BATCH_SPEEDUP,
-            "batch_speedup_note": "only asserted on >= 2 CPUs",
+            "batch_speedup_note": "median of the rounds; only asserted "
+                                  "on >= 2 CPUs",
         },
         "environment": {
             "python": platform.python_version(),
@@ -241,7 +254,7 @@ def test_warm_disk_store_and_gateway_throughput(tmp_path):
 
     # ---------------------------------------------------------------- the floor
     if cpus >= 2:
-        assert record["gateway"]["batch_speedup"] >= MIN_BATCH_SPEEDUP, record
+        assert batch_speedup >= MIN_BATCH_SPEEDUP, record
 
 
 def _load_bench() -> dict:

@@ -24,17 +24,17 @@ two trivial method calls when disabled; keep it off per-instruction hot
 loops and on per-stage/per-job boundaries.)
 
 **Cross-process aggregation** — pool workers cannot write into the
-parent's registry.  Instead the primary process exports a *spool
-directory* under :data:`SPOOL_ENV_VAR` (the same shipping mechanism as
-``REPRO_CAD_STORE`` and ``REPRO_CHAOS_PLAN``); the worker entry point
-calls :func:`ensure_process_telemetry` which installs a fresh
-per-process telemetry pointed at the spool, and after every job the
-worker atomically rewrites ``metrics-<pid>.json`` (its registry's full
-snapshot — idempotent totals, so a crashed worker loses at most its
-last job) and appends its new spans to ``spans-<pid>.jsonl``.  The
-primary's :meth:`Telemetry.collect` merges the spool into its own
-registry snapshot and drains spooled spans into its own sink, so the
-``metrics`` verb sees the whole pool.
+parent's registry, so each job result carries their telemetry back.
+Before each job the pool process calls :func:`ensure_process_telemetry`
+with whether the submitting service has telemetry, which installs a
+fresh per-process *worker* telemetry exactly when it does.  After every job :func:`flush_worker_telemetry` returns the
+worker's full registry snapshot (idempotent totals, so a crashed worker
+loses at most its in-flight job) plus the spans recorded since its last
+flush; the job result carries that payload home on a transport-only
+field, where the primary's :meth:`Telemetry.ingest` keeps the latest
+snapshot per worker and records the spans into its own sink.
+:meth:`Telemetry.collect` merges those snapshots with its own registry,
+so the ``metrics`` verb sees the whole pool.
 
 **Trace identity** — every :class:`~repro.service.jobs.WarpJob` gets a
 ``trace_id`` when telemetry is active; the job's root span reuses the
@@ -46,14 +46,10 @@ to end from the flat span list, across processes.
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
-import tempfile
 import threading
 import time
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .metrics import (
@@ -74,19 +70,10 @@ from .trace import (
     spans_from_jsonl,
 )
 
-#: Environment variable carrying the spool directory into worker
-#: processes (same shipping mechanism as ``REPRO_CAD_STORE``).
-SPOOL_ENV_VAR = "REPRO_OBS_SPOOL"
-
 #: The process-wide installed telemetry, or ``None`` (the common case).
 #: Hot call sites read this directly; everything else goes through
 #: :func:`install` / :func:`clear`.
 ACTIVE: Optional["Telemetry"] = None
-
-#: Pid that last checked :data:`SPOOL_ENV_VAR` — per *process*, so a
-#: forked pool worker (fresh pid) re-reads the environment its parent
-#: exported even though it inherited the parent's module state.
-_ENV_CHECKED_PID: Optional[int] = None
 
 #: Collectors: callables invoked with the registry right before every
 #: snapshot, to publish state that lives elsewhere (cache counters,
@@ -101,26 +88,31 @@ _CONTEXT = threading.local()
 
 # ----------------------------------------------------------------- telemetry
 class Telemetry:
-    """One process's metrics registry + span sink (+ optional spool)."""
+    """One process's metrics registry + span sink.
 
-    def __init__(self, spool_dir=None, primary: bool = True,
+    A primary telemetry also keeps the latest snapshot of every pool
+    worker whose payload it has ingested; a ``worker`` telemetry instead
+    ships its own with each job result (:meth:`flush`).
+    """
+
+    def __init__(self, worker: bool = False,
                  span_capacity: int = DEFAULT_SPAN_CAPACITY):
         self.registry = MetricsRegistry()
         self.spans = SpanSink(capacity=span_capacity)
-        self.spool_dir = Path(spool_dir) if spool_dir is not None else None
-        #: Primary = the installing/aggregating process; workers are
-        #: installed by :func:`ensure_process_telemetry` with
-        #: ``primary=False`` and *write* the spool instead of merging it.
-        self.primary = primary
+        self.worker = worker
         self.owner_pid = os.getpid()
-        #: Spans already appended to this worker's spool file.
-        self._spooled_spans = 0
-        #: Primary-side read offsets into each worker's span file.
-        self._span_offsets: Dict[str, int] = {}
+        #: Names this telemetry's process in a primary's worker table: a
+        #: restarted worker may reuse a dead worker's pid, never its id.
+        self.process_id = new_id()
+        #: Primary side: worker ``process_id`` -> its latest snapshot.
+        #: Guarded by ``_lock``: a gateway's batch threads ingest while
+        #: its event loop collects.
+        self._workers: Dict[str, Dict[str, Dict]] = {}
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------- snapshots
     def snapshot(self) -> Dict[str, Dict]:
-        """This process's families (collectors included), no spool."""
+        """This process's families (collectors included), no workers."""
         for collector in list(_COLLECTORS):
             try:
                 collector(self.registry)
@@ -129,181 +121,86 @@ class Telemetry:
         return self.registry.snapshot()
 
     def collect(self) -> Dict[str, Dict]:
-        """The aggregate snapshot: this process merged with the spool
-        (worker metrics files), draining spooled spans into our sink."""
-        snapshots = [self.snapshot()]
-        if self.spool_dir is not None and self.primary:
-            snapshots.extend(self._read_spool_metrics())
-            self._drain_spool_spans()
-        return merge_snapshots(snapshots)
+        """The aggregate snapshot: this process merged with the latest
+        snapshot of every ingested worker."""
+        with self._lock:
+            workers = list(self._workers.values())
+        return merge_snapshots([self.snapshot(), *workers])
 
-    # ----------------------------------------------------------- worker side
-    def flush_to_spool(self) -> None:
-        """Worker side: publish this process's telemetry to the spool.
+    # ------------------------------------------------------ worker -> primary
+    def flush(self) -> Dict:
+        """Worker side: the payload for the primary — the registry's
+        *full* snapshot (totals are idempotent, so a later payload
+        supersedes an earlier one) and the spans recorded since the last
+        flush."""
+        return {"process_id": self.process_id, "metrics": self.snapshot(),
+                "spans": self.spans.drain()}
 
-        The metrics file is the registry's *full* snapshot, atomically
-        replaced (totals are idempotent — re-flushing is harmless); new
-        spans are appended.  Any I/O error is swallowed: losing a
-        flush loses observability, never a job.
-        """
-        if self.spool_dir is None:
-            return
-        try:
-            self.spool_dir.mkdir(parents=True, exist_ok=True)
-            pid = os.getpid()
-            blob = json.dumps(self.snapshot(), separators=(",", ":"))
-            path = self.spool_dir / f"metrics-{pid}.json"
-            tmp = path.with_name(f".{path.name}.tmp")
-            tmp.write_text(blob)
-            os.replace(tmp, path)
-            lines = self.spans.to_jsonl(since=self._spooled_spans)
-            self._spooled_spans = self.spans.cursor
-            if lines:
-                with open(self.spool_dir / f"spans-{pid}.jsonl",
-                          "a") as handle:
-                    handle.write(lines)
-        except OSError:
-            pass
-
-    # ---------------------------------------------------------- primary side
-    def _read_spool_metrics(self) -> List[Dict[str, Dict]]:
-        snapshots: List[Dict[str, Dict]] = []
-        own = f"metrics-{os.getpid()}.json"
-        try:
-            paths = sorted(self.spool_dir.glob("metrics-*.json"))
-        except OSError:
-            return snapshots
-        for path in paths:
-            if path.name == own:
-                continue  # never double-count the primary's registry
-            try:
-                plain = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue  # mid-replace or torn file: next poll gets it
-            if isinstance(plain, dict):
-                snapshots.append(plain)
-        return snapshots
-
-    def _drain_spool_spans(self) -> None:
-        """Ingest workers' spooled spans into our sink (offset-tracked,
-        whole lines only — a worker may be mid-append)."""
-        try:
-            paths = sorted(self.spool_dir.glob("spans-*.jsonl"))
-        except OSError:
-            return
-        for path in paths:
-            offset = self._span_offsets.get(path.name, 0)
-            try:
-                with open(path, "rb") as handle:
-                    handle.seek(offset)
-                    blob = handle.read()
-            except OSError:
-                continue
-            if not blob:
-                continue
-            complete = blob.rfind(b"\n") + 1
-            if complete <= 0:
-                continue
-            self._span_offsets[path.name] = offset + complete
-            for span in spans_from_jsonl(
-                    blob[:complete].decode("utf-8", "replace")):
+    def ingest(self, payload: Dict) -> None:
+        """Primary side: fold in one worker's :meth:`flush` payload."""
+        with self._lock:
+            self._workers[payload["process_id"]] = payload["metrics"]
+            for span in payload["spans"]:
                 self.spans.record(span)
 
 
 # ----------------------------------------------------------------- lifecycle
-def install(telemetry: Optional[Telemetry] = None, *,
-            spool_dir=None) -> Telemetry:
+def install(telemetry: Optional[Telemetry] = None) -> Telemetry:
     """Install ``telemetry`` (or a fresh one) as this process's sink."""
     global ACTIVE
     if telemetry is None:
-        telemetry = Telemetry(spool_dir=spool_dir)
+        telemetry = Telemetry()
     ACTIVE = telemetry
     return telemetry
 
 
 def clear() -> None:
     """Deactivate telemetry in this process."""
-    global ACTIVE, _ENV_CHECKED_PID
+    global ACTIVE
     ACTIVE = None
-    _ENV_CHECKED_PID = None
 
 
-def export_to_environment(telemetry: Telemetry) -> None:
-    """Publish the spool directory for worker processes created later."""
-    if telemetry.spool_dir is None:
-        raise ValueError("cannot export telemetry without a spool "
-                         "directory: workers would have nowhere to "
-                         "publish their metrics")
-    os.environ[SPOOL_ENV_VAR] = str(telemetry.spool_dir)
+def ensure_process_telemetry(enabled: bool) -> None:
+    """Set up a pool worker's telemetry for its next job.
 
-
-def clear_environment() -> None:
-    os.environ.pop(SPOOL_ENV_VAR, None)
-
-
-def ensure_process_telemetry() -> None:
-    """Install the environment-exported telemetry in this process, once.
-
-    Called from the pool worker entry point (next to
-    :func:`repro.chaos.ensure_process_plan`); cached per pid so the check
-    costs one comparison per job in the steady state.  A forked worker
+    Called in the pool process with whether the submitting service has
+    telemetry, so a worker collects exactly when its primary does.  This
+    process's own primary telemetry is left alone.  A forked worker
     inherits the parent's module state — including the parent's *live*
     :data:`ACTIVE` — so anything whose ``owner_pid`` is not ours is
-    replaced: with a fresh spool-writing telemetry when the environment
-    names a spool, or with ``None`` (the inherited registry would be
-    invisible to the parent and its inherited counts double-reported).
+    replaced: with a fresh worker telemetry, or with ``None`` (the
+    inherited registry would be invisible to the parent and its
+    inherited counts double-reported).
     """
-    global ACTIVE, _ENV_CHECKED_PID
-    pid = os.getpid()
-    if ACTIVE is not None and ACTIVE.owner_pid == pid:
-        return
-    if _ENV_CHECKED_PID == pid:
-        return
-    _ENV_CHECKED_PID = pid
-    spool = os.environ.get(SPOOL_ENV_VAR)
-    if spool:
-        ACTIVE = Telemetry(spool_dir=spool, primary=False)
-    else:
-        ACTIVE = None
-
-
-def flush_worker_telemetry() -> None:
-    """Publish a worker's telemetry to the spool (no-op for the primary,
-    whose registry is read directly at collect time)."""
+    global ACTIVE
     telemetry = ACTIVE
-    if telemetry is not None and not telemetry.primary:
-        telemetry.flush_to_spool()
+    if telemetry is not None and telemetry.owner_pid == os.getpid():
+        if telemetry.worker and not enabled:
+            ACTIVE = None
+        return
+    ACTIVE = Telemetry(worker=True) if enabled else None
+
+
+def flush_worker_telemetry() -> Optional[Dict]:
+    """A pool worker's telemetry payload for its primary (``None`` in
+    the primary itself, whose registry is read directly)."""
+    telemetry = ACTIVE
+    if telemetry is not None and telemetry.worker:
+        return telemetry.flush()
+    return None
 
 
 @contextmanager
-def active_telemetry(spool_dir=None, export: bool = False,
-                     span_capacity: int = DEFAULT_SPAN_CAPACITY):
-    """Context manager: install a fresh :class:`Telemetry`, optionally
-    exporting a spool directory to worker processes, restoring previous
-    state on exit.  With ``export=True`` and no ``spool_dir``, a
-    temporary spool is created and removed on exit."""
+def active_telemetry(span_capacity: int = DEFAULT_SPAN_CAPACITY):
+    """Context manager: install a fresh :class:`Telemetry`, restoring the
+    previous one on exit."""
     global ACTIVE
     previous = ACTIVE
-    previous_env = os.environ.get(SPOOL_ENV_VAR)
-    created = None
-    if export and spool_dir is None:
-        created = tempfile.mkdtemp(prefix="warp-obs-")
-        spool_dir = created
-    telemetry = install(Telemetry(spool_dir=spool_dir,
-                                  span_capacity=span_capacity))
-    if export:
-        export_to_environment(telemetry)
+    telemetry = install(Telemetry(span_capacity=span_capacity))
     try:
         yield telemetry
     finally:
         ACTIVE = previous
-        if export:
-            if previous_env is None:
-                clear_environment()
-            else:
-                os.environ[SPOOL_ENV_VAR] = previous_env
-        if created is not None:
-            shutil.rmtree(created, ignore_errors=True)
 
 
 def add_collector(collector: Callable[[MetricsRegistry], None]) -> None:
@@ -485,7 +382,6 @@ __all__ = [
     "Histogram",
     "MetricError",
     "MetricsRegistry",
-    "SPOOL_ENV_VAR",
     "Span",
     "SpanHandle",
     "SpanSink",
@@ -493,10 +389,8 @@ __all__ = [
     "active_telemetry",
     "add_collector",
     "clear",
-    "clear_environment",
     "current_trace",
     "ensure_process_telemetry",
-    "export_to_environment",
     "flush_worker_telemetry",
     "inc",
     "install",

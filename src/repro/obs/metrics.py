@@ -3,8 +3,8 @@
 A :class:`MetricsRegistry` holds labeled metric *families* —
 :class:`Counter`, :class:`Gauge`, :class:`Histogram` — behind one lock,
 and renders them to a plain-JSON :meth:`~MetricsRegistry.snapshot` that
-travels the wire protocol, the worker spool files and the Prometheus
-text exposition unchanged.
+travels the wire protocol, pool job results and the Prometheus text
+exposition unchanged.
 
 Design points:
 
@@ -17,7 +17,7 @@ Design points:
 * **plain JSON snapshots** — a snapshot is a dict of families, each
   ``{"kind", "help", "samples": [{"labels", ...}]}``; nothing in it
   needs the registry to be interpreted, so cross-process aggregation is
-  just merging dicts read from the spool directory.
+  just merging the dicts pool workers send back with their results.
 * **merge semantics** — counters and histograms add; gauges add too
   (process-local gauges like a worker's cache size sum to the fleet
   value, and single-writer gauges like the gateway's queue depth are

@@ -15,7 +15,7 @@ Conventions:
 * ``start_s`` is wall-clock epoch seconds (comparable across
   processes), ``duration_s`` is measured with the monotonic clock;
 * spans are plain data — :meth:`Span.to_plain` / :meth:`Span.from_plain`
-  round-trip through JSON for the wire verb and the worker spool files.
+  round-trip through JSON for the wire verb and ``--trace-out`` files.
 
 The :class:`SpanSink` is a bounded ring buffer with a monotonically
 increasing cursor: ``since(cursor)`` returns the spans recorded after a
@@ -121,13 +121,15 @@ class SpanSink:
         with self._lock:
             self._ring.clear()
 
-    # ------------------------------------------------------------------ JSONL
-    def to_jsonl(self, since: int = 0) -> str:
-        """One compact-JSON span per line (the spool/export format)."""
-        _, spans = self.since(since)
-        return "".join(json.dumps(span.to_plain(), separators=(",", ":"))
-                       + "\n" for span in spans)
+    def drain(self) -> List[Span]:
+        """Remove and return every retained span (the cursor keeps
+        counting)."""
+        with self._lock:
+            spans = [span for _, span in self._ring]
+            self._ring.clear()
+            return spans
 
+    # ------------------------------------------------------------------ JSONL
     def export_jsonl(self, path) -> int:
         """Write every retained span to ``path``; returns the count."""
         spans = self.snapshot()
@@ -139,20 +141,9 @@ class SpanSink:
 
 
 def spans_from_jsonl(text: str) -> List[Span]:
-    """Parse spool/export JSONL; malformed lines are skipped (a worker
-    may be mid-append when the primary reads)."""
-    spans: List[Span] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            plain = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(plain, dict):
-            spans.append(Span.from_plain(plain))
-    return spans
+    """Parse :meth:`SpanSink.export_jsonl` output."""
+    return [Span.from_plain(json.loads(line))
+            for line in text.splitlines() if line.strip()]
 
 
 __all__ = [

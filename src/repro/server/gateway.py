@@ -47,8 +47,6 @@ from __future__ import annotations
 import asyncio
 import base64
 import itertools
-import shutil
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -146,16 +144,13 @@ class WarpGateway:
         #: is known (a ``port=0`` gateway has no address before binding).
         self.mesh: Optional[GatewayMesh] = None
         #: Telemetry plane: a gateway is observable out of the box — it
-        #: installs a process-wide spooled telemetry (the spool reaches
-        #: pool workers through the environment) unless the process
-        #: already has one (then it joins it and never tears it down) or
+        #: installs a process-wide telemetry (pool workers send theirs
+        #: back with each job result) unless the process already has one
+        #: (then it joins it and never tears it down) or
         #: ``telemetry=False``.  The ``metrics`` verb serves it live.
         self._owns_telemetry = False
-        self._telemetry_spool: Optional[str] = None
         if telemetry and obs.ACTIVE is None:
-            self._telemetry_spool = tempfile.mkdtemp(prefix="warp-obs-")
-            obs.export_to_environment(
-                obs.install(spool_dir=self._telemetry_spool))
+            obs.install()
             self._owns_telemetry = True
         if service is not None:
             self.service = service
@@ -255,11 +250,7 @@ class WarpGateway:
         self.service.close()
         if self._owns_telemetry:
             obs.clear()
-            obs.clear_environment()
             self._owns_telemetry = False
-            if self._telemetry_spool is not None:
-                shutil.rmtree(self._telemetry_spool, ignore_errors=True)
-                self._telemetry_spool = None
 
     def run(self) -> None:
         """Blocking entry point: own loop, serve until shutdown."""
@@ -754,8 +745,8 @@ class WarpGateway:
 
     async def _verb_metrics(self, request: Dict, writer) -> None:
         """The live telemetry snapshot: aggregated metric families (this
-        process merged with the worker spool) plus the trace spans
-        recorded since the request's ``since`` cursor.
+        process merged with its pool workers' latest snapshots) plus the
+        trace spans recorded since the request's ``since`` cursor.
 
         Additive reply keys on an additive verb — decoders use ``.get()``,
         so per protocol.py's documented discipline this is NOT a protocol
@@ -782,8 +773,6 @@ class WarpGateway:
         telemetry = obs.ACTIVE
         if telemetry is not None:
             self._set_queue_gauges()
-            # collect() also drains spooled worker spans into the sink,
-            # so it must run before the cursor read below.
             reply["metrics"] = telemetry.collect()
             try:
                 since = int(request.get("since", 0) or 0)

@@ -820,10 +820,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         telemetry = None
         if getattr(args, "trace_out", None) is not None:
             from .. import obs
-            # export=True ships the spool directory to pool workers so
-            # their spans fold into the exported timeline.
-            telemetry = stack.enter_context(
-                obs.active_telemetry(export=True))
+            telemetry = stack.enter_context(obs.active_telemetry())
         service = stack.enter_context(
             WarpService(workers=args.workers, policy=args.policy,
                         artifact_cache=artifact_cache))
@@ -831,7 +828,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for _ in range(repeats):
             reports.append(service.run(jobs))
         if telemetry is not None:
-            telemetry.collect()  # drain worker span spool before export
             telemetry.spans.export_jsonl(args.trace_out)
             print(f"trace spans written to {args.trace_out}",
                   file=sys.stderr)

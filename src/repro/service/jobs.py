@@ -308,6 +308,11 @@ class ServiceResult:
     fuzz_known_divergences: int = 0
     fuzz_bisect_steps: int = 0
     fuzz_bundles: List[Dict] = field(default_factory=list)
+    #: Transport only: a pool worker's telemetry payload
+    #: (:func:`repro.obs.flush_worker_telemetry`), taken off by the
+    #: primary as the result arrives.  Never serialized.
+    telemetry: Optional[Dict] = field(default=None, repr=False,
+                                      compare=False)
 
     # ----------------------------------------------------------------- metrics
     def metrics_snapshot(self) -> Dict[str, int]:
@@ -325,7 +330,9 @@ class ServiceResult:
                 "MicroBlaze (Warp)": self.normalized_warp_energy}
 
     def to_plain(self) -> Dict:
-        return asdict(self)
+        plain = asdict(self)
+        del plain["telemetry"]
+        return plain
 
     #: The deterministic projection of a result: the fields that must be
     #: bit-identical between a fault-free run and a run under a recovered
@@ -349,9 +356,10 @@ class ServiceResult:
         """Rebuild a result from :meth:`to_plain` output (wire transport).
 
         Unknown keys are ignored so a newer gateway can talk to an older
-        client; missing keys fall back to the dataclass defaults.
+        client; missing keys fall back to the dataclass defaults.  The
+        transport-only ``telemetry`` field is never read from the wire.
         """
-        names = {f.name for f in dataclasses_fields(cls)}
+        names = {f.name for f in dataclasses_fields(cls)} - {"telemetry"}
         return cls(**{key: value for key, value in plain.items()
                       if key in names})
 

@@ -137,7 +137,6 @@ def execute_job(job: WarpJob,
     on the final result.  Everything else fails the job immediately.
     """
     chaos.ensure_process_plan()
-    obs.ensure_process_telemetry()
     start = time.perf_counter()
     retries = 0
     # The execute span joins the trace the submitting service assigned to
@@ -172,7 +171,7 @@ def execute_job(job: WarpJob,
                 status="ok" if result.ok else "failed")
         obs.observe("warp_job_wall_seconds", result.wall_seconds,
                     engine=result.engine)
-        obs.flush_worker_telemetry()
+        result.telemetry = obs.flush_worker_telemetry()
     return result
 
 
@@ -332,14 +331,37 @@ def _worker_entry(job: WarpJob) -> ServiceResult:
     return execute_job(job)
 
 
+def _pool_call(worker_fn: Callable[[WarpJob], ServiceResult],
+               collect: bool, job: WarpJob) -> ServiceResult:
+    """What a pool process runs for one job: collect telemetry exactly
+    when the submitting service has it (``collect``), then run the job.
+    The flag travels beside the job because a job's ``trace_id`` may
+    come from the wire, whatever this service's telemetry."""
+    obs.ensure_process_telemetry(collect)
+    return worker_fn(job)
+
+
+def _take_telemetry(result: ServiceResult) -> ServiceResult:
+    """Hand a pool worker's telemetry payload to this process's
+    telemetry and take it off the result."""
+    payload = result.telemetry
+    if payload is not None:
+        result.telemetry = None
+        telemetry = obs.ACTIVE
+        if telemetry is not None:
+            telemetry.ingest(payload)
+    return result
+
+
 def _collect_cache_metrics(registry) -> None:
     """Snapshot-time collector: republish this process's cache tiers'
     bespoke counters as live metric families.
 
     Cumulative totals *set* (not incremented) at snapshot time, so they
-    are gauges; each process publishes its own totals and the spool
-    merge sums them to the fleet value.  Registered at import — it only
-    runs when a telemetry snapshot is taken.
+    are gauges; each process publishes its own totals and the primary's
+    merge of the worker snapshots sums them to the fleet value.
+    Registered at import — it only runs when a telemetry snapshot is
+    taken.
     """
     cache = _PROCESS_CACHE
     if cache is not None:
@@ -623,8 +645,8 @@ class WarpService:
             if telemetry:
                 obs.inc("warp_shard_jobs_total", shard=shard)
             submissions.append(
-                (slot, shard, self._shard(shard).submit(self._worker_fn,
-                                                        slot.job)))
+                (slot, shard, self._shard(shard).submit(
+                    _pool_call, self._worker_fn, telemetry, slot.job)))
         if telemetry:
             obs.set_gauge("warp_shards_active", len(self._shards))
         results: Dict[str, ServiceResult] = {}
@@ -647,7 +669,7 @@ class WarpService:
                 deadline = max(0.0, submit_time + slot.timeout_s
                                - time.monotonic())
             try:
-                result = future.result(timeout=deadline)
+                result = _take_telemetry(future.result(timeout=deadline))
                 results[slot.job.name] = result
                 if telemetry:
                     self._record_pooled_spans(slot, shard, submit_wall,
@@ -677,8 +699,8 @@ class WarpService:
             # Re-run every job queued on a dead shard in an isolated pool:
             # innocent victims complete (counted as one retry), the
             # actual crasher fails cleanly.
-            result = self._retry_isolated(slot.job,
-                                          timeout_s=slot.timeout_s)
+            result = _take_telemetry(self._retry_isolated(
+                slot.job, timeout_s=slot.timeout_s))
             result.retries += 1
             results[slot.job.name] = result
             if telemetry:
@@ -699,7 +721,8 @@ class WarpService:
                         timeout_s: Optional[float] = None) -> ServiceResult:
         try:
             with ProcessPoolExecutor(max_workers=1) as isolated:
-                future = isolated.submit(self._worker_fn, job)
+                future = isolated.submit(_pool_call, self._worker_fn,
+                                         obs.ACTIVE is not None, job)
                 try:
                     return future.result(timeout=timeout_s)
                 except FuturesTimeoutError:

@@ -1,11 +1,13 @@
-"""The unified telemetry plane: metrics registry, trace spans, worker
-spool aggregation, the live ``metrics`` wire verb, and report derivation."""
+"""The unified telemetry plane: metrics registry, trace spans, pool-worker
+telemetry returned with job results, the live ``metrics`` wire verb, and
+report derivation."""
 
 from __future__ import annotations
 
 import contextlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -27,7 +29,7 @@ from repro.server import (
     start_gateway_thread,
 )
 from repro.service import WarpJob, WarpService
-from repro.service.jobs import RESULT_METRIC_FIELDS
+from repro.service.jobs import RESULT_METRIC_FIELDS, ServiceResult
 
 
 @contextlib.contextmanager
@@ -177,7 +179,7 @@ class TestSpanSink:
         _, tail = sink.since(0)
         assert len(tail) == 4
 
-    def test_jsonl_roundtrip_skips_torn_lines(self, tmp_path):
+    def test_jsonl_roundtrip_rejects_torn_lines(self, tmp_path):
         sink = SpanSink()
         with obs.active_telemetry():
             with obs.span("outer"):
@@ -186,7 +188,9 @@ class TestSpanSink:
             sink = obs.ACTIVE.spans
             path = tmp_path / "trace.jsonl"
             sink.export_jsonl(path)
-        blob = path.read_text() + '{"name": "torn", "trace'
+        blob = path.read_text()
+        with pytest.raises(json.JSONDecodeError):
+            spans_from_jsonl(blob + '{"name": "torn", "trace')
         spans = spans_from_jsonl(blob)
         assert [s.name for s in spans] == ["inner", "outer"]
         inner, outer = spans
@@ -216,11 +220,6 @@ class TestDisabledGating:
             obs.inc("warp_x_total")
             assert _family_sum(telemetry.snapshot(), "warp_x_total") == 1
         assert obs.ACTIVE is None
-
-    def test_export_requires_spool(self):
-        with obs.active_telemetry() as telemetry:
-            with pytest.raises(ValueError):
-                obs.export_to_environment(telemetry)
 
 
 # --------------------------------------------------------------------------- serial wiring
@@ -273,16 +272,16 @@ class TestServiceTelemetrySerial:
 
 # --------------------------------------------------------------------------- cross-process
 class TestCrossProcessAggregation:
-    def test_pool_worker_metrics_sum_identically_to_serial(self, tmp_path):
-        """Satellite: the spool-merged pooled snapshot agrees with a
-        serial run on every mode-invariant family (differential)."""
+    def test_pool_worker_metrics_sum_identically_to_serial(self):
+        """The pooled snapshot, merged from the workers' returned
+        telemetry, agrees with a serial run on every mode-invariant
+        family (differential)."""
         with obs.active_telemetry() as telemetry:
             with WarpService(workers=0) as service:
                 serial_report = service.run(_jobs())
             serial = telemetry.snapshot()
 
-        spool = tmp_path / "spool"
-        with obs.active_telemetry(spool_dir=spool, export=True) as telemetry:
+        with obs.active_telemetry() as telemetry:
             with WarpService(workers=2) as service:
                 pooled_report = service.run(_jobs())
             parent_only = telemetry.snapshot()
@@ -291,20 +290,118 @@ class TestCrossProcessAggregation:
         assert serial_report.num_failed == 0
         assert pooled_report.num_failed == 0
         # workers incremented these in their own processes: the parent
-        # registry alone must lack them, the spool merge must have them
+        # registry alone must lack them, the merged collect must have them
         assert "warp_jobs_total" not in parent_only
         assert _family_sum(pooled, "warp_jobs_total") == \
             _family_sum(serial, "warp_jobs_total") == 2
         assert _stage_lookup_totals(pooled) == _stage_lookup_totals(serial)
         assert _family_sum(pooled, "warp_engine_instructions_total") == \
             _family_sum(serial, "warp_engine_instructions_total")
-        # worker spans crossed the spool too: full timelines reconstruct
+        # worker spans came back too: full timelines reconstruct
         pooled.get("warp_shard_jobs_total")  # pooled-only family present
         assert "warp_shard_jobs_total" in pooled
         names = {s.name for s in telemetry.spans.snapshot()}
         assert {"job", "shard-dispatch", "execute", "cad-stage"} <= names
         assert obs.ACTIVE is None
-        assert obs.SPOOL_ENV_VAR not in os.environ
+
+    def test_pooled_report_json_carries_no_telemetry(self):
+        """The worker payload is transport only: taken off every result
+        before the report exists, and never read back from the wire."""
+        with obs.active_telemetry():
+            with WarpService(workers=1) as service:
+                report = service.run(_jobs()[:2])
+        assert report.num_failed == 0
+        assert all(result.trace_id and result.telemetry is None
+                   for result in report.results)
+        for job in json.loads(report.to_json())["jobs"]:
+            assert "telemetry" not in job
+        plain = dict(report.results[0].to_plain(),
+                     telemetry=[{"process_id": "gateway", "metrics": {}}])
+        assert ServiceResult.from_plain(plain).telemetry is None
+
+    def test_worker_snapshots_are_keyed_by_process_id_not_pid(self):
+        """A restarted worker that reuses a dead worker's pid adds to the
+        totals instead of overwriting the dead worker's."""
+        dead, restarted = Telemetry(worker=True), Telemetry(worker=True)
+        assert dead.owner_pid == restarted.owner_pid == os.getpid()
+        dead.registry.counter("warp_jobs_total").inc(3)
+        restarted.registry.counter("warp_jobs_total").inc(2)
+        primary = Telemetry()
+        primary.ingest(dead.flush())
+        primary.ingest(restarted.flush())
+        assert _family_sum(primary.collect(), "warp_jobs_total") == 5
+
+    def test_newer_worker_snapshot_replaces_the_older_one(self):
+        """Snapshots are full totals: a second payload from the same
+        worker supersedes the first, while its spans arrive once each."""
+        worker, primary = Telemetry(worker=True), Telemetry()
+        counter = worker.registry.counter("warp_jobs_total")
+        for name in ("first", "second"):
+            counter.inc()
+            worker.spans.record(Span(name=name, trace_id="t",
+                                     span_id=name))
+            primary.ingest(worker.flush())
+        assert _family_sum(primary.collect(), "warp_jobs_total") == 2
+        assert [s.name for s in primary.spans.snapshot()] == \
+            ["first", "second"]
+        assert worker.spans.snapshot() == []
+
+    def test_untraced_pool_ignores_trace_ids_from_the_wire(self,
+                                                           monkeypatch):
+        """Whether a pool worker collects follows the submitting service,
+        not the job: a job that arrives already carrying a trace id (a
+        wire submit, a mesh forward, a job file) costs an untraced
+        service's workers nothing."""
+        from repro.service import pool
+
+        payloads = []
+        take = pool._take_telemetry
+
+        def recording_take(result):
+            payloads.append(result.telemetry)
+            return take(result)
+
+        monkeypatch.setattr(pool, "_take_telemetry", recording_take)
+        jobs = [replace(job, trace_id=f"upstream-{job.name}")
+                for job in _jobs()]
+        with WarpService(workers=1) as service:
+            report = service.run(jobs)
+        assert report.num_failed == 0
+        assert payloads == [None, None]
+        assert all(result.telemetry is None for result in report.results)
+        # the same jobs under telemetry do ship a payload each
+        payloads.clear()
+        with obs.active_telemetry():
+            with WarpService(workers=1) as service:
+                assert service.run(jobs).num_failed == 0
+        assert len(payloads) == 2 and all(payloads)
+
+    def test_worker_telemetry_follows_the_primary_and_never_the_fork(self):
+        """A pool worker collects exactly when its primary does, never
+        into a telemetry inherited from its parent, and leaves a
+        primary's own telemetry alone."""
+        inherited = Telemetry()
+        inherited.owner_pid = -1  # what a forked worker sees of its parent
+        try:
+            obs.install(inherited)
+            obs.ensure_process_telemetry(False)
+            assert obs.ACTIVE is None
+            obs.install(inherited)
+            obs.ensure_process_telemetry(True)
+            worker = obs.ACTIVE
+            assert worker is not inherited and worker.worker
+            obs.ensure_process_telemetry(True)
+            assert obs.ACTIVE is worker
+            assert obs.flush_worker_telemetry()["process_id"] == \
+                worker.process_id
+            obs.ensure_process_telemetry(False)
+            assert obs.ACTIVE is None
+            with obs.active_telemetry() as primary:
+                obs.ensure_process_telemetry(False)
+                assert obs.ACTIVE is primary
+                assert obs.flush_worker_telemetry() is None
+        finally:
+            obs.clear()
 
 
 # --------------------------------------------------------------------------- wire verb
@@ -344,7 +441,6 @@ class TestGatewayMetricsVerb:
             assert report_reply.num_failed == 0
         # gateway owned the telemetry: teardown uninstalls it
         assert obs.ACTIVE is None
-        assert obs.SPOOL_ENV_VAR not in os.environ
 
     def test_no_telemetry_gateway_reports_disabled(self):
         with running_gateway(workers=0, telemetry=False) as gateway:

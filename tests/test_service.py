@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import obs
 from repro.apps import build_benchmark
 from repro.caching import BoundedLRU, lru_memoize
 from repro.compiler import (clear_compile_cache, compile_cache_stats,
@@ -18,6 +19,7 @@ from repro.cad import canonical_wcla_form
 from repro.fabric import DEFAULT_WCLA
 from repro.fabric.architecture import WclaParameters
 from repro.microblaze import MINIMAL_CONFIG, PAPER_CONFIG
+from repro.obs import spans_from_jsonl
 from repro.server import DiskArtifactStore
 from repro.service import (
     CadArtifactCache,
@@ -359,6 +361,15 @@ def _crashing_worker(job):
     return _worker_entry(job)
 
 
+def _poisoned_batch():
+    """A batch whose middle job kills its worker (see _crashing_worker)."""
+    return [
+        WarpJob(name="before", benchmark="brev", small=True),
+        WarpJob(name="poison", benchmark="matmul", small=True),
+        WarpJob(name="after", benchmark="idct", small=True),
+    ]
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="worker-crash test relies on fork inheritance")
 class TestWarpServicePool:
@@ -384,11 +395,7 @@ class TestWarpServicePool:
         assert second.cache_hit_rate == 1.0
 
     def test_worker_crash_yields_failed_result_not_dead_pool(self):
-        jobs = [
-            WarpJob(name="before", benchmark="brev", small=True),
-            WarpJob(name="poison", benchmark="matmul", small=True),
-            WarpJob(name="after", benchmark="idct", small=True),
-        ]
+        jobs = _poisoned_batch()
         with WarpService(workers=1, worker_fn=_crashing_worker) as service:
             report = service.run(jobs)
             by_name = {r.job_name: r for r in report.results}
@@ -401,9 +408,44 @@ class TestWarpServicePool:
                                          small=True)])
             assert again.results[0].ok
 
+    def test_worker_crash_loses_only_its_in_flight_jobs_telemetry(self):
+        """Each job's telemetry comes home with its result, so the crash
+        costs only the poisoned job's: the jobs before and after it (the
+        latter retried in a fresh worker) are counted and traced."""
+        jobs = _poisoned_batch()
+        with obs.active_telemetry() as telemetry:
+            with WarpService(workers=1, worker_fn=_crashing_worker) as service:
+                report = service.run(jobs)
+            merged = telemetry.collect()
+            spans = telemetry.spans.snapshot()
+        traces = {result.job_name: result.trace_id
+                  for result in report.results}
+        assert sum(sample["value"] for sample in
+                   merged["warp_jobs_total"]["samples"]) == 2
+        assert {span.trace_id for span in spans if span.name == "execute"} \
+            == {traces["before"], traces["after"]}
+
 
 # --------------------------------------------------------------------------- CLI
 class TestCli:
+    def test_trace_out_exports_worker_spans_under_job_roots(self, tmp_path):
+        out = tmp_path / "spans.jsonl"
+        code = main(["suite", "--benchmarks", "brev,matmul", "--small",
+                     "--workers", "2", "--trace-out", str(out), "--quiet"])
+        assert code == 0
+        assert obs.ACTIVE is None
+        spans = spans_from_jsonl(out.read_text())
+        roots = {span.span_id for span in spans
+                 if span.name == "job" and span.parent_id is None}
+        assert len(roots) == 2
+        assert "shard-dispatch" in {span.name for span in spans}
+        # execute and its CAD stages ran in the pool workers
+        executes = {span.span_id: span for span in spans
+                    if span.name == "execute"}
+        assert {span.parent_id for span in executes.values()} == roots
+        stages = [span for span in spans if span.name == "cad-stage"]
+        assert stages and all(span.parent_id in executes for span in stages)
+
     def test_suite_subcommand_writes_report(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["suite", "--benchmarks", "brev", "--small",
