@@ -14,7 +14,7 @@ fault-free run — graceful degradation means slower, never different.
 
 Zero overhead when disabled: the hot call sites gate on the
 module-level :data:`ACTIVE_PLAN` being ``None`` (the same pattern as
-the zero-allocation branch hooks of the execution engines)::
+the ``if hooks:`` observer guard in the engines' generated code)::
 
     from .. import chaos
     ...

@@ -5,8 +5,9 @@ every other registered engine (optionally also in ``precise_fault_stats``
 mode), captures a full :class:`EngineObservation` from each run — outcome,
 checksum, register file, program counter, data image, execution
 statistics, memory-port counters, OPB traffic and the on-chip profiler's
-rankings — and reports every component in which an engine disagrees with
-the reference.
+state (resident cache entries per set, evictions and updates, critical
+regions and ``instructions_observed``) — and reports every component in
+which an engine disagrees with the reference.
 
 The ROADMAP carries one *documented* divergence: default-mode
 (non-``precise_fault_stats``) block engines may skew statistics when a
@@ -172,10 +173,13 @@ def observe(program: Program, engine: str, *,
         },
         opb=opb_state,
         profiler={
+            "cache_sets": [[(entry.target_address, entry.branch_address,
+                             entry.count) for entry in bucket]
+                           for bucket in profiler.cache.sets],
+            "cache_counters": (profiler.cache.evictions,
+                               profiler.cache.updates),
             "critical_regions": profiler.critical_regions(),
-            "edge_counts": profiler.edge_counts,
-            "totals": (profiler.total_branches, profiler.backward_taken,
-                       profiler.instructions_observed),
+            "instructions_observed": profiler.instructions_observed,
         },
         data=bytes(system.data_bram.storage),
     )

@@ -5,9 +5,9 @@ configurable three-stage-pipeline core (:mod:`~repro.microblaze.cpu`), the
 instruction/data block RAMs and local memory busses
 (:mod:`~repro.microblaze.memory`), the on-chip peripheral bus
 (:mod:`~repro.microblaze.opb`), and the system wrapper that loads and runs
-assembled programs (:mod:`~repro.microblaze.system`).  Execution can be
-observed through trace listeners (:mod:`~repro.microblaze.trace`), which is
-how the warp processor's profiler is driven.
+assembled programs (:mod:`~repro.microblaze.system`).  A run is observed
+through its taken backward branches (:mod:`~repro.microblaze.trace`), which
+is how the warp processor's profiler is driven.
 """
 
 from .checkpoint import (
@@ -40,14 +40,7 @@ from .engines import (
 from .memory import BlockRAM, LocalMemoryBus, MemoryError_
 from .opb import OPB_BASE_ADDRESS, BusError, OnChipPeripheralBus, SimplePeripheral
 from .system import ExecutionResult, MicroBlazeSystem, run_program
-from .trace import (
-    BranchObserver,
-    BranchTraceRecorder,
-    ClassProfile,
-    InstructionTraceRecorder,
-    PcCycleHistogram,
-    TraceEvent,
-)
+from .trace import BranchObserver
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -85,9 +78,4 @@ __all__ = [
     "ExecutionResult",
     "MicroBlazeSystem",
     "run_program",
-    "BranchTraceRecorder",
-    "ClassProfile",
-    "InstructionTraceRecorder",
-    "PcCycleHistogram",
-    "TraceEvent",
 ]

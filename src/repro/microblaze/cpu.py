@@ -25,18 +25,16 @@ detail the paper's own cycle estimates operate at.
 The architectural model is shared by every registered execution engine
 (:mod:`repro.microblaze.engines`): ``interp`` is the reference
 interpreter implemented here — fetch, dispatch on the instruction class,
-execute, record — and the only path that can feed full per-instruction
-:class:`~repro.microblaze.trace.TraceEvent` streams to listeners;
-``jit`` (the default) compiles superblocks to generated source once at
-decode time and dispatches block-at-a-time.  Listeners that
-only need branch events (the on-chip profiler) subscribe through the
-zero-allocation branch-hook protocol and keep working at full speed on
-every engine;
-attaching a full-trace listener transparently falls back to the
-interpreter, as does any run outside the selected engine's declared
-capabilities (cycle budgets, halt addresses).  This module is a thin
-driver over the engine registry: engine selection, invalidation and the
-checkpoint derived-state rebuild all go through the
+execute, record; ``jit`` (the default) compiles superblocks to generated
+source once at decode time and dispatches block-at-a-time.  A run is
+watched through one narrow protocol
+(:class:`~repro.microblaze.trace.BranchObserver`): observers hear only
+taken backward branches, which is all the on-chip profiler snoops, and
+keep working at full speed on every engine.  A run outside the selected
+engine's declared capabilities (cycle budgets, halt addresses) falls
+back to the interpreter.  This module is a thin driver over the engine
+registry: engine selection, invalidation and the checkpoint
+derived-state rebuild all go through the
 :class:`~repro.microblaze.engines.ExecutionEngine` contract.
 """
 
@@ -54,7 +52,7 @@ from .config import MicroBlazeConfig
 from .engines import DEFAULT_ENGINE, create_engine  # noqa: F401
 from .memory import BlockRAM
 from .opb import OPB_BASE_ADDRESS, OnChipPeripheralBus
-from .trace import TraceEvent, TraceListener
+from .trace import BranchObserver
 
 
 class CPUError(Exception):
@@ -196,8 +194,7 @@ class MicroBlazeCPU:
         self.halt_address: Optional[int] = None
         self.stats = ExecutionStats()
         self._imm_latch: Optional[int] = None
-        self._listeners: List[TraceListener] = []
-        self._branch_hooks: List = []
+        self._observers: List[BranchObserver] = []
         self._decoded: Dict[int, Instruction] = {}
         #: Scalar statistics counters (block-engine hot path); identity
         #: stable like ``registers``, folded into :attr:`stats` on sync.
@@ -220,27 +217,22 @@ class MicroBlazeCPU:
         return self._engine_impl.blocks
 
     # ------------------------------------------------------------------ setup
-    def add_listener(self, listener: TraceListener) -> None:
-        """Subscribe ``listener`` to the execution stream.
+    def add_listener(self, listener: BranchObserver) -> None:
+        """Subscribe ``listener`` to the run's taken backward branches.
 
-        Listeners exposing an ``on_branch`` callable join the
-        zero-allocation branch-hook path: they receive
-        ``on_branch(pc, target, taken)`` for every executed branch (and an
-        optional ``on_run_end(instructions)`` at the end of each run) and
-        never cost a :class:`TraceEvent` allocation.  All other listeners
-        receive full per-instruction events, which forces ``run()`` onto
-        the interpreter.
+        The listener receives ``on_backward_branch(pc, target)`` for every
+        taken branch with ``target < pc`` (and an optional
+        ``on_run_end(instructions)`` at the end of each run).  An object
+        without ``on_backward_branch`` raises :class:`TypeError`.
         """
-        if callable(getattr(listener, "on_branch", None)):
-            self._branch_hooks.append(listener)
-        else:
-            self._listeners.append(listener)
+        if not callable(getattr(listener, "on_backward_branch", None)):
+            raise TypeError(
+                f"{type(listener).__name__} has no on_backward_branch(pc, "
+                "target); the CPU reports only taken backward branches")
+        self._observers.append(listener)
 
-    def remove_listener(self, listener: TraceListener) -> None:
-        if listener in self._branch_hooks:
-            self._branch_hooks.remove(listener)
-        else:
-            self._listeners.remove(listener)
+    def remove_listener(self, listener: BranchObserver) -> None:
+        self._observers.remove(listener)
 
     def reset(self, entry_point: int = 0, stack_pointer: Optional[int] = None) -> None:
         """Reset architectural state and point the PC at ``entry_point``."""
@@ -336,17 +328,14 @@ class MicroBlazeCPU:
         """Run until the program halts or a budget is exceeded.
 
         The selected engine's dispatch loop runs whenever its declared
-        capabilities fit this run; otherwise — full-trace listeners on an
-        engine without ``full_trace``, cycle budgets or halt addresses on
-        a block engine — the reference interpreter takes over, which is
-        always semantically equivalent.
+        capabilities fit this run; otherwise — cycle budgets or halt
+        addresses on a block engine — the reference interpreter takes
+        over, which is always semantically equivalent.
         """
         start_instructions = self.stats.instructions
         impl = self._engine_impl
         use_impl = (
-            (impl.full_trace or not self._listeners)
-            and (impl.branch_hooks or not self._branch_hooks)
-            and (impl.supports_max_cycles or max_cycles is None)
+            (impl.supports_max_cycles or max_cycles is None)
             and (impl.supports_halt_address or self.halt_address is None)
         )
         try:
@@ -356,8 +345,8 @@ class MicroBlazeCPU:
                 self._run_interpreted(max_instructions, max_cycles)
         finally:
             executed = self.stats.instructions - start_instructions
-            for hook in self._branch_hooks:
-                on_run_end = getattr(hook, "on_run_end", None)
+            for observer in self._observers:
+                on_run_end = getattr(observer, "on_run_end", None)
                 if callable(on_run_end):
                     on_run_end(executed)
         self.stats.halted = True
@@ -567,14 +556,9 @@ class MicroBlazeCPU:
         if self.halt_address is not None and self.pc == self.halt_address:
             self.halted = True
 
-        if self._listeners:
-            event = TraceEvent(pc=pc, instruction=instr, cycles=cycles,
-                               branch_taken=branch_taken, branch_target=branch_target)
-            for listener in self._listeners:
-                listener.on_instruction(event)
-        if branch_taken is not None and self._branch_hooks:
-            for hook in self._branch_hooks:
-                hook.on_branch(pc, branch_target, branch_taken)
+        if branch_taken and branch_target < pc and self._observers:
+            for observer in self._observers:
+                observer.on_backward_branch(pc, branch_target)
         return cycles
 
     def _execute_delay_slot(self, branch_pc: int) -> int:

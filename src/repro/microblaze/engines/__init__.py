@@ -13,8 +13,7 @@ resolves engine names through :func:`validate_engine_name` /
 
 Two engines register themselves on import:
 
-* ``interp`` — the reference interpreter (defines the semantics; the only
-  engine that can feed full per-instruction trace events);
+* ``interp`` — the reference interpreter (defines the semantics);
 * ``jit`` (the default) — the source-generating engine: per superblock it
   emits specialized Python source (handler bodies inlined, statistics
   folded into constants, the terminating branch at the end), ``exec``\\ s
@@ -22,12 +21,14 @@ Two engines register themselves on import:
   (:mod:`repro.microblaze.engine` holds the counter layout and decode
   tables it shares with the interpreter).
 
-**The engine contract** covers four responsibilities:
+**The engine contract** covers three responsibilities:
 
 1. *Dispatch loop* — :meth:`ExecutionEngine.run` executes until halt or
-   budget; the CPU driver only calls it when the engine's capability flags
-   fit the run (otherwise it falls back to the interpreter, e.g. for
-   full-trace listeners).
+   budget and calls ``on_backward_branch(pc, target)`` on the CPU's
+   observers for every taken branch with ``target < pc``; the CPU
+   driver only calls it when the engine's capability flags fit the run
+   (otherwise it falls back to the interpreter, e.g. for cycle
+   budgets).
 2. *Decode-cache invalidation* — :meth:`ExecutionEngine.invalidate` drops
    derived translations covering a patched byte address (or everything)
    and forgets the instruction-image digest (:meth:`~ExecutionEngine.
@@ -39,8 +40,6 @@ Two engines register themselves on import:
 3. *Checkpoint derived-state rebuild* — :meth:`ExecutionEngine.on_restore`
    runs after a checkpoint restore; translations are derived state, never
    part of a snapshot, and must be rebuilt lazily.
-4. *Listener/branch-hook capabilities* — the class flags below tell the
-   driver what the engine can observe without falling back.
 
 **Registering an engine**::
 
@@ -99,14 +98,6 @@ class ExecutionEngine:
 
     #: Registry name (set on registration; informational).
     name: str = "?"
-    #: Whether the engine itself can feed full per-instruction
-    #: :class:`~repro.microblaze.trace.TraceEvent` streams.  Engines
-    #: without this capability make the driver fall back to the
-    #: interpreter when a full-trace listener is attached.
-    full_trace: bool = False
-    #: Whether the engine delivers zero-allocation branch hooks
-    #: (``on_branch(pc, target, taken)``) at full speed.
-    branch_hooks: bool = True
     #: Whether :meth:`run` honours a cycle budget / a halt address.  The
     #: driver falls back to the interpreter otherwise.
     supports_max_cycles: bool = False

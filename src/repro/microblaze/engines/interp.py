@@ -6,9 +6,8 @@ semantic reference every other engine must reproduce bit-exactly, the
 budget-edge finisher of the block engines, and the fallback path of the
 driver — so it stays on the CPU rather than moving behind the registry.
 This class is the thin registry adapter that declares its capabilities:
-the interpreter is the only engine that can feed full per-instruction
-:class:`~repro.microblaze.trace.TraceEvent` streams, and the only one
-honouring cycle budgets and halt addresses at instruction granularity.
+the interpreter is the only engine honouring cycle budgets and halt
+addresses at instruction granularity.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from . import ExecutionEngine, register_engine
 class InterpreterEngine(ExecutionEngine):
     """Fetch/dispatch/execute reference loop (the seed engine)."""
 
-    full_trace = True
-    branch_hooks = True
     supports_max_cycles = True
     supports_halt_address = True
 

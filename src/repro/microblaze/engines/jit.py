@@ -16,10 +16,10 @@ translators (decode once, generate code, run many): for every superblock
 * only genuinely dynamic contributions (OPB access penalties, branch
   taken/not-taken cycles, delay-slot costs) remain as runtime code,
 * the terminating branch sits at the end and returns the next program
-  counter (branch hooks included),
+  counter (backward-branch observer calls included),
 
 ``exec``\\ s it once into a cached closure — CPU state (register file,
-counter array, memories, peripheral bus, branch-hook list) is bound via
+counter array, memories, peripheral bus, observer list) is bound via
 an outer factory function, so the hot path runs on fast closure lookups —
 and then dispatches block-at-a-time: one Python call per superblock.
 
@@ -208,6 +208,18 @@ def _r(index: int) -> str:
     return "0" if index == 0 else f"regs[{index}]"
 
 
+def _backward_hook(guard: str, pc: int, target: str) -> List[str]:
+    """Observer calls for a taken backward branch at ``pc``, emitted under
+    the run-time ``guard`` (empty when translation proved the branch
+    taken and backward).  ``hooks`` is tested first: runs without
+    observers pay one truth test."""
+    return [
+        f"if hooks{' and ' + guard if guard else ''}:",
+        f"    for _h in hooks:",
+        f"        _h.on_backward_branch({pc}, {target})",
+    ]
+
+
 #: Parameter list of every generated factory ``_make``: the CPU state a
 #: translation binds, see :func:`bind`.
 FACTORY_PARAMS = ("cpu, regs, cnt, bram_load, bram_store, opb_owns, "
@@ -228,7 +240,7 @@ def bind(code, cpu):
     """Run a generated module's code object and call its ``_make``
     factory with ``cpu``'s state.
 
-    Register file, counter array, branch-hook list and BRAM storage keep
+    Register file, counter array, observer list and BRAM storage keep
     their identity for the CPU's lifetime, so one bind lasts until the
     engine invalidates the translation.
     """
@@ -242,7 +254,7 @@ def bind(code, cpu):
         opb.owns if opb is not None else None,
         opb.read if opb is not None else None,
         opb.write if opb is not None else None,
-        cpu._branch_hooks, to_signed, signed_division, IllegalInstruction,
+        cpu._observers, to_signed, signed_division, IllegalInstruction,
         dbram.storage, dbram,
     )
 
@@ -689,11 +701,16 @@ class SourceBlockCompiler:
             "GE": f"_x < {_SIGN}",
         }[name]
 
+        # Observers hear only taken backward branches: a register-held
+        # target is tested at run time, a static one at translation.
         if instr.spec.fmt.value == "A":
             target = f"({pc} + to_signed({_r(instr.rb)})) & {_M}"
+            backward: Optional[str] = f"_taken and _target < {pc}"
         else:
             offset = self._imm(instr, pending_imm)
-            target = str((pc + to_signed(offset)) & _M)
+            static_target = (pc + to_signed(offset)) & _M
+            target = str(static_target)
+            backward = "_taken" if static_target < pc else None
 
         lines = [
             f"_x = {_r(instr.ra)}",
@@ -704,7 +721,6 @@ class SourceBlockCompiler:
             f"    _next = _target",
             f"else:",
             f"    _taken = False",
-            f"    _target = None",
             f"    _cycles = {timings.branch_not_taken}",
             f"    _next = {fallthrough}",
         ]
@@ -722,10 +738,9 @@ class SourceBlockCompiler:
             f"cnt[{CNT_INSTRUCTIONS}] += 1",
             f"cnt[{CNT_CLASS_COUNT + ci}] += 1",
             f"cnt[{CNT_CLASS_CYCLES + ci}] += _cycles",
-            f"if hooks:",
-            f"    for _h in hooks:",
-            f"        _h.on_branch({pc}, _target, _taken)",
         ]
+        if backward is not None:
+            lines += _backward_hook(backward, pc, "_target")
         return lines, "_next"
 
     def _uncond_branch(self, pc: int, instr: Instruction,
@@ -758,16 +773,18 @@ class SourceBlockCompiler:
                 target_expr = str(static_target)
 
         def footer(cycles: str, target: str) -> List[str]:
-            return [
+            lines = [
                 f"cnt[{CNT_CYCLES}] += {cycles}",
                 f"cnt[{CNT_INSTRUCTIONS}] += 1",
                 f"cnt[{CNT_CLASS_COUNT + ci}] += 1",
                 f"cnt[{CNT_CLASS_CYCLES + ci}] += {cycles}",
                 f"cnt[{CNT_BRANCHES_TAKEN}] += 1",
-                f"if hooks:",
-                f"    for _h in hooks:",
-                f"        _h.on_branch({pc}, {target}, True)",
             ]
+            if static_target is None:
+                return lines + _backward_hook(f"_target < {pc}", pc, target)
+            if static_target < pc:
+                return lines + _backward_hook("", pc, target)
+            return lines
 
         call_write = [f"regs[{rd}] = {pc & _M}"] if is_call and rd else []
 
@@ -836,8 +853,6 @@ class SourceBlockCompiler:
 class JitEngine(ExecutionEngine):
     """Block-at-a-time dispatch over generated-source superblocks."""
 
-    full_trace = False
-    branch_hooks = True
     supports_max_cycles = False
     supports_halt_address = False
 

@@ -20,7 +20,7 @@ from .config import MicroBlazeConfig, PAPER_CONFIG
 from .cpu import ExecutionStats, MicroBlazeCPU
 from .memory import BlockRAM, LocalMemoryBus
 from .opb import OnChipPeripheralBus, Peripheral
-from .trace import TraceListener
+from .trace import BranchObserver
 
 
 @dataclass
@@ -149,7 +149,7 @@ class MicroBlazeSystem:
     def run(
         self,
         program: Optional[Program] = None,
-        listeners: Sequence[TraceListener] = (),
+        listeners: Sequence[BranchObserver] = (),
         max_instructions: int = 50_000_000,
     ) -> ExecutionResult:
         """Load (if given) and execute a program to completion.
@@ -165,12 +165,14 @@ class MicroBlazeSystem:
 
         self.cpu.reset(entry_point=loaded.entry_point,
                        stack_pointer=self.data_bram.size - 4)
-        for listener in listeners:
-            self.cpu.add_listener(listener)
+        attached = []
         try:
+            for listener in listeners:
+                self.cpu.add_listener(listener)
+                attached.append(listener)
             stats = self.cpu.run(max_instructions=max_instructions)
         finally:
-            for listener in listeners:
+            for listener in attached:
                 self.cpu.remove_listener(listener)
 
         return ExecutionResult(
@@ -234,7 +236,7 @@ class MicroBlazeSystem:
 def run_program(
     program: Program,
     config: MicroBlazeConfig = PAPER_CONFIG,
-    listeners: Sequence[TraceListener] = (),
+    listeners: Sequence[BranchObserver] = (),
     peripherals: Sequence[Peripheral] = (),
     max_instructions: int = 50_000_000,
     engine: Optional[str] = None,

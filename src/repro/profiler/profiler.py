@@ -1,8 +1,8 @@
 """The non-intrusive on-chip profiler of the warp processor.
 
-The profiler observes the simulated MicroBlaze's execution stream (the
-stand-in for snooping the instruction-side local memory bus) and feeds
-taken backward branches into the :class:`BranchFrequencyCache`.  At the end
+The profiler observes the simulated MicroBlaze's taken backward branches
+(the stand-in for snooping the instruction-side local memory bus) and
+feeds them into the :class:`BranchFrequencyCache`.  At the end
 of a profiling window it reports the critical regions — candidate loops —
 ranked by backward-branch frequency, from which the dynamic partitioning
 module selects the single most critical region to implement in hardware,
@@ -11,10 +11,9 @@ exactly as in Section 4 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
-from ..microblaze.trace import TraceEvent
 from .branch_cache import BranchFrequencyCache
 
 
@@ -53,62 +52,25 @@ class OnChipProfiler:
     """Branch observer implementing the warp processor's profiler.
 
     The hardware profiler snoops the instruction-side local memory bus and
-    reacts only to taken backward branches, so the simulated profiler
-    subscribes through the CPU's zero-allocation branch-hook protocol
-    (:class:`~repro.microblaze.trace.BranchObserver`): branch handlers of
-    the execution engine call :meth:`on_branch` with three scalars and no
-    :class:`~repro.microblaze.trace.TraceEvent` is ever allocated for it.
-    :meth:`on_instruction` remains available for feeding the profiler from
-    a pre-recorded event trace.
+    reacts only to taken backward branches, which is exactly what the
+    CPU's observer protocol
+    (:class:`~repro.microblaze.trace.BranchObserver`) delivers: every
+    engine calls :meth:`on_backward_branch` with two scalars, once per
+    loop iteration.
     """
 
     def __init__(self, cache: Optional[BranchFrequencyCache] = None):
         self.cache = cache if cache is not None else BranchFrequencyCache()
-        self.total_branches = 0
-        self.backward_taken = 0
         self.instructions_observed = 0
-        #: Basic-block edge profile: ``(branch pc, taken target) -> count``
-        #: over *every* taken branch (forward and backward, any engine —
-        #: the branch-hook protocol delivers all of them).  Unlike the
-        #: bounded :class:`BranchFrequencyCache`, which models the
-        #: hardware profiler's backward-branch table, this is host-side
-        #: groundwork for path-sensitive partitioning: edge weights over
-        #: the control-flow graph let the partitioner score *paths*
-        #: through a region rather than single loop headers.  Cost: one
-        #: small tuple key and one dict upsert per taken branch —
-        #: comparable to the branch cache's record() that backward
-        #: branches already pay.
-        self.edge_counts: dict = {}
 
     # ---------------------------------------------------------- branch observer
-    def on_branch(self, pc: int, target: Optional[int], taken: bool) -> None:
-        """One branch as observed on the instruction bus (scalar fast path)."""
-        self.total_branches += 1
-        if taken and target is not None:
-            edge = (pc, target)
-            counts = self.edge_counts
-            counts[edge] = counts.get(edge, 0) + 1
-            if target < pc:
-                self.backward_taken += 1
-                self.cache.record(pc, target)
+    def on_backward_branch(self, pc: int, target: int) -> None:
+        """One taken backward branch as observed on the instruction bus."""
+        self.cache.record(pc, target)
 
     def on_run_end(self, instructions: int) -> None:
         """Called by the CPU with the instruction count of a finished run."""
         self.instructions_observed += instructions
-
-    # ---------------------------------------------------------- trace listener
-    def on_instruction(self, event: TraceEvent) -> None:
-        """Feed the profiler from a recorded full-instruction trace."""
-        self.instructions_observed += 1
-        if not event.is_branch:
-            return
-        self.total_branches += 1
-        if event.branch_taken and event.branch_target is not None:
-            edge = (event.pc, event.branch_target)
-            self.edge_counts[edge] = self.edge_counts.get(edge, 0) + 1
-            if event.branch_target < event.pc:
-                self.backward_taken += 1
-                self.cache.record(event.pc, event.branch_target)
 
     # ------------------------------------------------------------------ results
     def critical_regions(self, top: int = 8) -> List[CriticalRegion]:
@@ -135,7 +97,7 @@ class OnChipProfiler:
         region = self.most_critical_region()
         lines = [
             f"profiled {self.instructions_observed} instructions, "
-            f"{self.backward_taken} taken backward branches",
+            f"{self.cache.updates} taken backward branches",
         ]
         if region is not None:
             lines.append(f"most critical region: {region}")

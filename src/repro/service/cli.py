@@ -45,12 +45,6 @@ queue depth, shard occupancy, per-stage hit rates and retry/timeout
 counters.  Local runs accept ``--trace-out spans.jsonl`` to record and
 export the run's trace spans.  Finally ::
 
-    repro-warp hot-edges [--benchmarks brev,...] [--engine jit]
-                         [--top N] [--small] [--out edges.json]
-
-profiles each kernel with the on-chip profiler model and dumps the
-profiler's taken-branch edge counts, hottest first, and ::
-
     repro-warp fuzz [--seeds N] [--seed-start S] [--profile mixed]
                     [--engines interp,jit,...] [--jobs N]
                     [--precise-fault-stats] [--workers N] [--out ...]
@@ -288,29 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--max-instructions", type=int, default=2_000_000,
                       help="per-run instruction budget (default 2M)")
     common(fuzz)
-
-    hot = subparsers.add_parser(
-        "hot-edges", help="profile benchmark kernels and dump the "
-                          "profiler's taken-branch edge counts, hottest "
-                          "first")
-    hot.add_argument("--benchmarks", default=None,
-                     help="comma-separated benchmark names "
-                          "(default: the full six-benchmark suite)")
-    hot.add_argument("--config", choices=sorted(NAMED_CONFIGS),
-                     default="paper", help="processor configuration")
-    from ..microblaze.engines import DEFAULT_ENGINE as _DEFAULT_ENGINE
-    from ..microblaze.engines import engine_names as _engine_names
-    hot.add_argument("--engine", default=_DEFAULT_ENGINE,
-                     help="execution engine carrying the profiler hook "
-                          f"({', '.join(_engine_names())})")
-    hot.add_argument("--small", action="store_true",
-                     help="use the reduced-size benchmark parameters")
-    hot.add_argument("--top", type=int, default=10,
-                     help="edges listed per kernel (default 10)")
-    hot.add_argument("--out", type=Path, default=None,
-                     help="also write the full dump as JSON here")
-    hot.add_argument("--quiet", action="store_true",
-                     help="suppress the table output")
     return parser
 
 
@@ -426,7 +397,7 @@ def _fuzz_jobs_from_args(args) -> List[WarpJob]:
     to one per pool worker) so ``--workers N`` fans the campaign across
     the pool — or across remote gateways via ``submit`` with a fuzz job
     file.  Unknown engine names fail with exit code 2, matching
-    ``suite --engines`` and ``hot-edges --engine``.
+    ``suite --engines``.
     """
     from ..microblaze.engines import UnknownEngineError, validate_engine_name
 
@@ -702,56 +673,6 @@ def _cmd_top(args) -> int:
         return 3
 
 
-def _cmd_hot_edges(args) -> int:
-    """Profile each selected kernel and dump its hottest branch edges.
-
-    The dump is :attr:`OnChipProfiler.edge_counts`: taken-branch edges
-    by execution count, hottest first, with backward (loop) edges
-    marked.
-    """
-    from ..apps import build_suite
-    from ..compiler.driver import compile_source_cached
-    from ..microblaze import UnknownEngineError, run_program
-    from ..microblaze.engines import validate_engine_name
-    from ..profiler.profiler import OnChipProfiler
-
-    config = NAMED_CONFIGS[args.config]
-    names = _split(args.benchmarks) if args.benchmarks else None
-    try:
-        engine = validate_engine_name(args.engine)
-        benchmarks = build_suite(small=args.small, names=names)
-    except (UnknownEngineError, KeyError, ValueError) as error:
-        print(f"repro-warp: {error}", file=sys.stderr)
-        return 2
-
-    dump: Dict[str, List[Dict[str, object]]] = {}
-    for benchmark in benchmarks:
-        program = compile_source_cached(benchmark.source,
-                                        name=benchmark.name,
-                                        config=config).program
-        profiler = OnChipProfiler()
-        run_program(program, config, engine=engine, listeners=[profiler])
-        ranked = sorted(profiler.edge_counts.items(),
-                        key=lambda item: (-item[1], item[0]))
-        dump[benchmark.name] = [
-            {"src": src, "dst": dst, "count": count,
-             "backward": dst <= src}
-            for (src, dst), count in ranked[:max(1, args.top)]
-        ]
-        if not args.quiet:
-            print(f"{benchmark.name}: {len(profiler.edge_counts)} edges, "
-                  f"{profiler.total_branches} branches")
-            for edge in dump[benchmark.name]:
-                loop = "  loop" if edge["backward"] else ""
-                print(f"  {edge['src']:#08x} -> {edge['dst']:#08x}"
-                      f"  {edge['count']:>10}{loop}")
-    if args.out is not None:
-        args.out.write_text(json.dumps(dump, indent=2) + "\n")
-        if not args.quiet:
-            print(f"hot-edge dump written to {args.out}")
-    return 0
-
-
 def _cmd_remote_suite(args, jobs: List[WarpJob]) -> int:
     from ..server.client import RemoteWorkerBackend
 
@@ -787,8 +708,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_top(args)
         if args.command == "mesh":
             return _cmd_mesh(args)
-        if args.command == "hot-edges":
-            return _cmd_hot_edges(args)
         if args.command == "remote-suite":
             return _cmd_remote_suite(args, _sweep_jobs_from_args(args))
         if args.command == "suite":

@@ -31,7 +31,6 @@ from ..microblaze.config import MicroBlazeConfig, PAPER_CONFIG
 from ..microblaze.opb import OPB_BASE_ADDRESS
 from ..microblaze.system import ExecutionResult, MicroBlazeSystem
 from ..partition.dpm import DynamicPartitioningModule, PartitioningOutcome
-from ..profiler.branch_cache import BranchFrequencyCache
 from ..profiler.profiler import OnChipProfiler
 
 
@@ -118,14 +117,12 @@ class WarpProcessor:
         config: MicroBlazeConfig = PAPER_CONFIG,
         wcla: WclaParameters = DEFAULT_WCLA,
         wcla_base_address: int = OPB_BASE_ADDRESS,
-        profiler_cache_entries: int = 16,
         engine: Optional[str] = None,
         artifact_cache=None,
         stage_names=None,
         dpm: Optional[DynamicPartitioningModule] = None,
     ):
         self.config = config
-        self.profiler_cache_entries = profiler_cache_entries
         self.engine = engine
         if dpm is not None:
             if wcla is not DEFAULT_WCLA or wcla_base_address != OPB_BASE_ADDRESS \
@@ -158,14 +155,10 @@ class WarpProcessor:
                 max_instructions: int = 50_000_000) -> tuple[ExecutionResult, OnChipProfiler]:
         """Phase 1: run the program on the MicroBlaze alone while profiling.
 
-        The profiler subscribes through the branch-hook protocol, so this
-        run never falls back to the interpreter: the engine's branch code
-        feeds the profiler scalars directly and no trace events are
-        allocated.
+        The profiler hears only taken backward branches, straight from the
+        engine's branch code, so this run stays on the selected engine.
         """
-        profiler = OnChipProfiler(
-            BranchFrequencyCache(num_entries=self.profiler_cache_entries)
-        )
+        profiler = OnChipProfiler()
         system = MicroBlazeSystem(config=self.config, engine=self.engine)
         result = system.run(program, listeners=[profiler],
                             max_instructions=max_instructions)

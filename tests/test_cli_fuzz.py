@@ -1,5 +1,5 @@
-"""The ``repro-warp fuzz`` and ``hot-edges`` verbs and engine-name
-validation exit codes."""
+"""The ``repro-warp fuzz`` verb, engine-name validation exit codes and
+the deleted ``hot-edges`` verb."""
 
 from __future__ import annotations
 
@@ -22,13 +22,6 @@ class TestEngineNameValidation:
         assert "warp9000" in err
         assert "registered engines" in err
 
-    def test_hot_edges_unknown_engine_exits_2(self, capsys):
-        assert main(["hot-edges", "--engine", "warp9000", "--small",
-                     "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert "warp9000" in err
-        assert "registered engines" in err
-
     def test_fuzz_unknown_profile_exits_2(self, capsys):
         assert main(["fuzz", "--seeds", "1", "--profile", "nosuch",
                      "--quiet"]) == 2
@@ -38,17 +31,19 @@ class TestEngineNameValidation:
         assert main(["fuzz", "--seeds", "0", "--quiet"]) == 2
 
 
-class TestHotEdgesVerb:
-    def test_dump_ranks_the_profilers_edge_counts(self, tmp_path):
-        out = tmp_path / "edges.json"
-        assert main(["hot-edges", "--benchmarks", "brev", "--small",
-                     "--top", "5", "--quiet", "--out", str(out)]) == 0
-        edges = json.loads(out.read_text())["brev"]
-        assert 0 < len(edges) <= 5
-        counts = [edge["count"] for edge in edges]
-        assert counts == sorted(counts, reverse=True)
-        # The hottest edge of a loop kernel is its backward branch.
-        assert edges[0]["backward"] and edges[0]["dst"] <= edges[0]["src"]
+class TestHotEdgesVerbIsGone:
+    """The edge-profile dump went with the profiler's edge counts: the
+    verb is an unknown command, exit code 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["hot-edges"],
+        ["hot-edges", "--benchmarks", "brev", "--small", "--quiet"],
+    ], ids=["bare", "with-flags"])
+    def test_hot_edges_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "invalid choice: 'hot-edges'" in capsys.readouterr().err
 
 
 class TestFuzzVerb:

@@ -134,9 +134,9 @@ class TestSuiteBitExact:
             profilers[which] = profiler
         a, b = profilers["interp"], profilers[engine]
         assert a.critical_regions() == b.critical_regions()
-        assert a.edge_counts == b.edge_counts
-        assert (a.total_branches, a.backward_taken, a.instructions_observed) \
-            == (b.total_branches, b.backward_taken, b.instructions_observed)
+        assert a.cache.sets == b.cache.sets
+        assert (a.cache.evictions, a.cache.updates, a.instructions_observed) \
+            == (b.cache.evictions, b.cache.updates, b.instructions_observed)
 
     @pytest.mark.parametrize("engine", BLOCK_ENGINES)
     def test_warp_flow_cycle_exact(self, engine, compiled_small_programs):

@@ -91,49 +91,16 @@ class TestRegistry:
     def test_engine_instance_capabilities(self):
         system = MicroBlazeSystem(config=PAPER_CONFIG, engine="interp")
         impl = system.cpu._engine_impl
-        assert impl.full_trace and impl.supports_max_cycles
+        assert impl.supports_max_cycles and impl.supports_halt_address
         for engine in BLOCK_ENGINES:
             impl = MicroBlazeSystem(config=PAPER_CONFIG,
                                     engine=engine).cpu._engine_impl
-            assert impl.branch_hooks
-            assert not impl.full_trace
             assert not impl.supports_max_cycles
             assert not impl.supports_halt_address
 
     def test_create_engine_binds_name(self):
         cpu = MicroBlazeSystem(config=PAPER_CONFIG).cpu
         assert create_engine("jit", cpu).name == "jit"
-
-    def test_engine_without_branch_hooks_falls_back(self):
-        """An engine declaring branch_hooks=False must not run while a
-        branch hook is attached — the driver falls back to the
-        interpreter so the hook still sees every branch."""
-        from repro.profiler.profiler import OnChipProfiler
-
-        class DeafEngine(JitEngine):
-            branch_hooks = False
-            dispatches = 0
-
-            def run(self, max_instructions, max_cycles=None):
-                DeafEngine.dispatches += 1
-                super().run(max_instructions, max_cycles)
-
-        register_engine("unit-test-deaf", DeafEngine)
-        try:
-            program = assemble(LOOP)
-            profiler = OnChipProfiler()
-            result = run_program(program, PAPER_CONFIG,
-                                 engine="unit-test-deaf",
-                                 listeners=[profiler])
-            assert DeafEngine.dispatches == 0  # interpreter took over
-            assert profiler.total_branches \
-                == result.stats.branches_taken \
-                + result.stats.branches_not_taken
-            # Without a hook attached the engine dispatches normally.
-            run_program(program, PAPER_CONFIG, engine="unit-test-deaf")
-            assert DeafEngine.dispatches == 1
-        finally:
-            _REGISTRY.pop("unit-test-deaf", None)
 
 
 # --------------------------------------------------------------- service layer
@@ -184,15 +151,11 @@ class TestServiceValidation:
         err = capsys.readouterr().err
         assert "turbo" in err and "registered engines" in err
 
-    @pytest.mark.parametrize("argv,attribute", [
-        (["suite"], "engines"),
-        (["hot-edges"], "engine"),
-    ], ids=["suite", "hot-edges"])
-    def test_cli_defaults_to_the_default_engine(self, argv, attribute):
+    def test_cli_defaults_to_the_default_engine(self):
         from repro.service.cli import _build_parser
 
-        args = _build_parser().parse_args(argv)
-        assert getattr(args, attribute) == DEFAULT_ENGINE
+        args = _build_parser().parse_args(["suite"])
+        assert args.engines == DEFAULT_ENGINE
 
     def test_wire_codec_round_trips_engine(self):
         from repro.server.protocol import job_from_plain, job_to_plain
@@ -259,9 +222,8 @@ class TestDeletedEngines:
 
     @pytest.mark.parametrize("argv", [
         ["suite", "--engines", "{}"],
-        ["hot-edges", "--engine", "{}", "--small"],
         ["fuzz", "--seeds", "1", "--engines", "interp,{}"],
-    ], ids=["suite", "hot-edges", "fuzz"])
+    ], ids=["suite", "fuzz"])
     def test_cli_rejects_deleted(self, deleted, argv, capsys):
         argv = [arg.format(deleted) for arg in argv]
         assert cli_main(argv + ["--quiet"]) == 2

@@ -93,9 +93,9 @@ class TestDifferential:
             profilers[engine] = profiler
         a, b = profilers["interp"], profilers["jit"]
         assert a.critical_regions() == b.critical_regions()
-        assert a.edge_counts == b.edge_counts
-        assert (a.total_branches, a.backward_taken, a.instructions_observed) \
-            == (b.total_branches, b.backward_taken, b.instructions_observed)
+        assert a.cache.sets == b.cache.sets
+        assert (a.cache.evictions, a.cache.updates, a.instructions_observed) \
+            == (b.cache.evictions, b.cache.updates, b.instructions_observed)
 
     def test_precise_mode_fault_free_bit_exact(self, compiled_small_programs):
         program = compiled_small_programs["canrdr"]
@@ -372,23 +372,6 @@ class TestCacheInvalidation:
         assert impl._image_digest is None
         system.resume()
         assert system.cpu.read_register(3) == 10
-
-
-# ------------------------------------------------------------ dispatch fallback
-def test_full_trace_listener_falls_back_to_interpreter():
-    """A full-trace listener (no ``on_branch``) keeps the CPU off the jit,
-    so the listener still sees every instruction."""
-    events = []
-
-    class Recorder:
-        def on_instruction(self, event):
-            events.append(event.pc)
-
-    system = MicroBlazeSystem(config=PAPER_CONFIG, engine="jit")
-    system.cpu.add_listener(Recorder())
-    result = system.run(assemble(TestCacheInvalidation.LOOP))
-    assert not system.cpu._engine_impl.blocks  # the jit never dispatched
-    assert len(events) == result.stats.instructions
 
 
 # -------------------------------------------------------------------- telemetry

@@ -7,15 +7,13 @@ import pytest
 from repro.isa import HwUnit, assemble
 from repro.microblaze import (
     BlockRAM,
-    BranchTraceRecorder,
-    ClassProfile,
     IllegalInstruction,
     MemoryError_,
+    MicroBlazeSystem,
     MicroBlazeConfig,
     MINIMAL_CONFIG,
     OnChipPeripheralBus,
     PAPER_CONFIG,
-    PcCycleHistogram,
     SimplePeripheral,
     run_program,
 )
@@ -258,8 +256,8 @@ class TestTiming:
         assert 1.0 <= result.cpi <= 2.0
 
 
-# --------------------------------------------------------------------------- tracing
-class TestTracing:
+# --------------------------------------------------------------------------- observers
+class TestObservers:
     SOURCE = """
         addi r5, r0, 8
         addi r3, r0, 0
@@ -270,23 +268,45 @@ class TestTracing:
         bri 0
     """
 
-    def test_class_profile_counts_everything(self):
-        profile = ClassProfile()
-        result = run_asm(self.SOURCE, listeners=[profile])
-        assert profile.total_instructions == result.instructions
-        assert profile.total_cycles == result.cycles
+    class BackwardBranches:
+        def __init__(self):
+            self.branches = []
+            self.run_ends = []
 
-    def test_branch_recorder_sees_backward_branches(self):
-        recorder = BranchTraceRecorder()
-        run_asm(self.SOURCE, listeners=[recorder])
-        backward = recorder.backward_taken_branches()
-        assert len(backward) == 7  # loop iterates 8 times, last branch falls through
+        def on_backward_branch(self, pc, target):
+            self.branches.append((pc, target))
 
-    def test_pc_histogram_accounts_all_cycles(self):
-        histogram = PcCycleHistogram()
-        result = run_asm(self.SOURCE, listeners=[histogram])
-        assert histogram.total_cycles() == result.cycles
-        assert histogram.cycles_in_range(0, 0x100) == result.cycles
+        def on_run_end(self, instructions):
+            self.run_ends.append(instructions)
+
+    @pytest.mark.parametrize("engine", ["interp", "jit"])
+    def test_observer_hears_only_taken_backward_branches(self, engine):
+        program = assemble(self.SOURCE)
+        observer = self.BackwardBranches()
+        result = run_program(program, PAPER_CONFIG, listeners=[observer],
+                             engine=engine)
+        loop = program.symbol_address("loop")
+        # The loop iterates 8 times; the last branch falls through and
+        # the final ``bri 0`` (a branch to itself) is not backward.
+        assert observer.branches == [(loop + 8, loop)] * 7
+        assert observer.run_ends == [result.instructions]
+
+    @pytest.mark.parametrize("listener", [
+        type("OldBranchHook", (), {
+            "on_branch": lambda self, pc, target, taken: None}),
+        type("FullTraceListener", (), {
+            "on_instruction": lambda self, event: None}),
+    ], ids=["on_branch", "on_instruction"])
+    def test_add_listener_rejects_the_deleted_protocols(self, listener):
+        """An old branch hook or full-trace listener fails loudly instead
+        of silently hearing nothing."""
+        system = MicroBlazeSystem(config=PAPER_CONFIG)
+        with pytest.raises(TypeError, match="on_backward_branch"):
+            system.cpu.add_listener(listener())
+        with pytest.raises(TypeError, match="on_backward_branch"):
+            system.run(assemble(self.SOURCE),
+                       listeners=[self.BackwardBranches(), listener()])
+        assert not system.cpu._observers  # nothing left attached
 
     def test_config_describe_and_without(self):
         config = MicroBlazeConfig()

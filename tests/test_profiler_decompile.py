@@ -81,34 +81,6 @@ class TestProfiler:
         assert regions and regions[0].frequency >= regions[-1].frequency
         assert regions[0].relative_weight <= 1.0
 
-    def test_edge_profile_counts_taken_edges(self):
-        """The basic-block edge profile: every taken branch records its
-        ``(pc, target)`` edge, forward and backward alike."""
-        program = assemble(LOOP_SOURCE)
-        profiler = OnChipProfiler()
-        result = run_program(program, PAPER_CONFIG, listeners=[profiler])
-        # The loop's backward edge is its hottest edge and matches the
-        # branch-frequency cache's observation of the same loop.
-        header = program.symbol_address("loop")
-        back_edges = {edge: count for edge, count
-                      in profiler.edge_counts.items() if edge[1] == header}
-        assert back_edges
-        assert max(back_edges.values()) == 19
-        # Edge weights partition the taken-branch count exactly.
-        assert sum(profiler.edge_counts.values()) \
-            == result.stats.branches_taken
-
-    @pytest.mark.parametrize("engine", ["interp", "jit"])
-    def test_edge_profile_identical_across_engines(self, engine,
-                                                   compiled_small_programs):
-        reference = OnChipProfiler()
-        run_program(compiled_small_programs["canrdr"], PAPER_CONFIG,
-                    listeners=[reference], engine="interp")
-        observed = OnChipProfiler()
-        run_program(compiled_small_programs["canrdr"], PAPER_CONFIG,
-                    listeners=[observed], engine=engine)
-        assert observed.edge_counts == reference.edge_counts
-
 
 class TestControlFlowGraph:
     def test_blocks_and_back_edge(self):
