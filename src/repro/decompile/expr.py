@@ -17,37 +17,11 @@ faithful to what a synthesis tool would produce.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-WORD_MASK = 0xFFFFFFFF
-
-
-def _signed(value: int) -> int:
-    value &= WORD_MASK
-    return value - 0x1_0000_0000 if value >= 0x8000_0000 else value
-
-
-class OpKind(enum.Enum):
-    """Word-level operator kinds of the dataflow graph."""
-
-    ADD = "add"
-    SUB = "sub"
-    MUL = "mul"
-    AND = "and"
-    OR = "or"
-    XOR = "xor"
-    ANDN = "andn"
-    SHL = "shl"
-    SHR_LOGICAL = "shr_l"
-    SHR_ARITH = "shr_a"
-    SEXT8 = "sext8"
-    SEXT16 = "sext16"
-    NEG = "neg"
-    NOT = "not"
-    CMP_SIGN = "cmp_sign"    # sign(b - a) in {-1, 0, +1}
-    CMP_SIGN_U = "cmp_sign_u"
+from ..isa.registers import WORD_MASK, to_signed
+from ..isa.semantics import BINARY, RELATIONS, UNARY, OpKind
 
 
 #: Depth bound of the human-readable expression renderer.  Expressions form
@@ -66,7 +40,7 @@ def format_node(node: "Node", max_depth: int = STR_MAX_DEPTH) -> str:
     if node is None:
         return "?"
     if isinstance(node, Const):
-        return f"{_signed(node.value)}"
+        return f"{to_signed(node.value)}"
     if isinstance(node, LiveIn):
         return f"r{node.register}_in"
     if max_depth <= 0:
@@ -220,15 +194,7 @@ class ExpressionBuilder:
 
     def unary(self, op: OpKind, operand: Node) -> Node:
         if isinstance(operand, Const):
-            value = operand.value
-            if op is OpKind.NEG:
-                return self.const(-value)
-            if op is OpKind.NOT:
-                return self.const(~value)
-            if op is OpKind.SEXT8:
-                return self.const(_signed(value & 0xFF if value & 0x80 == 0 else value | ~0xFF))
-            if op is OpKind.SEXT16:
-                return self.const(_signed(value & 0xFFFF if value & 0x8000 == 0 else value | ~0xFFFF))
+            return self.const(UNARY[op](operand.value))
         key = ("un", op, operand.node_id)
         return self._intern(key, lambda i: UnExpr(node_id=i, op=op, operand=operand))
 
@@ -253,24 +219,7 @@ class ExpressionBuilder:
     def _fold_binary(self, op: OpKind, left: Node, right: Node) -> Optional[Node]:
         """Constant folding and identities applied while building the DAG."""
         if isinstance(left, Const) and isinstance(right, Const):
-            a, b = left.value, right.value
-            sa, sb = _signed(a), _signed(b)
-            table = {
-                OpKind.ADD: lambda: a + b,
-                OpKind.SUB: lambda: a - b,
-                OpKind.MUL: lambda: a * b,
-                OpKind.AND: lambda: a & b,
-                OpKind.OR: lambda: a | b,
-                OpKind.XOR: lambda: a ^ b,
-                OpKind.ANDN: lambda: a & ~b,
-                OpKind.SHL: lambda: a << (b & 31),
-                OpKind.SHR_LOGICAL: lambda: a >> (b & 31),
-                OpKind.SHR_ARITH: lambda: sa >> (b & 31),
-                OpKind.CMP_SIGN: lambda: (1 if sb > sa else 0 if sb == sa else -1),
-                OpKind.CMP_SIGN_U: lambda: (1 if b > a else 0 if a == b else -1),
-            }
-            if op in table:
-                return self.const(table[op]())
+            return self.const(BINARY[op](left.value, right.value))
         if isinstance(right, Const) and right.value == 0:
             if op in (OpKind.ADD, OpKind.SUB, OpKind.OR, OpKind.XOR, OpKind.SHL,
                       OpKind.SHR_LOGICAL, OpKind.SHR_ARITH):
@@ -327,9 +276,12 @@ def walk(node: Node) -> Iterable[Node]:
 def evaluate(node: Node, live_values: Dict[int, int], memory_read, loads_cache: Dict[int, int]) -> int:
     """Evaluate ``node`` for one iteration.
 
-    This is the reference semantics of the dataflow graph: the WCLA model
-    (:mod:`repro.fabric.hw_exec`) lowers whole kernel bodies to generated
-    Python source for speed and is tested against this function.
+    This is the reference semantics of the dataflow graph.  Operators and
+    relations apply the reference callables of :mod:`repro.isa.semantics`
+    (the ones the ``interp`` reference interpreter applies); the WCLA model
+    (:mod:`repro.fabric.hw_exec`) instead lowers whole kernel bodies to the
+    module's source templates for speed and is tested against this
+    function.
 
     ``live_values`` maps architectural register numbers to their values at
     the start of the iteration, ``memory_read(address, width)`` performs a
@@ -348,59 +300,22 @@ def evaluate(node: Node, live_values: Dict[int, int], memory_read, loads_cache: 
         return loads_cache[node.node_id]
     if isinstance(node, UnExpr):
         value = evaluate(node.operand, live_values, memory_read, loads_cache)
-        if node.op is OpKind.NEG:
-            return (-value) & WORD_MASK
-        if node.op is OpKind.NOT:
-            return (~value) & WORD_MASK
-        if node.op is OpKind.SEXT8:
-            return (_signed((value & 0xFF) | (0xFFFFFF00 if value & 0x80 else 0))) & WORD_MASK
-        if node.op is OpKind.SEXT16:
-            return (_signed((value & 0xFFFF) | (0xFFFF0000 if value & 0x8000 else 0))) & WORD_MASK
-        raise ValueError(f"unknown unary op {node.op}")
+        unary = UNARY.get(node.op)
+        if unary is None:
+            raise ValueError(f"unknown unary op {node.op}")
+        return unary(value)
     if isinstance(node, Mux):
         condition = evaluate(node.condition, live_values, memory_read, loads_cache)
         chosen = node.if_true if condition else node.if_false
         return evaluate(chosen, live_values, memory_read, loads_cache)
     if isinstance(node, Condition):
-        value = _signed(evaluate(node.value, live_values, memory_read, loads_cache))
-        relation = node.relation
-        result = {
-            "eq": value == 0,
-            "ne": value != 0,
-            "lt": value < 0,
-            "le": value <= 0,
-            "gt": value > 0,
-            "ge": value >= 0,
-        }[relation]
-        return int(result)
+        value = evaluate(node.value, live_values, memory_read, loads_cache)
+        return int(RELATIONS[node.relation](value))
     if isinstance(node, BinExpr):
         a = evaluate(node.left, live_values, memory_read, loads_cache)
         b = evaluate(node.right, live_values, memory_read, loads_cache)
-        sa, sb = _signed(a), _signed(b)
-        op = node.op
-        if op is OpKind.ADD:
-            return (a + b) & WORD_MASK
-        if op is OpKind.SUB:
-            return (a - b) & WORD_MASK
-        if op is OpKind.MUL:
-            return (a * b) & WORD_MASK
-        if op is OpKind.AND:
-            return a & b
-        if op is OpKind.OR:
-            return a | b
-        if op is OpKind.XOR:
-            return a ^ b
-        if op is OpKind.ANDN:
-            return a & ~b & WORD_MASK
-        if op is OpKind.SHL:
-            return (a << (b & 31)) & WORD_MASK
-        if op is OpKind.SHR_LOGICAL:
-            return a >> (b & 31)
-        if op is OpKind.SHR_ARITH:
-            return (sa >> (b & 31)) & WORD_MASK
-        if op is OpKind.CMP_SIGN:
-            return (1 if sb > sa else 0 if sb == sa else -1) & WORD_MASK
-        if op is OpKind.CMP_SIGN_U:
-            return (1 if b > a else 0 if a == b else -1) & WORD_MASK
-        raise ValueError(f"unknown binary op {op}")
+        binary = BINARY.get(node.op)
+        if binary is None:
+            raise ValueError(f"unknown binary op {node.op}")
+        return binary(a, b)
     raise TypeError(f"cannot evaluate node {node!r}")

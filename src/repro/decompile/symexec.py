@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..isa.encoding import decode
 from ..isa.instructions import Instruction, InstrClass
+from ..isa.semantics import fuse_imm
 from ..profiler.profiler import CriticalRegion
 from .expr import (
     Condition,
@@ -43,9 +44,6 @@ class DecompilationError(Exception):
 
 _NEGATED_RELATION = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt",
                      "gt": "le", "le": "gt"}
-
-_LOAD_WIDTHS = {"lw": 4, "lwi": 4, "lhu": 2, "lhui": 2, "lbu": 1, "lbui": 1}
-_STORE_WIDTHS = {"sw": 4, "swi": 4, "sh": 2, "shi": 2, "sb": 1, "sbi": 1}
 
 
 @dataclass
@@ -112,12 +110,6 @@ class SymbolicExecutor:
             return
         state[register] = value
         self._written.add(register)
-
-    def _effective_imm(self, instr: Instruction) -> int:
-        if self._imm_latch is None:
-            return instr.imm
-        value = ((self._imm_latch << 16) | (instr.imm & 0xFFFF)) & 0xFFFFFFFF
-        return value - 0x1_0000_0000 if value >= 0x8000_0000 else value
 
     # ------------------------------------------------------------------ driver
     def run(self) -> SymbolicLoopBody:
@@ -216,14 +208,13 @@ class SymbolicExecutor:
     # ------------------------------------------------------------ instructions
     def _execute_straightline(self, instr: Instruction, state: Dict[int, Node],
                               guard: Optional[Node]) -> None:
-        mnemonic = instr.mnemonic
         klass = instr.klass
         builder = self.builder
 
         if klass is InstrClass.IMM_PREFIX:
             self._imm_latch = instr.imm & 0xFFFF
             return
-        imm = self._effective_imm(instr)
+        imm = fuse_imm(self._imm_latch, instr.imm)
         self._imm_latch = None
 
         if klass is InstrClass.LOAD:
@@ -231,7 +222,7 @@ class SymbolicExecutor:
             offset = self._read_reg(instr.rb, state) if instr.spec.fmt.value == "A" \
                 else builder.const(imm)
             address = builder.binary(OpKind.ADD, base, offset)
-            load = builder.load(address, _LOAD_WIDTHS[mnemonic], self._sequence)
+            load = builder.load(address, instr.spec.width, self._sequence)
             self._sequence += 1
             self._loads.append(load)
             self._write_reg(instr.rd, load, state)
@@ -243,7 +234,7 @@ class SymbolicExecutor:
             address = builder.binary(OpKind.ADD, base, offset)
             value = self._read_reg(instr.rd, state)
             self._stores.append(StoreOp(address=address, value=value,
-                                        width=_STORE_WIDTHS[mnemonic], guard=guard,
+                                        width=instr.spec.width, guard=guard,
                                         sequence=self._sequence))
             self._sequence += 1
             return
@@ -255,67 +246,29 @@ class SymbolicExecutor:
 
     def _data_expression(self, instr: Instruction, imm: int,
                          state: Dict[int, Node]) -> Node:
-        builder = self.builder
-        mnemonic = instr.mnemonic
-        ra = self._read_reg(instr.ra, state)
-        rb = self._read_reg(instr.rb, state)
-        imm_node = builder.const(imm)
+        """The opcode table's operator over the instruction's operands.
 
-        if mnemonic in ("add", "addk"):
-            return builder.binary(OpKind.ADD, ra, rb)
-        if mnemonic in ("addi", "addik"):
-            return builder.binary(OpKind.ADD, ra, imm_node)
-        if mnemonic in ("rsub", "rsubk"):
-            return builder.binary(OpKind.SUB, rb, ra)
-        if mnemonic in ("rsubi", "rsubik"):
-            return builder.binary(OpKind.SUB, imm_node, ra)
-        if mnemonic == "mul":
-            return builder.binary(OpKind.MUL, ra, rb)
-        if mnemonic == "muli":
-            return builder.binary(OpKind.MUL, ra, imm_node)
-        if mnemonic == "and":
-            return builder.binary(OpKind.AND, ra, rb)
-        if mnemonic == "andi":
-            return builder.binary(OpKind.AND, ra, imm_node)
-        if mnemonic == "or":
-            return builder.binary(OpKind.OR, ra, rb)
-        if mnemonic == "ori":
-            return builder.binary(OpKind.OR, ra, imm_node)
-        if mnemonic == "xor":
-            return builder.binary(OpKind.XOR, ra, rb)
-        if mnemonic == "xori":
-            return builder.binary(OpKind.XOR, ra, imm_node)
-        if mnemonic == "andn":
-            return builder.binary(OpKind.ANDN, ra, rb)
-        if mnemonic == "andni":
-            return builder.binary(OpKind.ANDN, ra, imm_node)
-        if mnemonic == "sra":
-            return builder.binary(OpKind.SHR_ARITH, ra, builder.const(1))
-        if mnemonic in ("srl", "src"):
-            return builder.binary(OpKind.SHR_LOGICAL, ra, builder.const(1))
-        if mnemonic == "sext8":
-            return builder.unary(OpKind.SEXT8, ra)
-        if mnemonic == "sext16":
-            return builder.unary(OpKind.SEXT16, ra)
-        if mnemonic == "bsll":
-            return builder.binary(OpKind.SHL, ra, rb)
-        if mnemonic == "bslli":
-            return builder.binary(OpKind.SHL, ra, builder.const(instr.imm & 31))
-        if mnemonic == "bsrl":
-            return builder.binary(OpKind.SHR_LOGICAL, ra, rb)
-        if mnemonic == "bsrli":
-            return builder.binary(OpKind.SHR_LOGICAL, ra, builder.const(instr.imm & 31))
-        if mnemonic == "bsra":
-            return builder.binary(OpKind.SHR_ARITH, ra, rb)
-        if mnemonic == "bsrai":
-            return builder.binary(OpKind.SHR_ARITH, ra, builder.const(instr.imm & 31))
-        if mnemonic == "cmp":
-            return builder.binary(OpKind.CMP_SIGN, ra, rb)
-        if mnemonic == "cmpu":
-            return builder.binary(OpKind.CMP_SIGN_U, ra, rb)
-        raise DecompilationError(
-            f"instruction {mnemonic} at {instr.address:#x} cannot be mapped to hardware"
-        )
+        ``ra``, ``rb`` and the immediate are read for every instruction,
+        in that order, so node numbering does not depend on the operator.
+        """
+        builder = self.builder
+        operands = {"ra": self._read_reg(instr.ra, state),
+                    "rb": self._read_reg(instr.rb, state),
+                    "imm": builder.const(imm)}
+        op = instr.spec.op
+        if op is None:
+            raise DecompilationError(
+                f"instruction {instr.mnemonic} at {instr.address:#x} cannot be mapped to hardware"
+            )
+        kind, *sources = op
+        # The raw shift field and the literal 1 become constants only
+        # where used, after the three reads above.
+        args = [operands[source] if source in operands
+                else builder.const(instr.imm & 31 if source == "imm5" else source)
+                for source in sources]
+        if len(args) == 1:
+            return builder.unary(kind, *args)
+        return builder.binary(kind, *args)
 
 
 def decompile_region(text_words: Sequence[int], region: CriticalRegion,

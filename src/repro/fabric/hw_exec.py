@@ -19,7 +19,11 @@ original instructions, a matching checksum between the software-only run
 and the warp-processed run is genuine evidence that decompilation,
 synthesis and binary patching preserved the application's semantics.
 :func:`repro.decompile.expr.evaluate` stays the reference semantics of
-every node; the generated code is tested against it.
+every node; the generated code is tested against it.  Operators and
+relations are rendered with the source templates of
+:mod:`repro.isa.semantics`, the same ones the ``jit`` block engine emits,
+while ``evaluate`` applies that module's separately written reference
+callables.
 """
 
 from __future__ import annotations
@@ -37,11 +41,11 @@ from ..decompile.expr import (
     Load,
     Mux,
     Node,
-    OpKind,
     UnExpr,
     WORD_MASK,
     operands,
 )
+from ..isa.semantics import relation_source, source
 from ..microblaze.engines.jit import _record_translation
 from ..microblaze.memory import BlockRAM, inline_access_source
 from .implementation import HardwareImplementation
@@ -68,45 +72,6 @@ class KernelInvocation:
 _KERNEL_CODE_CACHE = BoundedLRU(maxsize=256)
 
 _M = "0xFFFFFFFF"
-_SIGN = "0x80000000"
-
-#: Operator templates over operand sources ``a`` and ``b``; every result is
-#: an unsigned 32-bit word, like :func:`repro.decompile.expr.evaluate`.
-#: Operands are always in ``[0, 2**32)``, so ``x ^ SIGN`` orders words as
-#: signed values and sign extension needs no re-masking.  Shift templates
-#: take the already-reduced shift amount ``s``.
-_BINARY = {
-    OpKind.ADD: "({a} + {b}) & " + _M,
-    OpKind.SUB: "({a} - {b}) & " + _M,
-    OpKind.MUL: "({a} * {b}) & " + _M,
-    OpKind.AND: "{a} & {b}",
-    OpKind.OR: "{a} | {b}",
-    OpKind.XOR: "{a} ^ {b}",
-    OpKind.ANDN: "{a} & ~{b} & " + _M,
-    OpKind.SHL: "({a} << {s}) & " + _M,
-    OpKind.SHR_LOGICAL: "{a} >> {s}",
-    OpKind.SHR_ARITH: f"((({{a}} ^ {_SIGN}) - {_SIGN}) >> {{s}}) & {_M}",
-    OpKind.CMP_SIGN: (f"1 if ({{b}} ^ {_SIGN}) > ({{a}} ^ {_SIGN}) "
-                      f"else 0 if {{a}} == {{b}} else {_M}"),
-    OpKind.CMP_SIGN_U: (f"1 if {{b}} > {{a}} "
-                        f"else 0 if {{a}} == {{b}} else {_M}"),
-}
-_SHIFTS = (OpKind.SHL, OpKind.SHR_LOGICAL, OpKind.SHR_ARITH)
-_UNARY = {
-    OpKind.NEG: "-{a} & " + _M,
-    OpKind.NOT: "~{a} & " + _M,
-    OpKind.SEXT8: "{a} | 0xFFFFFF00 if {a} & 0x80 else {a} & 0xFF",
-    OpKind.SEXT16: "{a} | 0xFFFF0000 if {a} & 0x8000 else {a} & 0xFFFF",
-}
-#: ``value <relation> 0`` over the signed reading of an unsigned word.
-_RELATIONS = {
-    "eq": "{a} == 0",
-    "ne": "{a} != 0",
-    "lt": "{a} >= " + _SIGN,
-    "le": "{a} >= " + _SIGN + " or {a} == 0",
-    "gt": "0 < {a} < " + _SIGN,
-    "ge": "{a} < " + _SIGN,
-}
 
 
 class _Scope:
@@ -185,27 +150,16 @@ class _KernelSource:
             address = self.value(node.address, target)
             self.access(target, True, node.width, address, name)
         elif isinstance(node, BinExpr):
-            template = _BINARY.get(node.op)
-            if template is None:
-                raise ValueError(f"unknown binary op {node.op}")
             a = self.value(node.left, scope)
             b = self.value(node.right, scope)
-            s = (b if node.op not in _SHIFTS else
-                 str(int(b) & 31) if b.isdigit() else f"({b} & 31)")
-            self.line(scope, f"{name} = " + template.format(a=a, b=b, s=s))
+            self.line(scope, f"{name} = " + source(node.op, a, b))
         elif isinstance(node, UnExpr):
-            template = _UNARY.get(node.op)
-            if template is None:
-                raise ValueError(f"unknown unary op {node.op}")
             a = self.value(node.operand, scope)
-            self.line(scope, f"{name} = " + template.format(a=a))
+            self.line(scope, f"{name} = " + source(node.op, a))
         elif isinstance(node, Condition):
-            template = _RELATIONS.get(node.relation)
-            if template is None:
-                raise ValueError(
-                    f"unknown condition relation {node.relation!r}")
             a = self.value(node.value, scope)
-            self.line(scope, f"{name} = 1 if {template.format(a=a)} else 0")
+            self.line(scope,
+                      f"{name} = 1 if {relation_source(node.relation, a)} else 0")
         elif isinstance(node, Mux):
             condition = self.value(node.condition, scope)
             on_true = _certain(node.if_true, scope.defined)

@@ -21,7 +21,6 @@ from .instructions import (
     InstrFormat,
     OPCODES,
     OpSpec,
-    is_backward_branch,
     nop,
 )
 from .program import Program, Symbol, SymbolError
@@ -64,7 +63,6 @@ __all__ = [
     "InstrFormat",
     "OPCODES",
     "OpSpec",
-    "is_backward_branch",
     "nop",
     "Program",
     "Symbol",

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from .registers import register_name
+from .semantics import OpKind
 
 
 class InstrFormat(enum.Enum):
@@ -133,6 +134,18 @@ class OpSpec:
         decompilation.
     condition:
         For conditional branches, the condition tested against ``ra``.
+    op:
+        For data instructions, what they compute: an
+        :class:`~repro.isa.semantics.OpKind` followed by its operand
+        sources, each ``"ra"``, ``"rb"``, ``"imm"`` (the immediate, fused
+        with a pending ``imm`` prefix), ``"imm5"`` (the raw 5-bit
+        barrel-shift field) or the literal ``1``.  ``rsub``, for example,
+        is ``(OpKind.SUB, "rb", "ra")``.  The divides have none.
+    width:
+        Access width in bytes of a load or store (0 otherwise).
+    absolute:
+        True for the unconditional branches whose target is absolute
+        rather than PC-relative.
     """
 
     mnemonic: str
@@ -146,6 +159,9 @@ class OpSpec:
     reads: Tuple[str, ...] = ()
     writes: Tuple[str, ...] = ()
     condition: Optional[Condition] = None
+    op: Optional[Tuple] = None
+    width: int = 0
+    absolute: bool = False
 
     @property
     def is_branch(self) -> bool:
@@ -174,6 +190,9 @@ def _spec(
     reads: Sequence[str] = (),
     writes: Sequence[str] = (),
     condition: Optional[Condition] = None,
+    op: Optional[Tuple] = None,
+    width: int = 0,
+    absolute: bool = False,
 ) -> OpSpec:
     return OpSpec(
         mnemonic=mnemonic,
@@ -187,6 +206,9 @@ def _spec(
         reads=tuple(reads),
         writes=tuple(writes),
         condition=condition,
+        op=op,
+        width=width,
+        absolute=absolute,
     )
 
 
@@ -200,66 +222,65 @@ def _build_opcode_table() -> Dict[str, OpSpec]:
         table[spec.mnemonic] = spec
 
     A, B = InstrFormat.TYPE_A, InstrFormat.TYPE_B
+    K = OpKind
     RRR = ("rd", "ra", "rb")
     RRI = ("rd", "ra", "imm")
 
+    def rrr(mnemonic, klass, opcode, op=None, **kw):
+        add(_spec(mnemonic, A, klass, opcode, operands=RRR, reads=("ra", "rb"),
+                  writes=("rd",), op=op, **kw))
+
+    def rri(mnemonic, klass, opcode, op=None, **kw):
+        add(_spec(mnemonic, B, klass, opcode, operands=RRI, reads=("ra",),
+                  writes=("rd",), op=op, **kw))
+
+    def rr(mnemonic, klass, func, op):
+        add(_spec(mnemonic, A, klass, 0x24, func=func, operands=("rd", "ra"),
+                  reads=("ra",), writes=("rd",), op=op))
+
     # ----- integer add / subtract -------------------------------------------------
-    add(_spec("add", A, InstrClass.ALU, 0x00, operands=RRR, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("rsub", A, InstrClass.ALU, 0x01, operands=RRR, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("addk", A, InstrClass.ALU, 0x04, operands=RRR, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("rsubk", A, InstrClass.ALU, 0x05, func=0x000, operands=RRR, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("cmp", A, InstrClass.COMPARE, 0x05, func=0x001, operands=RRR, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("cmpu", A, InstrClass.COMPARE, 0x05, func=0x003, operands=RRR, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("addi", B, InstrClass.ALU, 0x08, operands=RRI, reads=("ra",), writes=("rd",)))
-    add(_spec("rsubi", B, InstrClass.ALU, 0x09, operands=RRI, reads=("ra",), writes=("rd",)))
-    add(_spec("addik", B, InstrClass.ALU, 0x0C, operands=RRI, reads=("ra",), writes=("rd",)))
-    add(_spec("rsubik", B, InstrClass.ALU, 0x0D, operands=RRI, reads=("ra",), writes=("rd",)))
+    rrr("add", InstrClass.ALU, 0x00, (K.ADD, "ra", "rb"))
+    rrr("rsub", InstrClass.ALU, 0x01, (K.SUB, "rb", "ra"))
+    rrr("addk", InstrClass.ALU, 0x04, (K.ADD, "ra", "rb"))
+    rrr("rsubk", InstrClass.ALU, 0x05, (K.SUB, "rb", "ra"), func=0x000)
+    rrr("cmp", InstrClass.COMPARE, 0x05, (K.CMP_SIGN, "ra", "rb"), func=0x001)
+    rrr("cmpu", InstrClass.COMPARE, 0x05, (K.CMP_SIGN_U, "ra", "rb"), func=0x003)
+    rri("addi", InstrClass.ALU, 0x08, (K.ADD, "ra", "imm"))
+    rri("rsubi", InstrClass.ALU, 0x09, (K.SUB, "imm", "ra"))
+    rri("addik", InstrClass.ALU, 0x0C, (K.ADD, "ra", "imm"))
+    rri("rsubik", InstrClass.ALU, 0x0D, (K.SUB, "imm", "ra"))
 
     # ----- multiply / divide (optional hardware units) ---------------------------
-    add(_spec("mul", A, InstrClass.MULTIPLY, 0x10, operands=RRR, requires=HwUnit.MULTIPLIER,
-              reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("muli", B, InstrClass.MULTIPLY, 0x18, operands=RRI, requires=HwUnit.MULTIPLIER,
-              reads=("ra",), writes=("rd",)))
-    add(_spec("idiv", A, InstrClass.DIVIDE, 0x12, func=0x000, operands=RRR, requires=HwUnit.DIVIDER,
-              reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("idivu", A, InstrClass.DIVIDE, 0x12, func=0x002, operands=RRR, requires=HwUnit.DIVIDER,
-              reads=("ra", "rb"), writes=("rd",)))
+    rrr("mul", InstrClass.MULTIPLY, 0x10, (K.MUL, "ra", "rb"), requires=HwUnit.MULTIPLIER)
+    rri("muli", InstrClass.MULTIPLY, 0x18, (K.MUL, "ra", "imm"), requires=HwUnit.MULTIPLIER)
+    rrr("idiv", InstrClass.DIVIDE, 0x12, func=0x000, requires=HwUnit.DIVIDER)
+    rrr("idivu", InstrClass.DIVIDE, 0x12, func=0x002, requires=HwUnit.DIVIDER)
 
     # ----- barrel shifter (optional) ----------------------------------------------
-    add(_spec("bsrl", A, InstrClass.BARREL_SHIFT, 0x11, func=0x000, operands=RRR,
-              requires=HwUnit.BARREL_SHIFTER, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("bsra", A, InstrClass.BARREL_SHIFT, 0x11, func=0x200, operands=RRR,
-              requires=HwUnit.BARREL_SHIFTER, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("bsll", A, InstrClass.BARREL_SHIFT, 0x11, func=0x400, operands=RRR,
-              requires=HwUnit.BARREL_SHIFTER, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("bsrli", B, InstrClass.BARREL_SHIFT, 0x19, func=0x000, operands=RRI,
-              requires=HwUnit.BARREL_SHIFTER, reads=("ra",), writes=("rd",)))
-    add(_spec("bsrai", B, InstrClass.BARREL_SHIFT, 0x19, func=0x200, operands=RRI,
-              requires=HwUnit.BARREL_SHIFTER, reads=("ra",), writes=("rd",)))
-    add(_spec("bslli", B, InstrClass.BARREL_SHIFT, 0x19, func=0x400, operands=RRI,
-              requires=HwUnit.BARREL_SHIFTER, reads=("ra",), writes=("rd",)))
+    BS = HwUnit.BARREL_SHIFTER
+    rrr("bsrl", InstrClass.BARREL_SHIFT, 0x11, (K.SHR_LOGICAL, "ra", "rb"), func=0x000, requires=BS)
+    rrr("bsra", InstrClass.BARREL_SHIFT, 0x11, (K.SHR_ARITH, "ra", "rb"), func=0x200, requires=BS)
+    rrr("bsll", InstrClass.BARREL_SHIFT, 0x11, (K.SHL, "ra", "rb"), func=0x400, requires=BS)
+    rri("bsrli", InstrClass.BARREL_SHIFT, 0x19, (K.SHR_LOGICAL, "ra", "imm5"), func=0x000, requires=BS)
+    rri("bsrai", InstrClass.BARREL_SHIFT, 0x19, (K.SHR_ARITH, "ra", "imm5"), func=0x200, requires=BS)
+    rri("bslli", InstrClass.BARREL_SHIFT, 0x19, (K.SHL, "ra", "imm5"), func=0x400, requires=BS)
 
     # ----- logical ----------------------------------------------------------------
-    add(_spec("or", A, InstrClass.LOGICAL, 0x20, operands=RRR, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("and", A, InstrClass.LOGICAL, 0x21, operands=RRR, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("xor", A, InstrClass.LOGICAL, 0x22, operands=RRR, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("andn", A, InstrClass.LOGICAL, 0x23, operands=RRR, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("ori", B, InstrClass.LOGICAL, 0x28, operands=RRI, reads=("ra",), writes=("rd",)))
-    add(_spec("andi", B, InstrClass.LOGICAL, 0x29, operands=RRI, reads=("ra",), writes=("rd",)))
-    add(_spec("xori", B, InstrClass.LOGICAL, 0x2A, operands=RRI, reads=("ra",), writes=("rd",)))
-    add(_spec("andni", B, InstrClass.LOGICAL, 0x2B, operands=RRI, reads=("ra",), writes=("rd",)))
+    rrr("or", InstrClass.LOGICAL, 0x20, (K.OR, "ra", "rb"))
+    rrr("and", InstrClass.LOGICAL, 0x21, (K.AND, "ra", "rb"))
+    rrr("xor", InstrClass.LOGICAL, 0x22, (K.XOR, "ra", "rb"))
+    rrr("andn", InstrClass.LOGICAL, 0x23, (K.ANDN, "ra", "rb"))
+    rri("ori", InstrClass.LOGICAL, 0x28, (K.OR, "ra", "imm"))
+    rri("andi", InstrClass.LOGICAL, 0x29, (K.AND, "ra", "imm"))
+    rri("xori", InstrClass.LOGICAL, 0x2A, (K.XOR, "ra", "imm"))
+    rri("andni", InstrClass.LOGICAL, 0x2B, (K.ANDN, "ra", "imm"))
 
     # ----- single-bit shifts and sign extension (opcode 0x24 group) ---------------
-    add(_spec("sra", A, InstrClass.SHIFT, 0x24, func=0x001, operands=("rd", "ra"),
-              reads=("ra",), writes=("rd",)))
-    add(_spec("src", A, InstrClass.SHIFT, 0x24, func=0x021, operands=("rd", "ra"),
-              reads=("ra",), writes=("rd",)))
-    add(_spec("srl", A, InstrClass.SHIFT, 0x24, func=0x041, operands=("rd", "ra"),
-              reads=("ra",), writes=("rd",)))
-    add(_spec("sext8", A, InstrClass.SEXT, 0x24, func=0x060, operands=("rd", "ra"),
-              reads=("ra",), writes=("rd",)))
-    add(_spec("sext16", A, InstrClass.SEXT, 0x24, func=0x061, operands=("rd", "ra"),
-              reads=("ra",), writes=("rd",)))
+    rr("sra", InstrClass.SHIFT, 0x001, (K.SHR_ARITH, "ra", 1))
+    rr("src", InstrClass.SHIFT, 0x021, (K.SHR_LOGICAL, "ra", 1))
+    rr("srl", InstrClass.SHIFT, 0x041, (K.SHR_LOGICAL, "ra", 1))
+    rr("sext8", InstrClass.SEXT, 0x060, (K.SEXT8, "ra"))
+    rr("sext16", InstrClass.SEXT, 0x061, (K.SEXT16, "ra"))
 
     # ----- imm prefix ---------------------------------------------------------------
     add(_spec("imm", B, InstrClass.IMM_PREFIX, 0x2C, operands=("imm",)))
@@ -272,18 +293,20 @@ def _build_opcode_table() -> Dict[str, OpSpec]:
               delay_slot=True))
     add(_spec("brld", A, InstrClass.CALL, 0x26, func=0x14, operands=("rd", "rb"),
               reads=("rb",), writes=("rd",), delay_slot=True))
-    add(_spec("bra", A, InstrClass.BRANCH_UNCOND, 0x26, func=0x08, operands=("rb",), reads=("rb",)))
+    add(_spec("bra", A, InstrClass.BRANCH_UNCOND, 0x26, func=0x08, operands=("rb",), reads=("rb",),
+              absolute=True))
     add(_spec("brad", A, InstrClass.BRANCH_UNCOND, 0x26, func=0x18, operands=("rb",), reads=("rb",),
-              delay_slot=True))
+              delay_slot=True, absolute=True))
     add(_spec("brald", A, InstrClass.CALL, 0x26, func=0x1C, operands=("rd", "rb"),
-              reads=("rb",), writes=("rd",), delay_slot=True))
+              reads=("rb",), writes=("rd",), delay_slot=True, absolute=True))
     add(_spec("bri", B, InstrClass.BRANCH_UNCOND, 0x2E, func=0x00, operands=("imm",)))
     add(_spec("brid", B, InstrClass.BRANCH_UNCOND, 0x2E, func=0x10, operands=("imm",), delay_slot=True))
     add(_spec("brlid", B, InstrClass.CALL, 0x2E, func=0x14, operands=("rd", "imm"),
               writes=("rd",), delay_slot=True))
-    add(_spec("brai", B, InstrClass.BRANCH_UNCOND, 0x2E, func=0x08, operands=("imm",)))
+    add(_spec("brai", B, InstrClass.BRANCH_UNCOND, 0x2E, func=0x08, operands=("imm",),
+              absolute=True))
     add(_spec("bralid", B, InstrClass.CALL, 0x2E, func=0x1C, operands=("rd", "imm"),
-              writes=("rd",), delay_slot=True))
+              writes=("rd",), delay_slot=True, absolute=True))
 
     # ----- subroutine return --------------------------------------------------------
     add(_spec("rtsd", B, InstrClass.RETURN, 0x2D, operands=("ra", "imm"), reads=("ra",),
@@ -301,18 +324,18 @@ def _build_opcode_table() -> Dict[str, OpSpec]:
                   operands=("ra", "imm"), reads=("ra",), condition=cond, delay_slot=True))
 
     # ----- loads and stores ----------------------------------------------------------
-    add(_spec("lbu", A, InstrClass.LOAD, 0x30, operands=RRR, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("lhu", A, InstrClass.LOAD, 0x31, operands=RRR, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("lw", A, InstrClass.LOAD, 0x32, operands=RRR, reads=("ra", "rb"), writes=("rd",)))
-    add(_spec("sb", A, InstrClass.STORE, 0x34, operands=RRR, reads=("rd", "ra", "rb")))
-    add(_spec("sh", A, InstrClass.STORE, 0x35, operands=RRR, reads=("rd", "ra", "rb")))
-    add(_spec("sw", A, InstrClass.STORE, 0x36, operands=RRR, reads=("rd", "ra", "rb")))
-    add(_spec("lbui", B, InstrClass.LOAD, 0x38, operands=RRI, reads=("ra",), writes=("rd",)))
-    add(_spec("lhui", B, InstrClass.LOAD, 0x39, operands=RRI, reads=("ra",), writes=("rd",)))
-    add(_spec("lwi", B, InstrClass.LOAD, 0x3A, operands=RRI, reads=("ra",), writes=("rd",)))
-    add(_spec("sbi", B, InstrClass.STORE, 0x3C, operands=RRI, reads=("rd", "ra")))
-    add(_spec("shi", B, InstrClass.STORE, 0x3D, operands=RRI, reads=("rd", "ra")))
-    add(_spec("swi", B, InstrClass.STORE, 0x3E, operands=RRI, reads=("rd", "ra")))
+    rrr("lbu", InstrClass.LOAD, 0x30, width=1)
+    rrr("lhu", InstrClass.LOAD, 0x31, width=2)
+    rrr("lw", InstrClass.LOAD, 0x32, width=4)
+    add(_spec("sb", A, InstrClass.STORE, 0x34, operands=RRR, reads=("rd", "ra", "rb"), width=1))
+    add(_spec("sh", A, InstrClass.STORE, 0x35, operands=RRR, reads=("rd", "ra", "rb"), width=2))
+    add(_spec("sw", A, InstrClass.STORE, 0x36, operands=RRR, reads=("rd", "ra", "rb"), width=4))
+    rri("lbui", InstrClass.LOAD, 0x38, width=1)
+    rri("lhui", InstrClass.LOAD, 0x39, width=2)
+    rri("lwi", InstrClass.LOAD, 0x3A, width=4)
+    add(_spec("sbi", B, InstrClass.STORE, 0x3C, operands=RRI, reads=("rd", "ra"), width=1))
+    add(_spec("shi", B, InstrClass.STORE, 0x3D, operands=RRI, reads=("rd", "ra"), width=2))
+    add(_spec("swi", B, InstrClass.STORE, 0x3E, operands=RRI, reads=("rd", "ra"), width=4))
 
     return table
 
@@ -410,16 +433,3 @@ def nop() -> Instruction:
     """Return the canonical MicroBlaze NOP (``or r0, r0, r0``)."""
     return Instruction("or", rd=0, ra=0, rb=0, comment="nop")
 
-
-def is_backward_branch(instr: Instruction) -> bool:
-    """True when ``instr`` is a PC-relative branch with a negative offset.
-
-    The on-chip profiler of the warp processor (Section 3 of the paper)
-    detects loops by watching for backward branches on the instruction
-    memory bus; this helper encodes the same criterion at the ISA level.
-    """
-    if not instr.is_branch:
-        return False
-    if instr.spec.fmt is not InstrFormat.TYPE_B:
-        return False
-    return instr.imm < 0

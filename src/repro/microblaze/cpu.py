@@ -17,6 +17,13 @@ Differences from the real core, all intentional and documented:
   benchmark kernels use them),
 * ``src`` (shift right through carry) behaves like ``srl``.
 
+What a data instruction computes is not written here: the opcode table
+gives each one an operator and its operand sources
+(:attr:`~repro.isa.instructions.OpSpec.op`), and the interpreter applies
+that operator's reference callable from :mod:`repro.isa.semantics`.
+Access widths, absolute branches and ``imm``-prefix fusion come from the
+same table and module.  Only the divides are computed here.
+
 The timing model charges each instruction a latency drawn from
 :class:`~repro.microblaze.config.PipelineTimings`; it does not model
 structural hazards beyond those latencies, which matches the level of
@@ -44,12 +51,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..isa.encoding import decode
-from ..isa.instructions import HwUnit, Instruction, InstrClass
+from ..isa.instructions import Instruction, InstrClass
 from ..isa.registers import NUM_REGISTERS, WORD_MASK, to_signed
+from ..isa.semantics import BINARY, RELATIONS, UNARY, fuse_imm
 from .config import MicroBlazeConfig
-# DEFAULT_ENGINE moved to the registry; re-exported here because this was
-# its original import location (repro.microblaze.cpu.DEFAULT_ENGINE).
-from .engines import DEFAULT_ENGINE, create_engine  # noqa: F401
+from .engines import create_engine
 from .memory import BlockRAM
 from .opb import OPB_BASE_ADDRESS, OnChipPeripheralBus
 from .trace import BranchObserver
@@ -428,10 +434,7 @@ class MicroBlazeCPU:
     # ------------------------------------------------------------ the executor
     def _effective_imm(self, instr: Instruction) -> int:
         """Combine the instruction immediate with a pending ``imm`` prefix."""
-        if self._imm_latch is None:
-            return instr.imm
-        value = ((self._imm_latch << 16) | (instr.imm & 0xFFFF)) & WORD_MASK
-        return to_signed(value)
+        return fuse_imm(self._imm_latch, instr.imm)
 
     def _check_unit(self, instr: Instruction) -> None:
         unit = instr.requires
@@ -471,7 +474,7 @@ class MicroBlazeCPU:
         elif klass is InstrClass.LOAD:
             imm = self._effective_imm(instr)
             address = (ra_val + (rb_val if instr.spec.fmt.value == "A" else imm)) & WORD_MASK
-            width = {"lw": 4, "lwi": 4, "lhu": 2, "lhui": 2, "lbu": 1, "lbui": 1}[instr.mnemonic]
+            width = instr.spec.width
             cycles = timings.load
             if self.opb is not None and address >= OPB_BASE_ADDRESS and self.opb.owns(address):
                 value = self.opb.read(address)
@@ -485,7 +488,7 @@ class MicroBlazeCPU:
         elif klass is InstrClass.STORE:
             imm = self._effective_imm(instr)
             address = (ra_val + (rb_val if instr.spec.fmt.value == "A" else imm)) & WORD_MASK
-            width = {"sw": 4, "swi": 4, "sh": 2, "shi": 2, "sb": 1, "sbi": 1}[instr.mnemonic]
+            width = instr.spec.width
             cycles = timings.store
             if self.opb is not None and address >= OPB_BASE_ADDRESS and self.opb.owns(address):
                 self.opb.write(address, rd_val)
@@ -497,7 +500,7 @@ class MicroBlazeCPU:
 
         elif klass is InstrClass.BRANCH_COND:
             imm = self._effective_imm(instr)
-            taken = self._condition_holds(instr, ra_val)
+            taken = RELATIONS[instr.spec.condition.name.lower()](ra_val)
             branch_taken = taken
             if taken:
                 offset = rb_val if instr.spec.fmt.value == "A" else imm
@@ -519,12 +522,11 @@ class MicroBlazeCPU:
                 branch_target = (ra_val + imm) & WORD_MASK
                 cycles = timings.ret
             else:
-                absolute = instr.mnemonic in ("bra", "brad", "brald", "brai", "bralid")
                 if instr.spec.fmt.value == "A":
                     offset_or_abs = rb_val
                 else:
                     offset_or_abs = imm
-                if absolute:
+                if instr.spec.absolute:
                     branch_target = offset_or_abs & WORD_MASK
                 else:
                     branch_target = (pc + to_signed(offset_or_abs)) & WORD_MASK
@@ -579,88 +581,19 @@ class MicroBlazeCPU:
 
     # ------------------------------------------------------------ ALU helpers
     def _compute(self, instr: Instruction, ra_val: int, rb_val: int) -> int:
-        """Compute the result of a register-writing data instruction."""
-        mnemonic = instr.mnemonic
-        imm = self._effective_imm(instr)
-
-        if mnemonic in ("add", "addk"):
-            return (ra_val + rb_val) & WORD_MASK
-        if mnemonic in ("addi", "addik"):
-            return (ra_val + imm) & WORD_MASK
-        if mnemonic in ("rsub", "rsubk"):
-            return (rb_val - ra_val) & WORD_MASK
-        if mnemonic in ("rsubi", "rsubik"):
-            return (imm - ra_val) & WORD_MASK
-        if mnemonic == "mul":
-            return (ra_val * rb_val) & WORD_MASK
-        if mnemonic == "muli":
-            return (ra_val * imm) & WORD_MASK
-        if mnemonic == "idiv":
-            from .engine import signed_division
-            return signed_division(to_signed(rb_val), to_signed(ra_val))
-        if mnemonic == "idivu":
-            if ra_val == 0:
-                return 0
-            return (rb_val // ra_val) & WORD_MASK
-        if mnemonic == "cmp":
-            a, b = to_signed(ra_val), to_signed(rb_val)
-            return (1 if b > a else 0 if b == a else -1) & WORD_MASK
-        if mnemonic == "cmpu":
-            return (1 if rb_val > ra_val else 0 if rb_val == ra_val else -1) & WORD_MASK
-        if mnemonic == "and":
-            return ra_val & rb_val
-        if mnemonic == "andi":
-            return ra_val & (imm & WORD_MASK)
-        if mnemonic == "or":
-            return ra_val | rb_val
-        if mnemonic == "ori":
-            return ra_val | (imm & WORD_MASK)
-        if mnemonic == "xor":
-            return ra_val ^ rb_val
-        if mnemonic == "xori":
-            return ra_val ^ (imm & WORD_MASK)
-        if mnemonic == "andn":
-            return ra_val & ~rb_val & WORD_MASK
-        if mnemonic == "andni":
-            return ra_val & ~(imm & WORD_MASK) & WORD_MASK
-        if mnemonic == "sra":
-            return (to_signed(ra_val) >> 1) & WORD_MASK
-        if mnemonic in ("srl", "src"):
-            return ra_val >> 1
-        if mnemonic == "sext8":
-            return to_signed(ra_val & 0xFF, 8) & WORD_MASK
-        if mnemonic == "sext16":
-            return to_signed(ra_val & 0xFFFF, 16) & WORD_MASK
-        if mnemonic == "bsll":
-            return (ra_val << (rb_val & 31)) & WORD_MASK
-        if mnemonic == "bslli":
-            return (ra_val << (instr.imm & 31)) & WORD_MASK
-        if mnemonic == "bsrl":
-            return ra_val >> (rb_val & 31)
-        if mnemonic == "bsrli":
-            return ra_val >> (instr.imm & 31)
-        if mnemonic == "bsra":
-            return (to_signed(ra_val) >> (rb_val & 31)) & WORD_MASK
-        if mnemonic == "bsrai":
-            return (to_signed(ra_val) >> (instr.imm & 31)) & WORD_MASK
-        raise IllegalInstruction(f"unhandled data instruction {mnemonic}")
-
-    @staticmethod
-    def _condition_holds(instr: Instruction, ra_val: int) -> bool:
-        """Evaluate the branch condition against the signed value of ``ra``."""
-        value = to_signed(ra_val)
-        condition = instr.spec.condition
-        if condition is None:  # pragma: no cover - defensive
-            raise IllegalInstruction(f"{instr.mnemonic} has no condition")
-        name = condition.name
-        if name == "EQ":
-            return value == 0
-        if name == "NE":
-            return value != 0
-        if name == "LT":
-            return value < 0
-        if name == "LE":
-            return value <= 0
-        if name == "GT":
-            return value > 0
-        return value >= 0
+        """Compute the result of a register-writing data instruction: the
+        opcode table's operator over its operand sources, or a divide."""
+        op = instr.spec.op
+        if op is None:
+            if instr.mnemonic == "idiv":
+                from .engine import signed_division
+                return signed_division(to_signed(rb_val), to_signed(ra_val))
+            return (rb_val // ra_val) & WORD_MASK if ra_val else 0
+        values = {"ra": ra_val, "rb": rb_val, 1: 1,
+                  "imm": self._effective_imm(instr) & WORD_MASK,
+                  "imm5": instr.imm & 31}
+        kind, *sources = op
+        args = [values[source] for source in sources]
+        if len(args) == 1:
+            return UNARY[kind](*args)
+        return BINARY[kind](*args)

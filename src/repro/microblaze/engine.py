@@ -1,4 +1,4 @@
-"""Counter layout and decode tables shared by the MicroBlaze engines.
+"""Counter layout and helpers shared by the MicroBlaze engines.
 
 The reference interpreter (:mod:`repro.microblaze.cpu`) and the block
 engine (:mod:`repro.microblaze.engines.jit`) record statistics into one
@@ -13,10 +13,11 @@ layout:
   the cycles of instruction class ``CLASS_LIST[i]`` (``CLASS_INDEX`` maps
   a class to ``i``); ``NUM_COUNTERS`` is the length of the list.
 
-It also holds the decode tables and helpers whose semantics every engine
-must share: the load/store access widths, the absolute-branch mnemonics,
-:data:`MAX_BLOCK_INSTRUCTIONS` (the superblock length bound) and
-:func:`signed_division`, the exact ``idiv``.
+It also holds :data:`MAX_BLOCK_INSTRUCTIONS` (the superblock length
+bound) and :func:`signed_division`, the exact ``idiv``.  What each
+instruction computes, accesses or jumps to is not here: the opcode table
+(:data:`repro.isa.OPCODES`) and :mod:`repro.isa.semantics` define it for
+every engine.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ NUM_COUNTERS = CNT_CLASS_CYCLES + len(CLASS_LIST)
 #: runs longer than this end in a fall-through terminator; the bound keeps
 #: single compilations cheap and block descriptors small.
 MAX_BLOCK_INSTRUCTIONS = 128
-
-_LOAD_WIDTHS = {"lw": 4, "lwi": 4, "lhu": 2, "lhui": 2, "lbu": 1, "lbui": 1}
-_STORE_WIDTHS = {"sw": 4, "swi": 4, "sh": 2, "shi": 2, "sb": 1, "sbi": 1}
-_ABSOLUTE_BRANCHES = frozenset(("bra", "brad", "brald", "brai", "bralid"))
 
 
 def signed_division(dividend: int, divisor: int) -> int:

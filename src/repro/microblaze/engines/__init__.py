@@ -18,8 +18,9 @@ Two engines register themselves on import:
   emits specialized Python source (handler bodies inlined, statistics
   folded into constants, the terminating branch at the end), ``exec``\\ s
   it once into a cached closure, and dispatches block-at-a-time
-  (:mod:`repro.microblaze.engine` holds the counter layout and decode
-  tables it shares with the interpreter).
+  (:mod:`repro.microblaze.engine` holds the counter layout it shares
+  with the interpreter; both read what each instruction does from the
+  opcode table and :mod:`repro.isa.semantics`).
 
 **The engine contract** covers three responsibilities:
 

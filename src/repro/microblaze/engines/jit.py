@@ -32,6 +32,13 @@ directly when the address is valid and fall back to the checked
 :class:`~repro.microblaze.memory.BlockRAM` methods otherwise, which
 raise the interpreter's exact fault.
 
+A data instruction's body is its opcode-table operator
+(:attr:`~repro.isa.instructions.OpSpec.op`) rendered by
+:func:`repro.isa.semantics.source`, and branch conditions by
+:func:`~repro.isa.semantics.relation_source`: unsigned-word templates the
+WCLA kernels share, written apart from the reference callables the
+interpreter applies.
+
 Semantics are defined by the ``interp`` reference interpreter: the
 generated code reproduces it bit-exactly on fault-free runs (statistics,
 cycles, branch-event streams, memory-port counters, the seed's delay-slot
@@ -62,6 +69,7 @@ from ...caching import BoundedLRU
 from ...isa.encoding import EncodingError
 from ...isa.instructions import Instruction, InstrClass
 from ...isa.registers import WORD_MASK, to_signed
+from ...isa.semantics import fuse_imm, relation_source, source
 from ..engine import (
     CLASS_INDEX,
     CNT_BRANCHES_NOT_TAKEN,
@@ -75,9 +83,6 @@ from ..engine import (
     CNT_OPB_WRITES,
     CNT_STORES,
     MAX_BLOCK_INSTRUCTIONS,
-    _ABSOLUTE_BRANCHES,
-    _LOAD_WIDTHS,
-    _STORE_WIDTHS,
     signed_division,
 )
 from ..memory import MemoryError_, inline_access_source
@@ -91,7 +96,6 @@ from . import ExecutionEngine, register_engine
 #: (the deadline pre-check of the tick-batching dispatch loop).
 JitBlock = Tuple[int, object, int, int, int]
 
-_SIGN = 0x8000_0000
 _M = WORD_MASK
 
 
@@ -448,13 +452,6 @@ class SourceBlockCompiler:
                          f"{unreachable}')")
         return lines, None
 
-    @staticmethod
-    def _imm(instr: Instruction, pending_imm: Optional[int]) -> int:
-        """The statically fused immediate (decode-time ``imm`` handling)."""
-        if pending_imm is None:
-            return instr.imm
-        return to_signed(((pending_imm << 16) | (instr.imm & 0xFFFF)) & _M)
-
     # --------------------------------------------------------- straight line
     def _straightline(self, instr: Instruction, pending_imm: Optional[int],
                       dynamic_stats: bool, accumulate: bool = False) -> List[str]:
@@ -484,87 +481,29 @@ class SourceBlockCompiler:
 
     def _compute(self, instr: Instruction,
                  pending_imm: Optional[int]) -> List[str]:
-        """ALU / logical / shift / multiply / divide / compare / sext."""
-        m = instr.mnemonic
-        rd, ra, rb = instr.rd, instr.ra, instr.rb
-        imm = self._imm(instr, pending_imm)
-        A, B = _r(ra), _r(rb)
-
+        """ALU / logical / shift / multiply / divide / compare / sext: the
+        opcode table's operator rendered over the operand sources."""
+        rd = instr.rd
+        A, B = _r(instr.ra), _r(instr.rb)
         if rd == 0:
             # Writes to r0 are discarded and no compute op has another
             # side effect; the block constants still account for it.
             return []
-
-        expr: Optional[str] = None
-        if m in ("add", "addk"):
-            expr = f"({A} + {B}) & {_M}"
-        elif m in ("addi", "addik"):
-            expr = f"({A} + {imm}) & {_M}"
-        elif m in ("rsub", "rsubk"):
-            expr = f"({B} - {A}) & {_M}"
-        elif m in ("rsubi", "rsubik"):
-            expr = f"({imm} - {A}) & {_M}"
-        elif m == "mul":
-            expr = f"({A} * {B}) & {_M}"
-        elif m == "muli":
-            expr = f"({A} * {imm}) & {_M}"
-        elif m == "idiv":
-            expr = f"signed_division(to_signed({B}), to_signed({A}))"
-        elif m == "idivu":
+        op = instr.spec.op
+        if op is None:
+            if instr.mnemonic == "idiv":
+                return [f"regs[{rd}] = signed_division(to_signed({B}), "
+                        f"to_signed({A}))"]
             return [f"_d = {A}",
                     f"regs[{rd}] = ({B} // _d) & {_M} if _d else 0"]
-        elif m == "cmp":
-            return [f"_x = to_signed({A})",
-                    f"_y = to_signed({B})",
-                    f"regs[{rd}] = (1 if _y > _x else 0 if _y == _x "
-                    f"else -1) & {_M}"]
-        elif m == "cmpu":
-            return [f"_x = {A}",
-                    f"_y = {B}",
-                    f"regs[{rd}] = (1 if _y > _x else 0 if _y == _x "
-                    f"else -1) & {_M}"]
-        elif m == "and":
-            expr = f"{A} & {B}"
-        elif m == "andi":
-            expr = f"{A} & {imm & _M}"
-        elif m == "or":
-            expr = f"{A} | {B}"
-        elif m == "ori":
-            expr = f"{A} | {imm & _M}"
-        elif m == "xor":
-            expr = f"{A} ^ {B}"
-        elif m == "xori":
-            expr = f"{A} ^ {imm & _M}"
-        elif m == "andn":
-            expr = f"{A} & ~{B} & {_M}"
-        elif m == "andni":
-            expr = f"{A} & {~(imm & _M) & _M}"
-        elif m == "sra":
-            expr = f"(to_signed({A}) >> 1) & {_M}"
-        elif m in ("srl", "src"):
-            expr = f"{A} >> 1"
-        elif m == "sext8":
-            expr = f"to_signed({A} & 0xFF, 8) & {_M}"
-        elif m == "sext16":
-            expr = f"to_signed({A} & 0xFFFF, 16) & {_M}"
-        elif m == "bsll":
-            expr = f"({A} << ({B} & 31)) & {_M}"
-        elif m == "bslli":
-            # Barrel-shift immediates use the raw 5-bit field, never a
-            # fused imm prefix (the interpreter reads instr.imm directly).
-            expr = f"({A} << {instr.imm & 31}) & {_M}"
-        elif m == "bsrl":
-            expr = f"{A} >> ({B} & 31)"
-        elif m == "bsrli":
-            expr = f"{A} >> {instr.imm & 31}"
-        elif m == "bsra":
-            expr = f"(to_signed({A}) >> ({B} & 31)) & {_M}"
-        elif m == "bsrai":
-            expr = f"(to_signed({A}) >> {instr.imm & 31}) & {_M}"
-        else:
-            from ..cpu import IllegalInstruction
-            raise IllegalInstruction(f"unhandled data instruction {m}")
-        return [f"regs[{rd}] = {expr}"]
+        operands = {"ra": A, "rb": B, 1: "1",
+                    "imm": str(fuse_imm(pending_imm, instr.imm) & _M),
+                    # Barrel-shift immediates use the raw 5-bit field,
+                    # never a fused imm prefix.
+                    "imm5": str(instr.imm & 31)}
+        kind, *sources = op
+        return [f"regs[{rd}] = "
+                + source(kind, *(operands[name] for name in sources))]
 
     def _memory(self, instr: Instruction, pending_imm: Optional[int],
                 dynamic_stats: bool, accumulate: bool,
@@ -572,7 +511,7 @@ class SourceBlockCompiler:
         timings = self.cpu.config.timings
         has_opb = self.cpu.opb is not None
         rd = instr.rd
-        width = (_LOAD_WIDTHS if load else _STORE_WIDTHS)[instr.mnemonic]
+        width = instr.spec.width
         base = timings.load if load else timings.store
         extra = timings.opb_access_extra
         klass = InstrClass.LOAD if load else InstrClass.STORE
@@ -590,7 +529,7 @@ class SourceBlockCompiler:
             "dbram.port_a_accesses += 1")
 
         offset = _r(instr.rb) if instr.spec.fmt.value == "A" \
-            else self._imm(instr, pending_imm)
+            else fuse_imm(pending_imm, instr.imm)
         lines = [f"_a = ({_r(instr.ra)} + {offset}) & {_M}"]
         if not has_opb:
             # No peripheral bus attached: the OPB arm can never be taken,
@@ -689,17 +628,7 @@ class SourceBlockCompiler:
         ci = CLASS_INDEX[klass]
         fallthrough = pc + 8 if slot is not None else pc + 4
 
-        name = instr.spec.condition.name
-        # Conditions test the signed value of ra; on the raw 32-bit
-        # pattern "negative" is simply >= 2**31.
-        cond = {
-            "EQ": "_x == 0",
-            "NE": "_x != 0",
-            "LT": f"_x >= {_SIGN}",
-            "LE": f"_x >= {_SIGN} or _x == 0",
-            "GT": f"0 < _x < {_SIGN}",
-            "GE": f"_x < {_SIGN}",
-        }[name]
+        cond = relation_source(instr.spec.condition.name.lower(), "_x")
 
         # Observers hear only taken backward branches: a register-held
         # target is tested at run time, a static one at translation.
@@ -707,7 +636,7 @@ class SourceBlockCompiler:
             target = f"({pc} + to_signed({_r(instr.rb)})) & {_M}"
             backward: Optional[str] = f"_taken and _target < {pc}"
         else:
-            offset = self._imm(instr, pending_imm)
+            offset = fuse_imm(pending_imm, instr.imm)
             static_target = (pc + to_signed(offset)) & _M
             target = str(static_target)
             backward = "_taken" if static_target < pc else None
@@ -753,7 +682,7 @@ class SourceBlockCompiler:
         is_uncond = klass is InstrClass.BRANCH_UNCOND
         is_call = klass is InstrClass.CALL
         rd = instr.rd
-        imm = self._imm(instr, pending_imm)
+        imm = fuse_imm(pending_imm, instr.imm)
 
         static_target: Optional[int] = None
         if klass is InstrClass.RETURN:
@@ -761,7 +690,7 @@ class SourceBlockCompiler:
             target_expr = f"({_r(instr.ra)} + {imm}) & {_M}"
         else:
             base = timings.call if is_call else timings.branch_taken
-            absolute = instr.mnemonic in _ABSOLUTE_BRANCHES
+            absolute = instr.spec.absolute
             if instr.spec.fmt.value == "A":
                 if absolute:
                     target_expr = f"{_r(instr.rb)} & {_M}"

@@ -15,7 +15,6 @@ from repro.isa import (
     assemble,
     decode,
     encode,
-    is_backward_branch,
     listing,
     nop,
     parse_register,
@@ -25,6 +24,12 @@ from repro.isa import (
 )
 from repro.isa.encoding import roundtrips
 from repro.isa.registers import RegisterError
+from repro.isa.semantics import BINARY, UNARY
+
+#: Classes whose instructions compute a register value.
+DATA_CLASSES = {InstrClass.ALU, InstrClass.LOGICAL, InstrClass.SHIFT,
+                InstrClass.BARREL_SHIFT, InstrClass.MULTIPLY,
+                InstrClass.DIVIDE, InstrClass.COMPARE, InstrClass.SEXT}
 
 
 # --------------------------------------------------------------------------- registers
@@ -81,6 +86,38 @@ class TestOpcodeTable:
         assert OPCODES["beqid"].delay_slot
         assert not OPCODES["beqi"].delay_slot
 
+    def test_data_instructions_declare_their_operator(self):
+        for mnemonic, spec in OPCODES.items():
+            if spec.klass in DATA_CLASSES and not spec.is_branch \
+                    and mnemonic not in ("idiv", "idivu"):
+                assert spec.op is not None, mnemonic
+            else:
+                assert spec.op is None, mnemonic
+
+    def test_operator_sources_fit_the_format(self):
+        for mnemonic, spec in OPCODES.items():
+            if spec.op is None:
+                continue
+            kind, *sources = spec.op
+            assert kind in (UNARY if len(sources) == 1 else BINARY), mnemonic
+            allowed = {"ra", 1, "rb"} if spec.fmt is InstrFormat.TYPE_A \
+                else {"ra", "imm5" if spec.opcode == 0x19 else "imm"}
+            assert set(sources) <= allowed, mnemonic
+            assert "ra" in sources, mnemonic
+
+    def test_memory_widths_match_the_stem(self):
+        stems = {"b": 1, "h": 2, "w": 4}
+        for mnemonic, spec in OPCODES.items():
+            if spec.klass in (InstrClass.LOAD, InstrClass.STORE):
+                assert spec.width in (1, 2, 4), mnemonic
+                assert spec.width == stems[mnemonic[1]], mnemonic
+            else:
+                assert spec.width == 0, mnemonic
+
+    def test_absolute_branches(self):
+        absolute = {m for m, spec in OPCODES.items() if spec.absolute}
+        assert absolute == {"bra", "brad", "brald", "brai", "bralid"}
+
     def test_nop_is_canonical_or(self):
         instr = nop()
         assert instr.mnemonic == "or"
@@ -124,13 +161,6 @@ class TestEncoding:
     def test_decode_rejects_unknown_opcode(self):
         with pytest.raises(EncodingError):
             decode(0xFFFFFFFF)
-
-    def test_backward_branch_detection(self):
-        backward = Instruction("bnei", ra=5, imm=-16)
-        forward = Instruction("bnei", ra=5, imm=16)
-        assert is_backward_branch(backward)
-        assert not is_backward_branch(forward)
-        assert not is_backward_branch(Instruction("add", rd=1, ra=2, rb=3))
 
     @given(
         rd=st.integers(0, 31),

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.isa import HwUnit, assemble
+from repro.decompile.expr import evaluate
+from repro.decompile.symexec import DecompilationError, SymbolicExecutor
+from repro.isa import OPCODES, HwUnit, InstrFormat, assemble, to_signed
 from repro.microblaze import (
     BlockRAM,
     IllegalInstruction,
@@ -18,10 +20,100 @@ from repro.microblaze import (
     run_program,
 )
 from repro.microblaze.opb import OPB_BASE_ADDRESS, BusError
+from repro.profiler.profiler import CriticalRegion
 
 
 def run_asm(source: str, config=PAPER_CONFIG, listeners=()):
     return run_program(assemble(source), config, listeners=listeners)
+
+
+# --------------------------------------------------------------------------- oracle
+#: Every data mnemonic on edge operands, with results written out by hand
+#: (never computed by the code under test).  Operands are ``(ra, rb)``
+#: for register forms, ``(ra, imm)`` for immediate forms and ``(ra,)``
+#: for the one-operand forms; a 32-bit immediate that does not fit the
+#: 16-bit field is emitted behind an ``imm`` prefix (barrel-shift
+#: immediates then still use only their own 5-bit field).
+ORACLE = {
+    "add": [((0x7FFFFFFF, 1), 0x80000000), ((0xFFFFFFFF, 1), 0),
+            ((0x80000000, 0x80000000), 0)],
+    "addk": [((0x7FFFFFFF, 1), 0x80000000), ((0xFFFFFFFF, 0xFFFFFFFF), 0xFFFFFFFE)],
+    "addi": [((0xFFFFFFFF, 1), 0), ((0, -1), 0xFFFFFFFF),
+             ((1, 0x7FFFFFFF), 0x80000000), ((0, 0x80000000), 0x80000000)],
+    "addik": [((0x7FFFFFFF, 1), 0x80000000), ((1, 0x12345678), 0x12345679)],
+    "rsub": [((1, 0), 0xFFFFFFFF), ((1, 0x80000000), 0x7FFFFFFF),
+             ((0xFFFFFFFF, 0), 1)],
+    "rsubk": [((1, 0), 0xFFFFFFFF), ((0x80000000, 0x7FFFFFFF), 0xFFFFFFFF)],
+    "rsubi": [((1, 0), 0xFFFFFFFF), ((1, 0x80000000), 0x7FFFFFFF),
+              ((0xFFFFFFFF, -1), 0)],
+    "rsubik": [((0, 5), 5), ((0x7FFFFFFF, 0x7FFFFFFF), 0)],
+    "cmp": [((0x80000000, 0x7FFFFFFF), 1), ((0x7FFFFFFF, 0x80000000), 0xFFFFFFFF),
+            ((0xFFFFFFFF, 0xFFFFFFFF), 0), ((0, 0xFFFFFFFF), 0xFFFFFFFF),
+            ((0xFFFFFFFF, 1), 1)],
+    "cmpu": [((0x80000000, 0x7FFFFFFF), 0xFFFFFFFF), ((0x7FFFFFFF, 0x80000000), 1),
+             ((0xFFFFFFFF, 0xFFFFFFFF), 0), ((0, 0xFFFFFFFF), 1),
+             ((0xFFFFFFFF, 1), 0xFFFFFFFF)],
+    "mul": [((0xFFFFFFFF, 0xFFFFFFFF), 1), ((0x80000000, 2), 0),
+            ((0x10001, 0x10001), 0x20001)],
+    "muli": [((0xFFFFFFFF, -1), 1), ((3, 0x7FFFFFFF), 0x7FFFFFFD)],
+    "idiv": [((2, 7), 3), ((2, 0xFFFFFFF9), 0xFFFFFFFD),
+             ((0xFFFFFFFF, 0x80000000), 0x80000000), ((0, 5), 0)],
+    "idivu": [((2, 0xFFFFFFFF), 0x7FFFFFFF), ((0, 5), 0),
+              ((0x80000000, 0xFFFFFFFF), 1)],
+    "and": [((0xFFFFFFFF, 0x80000001), 0x80000001), ((0x7FFFFFFF, 0x80000000), 0)],
+    "andi": [((0x12345678, 0xFF), 0x78), ((0x7FFFFFFF, -16), 0x7FFFFFF0),
+             ((0xFFFFFFFF, 0x80000000), 0x80000000)],
+    "or": [((0x80000000, 1), 0x80000001), ((0, 0), 0)],
+    "ori": [((0, -1), 0xFFFFFFFF), ((0, 0x12340000), 0x12340000),
+            ((0x80000000, 1), 0x80000001)],
+    "xor": [((0xFFFFFFFF, 0x7FFFFFFF), 0x80000000), ((1, 1), 0)],
+    "xori": [((0x80000000, -1), 0x7FFFFFFF), ((0xFFFFFFFF, 0x7FFFFFFF), 0x80000000)],
+    "andn": [((0xFFFFFFFF, 0x80000000), 0x7FFFFFFF), ((0x80000000, 0), 0x80000000)],
+    "andni": [((0xFFFFFFFF, 0xFF), 0xFFFFFF00), ((0x80000001, -1), 0),
+              ((0xFFFFFFFF, 0x7FFFFFFF), 0x80000000)],
+    "sra": [((0x80000000,), 0xC0000000), ((1,), 0), ((0xFFFFFFFF,), 0xFFFFFFFF),
+            ((0x7FFFFFFF,), 0x3FFFFFFF)],
+    "src": [((0x80000000,), 0x40000000), ((0xFFFFFFFF,), 0x7FFFFFFF), ((1,), 0)],
+    "srl": [((0x80000000,), 0x40000000), ((0xFFFFFFFF,), 0x7FFFFFFF), ((1,), 0)],
+    "sext8": [((0x80,), 0xFFFFFF80), ((0x7F,), 0x7F), ((0xFFFFFF7F,), 0x7F),
+              ((0x12345680,), 0xFFFFFF80), ((0,), 0)],
+    "sext16": [((0x8000,), 0xFFFF8000), ((0x7FFF,), 0x7FFF), ((0xFFFF7FFF,), 0x7FFF),
+               ((0x80,), 0x80), ((0xFFFFFFFF,), 0xFFFFFFFF)],
+    "bsll": [((1, 31), 0x80000000), ((1, 33), 2), ((0xFFFFFFFF, 0), 0xFFFFFFFF)],
+    "bsrl": [((0x80000000, 31), 1), ((0x80000000, 33), 0x40000000),
+             ((0x80000000, 0), 0x80000000)],
+    "bsra": [((0x80000000, 31), 0xFFFFFFFF), ((0x80000000, 33), 0xC0000000),
+             ((0x7FFFFFFF, 31), 0), ((0x80000000, 0), 0x80000000)],
+    "bslli": [((1, 31), 0x80000000), ((0xFFFFFFFF, 0), 0xFFFFFFFF),
+              ((3, 0xFFFF0004), 0x30)],
+    "bsrli": [((0x80000000, 31), 1), ((0x80000000, 0), 0x80000000),
+              ((0x80000000, 0x12340001), 0x40000000)],
+    "bsrai": [((0x80000000, 31), 0xFFFFFFFF), ((0x7FFFFFFF, 31), 0),
+              ((0x80000000, 0xFFFF0001), 0xC0000000)],
+}
+
+#: Every optional unit, so the divider is legal too.
+ORACLE_CONFIG = MicroBlazeConfig(use_barrel_shifter=True, use_multiplier=True,
+                                 use_divider=True)
+
+
+def _oracle_lines(mnemonic, operands):
+    """Assembly computing ``mnemonic`` into r3 from r5 (and r6)."""
+    if len(operands) == 1:
+        return [f"{mnemonic} r3, r5"]
+    if OPCODES[mnemonic].fmt is InstrFormat.TYPE_A:
+        return [f"{mnemonic} r3, r5, r6"]
+    value = operands[1]
+    if -0x8000 <= value < 0x8000:
+        return [f"{mnemonic} r3, r5, {value}"]
+    return [f"imm {(value >> 16) & 0xFFFF}",
+            f"{mnemonic} r3, r5, {to_signed(value & 0xFFFF, 16)}"]
+
+
+def _oracle_cases(mnemonics):
+    return [pytest.param(m, operands, expected, id=f"{m}-{i}")
+            for m in mnemonics
+            for i, (operands, expected) in enumerate(ORACLE[m])]
 
 
 # --------------------------------------------------------------------------- block RAM
@@ -210,6 +302,46 @@ class TestCpuSemantics:
     def test_requires_barrel_shifter(self):
         with pytest.raises(IllegalInstruction):
             run_asm("bslli r3, r4, 2\nbri 0", config=MINIMAL_CONFIG)
+
+    def test_oracle_covers_every_data_mnemonic(self):
+        computed = {m for m, spec in OPCODES.items()
+                    if spec.op is not None}
+        assert computed | {"idiv", "idivu"} == set(ORACLE)
+
+    @pytest.mark.parametrize("engine", ["interp", "jit"])
+    @pytest.mark.parametrize("mnemonic,operands,expected",
+                             _oracle_cases(sorted(ORACLE)))
+    def test_oracle_on_engine(self, engine, mnemonic, operands, expected):
+        ra = operands[0]
+        rb = operands[1] if len(operands) > 1 else 0
+        source = "\n".join([f"li r5, {ra}", f"li r6, {rb & 0xFFFFFFFF}",
+                            *_oracle_lines(mnemonic, operands), "bri 0"])
+        result = run_program(assemble(source), ORACLE_CONFIG, engine=engine)
+        assert result.return_value == expected
+
+    @pytest.mark.parametrize(
+        "mnemonic,operands,expected",
+        _oracle_cases(sorted(m for m in ORACLE if OPCODES[m].op)))
+    def test_oracle_through_decompiler(self, mnemonic, operands, expected):
+        """The decompiled expression, evaluated on the same operands."""
+        lines = _oracle_lines(mnemonic, operands)
+        program = assemble("\n".join(["loop:", *lines, "bnei r0, loop"]))
+        region = CriticalRegion(start_address=0,
+                                end_address=4 * len(lines), frequency=1)
+        body = SymbolicExecutor(program.text, region).run()
+        live = {5: operands[0]}
+        if len(operands) > 1:
+            live[6] = operands[1]
+        assert evaluate(body.register_updates[3], live, None, {}) == expected
+
+    @pytest.mark.parametrize("mnemonic", ["idiv", "idivu"])
+    def test_divides_stay_in_software(self, mnemonic):
+        program = assemble(f"loop:\n{mnemonic} r3, r5, r6\nbnei r0, loop")
+        region = CriticalRegion(start_address=0, end_address=4, frequency=1)
+        with pytest.raises(DecompilationError) as error:
+            SymbolicExecutor(program.text, region).run()
+        assert str(error.value) == (f"instruction {mnemonic} at 0x0 cannot "
+                                    "be mapped to hardware")
 
 
 # --------------------------------------------------------------------------- timing
