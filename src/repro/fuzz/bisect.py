@@ -11,7 +11,9 @@ newly reached boundary joins the cache for the next probe.  Probe counts
 snap to instruction boundaries exactly like the engines themselves do —
 ``cpu.step()`` retires a branch and its delay slot atomically, so the
 search recognises a divergence landing *inside* a delay pair and reports
-the pair's branch pc.
+the pair's branch pc.  A side that faults is compared at its fault point
+like at any other boundary: every engine keeps statistics and pc
+interpreter-exact there.
 
 The result is a :class:`ReproBundle`: seed, profile, full source text and
 disassembly listing, the first-divergence location (instructions retired
@@ -72,23 +74,19 @@ class _Replayer:
     """One engine's deterministic replay line with a checkpoint cache."""
 
     def __init__(self, program: Program, engine: str, *,
-                 precise_fault_stats: bool, config: MicroBlazeConfig,
-                 with_opb: bool):
+                 config: MicroBlazeConfig, with_opb: bool):
         self.engine = engine
-        self.precise_fault_stats = precise_fault_stats
         self.config = config
         self.with_opb = with_opb
-        system = _build_system(engine, precise_fault_stats, config,
-                               with_opb)
+        system = _build_system(engine, config, with_opb)
         system.start(program)
         #: instruction count -> WARPCKPT blob at that boundary.
         self.checkpoints: Dict[int, bytes] = {0: system.checkpoint()}
 
     def _spawn(self, blob: bytes):
         peripherals = fuzz_peripherals() if self.with_opb else ()
-        return spawn_from_checkpoint(
-            blob, peripherals=peripherals, engine=self.engine,
-            precise_fault_stats=self.precise_fault_stats)
+        return spawn_from_checkpoint(blob, peripherals=peripherals,
+                                     engine=self.engine)
 
     def state_at(self, count: int) -> _BoundaryState:
         """The state at instruction boundary ``count`` (snapped forward to
@@ -133,7 +131,6 @@ class ReproBundle:
     profile: str
     engine: str
     reference: str
-    precise_fault_stats: bool
     program_name: str
     source: str
     listing: str
@@ -156,7 +153,6 @@ class ReproBundle:
             "profile": self.profile,
             "engine": self.engine,
             "reference": self.reference,
-            "precise_fault_stats": self.precise_fault_stats,
             "program_name": self.program_name,
             "source": self.source,
             "listing": self.listing,
@@ -227,7 +223,6 @@ def _decode_at(program: Program, pc: int) -> str:
 def bisect_divergence(program: Program, engine: str, *,
                       reference: str = REFERENCE_ENGINE,
                       seed: int = -1, profile: str = "?",
-                      precise_fault_stats: bool = False,
                       config: MicroBlazeConfig = PAPER_CONFIG,
                       with_opb: bool = False,
                       max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
@@ -240,12 +235,9 @@ def bisect_divergence(program: Program, engine: str, *,
     search is O(end · log end) instructions with a warm prefix cache —
     never a from-scratch replay per probe.
     """
-    ref_side = _Replayer(program, reference,
-                         precise_fault_stats=precise_fault_stats,
-                         config=config, with_opb=with_opb)
-    eng_side = _Replayer(program, engine,
-                         precise_fault_stats=precise_fault_stats,
-                         config=config, with_opb=with_opb)
+    ref_side = _Replayer(program, reference, config=config,
+                         with_opb=with_opb)
+    eng_side = _Replayer(program, engine, config=config, with_opb=with_opb)
     steps = 0
 
     def probe(count: int) -> Tuple[int, bool, _BoundaryState,
@@ -297,7 +289,6 @@ def bisect_divergence(program: Program, engine: str, *,
         profile=profile,
         engine=engine,
         reference=reference,
-        precise_fault_stats=precise_fault_stats,
         program_name=program.name,
         source=program.source or "",
         listing=listing(program),
@@ -314,7 +305,6 @@ def bisect_divergence(program: Program, engine: str, *,
             "profile": profile,
             "engine": engine,
             "reference": reference,
-            "precise_fault_stats": precise_fault_stats,
         },
     )
     return bundle

@@ -1,28 +1,22 @@
 """Registry-wide differential execution of generated programs.
 
 For one generated kernel the harness runs the reference interpreter and
-every other registered engine (optionally also in ``precise_fault_stats``
-mode), captures a full :class:`EngineObservation` from each run — outcome,
-checksum, register file, program counter, data image, execution
-statistics, memory-port counters, OPB traffic and the on-chip profiler's
-state (resident cache entries per set, evictions and updates, critical
-regions and ``instructions_observed``) — and reports every component in
-which an engine disagrees with the reference.
+every other registered engine, captures a full :class:`EngineObservation`
+from each run — outcome, checksum, register file, program counter, data
+image, execution statistics, memory-port counters, OPB traffic and the
+on-chip profiler's state (resident cache entries per set, evictions and
+updates, critical regions and ``instructions_observed``) — and reports
+every component in which an engine disagrees with the reference.
 
-The ROADMAP carries one *documented* divergence: default-mode
-(non-``precise_fault_stats``) block engines may skew statistics when a
-runtime fault lands mid-block, with identical register file and data
-memory (the tier-1 guarantee tested by
-``test_default_mode_keeps_architectural_state``).  The harness classifies
-exactly that shape — default mode, both runs faulted with the same error,
-differences confined to the statistics-derived components (``stats``,
-port counters, ``profiler``) and the fault-time ``pc`` — as a **known**
+Block engines match the interpreter at a runtime fault too (statistics,
+fault pc, ``imm`` latch, profiler state), except for one *documented*
+shape: a block's translation fetches its words ahead of execution, so a
+faulted run may over-count the *instruction* fetch port by the words
+past the fault point.  The harness classifies exactly that shape — both
+runs faulted, differences confined to ``instr_ports`` — as a **known**
 divergence (its own counter and report field) so a campaign surfaces it
-without drowning real bugs in it.  A second, narrower known shape exists
-in precise mode: block scanners fetch ahead of execution, so a faulted
-run may over-count the *instruction* fetch port by the lookahead words
-(``instr_ports`` only).  Everything else is *unexplained* and fails the
-campaign.
+without drowning real bugs in it.  Everything else is *unexplained* and
+fails the campaign.
 
 :func:`run_campaign` is the fleet entry point: a seed range through one
 profile, every engine, counters published to the live telemetry plane
@@ -72,7 +66,6 @@ class EngineObservation:
     """Everything one engine's run of one program exposes for comparison."""
 
     engine: str
-    precise_fault_stats: bool
     #: ``"halted"`` | ``"fault"`` | ``"limit"``
     outcome: str
     error: Optional[str]
@@ -113,17 +106,14 @@ class EngineObservation:
         }
 
 
-def _build_system(engine: str, precise_fault_stats: bool,
-                  config: MicroBlazeConfig,
+def _build_system(engine: str, config: MicroBlazeConfig,
                   with_opb: bool) -> MicroBlazeSystem:
     peripherals = fuzz_peripherals() if with_opb else ()
     return MicroBlazeSystem(config=config, peripherals=peripherals,
-                            engine=engine,
-                            precise_fault_stats=precise_fault_stats)
+                            engine=engine)
 
 
 def observe(program: Program, engine: str, *,
-            precise_fault_stats: bool = False,
             config: MicroBlazeConfig = PAPER_CONFIG,
             with_opb: bool = False,
             max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
@@ -135,7 +125,7 @@ def observe(program: Program, engine: str, *,
     component, so an engine that faults differently — or fails to
     terminate when the reference halts — diverges loudly.
     """
-    system = _build_system(engine, precise_fault_stats, config, with_opb)
+    system = _build_system(engine, config, with_opb)
     profiler = OnChipProfiler()
     system.cpu.add_listener(profiler)
     outcome, error = "halted", None
@@ -158,7 +148,6 @@ def observe(program: Program, engine: str, *,
             opb_state[peripheral.name] = snapshot()
     return EngineObservation(
         engine=engine,
-        precise_fault_stats=precise_fault_stats,
         outcome=outcome,
         error=error,
         checksum=system.cpu.read_register(3),
@@ -194,13 +183,10 @@ class Divergence:
     profile: str
     engine: str
     reference: str
-    precise_fault_stats: bool
     #: Names of the differing observation components.
     fields: Tuple[str, ...]
-    #: True when this is the ROADMAP's documented default-mode
-    #: mid-block-fault statistics skew (two identically-faulted runs with
-    #: ``precise_fault_stats=False`` differing only in statistics-derived
-    #: components and the fault-time pc).
+    #: True when this is the documented instruction-fetch lookahead of a
+    #: faulted run (both runs faulted, only ``instr_ports`` differs).
     known: bool
 
     def to_plain(self) -> Dict[str, object]:
@@ -209,36 +195,24 @@ class Divergence:
             "profile": self.profile,
             "engine": self.engine,
             "reference": self.reference,
-            "precise_fault_stats": self.precise_fault_stats,
             "fields": list(self.fields),
             "known": self.known,
         }
 
 
-#: Components default-mode block engines may legitimately skew when a
-#: fault lands mid-block: the deferred statistics themselves, anything
-#: derived from the instruction stream (port counters, profiler
-#: rankings) and the fault-time pc.  Registers, checksum, data image,
-#: OPB state and the outcome (fault type + message) must still match —
-#: the tier-1 architectural guarantee.
-KNOWN_FAULT_SKEW_FIELDS = frozenset({"stats", "instr_ports", "data_ports",
-                                     "profiler", "pc"})
-
-#: In ``precise_fault_stats`` mode the execution statistics, fault pc and
-#: data side are interpreter-exact; only the instruction-fetch port may
-#: still over-count on a faulted run, by the words the block scanner
-#: fetched past the fault point (translation lookahead).
-KNOWN_PRECISE_FAULT_SKEW_FIELDS = frozenset({"instr_ports"})
+#: The one component a block engine may skew on a faulted run: the
+#: instruction-fetch port over-counts by the words the translation fetched
+#: past the fault point (lookahead).  Statistics, fault pc, profiler,
+#: registers, data, OPB state and the outcome must all match.
+KNOWN_FAULT_SKEW_FIELDS = frozenset({"instr_ports"})
 
 
-def classify_divergence(fields: Sequence[str], *, precise_fault_stats: bool,
-                        reference_outcome: str, engine_outcome: str) -> bool:
-    """True when a divergence matches a documented known shape."""
+def classify_divergence(fields: Sequence[str], *, reference_outcome: str,
+                        engine_outcome: str) -> bool:
+    """True when a divergence matches the documented known shape."""
     if reference_outcome != "fault" or engine_outcome != "fault":
         return False
-    allowed = KNOWN_PRECISE_FAULT_SKEW_FIELDS if precise_fault_stats \
-        else KNOWN_FAULT_SKEW_FIELDS
-    return set(fields) <= allowed
+    return set(fields) <= KNOWN_FAULT_SKEW_FIELDS
 
 
 def compare_observations(reference: EngineObservation,
@@ -255,7 +229,7 @@ class ProgramVerdict:
     seed: int
     profile: str
     engines: Tuple[str, ...]
-    #: Reference-run instruction count (per precise mode).
+    #: Reference-run instruction count.
     instructions: int
     divergences: List[Divergence] = field(default_factory=list)
 
@@ -270,42 +244,33 @@ class ProgramVerdict:
 
 def check_program(program: Program, *, seed: int = -1, profile: str = "?",
                   engines: Optional[Sequence[str]] = None,
-                  precise_modes: Sequence[bool] = (False,),
                   config: MicroBlazeConfig = PAPER_CONFIG,
                   with_opb: bool = False,
                   max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                   ) -> ProgramVerdict:
-    """Run ``program`` across every engine (× precise modes) and compare
-    each against the reference interpreter."""
+    """Run ``program`` across every engine and compare each against the
+    reference interpreter."""
     if engines is None:
         engines = engine_names()
     engines = tuple(validate_engine_name(name) for name in engines)
+    reference = observe(program, REFERENCE_ENGINE, config=config,
+                        with_opb=with_opb, max_instructions=max_instructions)
     verdict = ProgramVerdict(seed=seed, profile=profile, engines=engines,
-                             instructions=0)
-    for precise in precise_modes:
-        reference = observe(program, REFERENCE_ENGINE,
-                            precise_fault_stats=precise, config=config,
-                            with_opb=with_opb,
-                            max_instructions=max_instructions)
-        verdict.instructions = max(verdict.instructions,
-                                   reference.stats["instructions"])
-        for engine in engines:
-            if engine == REFERENCE_ENGINE:
-                continue
-            observed = observe(program, engine, precise_fault_stats=precise,
-                               config=config, with_opb=with_opb,
-                               max_instructions=max_instructions)
-            fields = compare_observations(reference, observed)
-            if fields:
-                verdict.divergences.append(Divergence(
-                    seed=seed, profile=profile, engine=engine,
-                    reference=REFERENCE_ENGINE, precise_fault_stats=precise,
-                    fields=fields,
-                    known=classify_divergence(
-                        fields, precise_fault_stats=precise,
-                        reference_outcome=reference.outcome,
-                        engine_outcome=observed.outcome),
-                ))
+                             instructions=reference.stats["instructions"])
+    for engine in engines:
+        if engine == REFERENCE_ENGINE:
+            continue
+        observed = observe(program, engine, config=config, with_opb=with_opb,
+                           max_instructions=max_instructions)
+        fields = compare_observations(reference, observed)
+        if fields:
+            verdict.divergences.append(Divergence(
+                seed=seed, profile=profile, engine=engine,
+                reference=REFERENCE_ENGINE, fields=fields,
+                known=classify_divergence(
+                    fields, reference_outcome=reference.outcome,
+                    engine_outcome=observed.outcome),
+            ))
     return verdict
 
 
@@ -316,7 +281,6 @@ class CampaignReport:
 
     profile: str
     engines: Tuple[str, ...]
-    precise_modes: Tuple[bool, ...]
     start_seed: int
     programs: int = 0
     #: Instructions executed across every engine run of the campaign.
@@ -341,7 +305,6 @@ class CampaignReport:
         return {
             "profile": self.profile,
             "engines": list(self.engines),
-            "precise_modes": list(self.precise_modes),
             "start_seed": self.start_seed,
             "programs": self.programs,
             "instructions": self.instructions,
@@ -358,7 +321,6 @@ class CampaignReport:
 
 def run_campaign(count: int, *, start_seed: int = 0, profile="mixed",
                  engines: Optional[Sequence[str]] = None,
-                 precise_modes: Sequence[bool] = (False,),
                  config: MicroBlazeConfig = PAPER_CONFIG,
                  max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                  bisect_divergences: bool = True,
@@ -380,11 +342,8 @@ def run_campaign(count: int, *, start_seed: int = 0, profile="mixed",
     if engines is None:
         engines = engine_names()
     engines = tuple(validate_engine_name(name) for name in engines)
-    precise_modes = tuple(precise_modes)
     report = CampaignReport(profile=resolved.name, engines=engines,
-                            precise_modes=precise_modes,
                             start_seed=start_seed)
-    runs_per_program = len(precise_modes) * len(engines)
     start = time.perf_counter()
     for seed in range(start_seed, start_seed + count):
         if time_budget_s is not None \
@@ -393,13 +352,13 @@ def run_campaign(count: int, *, start_seed: int = 0, profile="mixed",
         program = generate_program(seed, resolved)
         verdict = check_program(
             program, seed=seed, profile=resolved.name, engines=engines,
-            precise_modes=precise_modes, config=config,
+            config=config,
             with_opb=resolved.opb_traffic,
             max_instructions=max_instructions)
         report.programs += 1
         # Every engine (reference included) executes the whole program, so
         # the fuzzed-instruction tally scales with the fleet width.
-        executed = verdict.instructions * max(1, runs_per_program)
+        executed = verdict.instructions * max(1, len(engines))
         report.instructions += executed
         if obs.ACTIVE is not None:
             obs.inc("warp_fuzz_programs_total", profile=resolved.name)
@@ -421,7 +380,6 @@ def run_campaign(count: int, *, start_seed: int = 0, profile="mixed",
                 bundle = bisect_divergence(
                     program, divergence.engine, seed=seed,
                     profile=resolved.name,
-                    precise_fault_stats=divergence.precise_fault_stats,
                     with_opb=resolved.opb_traffic,
                     max_instructions=max_instructions)
                 if bundle is not None:

@@ -249,22 +249,21 @@ def describe_checkpoint(blob: bytes) -> Dict:
 
 
 def spawn_from_checkpoint(blob: bytes, peripherals: Sequence = (),
-                          engine: Optional[str] = None,
-                          precise_fault_stats: bool = False) -> MicroBlazeSystem:
+                          engine: Optional[str] = None) -> MicroBlazeSystem:
     """Build a fresh system from a blob alone (worker-migration entry point).
 
     The processor configuration is reconstructed from the blob; the caller
     supplies freshly built peripherals matching the checkpointed topology
     (peripherals hold live object references — kernels, BRAM ports — that
     a blob cannot carry).  ``engine`` may differ from the engine the
-    checkpoint was taken on: the snapshot is engine-independent.
+    checkpoint was taken on: the snapshot is engine-independent, and so
+    is the state a later fault leaves (statistics, pc, ``imm`` latch).
     """
     payload = _decode_blob(blob)
     system = MicroBlazeSystem(config=_config_from_plain(payload["config"]),
                               peripherals=peripherals,
                               engine=engine if engine is not None
-                              else payload["engine"],
-                              precise_fault_stats=precise_fault_stats)
+                              else payload["engine"])
     restore_checkpoint(system, blob)
     return system
 

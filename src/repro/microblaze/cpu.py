@@ -33,7 +33,10 @@ The architectural model is shared by every registered execution engine
 (:mod:`repro.microblaze.engines`): ``interp`` is the reference
 interpreter implemented here — fetch, dispatch on the instruction class,
 execute, record; ``jit`` (the default) compiles superblocks to generated
-source once at decode time and dispatches block-at-a-time.  A run is
+source once at decode time and dispatches block-at-a-time.  The engines
+agree bit for bit, at a runtime fault too (statistics, pc, ``imm``
+latch); there only the jit's instruction-fetch port count runs ahead,
+by the block words it translated past the fault point.  A run is
 watched through one narrow protocol
 (:class:`~repro.microblaze.trace.BranchObserver`): observers hear only
 taken backward branches, which is all the on-chip profiler snoops, and
@@ -176,7 +179,6 @@ class MicroBlazeCPU:
         data_bram: BlockRAM,
         opb: Optional[OnChipPeripheralBus] = None,
         engine: Optional[str] = None,
-        precise_fault_stats: bool = False,
     ):
         from .engine import NUM_COUNTERS
 
@@ -184,13 +186,6 @@ class MicroBlazeCPU:
         self.instr_bram = instr_bram
         self.data_bram = data_bram
         self.opb = opb
-        #: Opt-in exact fault-path statistics for the block engines: the
-        #: block compiler emits per-instruction statistics code so a
-        #: runtime fault landing mid-superblock leaves stats/pc/imm-latch
-        #: in the interpreter's fault-point state.  No effect on the
-        #: interpreter engine or on fault-free runs (which are always
-        #: bit-exact).
-        self.precise_fault_stats = bool(precise_fault_stats)
         #: Register file.  The list identity is stable for the CPU's whole
         #: lifetime (reset mutates in place) because the block engines'
         #: generated code binds it once.

@@ -42,16 +42,16 @@ interpreter applies.
 Semantics are defined by the ``interp`` reference interpreter: the
 generated code reproduces it bit-exactly on fault-free runs (statistics,
 cycles, branch-event streams, memory-port counters, the seed's delay-slot
-double charge), compiles compile-time faults into raiser blocks that
-fire at the same execution point with the same exception and message,
-and supports ``precise_fault_stats`` by emitting per-instruction
-statistics/pc/imm-latch maintenance instead of the wholesale block
-constants — a mid-block runtime fault then leaves exactly the
-interpreter's fault-point state.  One divergence is known and
-intentional in default mode: a *runtime* fault (misaligned access,
-unmapped OPB address) landing mid-block can leave statistics ahead by up
-to one block, because block statistics are applied wholesale.
-Architectural state is identical either way.
+double charge) and compiles compile-time faults into raiser blocks that
+fire at the same execution point with the same exception and message.
+A *runtime* fault (misaligned access, unmapped OPB address) landing
+mid-block finds the block's statistics already added wholesale; the
+dispatch loop reads the faulting line from the block's traceback frame,
+re-derives that line's fault point (:meth:`SourceBlockCompiler.fault_point`)
+and takes back the statistics of the instructions not yet executed, so
+statistics, pc and ``imm`` latch are the interpreter's at the fault.  The
+one difference left on a faulted run is the instruction-fetch port: the
+translation fetched the block's words past the fault point.
 
 OPB peripheral time is batched: one ``tick(n)`` per block for opted-in
 peripherals, dropping to interpreter granularity when a declared tick
@@ -109,9 +109,9 @@ class _CodeCache(BoundedLRU):
     state arrives through the factory call, never through globals), so
     identical blocks of different programs share bytecode.
 
-    The translation table maps ``(compiler class, precise_fault_stats,
-    OPB present, cpu.config, data BRAM size, instruction BRAM digest,
-    entry pc)`` to ``(n, end, static_cycles, code, fetched)``, where
+    The translation table maps ``(compiler class, OPB present,
+    cpu.config, data BRAM size, instruction BRAM digest, entry pc)`` to
+    ``(n, end, static_cycles, code, fetched)``, where
     ``fetched`` holds the instructions the translation fetched.
     Everything block emission reads is in the key, so a fresh system
     running a program this process has already run — a service job, a
@@ -270,11 +270,14 @@ class SourceBlockCompiler:
         self.engine = engine
         self.cpu = cpu = engine.cpu
         self.blocks = engine.blocks
-        self.precise = bool(getattr(cpu, "precise_fault_stats", False))
         #: Instructions fetched by the translation in progress; ``None``
         #: once a fetch faulted (raiser blocks are never shared through the
         #: translation table).
         self._fetched: Optional[List[Instruction]] = None
+        #: Fault points recorded by a :meth:`fault_point` re-derivation:
+        #: ``(body line index, pc, imm latch, block deltas before)`` per
+        #: instruction; ``None`` while translating.
+        self._points: Optional[List[tuple]] = None
 
     # ------------------------------------------------------------------ entry
     def compile_block(self, entry: int) -> JitBlock:
@@ -283,7 +286,7 @@ class SourceBlockCompiler:
         configuration before, freshly translated otherwise."""
         start = time.perf_counter()
         cpu = self.cpu
-        key = (type(self), self.precise, cpu.opb is not None, cpu.config,
+        key = (type(self), cpu.opb is not None, cpu.config,
                cpu.data_bram.size, self.engine.image_digest(), entry)
         table = _CODE_CACHE.translations
         translation = table.get(key)
@@ -312,9 +315,42 @@ class SourceBlockCompiler:
                             time.perf_counter() - start)
         return block
 
+    def fault_point(self, entry: int, lineno: int):
+        """The interpreter's state when line ``lineno`` of the block at
+        ``entry`` raises: ``(pc, imm latch, counter deltas)``, where the
+        deltas are the block statistics of the instructions not yet
+        executed and ``pc`` is ``None`` on a raiser (which sets
+        ``cpu.pc`` itself).  ``None`` for a line outside every instruction.
+
+        Only the fault path calls this: it re-emits the block from the
+        decode cache, so no fetch, port count or translation-table entry
+        changes, and no translation carries the map.
+        """
+        self._points = points = []
+        try:
+            self._translate(entry)
+        finally:
+            self._points = None
+        # The last point is the block's end: its deltas are the block's
+        # constants, one source line each after the two ``def`` lines.
+        final = points[-1][3]
+        first = 3 + sum(1 for delta in final if delta)
+        for index, pc, latch, before in reversed(points):
+            if first + index <= lineno:
+                return pc, latch, [total - done
+                                   for total, done in zip(final, before)]
+        return None
+
     def _fetch(self, pc: int) -> Instruction:
         """:meth:`MicroBlazeCPU.fetch` for translation, recording the
         fetch for replay on later translation-table hits."""
+        if self._points is not None:
+            # Re-derivation: every word the translation decoded is still
+            # cached, and a missing one is where its fetch faulted.
+            instr = self.cpu._decoded.get(pc)
+            if instr is None:
+                raise MemoryError_(f"no decoded instruction at {pc:#x}")
+            return instr
         try:
             instr = self.cpu.fetch(pc)
         except (EncodingError, MemoryError_):
@@ -328,19 +364,19 @@ class SourceBlockCompiler:
         """Fetch, decode and emit the superblock at ``entry``: ``(n, end,
         static_cycles, source)``."""
         cpu = self.cpu
-        precise = self.precise
         timings = cpu.config.timings
+        points = self._points
         lines: List[str] = []
         deltas = [0] * (CNT_CLASS_CYCLES + len(CLASS_INDEX))
-        # Statically known straight-line cycles, tracked in both modes
-        # (precise blocks fold nothing into constants, but the dispatch
-        # loop's tick-deadline pre-check still needs the bound).
+        # Statically known straight-line cycles (the dispatch loop's
+        # tick-deadline pre-check).
         static_cycles = 0
         n = 0
         pc = entry
         pending_imm: Optional[int] = None
 
         while True:
+            end = pc
             try:
                 instr = self._fetch(pc)
             except (EncodingError, MemoryError_):
@@ -349,8 +385,7 @@ class SourceBlockCompiler:
                 # and with the same exception as the interpreter's fetch.
                 term = self._raiser(pc, f"cpu.fetch({pc})",
                                     "refetch did not raise")
-                return self._finish(entry, pc, n, deltas, lines, *term,
-                                    static_cycles=static_cycles)
+                break
 
             unit = instr.requires
             if unit is not None and not cpu.config.has_unit(unit):
@@ -359,22 +394,13 @@ class SourceBlockCompiler:
                 term = self._raiser(pc,
                                     f"raise IllegalInstruction({message!r})",
                                     None)
-                return self._finish(entry, pc, n, deltas, lines, *term,
-                                    static_cycles=static_cycles)
+                break
 
             klass = instr.klass
             if klass is InstrClass.IMM_PREFIX:
                 pending_imm = instr.imm & 0xFFFF
                 static_cycles += timings.imm_prefix
-                if precise:
-                    lines += [
-                        f"cpu.pc = {pc}",
-                        f"cpu._imm_latch = {pending_imm}",
-                    ]
-                    lines += self._count(InstrClass.IMM_PREFIX,
-                                         timings.imm_prefix)
-                else:
-                    self._delta(deltas, klass, timings.imm_prefix)
+                self._delta(deltas, klass, timings.imm_prefix)
                 n += 1
                 pc += 4
                 continue
@@ -382,8 +408,7 @@ class SourceBlockCompiler:
             if instr.is_branch:
                 term, extra, end = self._terminator(pc, instr, pending_imm)
                 n += 1 + extra
-                return self._finish(entry, end, n, deltas, lines, *term,
-                                    static_cycles=static_cycles)
+                break
 
             if klass is InstrClass.LOAD:
                 cycles = timings.load
@@ -392,28 +417,29 @@ class SourceBlockCompiler:
             else:
                 cycles = timings.for_class(klass)
             static_cycles += cycles
-            body = self._straightline(instr, pending_imm,
-                                      dynamic_stats=precise)
-            if precise:
-                lines.append(f"cpu.pc = {pc}")
-                lines += body
-                if pending_imm is not None:
-                    lines.append("cpu._imm_latch = None")
-            else:
-                lines += body
-                self._delta(deltas, klass, cycles)
-                if klass is InstrClass.LOAD:
-                    deltas[CNT_LOADS] += 1
-                elif klass is InstrClass.STORE:
-                    deltas[CNT_STORES] += 1
+            if points is not None:
+                points.append((len(lines), pc, pending_imm, list(deltas)))
+            lines += self._straightline(instr, pending_imm)
+            self._delta(deltas, klass, cycles)
+            if klass is InstrClass.LOAD:
+                deltas[CNT_LOADS] += 1
+            elif klass is InstrClass.STORE:
+                deltas[CNT_STORES] += 1
             pending_imm = None
             n += 1
             pc += 4
 
-            if n >= MAX_BLOCK_INSTRUCTIONS and pending_imm is None:
-                return self._finish(entry, pc - 4, n, deltas, lines,
-                                    [], str(pc),
-                                    static_cycles=static_cycles)
+            if n >= MAX_BLOCK_INSTRUCTIONS:
+                term, end = ([], str(pc)), pc - 4
+                break
+
+        if points is not None:
+            # Only a delay slot (at ``end``) or a raiser (which sets
+            # cpu.pc itself) can fault in the terminator's lines.
+            points.append((len(lines), end if term[1] is not None else None,
+                           pending_imm, list(deltas)))
+        return self._finish(entry, end, n, deltas, lines, *term,
+                            static_cycles=static_cycles)
 
     # ------------------------------------------------------------------ pieces
     @staticmethod
@@ -444,9 +470,9 @@ class SourceBlockCompiler:
 
     def _raiser(self, pc: int, statement: str,
                 unreachable: Optional[str]):
-        """A terminator that reproduces an interpreter fault."""
-        lines = [f"cpu.pc = {pc}"] if self.precise else []
-        lines.append(statement)
+        """A terminator that reproduces an interpreter fault (and sets
+        the fault pc: the interpreter's delay-slot checks move it)."""
+        lines = [f"cpu.pc = {pc}", statement]
         if unreachable is not None:
             lines.append(f"raise AssertionError('unreachable: "
                          f"{unreachable}')")
@@ -454,28 +480,23 @@ class SourceBlockCompiler:
 
     # --------------------------------------------------------- straight line
     def _straightline(self, instr: Instruction, pending_imm: Optional[int],
-                      dynamic_stats: bool, accumulate: bool = False) -> List[str]:
+                      slot: bool = False) -> List[str]:
         """Source for one non-branch instruction.
 
-        With ``dynamic_stats`` the emitted code records its own statistics
-        (delay slots, and every instruction in precise mode); otherwise
-        statistics live in the enclosing block's constants and only
-        dynamic OPB penalties are recorded inline.  ``accumulate``
-        additionally adds the instruction's cycle cost to the enclosing
-        terminator's ``_cycles`` (the delay-slot double charge).
+        Statistics live in the enclosing block's constants and only
+        dynamic OPB penalties are recorded inline, except in a delay
+        ``slot``: its code records its own statistics and adds its cycle
+        cost to the enclosing terminator's ``_cycles`` (the delay-slot
+        double charge).
         """
         klass = instr.klass
-        if klass is InstrClass.LOAD:
-            return self._memory(instr, pending_imm, dynamic_stats,
-                                accumulate, load=True)
-        if klass is InstrClass.STORE:
-            return self._memory(instr, pending_imm, dynamic_stats,
-                                accumulate, load=False)
+        if klass is InstrClass.LOAD or klass is InstrClass.STORE:
+            return self._memory(instr, pending_imm, slot,
+                                load=klass is InstrClass.LOAD)
         cycles = self.cpu.config.timings.for_class(klass)
         lines = self._compute(instr, pending_imm)
-        if dynamic_stats:
+        if slot:
             lines += self._count(klass, cycles)
-        if accumulate:
             lines.append(f"_cycles += {cycles}")
         return lines
 
@@ -506,8 +527,7 @@ class SourceBlockCompiler:
                 + source(kind, *(operands[name] for name in sources))]
 
     def _memory(self, instr: Instruction, pending_imm: Optional[int],
-                dynamic_stats: bool, accumulate: bool,
-                load: bool) -> List[str]:
+                slot: bool, load: bool) -> List[str]:
         timings = self.cpu.config.timings
         has_opb = self.cpu.opb is not None
         rd = instr.rd
@@ -535,14 +555,13 @@ class SourceBlockCompiler:
             # No peripheral bus attached: the OPB arm can never be taken,
             # so the access specializes to the data BRAM alone.
             lines += access
-            if dynamic_stats:
+            if slot:
                 lines += self._count(klass, base,
                                      extra=f"cnt[{scalar}] += 1")
-            if accumulate:
                 lines.append(f"_cycles += {base}")
             return lines
 
-        if dynamic_stats:
+        if slot:
             lines.append(f"_c = {base}")
         lines.append(f"if _a >= {OPB_BASE_ADDRESS} and opb_owns(_a):")
         if not load:
@@ -551,14 +570,13 @@ class SourceBlockCompiler:
             lines.append(f"    {value} = opb_read(_a) & {_M}")
         else:
             lines.append("    opb_read(_a)")
-        if dynamic_stats:
+        if slot:
             lines += [f"    _c += {extra}",
                       f"    cnt[{port_counter}] += 1",
                       "else:"]
             lines += ["    " + line for line in access]
             lines += self._count(klass, "_c", extra=f"cnt[{scalar}] += 1")
-            if accumulate:
-                lines.append("_cycles += _c")
+            lines.append("_cycles += _c")
             return lines
 
         # Block-constant statistics: only the dynamic OPB penalty is
@@ -581,7 +599,11 @@ class SourceBlockCompiler:
         end = pc
         slot: Optional[List[str]] = None
         extra = 0
-        if instr.has_delay_slot:
+        # The static halt idiom (an unconditional branch to itself) skips
+        # its slot, so the slot is not even fetched (as in the interpreter).
+        halts = instr.klass is InstrClass.BRANCH_UNCOND \
+            and self._static_target(pc, instr, pending_imm) == pc
+        if instr.has_delay_slot and not halts:
             end = pc + 4
             try:
                 slot_instr = self._fetch(pc + 4)
@@ -603,22 +625,25 @@ class SourceBlockCompiler:
                     "slot unit check did not raise"), 0, end
             # The imm latch is cleared only after the whole branch — slot
             # included — so a pending prefix fuses into the slot too.
-            slot = self._straightline(slot_instr, pending_imm,
-                                      dynamic_stats=True, accumulate=True)
-            if self.precise:
-                slot = [f"cpu.pc = {pc + 4}"] + slot
+            slot = self._straightline(slot_instr, pending_imm, slot=True)
             extra = 1
 
         if instr.klass is InstrClass.BRANCH_COND:
-            lines, ret = self._cond_branch(pc, instr, pending_imm, slot)
+            term = self._cond_branch(pc, instr, pending_imm, slot)
         else:
-            lines, ret = self._uncond_branch(pc, instr, pending_imm, slot)
-        if self.precise:
-            # The interpreter executes the branch with pc pointing at it
-            # (and at the slot while the slot runs — the slot lines above
-            # carry their own pc maintenance).
-            lines = [f"cpu.pc = {pc}"] + lines
-        return (lines, ret), extra, end
+            term = self._uncond_branch(pc, instr, pending_imm, slot)
+        return term, extra, end
+
+    @staticmethod
+    def _static_target(pc: int, instr: Instruction,
+                       pending_imm: Optional[int]) -> Optional[int]:
+        """The target of a branch with an immediate target, ``None`` for
+        a register-held or return target."""
+        if instr.klass is InstrClass.RETURN or instr.spec.fmt.value == "A":
+            return None
+        imm = fuse_imm(pending_imm, instr.imm)
+        return imm & _M if instr.spec.absolute \
+            else (pc + to_signed(imm)) & _M
 
     def _cond_branch(self, pc: int, instr: Instruction,
                      pending_imm: Optional[int],
@@ -632,12 +657,11 @@ class SourceBlockCompiler:
 
         # Observers hear only taken backward branches: a register-held
         # target is tested at run time, a static one at translation.
-        if instr.spec.fmt.value == "A":
+        static_target = self._static_target(pc, instr, pending_imm)
+        if static_target is None:
             target = f"({pc} + to_signed({_r(instr.rb)})) & {_M}"
             backward: Optional[str] = f"_taken and _target < {pc}"
         else:
-            offset = fuse_imm(pending_imm, instr.imm)
-            static_target = (pc + to_signed(offset)) & _M
             target = str(static_target)
             backward = "_taken" if static_target < pc else None
 
@@ -682,24 +706,11 @@ class SourceBlockCompiler:
         is_uncond = klass is InstrClass.BRANCH_UNCOND
         is_call = klass is InstrClass.CALL
         rd = instr.rd
-        imm = fuse_imm(pending_imm, instr.imm)
-
-        static_target: Optional[int] = None
+        static_target = self._static_target(pc, instr, pending_imm)
         if klass is InstrClass.RETURN:
             base = timings.ret
-            target_expr = f"({_r(instr.ra)} + {imm}) & {_M}"
         else:
             base = timings.call if is_call else timings.branch_taken
-            absolute = instr.spec.absolute
-            if instr.spec.fmt.value == "A":
-                if absolute:
-                    target_expr = f"{_r(instr.rb)} & {_M}"
-                else:
-                    target_expr = f"({pc} + to_signed({_r(instr.rb)})) & {_M}"
-            else:
-                static_target = imm & _M if absolute \
-                    else (pc + to_signed(imm)) & _M
-                target_expr = str(static_target)
 
         def footer(cycles: str, target: str) -> List[str]:
             lines = [
@@ -718,14 +729,13 @@ class SourceBlockCompiler:
         call_write = [f"regs[{rd}] = {pc & _M}"] if is_call and rd else []
 
         if static_target is not None and is_uncond and static_target == pc:
-            # A PC-relative unconditional branch to itself is the halt
-            # idiom; the slot is skipped (as in the interpreter).
+            # An unconditional branch to itself is the halt idiom; its
+            # slot was never fetched (as in the interpreter).
             lines = ["cpu.halted = True"] + footer(str(base),
                                                    str(static_target))
             return lines, str(static_target)
 
-        if static_target is not None and (not is_uncond
-                                          or static_target != pc):
+        if static_target is not None:
             lines = list(call_write)
             if slot is not None:
                 lines.append(f"_cycles = {base}")
@@ -737,6 +747,13 @@ class SourceBlockCompiler:
 
         # Dynamic target: the halt check (unconditional branches only)
         # happens at run time, and a halting branch skips its slot.
+        if klass is InstrClass.RETURN:
+            target_expr = (f"({_r(instr.ra)} + "
+                           f"{fuse_imm(pending_imm, instr.imm)}) & {_M}")
+        elif instr.spec.absolute:
+            target_expr = f"{_r(instr.rb)} & {_M}"
+        else:
+            target_expr = f"({pc} + to_signed({_r(instr.rb)})) & {_M}"
         lines = [f"_target = {target_expr}"] + call_write
         lines.append(f"_cycles = {base}")
         if is_uncond:
@@ -755,18 +772,11 @@ class SourceBlockCompiler:
                 body: List[str], term_lines: List[str],
                 return_expr: Optional[str],
                 static_cycles: int = 0) -> Tuple[int, int, int, str]:
-        lines: List[str] = []
-        if not self.precise:
-            lines += [f"cnt[{index}] += {delta}"
-                      for index, delta in enumerate(deltas) if delta]
+        lines = [f"cnt[{index}] += {delta}"
+                 for index, delta in enumerate(deltas) if delta]
         lines += body
         lines += term_lines
         if return_expr is not None:
-            if self.precise:
-                # The interpreter clears the latch once the whole branch
-                # (slot included) has executed; raiser blocks (no return
-                # expression) must leave it set, like a faulting branch.
-                lines.append("cpu._imm_latch = None")
             lines.append(f"return {return_expr}")
 
         indented = "\n".join("        " + line for line in lines)
@@ -793,6 +803,31 @@ class JitEngine(ExecutionEngine):
     def _block_range(block: tuple) -> Tuple[int, int]:
         return block[2], block[3]
 
+    def _fault_point(self, block: JitBlock, exc: BaseException,
+                     pc: int) -> int:
+        """Rewind the counters and the ``imm`` latch to the interpreter's
+        state where ``block`` raised ``exc``, and return the fault pc
+        (``pc`` when the exception did not come from the block).
+
+        The block's frame in the traceback names the faulting line; the
+        compiler re-derives which instruction it belongs to and which
+        block statistics, added wholesale on entry, were not earned.
+        """
+        code = block[1].__code__
+        tb = exc.__traceback__
+        while tb is not None and tb.tb_frame.f_code is not code:
+            tb = tb.tb_next
+        point = None if tb is None \
+            else self.compiler.fault_point(block[2], tb.tb_lineno)
+        if point is None:
+            return pc
+        fault_pc, latch, unearned = point
+        counters = self.cpu._counters
+        for index, count in enumerate(unearned):
+            counters[index] -= count
+        self.cpu._imm_latch = latch
+        return self.cpu.pc if fault_pc is None else fault_pc
+
     # ------------------------------------------------------------- dispatch
     def run(self, max_instructions: int,
             max_cycles: Optional[int] = None) -> None:
@@ -809,6 +844,7 @@ class JitEngine(ExecutionEngine):
         executed = cpu.stats.instructions
         near_budget = False
         pc = cpu.pc
+        block = None
         try:
             while not cpu.halted:
                 block = blocks.get(pc)
@@ -826,32 +862,37 @@ class JitEngine(ExecutionEngine):
                         # Counters fold into stats first (exact budget
                         # checks) and any imm latch the step leaves is
                         # drained — fused translations assume latch-free
-                        # entry.
+                        # entry.  The interpreter keeps cpu.pc, also at
+                        # a fault.
                         cpu._sync_counters()
                         cpu.pc = pc
-                        cpu.step()
-                        cpu._drain_imm_latch(max_instructions)
-                        pc = cpu.pc
+                        try:
+                            cpu.step()
+                            cpu._drain_imm_latch(max_instructions)
+                        finally:
+                            pc = cpu.pc
                         executed = cpu.stats.instructions
                         continue
                     cycles_before = counters[CNT_CYCLES]
                     try:
                         pc = block[1]()
+                    except BaseException as exc:
+                        pc = self._fault_point(block, exc, pc)
+                        block = None  # rewound: not again below
+                        raise
                     finally:
                         # Deliver the accrued cycles even when the block
-                        # faults mid-way: ticked time tracks the recorded
-                        # statistics exactly (interpreter-identical in
-                        # precise mode).
+                        # faults mid-way: ticked time is the statistics
+                        # recorded up to the fault point.
                         opb.tick_bounded(counters[CNT_CYCLES]
                                          - cycles_before)
                     executed += n
                     continue
                 pc = block[1]()
                 executed += n
-        except BaseException:
-            if cpu.precise_fault_stats:
-                # Precise-mode blocks maintain cpu.pc per instruction.
-                pc = cpu.pc
+        except BaseException as exc:
+            if block is not None:
+                pc = self._fault_point(block, exc, pc)
             raise
         finally:
             cpu.pc = pc

@@ -89,12 +89,10 @@ class MicroBlazeSystem:
         default, source-generating superblock engine) or ``"interp"``
         (the reference interpreter) — plus anything registered with
         :func:`~repro.microblaze.engines.register_engine`.  The built-in
-        engines are bit-exact with one another; unknown names raise
+        engines are bit-exact with one another, at a runtime fault too
+        (except the instruction-fetch port count); unknown names raise
         :class:`~repro.microblaze.engines.UnknownEngineError` listing the
         registered engines.
-    precise_fault_stats:
-        Opt-in exact fault-path statistics for the block engines (see
-        :class:`~repro.microblaze.cpu.MicroBlazeCPU`).
     """
 
     def __init__(
@@ -102,7 +100,6 @@ class MicroBlazeSystem:
         config: MicroBlazeConfig = PAPER_CONFIG,
         peripherals: Sequence[Peripheral] = (),
         engine: Optional[str] = None,
-        precise_fault_stats: bool = False,
     ):
         self.config = config
         self.instr_bram = BlockRAM(config.instr_bram_kb * 1024, name="instr_bram")
@@ -113,8 +110,7 @@ class MicroBlazeSystem:
         for peripheral in peripherals:
             self.opb.attach(peripheral)
         self.cpu = MicroBlazeCPU(config, self.instr_bram, self.data_bram, self.opb,
-                                 engine=engine,
-                                 precise_fault_stats=precise_fault_stats)
+                                 engine=engine)
         self._loaded_program: Optional[Program] = None
         #: Program metadata recovered from a checkpoint restore (the image
         #: itself lives in the BRAMs); see :meth:`restore_checkpoint`.
@@ -240,9 +236,7 @@ def run_program(
     peripherals: Sequence[Peripheral] = (),
     max_instructions: int = 50_000_000,
     engine: Optional[str] = None,
-    precise_fault_stats: bool = False,
 ) -> ExecutionResult:
     """Convenience helper: build a system, run ``program``, return the result."""
-    system = MicroBlazeSystem(config=config, peripherals=peripherals, engine=engine,
-                              precise_fault_stats=precise_fault_stats)
+    system = MicroBlazeSystem(config=config, peripherals=peripherals, engine=engine)
     return system.run(program, listeners=listeners, max_instructions=max_instructions)

@@ -335,7 +335,6 @@ def job_to_plain(job: WarpJob) -> Dict[str, Any]:
         "fuzz_count": job.fuzz_count,
         "fuzz_engines": list(job.fuzz_engines)
         if job.fuzz_engines is not None else None,
-        "fuzz_precise": job.fuzz_precise,
     }
 
 
@@ -349,6 +348,13 @@ def job_from_plain(plain: Dict[str, Any]) -> WarpJob:
     except (KeyError, TypeError, ValueError) as error:
         raise JobSpecError(f"wire job {plain.get('name')!r}: bad config/"
                            f"wcla payload: {error}") from error
+    if plain.get("fuzz_precise"):
+        # Version-1 senders always write this removed key: their default
+        # ``false`` still means the same job, ``true`` asks for a mode
+        # that no longer exists.
+        raise JobSpecError(f"wire job {plain['name']!r}: fuzz_precise was "
+                           "removed; block engines always match the "
+                           "interpreter at a fault")
     stages = plain.get("stages")
     fuzz_engines = plain.get("fuzz_engines")
     return WarpJob(
@@ -370,7 +376,6 @@ def job_from_plain(plain: Dict[str, Any]) -> WarpJob:
         fuzz_count=plain.get("fuzz_count", 25),
         fuzz_engines=tuple(fuzz_engines)
         if fuzz_engines is not None else None,
-        fuzz_precise=bool(plain.get("fuzz_precise", False)),
     )
 
 

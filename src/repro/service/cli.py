@@ -47,7 +47,7 @@ export the run's trace spans.  Finally ::
 
     repro-warp fuzz [--seeds N] [--seed-start S] [--profile mixed]
                     [--engines interp,jit,...] [--jobs N]
-                    [--precise-fault-stats] [--workers N] [--out ...]
+                    [--workers N] [--out ...]
 
 runs a differential fuzzing campaign (see :mod:`repro.fuzz`): N generated
 programs cross-checked across the engine registry, the seed range
@@ -277,8 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="split the seed range into N campaign shards "
                            "(0 = one shard per worker, or a single shard "
                            "when serial)")
-    fuzz.add_argument("--precise-fault-stats", action="store_true",
-                      help="also sweep precise_fault_stats mode")
     fuzz.add_argument("--max-instructions", type=int, default=2_000_000,
                       help="per-run instruction budget (default 2M)")
     common(fuzz)
@@ -333,7 +331,7 @@ def load_job_file(path: Path) -> List[WarpJob]:
     allowed = {"name", "benchmark", "source", "small", "engine", "priority",
                "max_instructions", "config", "config_label", "stages",
                "timeout_s", "fuzz_profile", "fuzz_seed", "fuzz_count",
-               "fuzz_engines", "fuzz_precise"}
+               "fuzz_engines"}
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict) or "name" not in entry:
             raise JobSpecError(f"{path}: job #{index} must be an object with "
@@ -365,7 +363,6 @@ def load_job_file(path: Path) -> List[WarpJob]:
             fuzz_seed=_int_field(entry, "fuzz_seed", 0, path),
             fuzz_count=_int_field(entry, "fuzz_count", 25, path),
             fuzz_engines=entry.get("fuzz_engines"),
-            fuzz_precise=bool(entry.get("fuzz_precise", False)),
         ))
     return jobs
 
@@ -423,7 +420,6 @@ def _fuzz_jobs_from_args(args) -> List[WarpJob]:
             fuzz_seed=start,
             fuzz_count=count,
             fuzz_engines=engines,
-            fuzz_precise=args.precise_fault_stats,
             max_instructions=args.max_instructions,
         ))
         start += count

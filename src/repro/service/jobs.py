@@ -116,13 +116,11 @@ class WarpJob:
     #: Differential fuzzing campaign (third workload kind): generator
     #: profile name, start seed, number of consecutive seeds, the engines
     #: cross-checked against the reference (``None`` = every registered
-    #: engine) and whether ``precise_fault_stats`` mode is also swept.
-    #: ``max_instructions`` bounds each generated run.
+    #: engine).  ``max_instructions`` bounds each generated run.
     fuzz_profile: Optional[str] = None
     fuzz_seed: int = 0
     fuzz_count: int = 25
     fuzz_engines: Optional[Tuple[str, ...]] = None
-    fuzz_precise: bool = False
 
     def __post_init__(self) -> None:
         kinds = sum(1 for workload in (self.benchmark, self.source,
@@ -223,7 +221,7 @@ class WarpJob:
         return (self.benchmark, self.source, self.small, self.config,
                 self.wcla, self.engine, self.max_instructions, self.stages,
                 self.fuzz_profile, self.fuzz_seed, self.fuzz_count,
-                self.fuzz_engines, self.fuzz_precise)
+                self.fuzz_engines)
 
     def describe(self) -> str:
         if self.fuzz_profile is not None:

@@ -192,10 +192,9 @@ def _execute_fuzz(job: WarpJob, result: ServiceResult) -> None:
     from ..fuzz.harness import run_campaign
     engines = list(job.fuzz_engines) if job.fuzz_engines is not None \
         else None
-    precise_modes = (False, True) if job.fuzz_precise else (False,)
     report = run_campaign(
         job.fuzz_count, start_seed=job.fuzz_seed, profile=job.fuzz_profile,
-        engines=engines, precise_modes=precise_modes, config=job.config,
+        engines=engines, config=job.config,
         max_instructions=job.max_instructions)
     result.fuzz_programs = report.programs
     result.fuzz_instructions = report.instructions

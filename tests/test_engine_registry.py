@@ -368,19 +368,16 @@ class TestTickBatching:
         assert bystander.total == 0 and bystander.calls == 0
 
     @pytest.mark.parametrize("engine", BLOCK_ENGINES)
-    def test_deadline_respected_in_precise_mode(self, engine):
-        """Precise-fault-stats blocks carry no wholesale deltas, but the
-        deadline pre-check still needs their static cycle count: a
-        deadline peripheral must see finer delivery than free batching in
-        precise mode too."""
+    def test_deadline_delivery_keeps_statistics(self, engine):
+        """The deadline pre-check reads each block's static cycle count:
+        a deadline peripheral sees finer delivery than free batching,
+        with the same statistics and the same total time."""
         free = TickCounter()
         free_result = run_program(assemble(LOOP), PAPER_CONFIG,
-                                  engine=engine, precise_fault_stats=True,
-                                  peripherals=[free])
+                                  engine=engine, peripherals=[free])
         timed = PeriodicTicker(period=2)
         timed_result = run_program(assemble(LOOP), PAPER_CONFIG,
-                                   engine=engine, precise_fault_stats=True,
-                                   peripherals=[timed])
+                                   engine=engine, peripherals=[timed])
         assert timed_result.stats == free_result.stats
         assert timed.total == free.total == free_result.stats.cycles
         assert timed.calls > free.calls
@@ -430,27 +427,42 @@ class TestTickBatching:
         assert peripheral.total == observed.stats.cycles
 
     @pytest.mark.parametrize("engine", engine_names())
-    @pytest.mark.parametrize("precise", [False, True])
-    def test_mid_block_fault_still_delivers_ticks(self, engine, precise):
-        """A block faulting mid-way must still deliver the cycles it
-        accrued: ticked time tracks the recorded statistics exactly,
-        interpreter-identical in precise mode."""
-        from repro.microblaze import MemoryError_, MicroBlazeSystem
-
-        source = """
+    @pytest.mark.parametrize("source", [
+        """
             addi r5, r0, 8
             addi r6, r0, 1
             add  r7, r5, r6
             lw   r9, r7, r0     # misaligned load at 9: faults mid-block
+            addi r8, r0, 3
             bri  0
+        """,
         """
-        peripheral = TickCounter()
-        system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine,
-                                  precise_fault_stats=precise,
-                                  peripherals=[peripheral])
-        with pytest.raises(MemoryError_):
-            system.run(assemble(source, name="faulty"))
-        assert peripheral.total == system.cpu.stats.cycles
+            addi r5, r0, 1
+            imm  0x9000
+            lwi  r6, r0, 0      # the ticking peripheral: an OPB penalty
+            imm  0x9000
+            swi  r5, r0, 64     # unmapped OPB address: faults mid-block
+            addi r7, r0, 2
+            bri  0
+        """,
+    ], ids=["misaligned", "unmapped-opb"])
+    def test_mid_block_fault_still_delivers_ticks(self, engine, source):
+        """A block faulting mid-way must still deliver the cycles it
+        accrued up to the fault point: ticked time equals the corrected
+        statistics, which equal the interpreter's."""
+        from repro.microblaze import MemoryError_, MicroBlazeSystem
+
+        observed = {}
+        for name in ("interp", engine):
+            peripheral = TickCounter()
+            system = MicroBlazeSystem(config=PAPER_CONFIG, engine=name,
+                                      peripherals=[peripheral])
+            with pytest.raises(MemoryError_):
+                system.run(assemble(source, name="faulty"))
+            assert peripheral.total == system.cpu.stats.cycles
+            observed[name] = (system.cpu.stats, system.cpu.pc,
+                              system.cpu._imm_latch, peripheral.total)
+        assert observed[engine] == observed["interp"]
 
     @pytest.mark.parametrize("engine", engine_names())
     def test_suite_benchmark_with_ticking_peripheral(self, engine,

@@ -1,13 +1,14 @@
-"""Fault-path statistics: the opt-in precise mode of the block engines.
+"""Fault-path statistics: block engines stop at the interpreter's fault point.
 
-The block engines apply a superblock's statistics wholesale, so a
-runtime fault landing mid-block can leave statistics ahead of the
-interpreter's by up to one block (a documented divergence since PR 1).
-With ``precise_fault_stats=True`` the block compiler emits
-per-instruction statistics code instead; these tests assert that a fault
-landing mid-block then leaves *identical* statistics, registers, pc and
-imm-latch state to the reference interpreter — and that fault-free runs
-stay bit-exact in precise mode.
+The block engines apply a superblock's statistics wholesale on entry.
+When a runtime fault lands mid-block, the dispatch loop reads the
+faulting line from the block's traceback frame, re-derives which
+instruction it belongs to and takes back the statistics of the
+instructions not yet executed.  These tests assert that a fault then
+leaves *identical* statistics, registers, pc and imm-latch state to the
+reference interpreter — in a fresh translation, in one served from the
+translation table, on a later loop iteration — and that fault-free runs
+stay bit-exact.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import build_suite
+from repro.fuzz import observe
 from repro.isa.assembler import assemble
 from repro.microblaze import (
     MINIMAL_CONFIG,
@@ -24,6 +26,7 @@ from repro.microblaze import (
     MicroBlazeSystem,
     engine_names,
 )
+from repro.microblaze.engines.jit import _CODE_CACHE, codegen_stats
 
 #: Every engine that translates blocks (everything but the reference).
 BLOCK_ENGINES = tuple(name for name in engine_names() if name != "interp")
@@ -49,6 +52,7 @@ MISALIGNED_AFTER_IMM = """
     addi r5, r0, 1
     imm  0
     lwi  r9, r5, 8         # address 9 via imm-fused immediate: faults
+    addi r10, r0, 99
     bri  0
 """
 
@@ -63,12 +67,26 @@ MISALIGNED_IN_DELAY_SLOT = """
     bri  0
 """
 
+#: The loop's block runs cleanly once (translated, every word fetched by
+#: both engines), then its load faults on the second iteration: address
+#: 0 is aligned, address 2 is not.
+FAULT_ON_SECOND_ITERATION = """
+    addi r5, r0, 3
+    addi r6, r0, 0
+loop:
+    addi r9, r9, 1
+    lw   r7, r6, r0        # iteration 2: misaligned address 2
+    addi r6, r6, 2
+    addi r5, r5, -1
+    bnei r5, loop
+    bri  0
+"""
 
-def _run_to_fault(source, engine, precise=False, config=PAPER_CONFIG,
+
+def _run_to_fault(source, engine, config=PAPER_CONFIG,
                   exception=MemoryError_):
     program = assemble(source, name="faulty")
-    system = MicroBlazeSystem(config=config, engine=engine,
-                              precise_fault_stats=precise)
+    system = MicroBlazeSystem(config=config, engine=engine)
     with pytest.raises(exception) as info:
         system.run(program)
     cpu = system.cpu
@@ -89,50 +107,41 @@ def _assert_fault_state_equal(reference, observed):
     assert observed["message"] == reference["message"]
 
 
-class TestPreciseFaultStats:
+class TestFaultPoint:
     @pytest.mark.parametrize("engine", BLOCK_ENGINES)
     def test_misaligned_fault_mid_block_matches_interpreter(self, engine):
-        """The differential test of the ISSUE: a misaligned access landing
-        mid-block leaves interpreter-identical statistics in precise mode."""
+        """A misaligned access landing mid-block leaves
+        interpreter-identical statistics, pc and imm latch."""
         interp = _run_to_fault(MISALIGNED_MID_BLOCK, "interp")
-        precise = _run_to_fault(MISALIGNED_MID_BLOCK, engine, precise=True)
-        _assert_fault_state_equal(interp, precise)
+        observed = _run_to_fault(MISALIGNED_MID_BLOCK, engine)
+        _assert_fault_state_equal(interp, observed)
         # The interpreter charged exactly the four completed instructions.
         assert interp["stats"].instructions == 4
 
     @pytest.mark.parametrize("engine", BLOCK_ENGINES)
-    def test_default_mode_documents_the_divergence(self, engine):
-        """Without the flag the wholesale-block accounting is visible (this
-        is the documented PR 1 behaviour the flag closes)."""
-        interp = _run_to_fault(MISALIGNED_MID_BLOCK, "interp")
-        plain = _run_to_fault(MISALIGNED_MID_BLOCK, engine, precise=False)
-        # Architectural state stays identical even without the flag...
-        assert plain["registers"] == interp["registers"]
-        assert plain["message"] == interp["message"]
-        # ...but the wholesale statistics ran ahead of the fault point.
-        assert plain["stats"].instructions > interp["stats"].instructions
-
-    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
     def test_fault_with_pending_imm_latch(self, engine):
         interp = _run_to_fault(MISALIGNED_AFTER_IMM, "interp")
-        precise = _run_to_fault(MISALIGNED_AFTER_IMM, engine, precise=True)
-        _assert_fault_state_equal(interp, precise)
-        # The imm prefix itself was recorded before the fault.
+        observed = _run_to_fault(MISALIGNED_AFTER_IMM, engine)
+        _assert_fault_state_equal(interp, observed)
+        # The imm prefix itself was recorded before the fault, and the
+        # latch it set is still pending.
         assert interp["stats"].instructions == 2
+        assert interp["imm_latch"] == 0
 
     @pytest.mark.parametrize("engine", BLOCK_ENGINES)
     def test_fault_in_delay_slot(self, engine):
         interp = _run_to_fault(MISALIGNED_IN_DELAY_SLOT, "interp")
-        precise = _run_to_fault(MISALIGNED_IN_DELAY_SLOT, engine,
-                                precise=True)
-        _assert_fault_state_equal(interp, precise)
-        # Neither the branch nor the slot is recorded by the interpreter.
+        observed = _run_to_fault(MISALIGNED_IN_DELAY_SLOT, engine)
+        _assert_fault_state_equal(interp, observed)
+        # Neither the branch nor the slot is recorded by the interpreter,
+        # and the pc points at the slot.
         assert interp["stats"].branches_taken == 0
+        assert interp["pc"] == 12
 
     @pytest.mark.parametrize("engine", BLOCK_ENGINES)
     def test_missing_unit_fault(self, engine):
         """Compile-time-detected faults (absent hardware unit) also leave
-        identical state in precise mode."""
+        identical state."""
         source = """
             addi r5, r0, 3
             addi r6, r0, 4
@@ -141,21 +150,48 @@ class TestPreciseFaultStats:
         """
         interp = _run_to_fault(source, "interp", config=MINIMAL_CONFIG,
                                exception=IllegalInstruction)
-        precise = _run_to_fault(source, engine, precise=True,
-                                config=MINIMAL_CONFIG,
-                                exception=IllegalInstruction)
-        _assert_fault_state_equal(interp, precise)
+        observed = _run_to_fault(source, engine, config=MINIMAL_CONFIG,
+                                 exception=IllegalInstruction)
+        _assert_fault_state_equal(interp, observed)
+
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
+    def test_fault_on_later_loop_iteration_matches_every_observation(
+            self, engine):
+        """A fault in a block that already ran leaves *every* observation
+        identical, the instruction-fetch port included: finding the fault
+        point touches neither the decode cache, the port counters nor
+        the translation table."""
+        program = assemble(FAULT_ON_SECOND_ITERATION, name="later")
+        reference = observe(program, "interp")
+        observed = observe(program, engine)
+        assert reference.outcome == "fault"
+        # The loop branch was taken once before the fault.
+        assert reference.stats["branches_taken"] == 1
+        assert observed.comparable() == reference.comparable()
+
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
+    def test_fault_in_block_from_translation_table(self, engine):
+        """A fresh system whose blocks come from the translation table
+        (no translation of its own) stops at the same fault point."""
+        interp = _run_to_fault(MISALIGNED_AFTER_IMM, "interp")
+        _run_to_fault(MISALIGNED_AFTER_IMM, engine)
+        table_before = len(_CODE_CACHE.translations)
+        hits_before = codegen_stats()[engine]["cache_hits"]
+        observed = _run_to_fault(MISALIGNED_AFTER_IMM, engine)
+        assert codegen_stats()[engine]["cache_hits"] > hits_before
+        assert len(_CODE_CACHE.translations) == table_before
+        _assert_fault_state_equal(interp, observed)
 
     @pytest.mark.parametrize("engine", BLOCK_ENGINES)
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_fault_free_runs_stay_bit_exact(self, engine, name,
                                             compiled_small_programs):
-        """Precise mode must not perturb fault-free execution at all."""
+        """Fault-point recovery must not perturb fault-free execution."""
         program = compiled_small_programs[name]
         reference = MicroBlazeSystem(config=PAPER_CONFIG,
                                      engine="interp").run(program)
-        precise = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine,
-                                   precise_fault_stats=True).run(program)
-        assert precise.stats == reference.stats
-        assert precise.return_value == reference.return_value
-        assert precise.data_image == reference.data_image
+        observed = MicroBlazeSystem(config=PAPER_CONFIG,
+                                    engine=engine).run(program)
+        assert observed.stats == reference.stats
+        assert observed.return_value == reference.return_value
+        assert observed.data_image == reference.data_image

@@ -104,9 +104,7 @@ class TestMutantPinpointing:
         assert bundle.source == regenerated.source
         again = bisect_divergence(regenerated, replay["engine"],
                                   seed=replay["seed"],
-                                  profile=replay["profile"],
-                                  precise_fault_stats=replay[
-                                      "precise_fault_stats"])
+                                  profile=replay["profile"])
         assert again is not None
         assert again.first_divergent_pc == bundle.first_divergent_pc
 

@@ -13,16 +13,12 @@ from repro.fuzz import (
     observe,
     run_campaign,
 )
-from repro.fuzz.harness import (
-    KNOWN_FAULT_SKEW_FIELDS,
-    KNOWN_PRECISE_FAULT_SKEW_FIELDS,
-    compare_observations,
-)
+from repro.fuzz.harness import KNOWN_FAULT_SKEW_FIELDS, compare_observations
 from repro.isa import assemble
 from repro.microblaze import engine_names
 
-#: A fault landing inside a hot loop's block: the canonical source of the
-#: ROADMAP's documented default-mode statistics skew (mirrors
+#: A fault landing mid-block after a hot loop: the translation fetched the
+#: block's words past the fault point, the one documented skew (mirrors
 #: ``test_engine_differential.MISALIGNED_IN_HOT_LOOP``).
 FAULT_AFTER_HOT_LOOP = """
     addi r5, r0, 64
@@ -62,46 +58,43 @@ class TestObserve:
 
 
 class TestKnownDivergenceClassification:
-    def test_default_mode_stats_skew_is_known(self):
+    def test_only_instruction_port_lookahead_is_known(self):
+        assert KNOWN_FAULT_SKEW_FIELDS == {"instr_ports"}
         assert classify_divergence(
-            ("stats", "profiler", "pc"), precise_fault_stats=False,
+            ("instr_ports",),
             reference_outcome="fault", engine_outcome="fault")
+
+    def test_fault_point_skew_is_never_known(self):
+        """Statistics, fault pc and profiler state are interpreter-exact at
+        a fault: any skew in them is unexplained."""
+        for skewed in ("stats", "pc", "profiler", "data_ports"):
+            assert not classify_divergence(
+                ("instr_ports", skewed),
+                reference_outcome="fault", engine_outcome="fault")
 
     def test_architectural_fields_are_never_known(self):
         for poisoned in ("registers", "checksum", "data", "outcome", "opb"):
             assert not classify_divergence(
-                ("stats", poisoned), precise_fault_stats=False,
+                ("instr_ports", poisoned),
                 reference_outcome="fault", engine_outcome="fault")
 
     def test_non_fault_runs_are_never_known(self):
         assert not classify_divergence(
-            ("stats",), precise_fault_stats=False,
+            ("instr_ports",),
             reference_outcome="halted", engine_outcome="halted")
         assert not classify_divergence(
-            ("stats",), precise_fault_stats=False,
+            ("instr_ports",),
             reference_outcome="fault", engine_outcome="halted")
 
-    def test_precise_mode_allows_only_instruction_port_lookahead(self):
-        assert classify_divergence(
-            ("instr_ports",), precise_fault_stats=True,
-            reference_outcome="fault", engine_outcome="fault")
-        assert not classify_divergence(
-            ("stats",), precise_fault_stats=True,
-            reference_outcome="fault", engine_outcome="fault")
-        assert KNOWN_PRECISE_FAULT_SKEW_FIELDS < KNOWN_FAULT_SKEW_FIELDS
-
     def test_mid_block_fault_divergences_classify_as_known(self):
-        """The real thing end to end: a fault in a hot loop, both precise
-        modes, every registered engine — whatever skew appears must match
-        a documented shape, never an architectural difference."""
+        """The real thing end to end: a fault after a hot loop on every
+        registered engine — whatever skew appears is the fetch
+        lookahead, never statistics or architectural state."""
         program = assemble(FAULT_AFTER_HOT_LOOP, name="faulty")
-        verdict = check_program(program, seed=0, profile="handwritten",
-                                precise_modes=(False, True))
+        verdict = check_program(program, seed=0, profile="handwritten")
         assert verdict.unexplained == []
         for divergence in verdict.divergences:
-            allowed = KNOWN_PRECISE_FAULT_SKEW_FIELDS \
-                if divergence.precise_fault_stats else KNOWN_FAULT_SKEW_FIELDS
-            assert set(divergence.fields) <= allowed
+            assert divergence.fields == ("instr_ports",)
 
 
 class TestCampaign:
@@ -113,8 +106,7 @@ class TestCampaign:
         assert report.engines == engine_names()
 
     def test_faulty_campaign_counts_known_divergences(self):
-        report = run_campaign(2, profile="faulty",
-                              precise_modes=(False, True))
+        report = run_campaign(2, profile="faulty")
         assert report.unexplained_divergences == 0
         assert report.known_divergences > 0
         assert report.bundles == []  # known shapes are not bisected

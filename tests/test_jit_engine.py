@@ -6,9 +6,7 @@
   profiler rankings.
 * **Fault paths** — a misaligned access landing mid-superblock, a fault
   behind a fused ``imm`` prefix, and a fault in a delay slot must leave
-  interpreter-identical state under ``precise_fault_stats=True``;
-  default mode keeps architectural state identical and documents the
-  wholesale-statistics divergence.
+  interpreter-identical state: statistics, registers, pc, imm latch.
 * **Cache invalidation** — generated blocks must drop when the dynamic
   partitioning module patches the executing binary, survive a patch
   outside their range, and all drop on a wholesale ``invalidate()`` or a
@@ -17,8 +15,9 @@
   interpreter.
 * **Telemetry** — translations land in ``codegen_stats()`` and in the
   live ``warp_codegen_*`` metric families under ``engine="jit"``.
-* **Semantics edges** — imm fusion, delay slots, budgets, dynamic
-  self-branch halts: everything the generated source specializes.
+* **Semantics edges** — imm fusion, delay slots, budgets, static and
+  dynamic self-branch halts: everything the generated source
+  specializes.
 """
 
 from __future__ import annotations
@@ -97,14 +96,6 @@ class TestDifferential:
         assert (a.cache.evictions, a.cache.updates, a.instructions_observed) \
             == (b.cache.evictions, b.cache.updates, b.instructions_observed)
 
-    def test_precise_mode_fault_free_bit_exact(self, compiled_small_programs):
-        program = compiled_small_programs["canrdr"]
-        reference = MicroBlazeSystem(config=PAPER_CONFIG,
-                                     engine="interp").run(program)
-        precise = MicroBlazeSystem(config=PAPER_CONFIG, engine="jit",
-                                   precise_fault_stats=True).run(program)
-        assert_equivalent(reference, precise)
-
 
 # -------------------------------------------------------------------- faults
 #: A misaligned word load (address 9) landing mid-superblock.
@@ -135,11 +126,10 @@ MISALIGNED_IN_DELAY_SLOT = """
 """
 
 
-def _run_to_fault(source, engine, precise=False, config=PAPER_CONFIG,
+def _run_to_fault(source, engine, config=PAPER_CONFIG,
                   exception=MemoryError_):
     program = assemble(source, name="faulty")
-    system = MicroBlazeSystem(config=config, engine=engine,
-                              precise_fault_stats=precise)
+    system = MicroBlazeSystem(config=config, engine=engine)
     with pytest.raises(exception) as info:
         system.run(program)
     cpu = system.cpu
@@ -159,26 +149,11 @@ class TestFaultPaths:
         # A faulting slot leaves both the slot and its branch unrecorded.
         (MISALIGNED_IN_DELAY_SLOT, 2),
     ])
-    def test_precise_mode_matches_interpreter(self, source,
-                                              expected_instructions):
+    def test_fault_matches_interpreter(self, source, expected_instructions):
         interp = _run_to_fault(source, "interp")
-        precise = _run_to_fault(source, "jit", precise=True)
-        assert precise["stats"] == interp["stats"]
-        assert precise["registers"] == interp["registers"]
-        assert precise["pc"] == interp["pc"]
-        assert precise["imm_latch"] == interp["imm_latch"]
-        assert precise["message"] == interp["message"]
+        observed = _run_to_fault(source, "jit")
+        assert observed == interp
         assert interp["stats"].instructions == expected_instructions
-
-    def test_default_mode_keeps_architectural_state(self):
-        """Without the flag, the jit engine documents the wholesale
-        block-statistics divergence — registers and the fault itself stay
-        identical."""
-        interp = _run_to_fault(MISALIGNED_MID_BLOCK, "interp")
-        plain = _run_to_fault(MISALIGNED_MID_BLOCK, "jit", precise=False)
-        assert plain["registers"] == interp["registers"]
-        assert plain["message"] == interp["message"]
-        assert plain["stats"].instructions > interp["stats"].instructions
 
     def test_missing_unit_fault(self):
         source = """
@@ -189,12 +164,9 @@ class TestFaultPaths:
         """
         interp = _run_to_fault(source, "interp", config=MINIMAL_CONFIG,
                                exception=IllegalInstruction)
-        precise = _run_to_fault(source, "jit", precise=True,
-                                config=MINIMAL_CONFIG,
-                                exception=IllegalInstruction)
-        assert precise["stats"] == interp["stats"]
-        assert precise["message"] == interp["message"]
-        assert precise["pc"] == interp["pc"]
+        observed = _run_to_fault(source, "jit", config=MINIMAL_CONFIG,
+                                 exception=IllegalInstruction)
+        assert observed == interp
 
     def test_fetch_past_bram_end_faults_after_block_executes(self):
         program = assemble("""
@@ -260,6 +232,45 @@ class TestSemanticsEdges:
             bri 0
         """)
         assert result.return_value == 11
+
+    @pytest.mark.parametrize("source", [
+        "addi r5, r0, 1\n brid 0\n addi r6, r0, 2\n",
+        # Absolute: brai has no delay slot, only its halt check.
+        "addi r5, r0, 1\n brai 4\n addi r6, r0, 2\n",
+    ], ids=["brid", "brai"])
+    def test_static_halting_branch_fetches_no_slot(self, source):
+        """The halt idiom skips its delay slot, so the translation must not
+        fetch it either: instruction-port counts, statistics and
+        registers all match the interpreter."""
+        program = assemble(source)
+        observed = {}
+        for engine in ("interp", "jit"):
+            system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
+            result = system.run(program)
+            observed[engine] = (system.instr_bram.port_a_accesses,
+                                system.data_bram.port_a_accesses,
+                                result.stats, list(system.cpu.registers),
+                                system.cpu.pc)
+        assert observed["jit"] == observed["interp"]
+        assert observed["interp"][0] == 2
+        assert observed["interp"][3][6] == 0  # the slot never ran
+
+    def test_halting_branch_in_last_bram_word_halts(self):
+        """A ``brid 0`` in the last instruction word halts on both engines:
+        its slot would lie past the BRAM end, and is never fetched."""
+        program = assemble("addi r3, r0, 5\n brid 0\n")
+        outcomes = {}
+        for engine in ("interp", "jit"):
+            config = MicroBlazeConfig(instr_bram_kb=1, data_bram_kb=1)
+            system = MicroBlazeSystem(config=config, engine=engine)
+            base = system.instr_bram.size - 4 * len(program.text)
+            system.instr_bram.store_words(base, program.text)
+            system.cpu.reset(entry_point=base)
+            stats = system.cpu.run()
+            outcomes[engine] = (stats, system.cpu.read_register(3),
+                                system.instr_bram.port_a_accesses)
+        assert outcomes["jit"] == outcomes["interp"]
+        assert outcomes["interp"][1] == 5
 
     def test_register_indirect_branch_halt(self):
         result = self.run_asm("""

@@ -84,14 +84,13 @@ class _Recorder:
         self.branches.append((pc, target))
 
 
-def _hook_run(key: str, engine: str, precise_fault_stats: bool):
+def _hook_run(key: str, engine: str):
     """Run corpus program ``key`` on ``engine`` with a recorder and one
     profiler per cache geometry attached."""
     recorder = _Recorder()
     profilers = [OnChipProfiler(BranchFrequencyCache(*geometry))
                  for geometry in GEOMETRIES]
-    system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine,
-                              precise_fault_stats=precise_fault_stats)
+    system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
     outcome = "halted"
     try:
         system.run(_program(key), listeners=[recorder, *profilers],
@@ -114,23 +113,17 @@ def test_hook_matches_step_reference(engine, key):
     branches, instructions, outcome = _reference(key)
     if key.startswith("bench:"):
         assert outcome == "halted" and branches  # every kernel loops
-    # Default mode is the path the warp processor profiles on.  A block
-    # engine's statistics may run up to one block ahead when a fault
-    # lands mid-block, so a faulted run's instruction count is checked
-    # in precise_fault_stats mode, where it is interpreter-exact.
-    modes = (False,) if outcome == "halted" else (False, True)
-    for precise in modes:
-        observed, profilers, observed_outcome = _hook_run(key, engine,
-                                                          precise)
-        assert observed_outcome == outcome
-        assert observed == branches
-        for geometry, profiler in zip(GEOMETRIES, profilers):
-            reference = OnChipProfiler(BranchFrequencyCache(*geometry))
-            for pc, target in branches:
-                reference.on_backward_branch(pc, target)
-            assert _cache_state(profiler) == _cache_state(reference)
-            if precise or outcome == "halted":
-                assert profiler.instructions_observed == instructions
+    # Faulted runs too: the instruction count a profiler observes at a
+    # fault is the interpreter's.
+    observed, profilers, observed_outcome = _hook_run(key, engine)
+    assert observed_outcome == outcome
+    assert observed == branches
+    for geometry, profiler in zip(GEOMETRIES, profilers):
+        reference = OnChipProfiler(BranchFrequencyCache(*geometry))
+        for pc, target in branches:
+            reference.on_backward_branch(pc, target)
+        assert _cache_state(profiler) == _cache_state(reference)
+        assert profiler.instructions_observed == instructions
 
 
 def test_faulty_corpus_exercises_faults():

@@ -53,9 +53,8 @@ loop:
 BIG = 1_000_000
 
 
-def _system(engine: str, precise: bool = False) -> MicroBlazeSystem:
-    return MicroBlazeSystem(config=PAPER_CONFIG, engine=engine,
-                            precise_fault_stats=precise)
+def _system(engine: str) -> MicroBlazeSystem:
+    return MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
 
 
 def _architectural(system: MicroBlazeSystem) -> tuple:
@@ -64,11 +63,12 @@ def _architectural(system: MicroBlazeSystem) -> tuple:
 
 
 def _full(system: MicroBlazeSystem) -> tuple:
-    return _architectural(system) + (system.cpu.pc, system.cpu.stats)
+    return _architectural(system) + (system.cpu.pc, system.cpu.stats,
+                                     system.cpu._imm_latch)
 
 
-def _run_whole(program, engine: str, precise: bool = False) -> tuple:
-    system = _system(engine, precise)
+def _run_whole(program, engine: str) -> tuple:
+    system = _system(engine)
     system.start(program)
     fault = None
     try:
@@ -78,9 +78,8 @@ def _run_whole(program, engine: str, precise: bool = False) -> tuple:
     return system, fault
 
 
-def _run_split(program, engine: str, split: int,
-               precise: bool = False) -> tuple:
-    system = _system(engine, precise)
+def _run_split(program, engine: str, split: int) -> tuple:
+    system = _system(engine)
     system.start(program)
     fault = None
     try:
@@ -90,13 +89,6 @@ def _run_split(program, engine: str, split: int,
     except Exception as error:  # noqa: BLE001 - the fault is compared
         fault = f"{type(error).__name__}: {error}"
     return system, fault
-
-
-def _fault_count(program) -> int:
-    """Instructions the reference retires before the fault."""
-    system, fault = _run_whole(program, "interp")
-    assert fault is not None
-    return system.cpu.stats.instructions
 
 
 class TestSplitInsideHotRegion:
@@ -161,29 +153,20 @@ class TestSplitOnDelaySlot:
         assert 1 in snapped
 
 
-class TestSplitOneBeforeFault:
-    """The nastiest boundary: the slice ends one instruction before a
-    memory fault, so the resumed slice's very first step faults."""
+class TestSplitBeforeFault:
+    """Slices ending before a memory fault: in the first loop iteration,
+    mid-loop, near the loop's end, and at the nastiest boundary, one
+    instruction before the fault, so the resumed slice's very first step
+    faults.  The resumed run stops at the interpreter's uninterrupted
+    fault point: statistics, pc and imm latch too."""
 
     @pytest.mark.parametrize("engine", engine_names())
-    def test_precise_mode_fault_state_is_split_invariant(self, engine):
+    @pytest.mark.parametrize("before_fault", (192, 95, 5, 1))
+    def test_fault_state_is_split_invariant(self, engine, before_fault):
         program = assemble(HOT_LOOP_THEN_FAULT, name="hot-fault")
-        boundary = _fault_count(program)
-        whole, whole_fault = _run_whole(program, engine, precise=True)
-        sliced, sliced_fault = _run_split(program, engine, boundary - 1,
-                                          precise=True)
-        assert whole_fault is not None
-        assert sliced_fault == whole_fault
-        assert _full(sliced) == _full(whole)
-
-    @pytest.mark.parametrize("engine", engine_names())
-    def test_default_mode_keeps_architectural_state(self, engine):
-        """Default mode only promises registers + data memory at a fault
-        (the tier-1 contract); those must survive any split."""
-        program = assemble(HOT_LOOP_THEN_FAULT, name="hot-fault")
-        boundary = _fault_count(program)
-        whole, whole_fault = _run_whole(program, engine)
-        sliced, sliced_fault = _run_split(program, engine, boundary - 1)
-        assert whole_fault is not None and sliced_fault is not None
-        assert type(whole_fault) is type(sliced_fault)
-        assert _architectural(sliced) == _architectural(whole)
+        reference, reference_fault = _run_whole(program, "interp")
+        assert reference_fault is not None
+        split = reference.cpu.stats.instructions - before_fault
+        sliced, sliced_fault = _run_split(program, engine, split)
+        assert sliced_fault == reference_fault
+        assert _full(sliced) == _full(reference)
