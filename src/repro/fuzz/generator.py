@@ -6,8 +6,10 @@ self-contained *body blocks* (straight-line arithmetic, nested bounded
 loops, data-dependent forward branches, delay-slot branch variants,
 ``imm``-prefixed 32-bit constants, masked BRAM loads/stores, OPB peripheral
 traffic, and — in the ``faulty`` profile — deliberately near-fault
-addressing), and assembles prologue + blocks + a checksum epilogue through
-the ordinary :func:`repro.isa.assemble` path.  The same ``(seed, profile)``
+addressing; the ``loops`` profile instead builds single-block counted
+loops, some faulting on a later iteration), and assembles prologue +
+blocks + a checksum epilogue through the ordinary
+:func:`repro.isa.assemble` path.  The same ``(seed, profile)``
 therefore always yields bit-identical text and data images, which is what
 makes a divergence report replayable from two integers and a name.
 
@@ -25,7 +27,8 @@ Register conventions (chosen so blocks stay droppable):
 ``r15``   link register of generated ``brlid``/``rtsd`` call blocks
 ``r16``   constant 0, base register of immediate-form loads/stores
 ``r17``   address scratch (masked effective addresses)
-``r18/r19``  outer/inner loop down-counters
+``r18/r19``  outer/inner loop down-counters (``r19`` is the
+          faulting address walk of a ``loops``-profile block)
 ========  ==========================================================
 """
 
@@ -60,6 +63,9 @@ _ZERO_BASE_REG = 16
 _ADDR_REG = 17
 _OUTER_COUNTER = 18
 _INNER_COUNTER = 19
+_WALK_REG = 19
+#: Chance that a ``loops``-profile block faults on a later iteration.
+_LATE_FAULT_PROBABILITY = 0.1
 
 _COND_STEMS = ("beq", "bne", "blt", "ble", "bgt", "bge")
 
@@ -93,6 +99,10 @@ class GeneratorProfile:
     #: Emit OPB peripheral reads/writes (the harness attaches a
     #: :class:`~repro.microblaze.opb.SimplePeripheral` at the OPB base).
     opb_traffic: bool = False
+    #: Every body block is one counted loop without internal branches,
+    #: so its body is a single superblock that branches back to its own
+    #: entry (a self-loop).
+    self_loops: bool = False
 
 
 #: The built-in generation profiles, selectable by name everywhere a
@@ -136,6 +146,19 @@ PROFILES: Dict[str, GeneratorProfile] = {
                         "accesses raise real memory faults",
             near_fault=True,
             weights=(("alu", 4), ("logical", 2), ("load", 6), ("store", 6)),
+        ),
+        GeneratorProfile(
+            name="loops",
+            description="single-block counted loops: delay slots, imm "
+                        "prefixes, OPB traffic, faults on a later iteration",
+            ops_per_block=(2, 10),
+            outer_iterations=(3, 40),
+            delay_slot_probability=0.4,
+            opb_traffic=True,
+            self_loops=True,
+            weights=(("alu", 5), ("logical", 3), ("mul", 1), ("barrel", 1),
+                     ("shift", 2), ("imm32", 2), ("load", 3), ("store", 3),
+                     ("opb_load", 1), ("opb_store", 1)),
         ),
         GeneratorProfile(
             name="opb",
@@ -373,8 +396,38 @@ class _BlockBuilder:
         sub.append("    nop")
         self.block.subroutine = sub
 
+    def _self_loop(self) -> None:
+        """A counted loop whose body has no branch of its own.  With
+        probability ``_LATE_FAULT_PROBABILITY`` the body also walks
+        ``r19`` down one word per iteration and loads or stores through
+        it: iteration ``fault_at`` (3 or later) reaches address -4,
+        outside the data BRAM and every peripheral, and faults."""
+        iterations = self.rng.randint(*self.profile.outer_iterations)
+        ops = self.rng.randint(*self.profile.ops_per_block)
+        walk = None
+        if self.rng.random() < _LATE_FAULT_PROBABILITY:
+            fault_at = self.rng.randint(3, iterations)
+            walk = self.rng.randint(0, ops)
+            self.emit(f"addi {self._reg(_WALK_REG)}, r0, {4 * (fault_at - 2)}")
+        loop = self._label("self")
+        self.emit(f"addi {self._reg(_OUTER_COUNTER)}, r0, {iterations}")
+        self.block.lines.append(f"{loop}:")
+        for position in range(ops + 1):
+            if position == walk:
+                mnemonic = self.rng.choice(("lw", "sw"))
+                walker = self._reg(_WALK_REG)
+                self.emit(f"{mnemonic} {self._reg(self._work())}, {walker}, "
+                          f"{self._reg(_ZERO_BASE_REG)}")
+                self.emit(f"addi {walker}, {walker}, -4")
+            if position < ops:
+                self._one_op()
+        self._loop_tail(_OUTER_COUNTER, loop)
+
     def build(self) -> _Block:
         profile = self.profile
+        if profile.self_loops:
+            self._self_loop()
+            return self.block
         ops = self.rng.randint(*profile.ops_per_block)
         if self.rng.random() < profile.loop_probability:
             outer = self.rng.randint(*profile.outer_iterations)

@@ -471,8 +471,8 @@ class MicroBlazeCPU:
             address = (ra_val + (rb_val if instr.spec.fmt.value == "A" else imm)) & WORD_MASK
             width = instr.spec.width
             cycles = timings.load
-            if self.opb is not None and address >= OPB_BASE_ADDRESS and self.opb.owns(address):
-                value = self.opb.read(address)
+            if self.opb is not None and address >= OPB_BASE_ADDRESS \
+                    and (value := self.opb.try_read(address)) is not None:
                 cycles += timings.opb_access_extra
                 self.stats.opb_reads += 1
             else:
@@ -485,8 +485,8 @@ class MicroBlazeCPU:
             address = (ra_val + (rb_val if instr.spec.fmt.value == "A" else imm)) & WORD_MASK
             width = instr.spec.width
             cycles = timings.store
-            if self.opb is not None and address >= OPB_BASE_ADDRESS and self.opb.owns(address):
-                self.opb.write(address, rd_val)
+            if self.opb is not None and address >= OPB_BASE_ADDRESS \
+                    and self.opb.try_write(address, rd_val):
                 cycles += timings.opb_access_extra
                 self.stats.opb_writes += 1
             else:

@@ -23,6 +23,18 @@ counter array, memories, peripheral bus, observer list) is bound via
 an outer factory function, so the hot path runs on fast closure lookups —
 and then dispatches block-at-a-time: one Python call per superblock.
 
+A *self-loop* — a block whose terminator statically branches back to
+the block's own entry, the shape of most hot embedded loops — runs all
+its iterations in that one call.  Its generated function loops while the
+branch is taken and its ``_limit`` argument (the iterations the
+instruction budget allows; the dispatch loop passes 1 while a ticking
+peripheral is attached) has not run out.  The registers it touches are
+fast locals, read once before the loop and written back at exit, its
+dynamic counter updates go to locals, and its static statistics are
+added once, ``delta * iterations``.  Observers are still called once per
+taken backward branch, from inside the loop, so they must not read CPU
+registers or statistics mid-run.
+
 Each program is translated once per process: a per-program translation
 table (``_CODE_CACHE.translations``) maps the instruction-BRAM digest, the
 configuration and the entry pc to the finished translation, so a fresh
@@ -45,13 +57,17 @@ cycles, branch-event streams, memory-port counters, the seed's delay-slot
 double charge) and compiles compile-time faults into raiser blocks that
 fire at the same execution point with the same exception and message.
 A *runtime* fault (misaligned access, unmapped OPB address) landing
-mid-block finds the block's statistics already added wholesale; the
-dispatch loop reads the faulting line from the block's traceback frame,
-re-derives that line's fault point (:meth:`SourceBlockCompiler.fault_point`)
-and takes back the statistics of the instructions not yet executed, so
-statistics, pc and ``imm`` latch are the interpreter's at the fault.  The
-one difference left on a faulted run is the instruction-fetch port: the
-translation fetched the block's words past the fault point.
+mid-block finds the block's statistics already added wholesale (a
+self-loop's ``except`` handler first flushes its locals and the
+statistics of every iteration begun); the dispatch loop reads the
+faulting line from the block's traceback frame, re-derives that line's
+fault point (:meth:`SourceBlockCompiler.fault_point`) and takes back the
+statistics of the instructions not yet executed, so statistics, pc and
+``imm`` latch are the interpreter's at the fault.  An observer raising
+from the hook lines has its own fault point: the branch has completed,
+so the pc is its target.  The one difference left on a faulted run is
+the instruction-fetch port: the translation fetched the block's words
+past the fault point.
 
 OPB peripheral time is batched: one ``tick(n)`` per block for opted-in
 peripherals, dropping to interpreter granularity when a declared tick
@@ -61,6 +77,7 @@ batch crossing their deadline.
 
 from __future__ import annotations
 
+import re
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -90,10 +107,12 @@ from ..opb import OPB_BASE_ADDRESS
 from . import ExecutionEngine, register_engine
 
 #: A compiled jit superblock: ``(n_instructions, fn, entry_address,
-#: end_address, static_cycles)``.  ``fn()`` executes the whole block —
+#: end_address, static_cycles)``.  ``fn(limit)`` executes the whole block —
 #: statistics constants, inlined bodies, terminator — and returns the next
-#: program counter.  ``static_cycles`` is the statically known cycle count
-#: (the deadline pre-check of the tick-batching dispatch loop).
+#: program counter; a self-loop repeats it for up to ``limit`` iterations
+#: (other blocks ignore ``limit``).  ``n_instructions`` and
+#: ``static_cycles`` (the deadline pre-check of the tick-batching
+#: dispatch loop) count one iteration.
 JitBlock = Tuple[int, object, int, int, int]
 
 _M = WORD_MASK
@@ -207,6 +226,13 @@ def _collect_codegen_metrics(registry) -> None:
 obs.add_collector(_collect_codegen_metrics)
 
 
+#: Register and counter subscripts in generated lines; a self-loop block
+#: renames them to the locals ``r<i>`` and ``c<i>``.
+_REG = re.compile(r"regs\[(\d+)\]")
+_REG_WRITE = re.compile(r"regs\[(\d+)\] = ")
+_CNT = re.compile(r"cnt\[(\d+)\]")
+
+
 def _r(index: int) -> str:
     """Source expression for a register read (r0 reads as the literal 0)."""
     return "0" if index == 0 else f"regs[{index}]"
@@ -226,8 +252,8 @@ def _backward_hook(guard: str, pc: int, target: str) -> List[str]:
 
 #: Parameter list of every generated factory ``_make``: the CPU state a
 #: translation binds, see :func:`bind`.
-FACTORY_PARAMS = ("cpu, regs, cnt, bram_load, bram_store, opb_owns, "
-                  "opb_read, opb_write, hooks, to_signed, signed_division, "
+FACTORY_PARAMS = ("cpu, regs, cnt, bram_load, bram_store, opb_read, "
+                  "opb_write, hooks, to_signed, signed_division, "
                   "IllegalInstruction, dmem, dbram")
 
 
@@ -255,9 +281,8 @@ def bind(code, cpu):
     dbram = cpu.data_bram
     return namespace["_make"](
         cpu, cpu.registers, cpu._counters, dbram.load, dbram.store,
-        opb.owns if opb is not None else None,
-        opb.read if opb is not None else None,
-        opb.write if opb is not None else None,
+        opb.try_read if opb is not None else None,
+        opb.try_write if opb is not None else None,
         cpu._observers, to_signed, signed_division, IllegalInstruction,
         dbram.storage, dbram,
     )
@@ -303,7 +328,7 @@ class SourceBlockCompiler:
                     cpu.instr_bram.port_a_accesses += 1
         else:
             self._fetched = []
-            n, end, static_cycles, source = self._translate(entry)
+            n, end, static_cycles, source, _ = self._translate(entry)
             code, cached = compile_source(source, f"<jit block {entry:#x}>")
             if self._fetched is not None:
                 table.put(key, (n, end, static_cycles, code,
@@ -320,7 +345,9 @@ class SourceBlockCompiler:
         ``entry`` raises: ``(pc, imm latch, counter deltas)``, where the
         deltas are the block statistics of the instructions not yet
         executed and ``pc`` is ``None`` on a raiser (which sets
-        ``cpu.pc`` itself).  ``None`` for a line outside every instruction.
+        ``cpu.pc`` itself) or, for an observer raising on a register-held
+        branch target, the name of the block-frame local holding it.
+        ``None`` for a line outside every instruction.
 
         Only the fault path calls this: it re-emits the block from the
         decode cache, so no fetch, port count or translation-table entry
@@ -328,13 +355,12 @@ class SourceBlockCompiler:
         """
         self._points = points = []
         try:
-            self._translate(entry)
+            first = self._translate(entry)[4]
         finally:
             self._points = None
         # The last point is the block's end: its deltas are the block's
-        # constants, one source line each after the two ``def`` lines.
+        # constants.
         final = points[-1][3]
-        first = 3 + sum(1 for delta in final if delta)
         for index, pc, latch, before in reversed(points):
             if first + index <= lineno:
                 return pc, latch, [total - done
@@ -360,9 +386,9 @@ class SourceBlockCompiler:
             self._fetched.append(instr)
         return instr
 
-    def _translate(self, entry: int) -> Tuple[int, int, int, str]:
+    def _translate(self, entry: int) -> Tuple[int, int, int, str, int]:
         """Fetch, decode and emit the superblock at ``entry``: ``(n, end,
-        static_cycles, source)``."""
+        static_cycles, source, first body line)``."""
         cpu = self.cpu
         timings = cpu.config.timings
         points = self._points
@@ -374,6 +400,10 @@ class SourceBlockCompiler:
         n = 0
         pc = entry
         pending_imm: Optional[int] = None
+        # The terminator's static target, and the exit test of a block
+        # that branches back to its own entry (a self-loop).
+        target: Optional[int] = None
+        until: Optional[str] = None
 
         while True:
             end = pc
@@ -408,6 +438,13 @@ class SourceBlockCompiler:
             if instr.is_branch:
                 term, extra, end = self._terminator(pc, instr, pending_imm)
                 n += 1 + extra
+                target = self._static_target(pc, instr, pending_imm)
+                if term[1] is not None and target == entry:
+                    if instr.klass is InstrClass.BRANCH_COND:
+                        until = "not _taken or _i >= _limit"
+                    elif instr.klass is InstrClass.BRANCH_UNCOND \
+                            and entry != pc:  # not the halt idiom
+                        until = "_i >= _limit"
                 break
 
             if klass is InstrClass.LOAD:
@@ -430,7 +467,7 @@ class SourceBlockCompiler:
             pc += 4
 
             if n >= MAX_BLOCK_INSTRUCTIONS:
-                term, end = ([], str(pc)), pc - 4
+                term, end = ([], str(pc), []), pc - 4
                 break
 
         if points is not None:
@@ -438,8 +475,15 @@ class SourceBlockCompiler:
             # cpu.pc itself) can fault in the terminator's lines.
             points.append((len(lines), end if term[1] is not None else None,
                            pending_imm, list(deltas)))
+            if term[2]:
+                # A raising observer: the branch has completed, so the pc
+                # is its target (a register-held one is the frame's
+                # ``_target``) and the latch is clear.
+                points.append((len(lines) + len(term[0]),
+                               "_target" if target is None else target,
+                               None, list(deltas)))
         return self._finish(entry, end, n, deltas, lines, *term,
-                            static_cycles=static_cycles)
+                            static_cycles=static_cycles, until=until)
 
     # ------------------------------------------------------------------ pieces
     @staticmethod
@@ -476,7 +520,7 @@ class SourceBlockCompiler:
         if unreachable is not None:
             lines.append(f"raise AssertionError('unreachable: "
                          f"{unreachable}')")
-        return lines, None
+        return lines, None, []
 
     # --------------------------------------------------------- straight line
     def _straightline(self, instr: Instruction, pending_imm: Optional[int],
@@ -563,13 +607,16 @@ class SourceBlockCompiler:
 
         if slot:
             lines.append(f"_c = {base}")
-        lines.append(f"if _a >= {OPB_BASE_ADDRESS} and opb_owns(_a):")
+        # One bus call decodes the address and accesses the peripheral.
         if not load:
-            lines.append(f"    opb_write(_a, {value})")
+            access_opb = f"opb_write(_a, {value})"
         elif rd:
-            lines.append(f"    {value} = opb_read(_a) & {_M}")
+            access_opb = "(_o := opb_read(_a)) is not None"
         else:
-            lines.append("    opb_read(_a)")
+            access_opb = "opb_read(_a) is not None"
+        lines.append(f"if _a >= {OPB_BASE_ADDRESS} and {access_opb}:")
+        if load and rd:
+            lines.append(f"    {value} = _o")
         if slot:
             lines += [f"    _c += {extra}",
                       f"    cnt[{port_counter}] += 1",
@@ -593,7 +640,9 @@ class SourceBlockCompiler:
                     pending_imm: Optional[int]):
         """Source for the branch ending a block (plus its delay slot).
 
-        Returns ``((lines, return_expr), extra_instructions, end_address)``.
+        Returns ``((lines, return_expr, hook_lines), extra_instructions,
+        end_address)``, where ``hook_lines`` call the observers of a taken
+        backward branch (:func:`_backward_hook`).
         """
         cpu = self.cpu
         end = pc
@@ -692,9 +741,9 @@ class SourceBlockCompiler:
             f"cnt[{CNT_CLASS_COUNT + ci}] += 1",
             f"cnt[{CNT_CLASS_CYCLES + ci}] += _cycles",
         ]
-        if backward is not None:
-            lines += _backward_hook(backward, pc, "_target")
-        return lines, "_next"
+        hook = [] if backward is None \
+            else _backward_hook(backward, pc, "_target")
+        return lines, "_next", hook
 
     def _uncond_branch(self, pc: int, instr: Instruction,
                        pending_imm: Optional[int],
@@ -712,38 +761,39 @@ class SourceBlockCompiler:
         else:
             base = timings.call if is_call else timings.branch_taken
 
-        def footer(cycles: str, target: str) -> List[str]:
-            lines = [
+        def footer(cycles: str) -> List[str]:
+            return [
                 f"cnt[{CNT_CYCLES}] += {cycles}",
                 f"cnt[{CNT_INSTRUCTIONS}] += 1",
                 f"cnt[{CNT_CLASS_COUNT + ci}] += 1",
                 f"cnt[{CNT_CLASS_CYCLES + ci}] += {cycles}",
                 f"cnt[{CNT_BRANCHES_TAKEN}] += 1",
             ]
-            if static_target is None:
-                return lines + _backward_hook(f"_target < {pc}", pc, target)
-            if static_target < pc:
-                return lines + _backward_hook("", pc, target)
-            return lines
+
+        if static_target is None:
+            hook = _backward_hook(f"_target < {pc}", pc, "_target")
+        elif static_target < pc:
+            hook = _backward_hook("", pc, str(static_target))
+        else:
+            hook = []
 
         call_write = [f"regs[{rd}] = {pc & _M}"] if is_call and rd else []
 
         if static_target is not None and is_uncond and static_target == pc:
             # An unconditional branch to itself is the halt idiom; its
             # slot was never fetched (as in the interpreter).
-            lines = ["cpu.halted = True"] + footer(str(base),
-                                                   str(static_target))
-            return lines, str(static_target)
+            lines = ["cpu.halted = True"] + footer(str(base))
+            return lines, str(static_target), hook
 
         if static_target is not None:
             lines = list(call_write)
             if slot is not None:
                 lines.append(f"_cycles = {base}")
                 lines += slot
-                lines += footer("_cycles", str(static_target))
+                lines += footer("_cycles")
             else:
-                lines += footer(str(base), str(static_target))
-            return lines, str(static_target)
+                lines += footer(str(base))
+            return lines, str(static_target), hook
 
         # Dynamic target: the halt check (unconditional branches only)
         # happens at run time, and a halting branch skips its slot.
@@ -764,29 +814,69 @@ class SourceBlockCompiler:
                 lines += ["    " + line for line in slot]
         elif slot is not None:
             lines += slot
-        lines += footer("_cycles", "_target")
-        return lines, "_target"
+        lines += footer("_cycles")
+        return lines, "_target", hook
 
     # ------------------------------------------------------------------ emit
     def _finish(self, entry: int, end: int, n: int, deltas: List[int],
                 body: List[str], term_lines: List[str],
-                return_expr: Optional[str],
-                static_cycles: int = 0) -> Tuple[int, int, int, str]:
-        lines = [f"cnt[{index}] += {delta}"
-                 for index, delta in enumerate(deltas) if delta]
-        lines += body
-        lines += term_lines
-        if return_expr is not None:
-            lines.append(f"return {return_expr}")
-
-        indented = "\n".join("        " + line for line in lines)
+                return_expr: Optional[str], hook_lines: List[str],
+                static_cycles: int = 0, until: Optional[str] = None
+                ) -> Tuple[int, int, int, str, int]:
+        """Assemble the block's source: ``(n, end, static_cycles, source,
+        first)``, where ``first`` is the source line of ``body[0]`` (the
+        fault-point line map)."""
+        lines = body + term_lines + hook_lines
+        if until is None:
+            header = [f"cnt[{index}] += {delta}"
+                      for index, delta in enumerate(deltas) if delta]
+            footer = [] if return_expr is None else [f"return {return_expr}"]
+        else:
+            header, lines, footer = self._self_loop(deltas, lines, until,
+                                                    return_expr)
+        indented = "\n".join("        " + line
+                             for line in header + lines + footer)
         source = (
             f"def _make({FACTORY_PARAMS}):\n"
-            "    def _block():\n"
+            "    def _block(_limit):\n"
             f"{indented}\n"
             "    return _block\n"
         )
-        return n, end, static_cycles, source
+        # Line 1 defines the factory, line 2 the block.
+        return n, end, static_cycles, source, 3 + len(header)
+
+    @staticmethod
+    def _self_loop(deltas: List[int], lines: List[str], until: str,
+                   return_expr: str):
+        """``(header, loop, footer)`` of a block that branches back to its
+        own entry: it iterates until the branch falls through or
+        ``_limit`` iterations have run.  The registers it touches and the
+        counters it updates live in locals, and its static statistics are
+        added once, ``delta * _i``.  A fault flushes them before it
+        propagates, so the fault point takes back only the unearned part
+        of the current iteration."""
+        text = "\n".join(lines)
+        touched = sorted(set(map(int, _REG.findall(text))))
+        written = sorted(set(map(int, _REG_WRITE.findall(text))))
+        dynamic = set(map(int, _CNT.findall(text)))
+        header = [f"r{index} = regs[{index}]" for index in touched]
+        if dynamic:
+            header.append(" = ".join(f"c{index}" for index in sorted(dynamic))
+                          + " = 0")
+        header += ["_i = 0", "try:", "    while True:", "        _i += 1"]
+        loop = ["        " + _CNT.sub(r"c\1", _REG.sub(r"r\1", line))
+                for line in lines]
+        loop += [f"        if {until}:", "            break"]
+        flush = [f"regs[{index}] = r{index}" for index in written]
+        for index, delta in enumerate(deltas):
+            terms = [f"c{index}"] if index in dynamic else []
+            if delta:
+                terms.append(f"{delta} * _i")
+            if terms:
+                flush.append(f"cnt[{index}] += {' + '.join(terms)}")
+        footer = ["except BaseException:"] + ["    " + line for line in flush]
+        footer += ["    raise"] + flush + [f"return {return_expr}"]
+        return header, loop, footer
 
 
 class JitEngine(ExecutionEngine):
@@ -826,6 +916,8 @@ class JitEngine(ExecutionEngine):
         for index, count in enumerate(unearned):
             counters[index] -= count
         self.cpu._imm_latch = latch
+        if isinstance(fault_pc, str):
+            return tb.tb_frame.f_locals[fault_pc]
         return self.cpu.pc if fault_pc is None else fault_pc
 
     # ------------------------------------------------------------- dispatch
@@ -841,7 +933,9 @@ class JitEngine(ExecutionEngine):
         compile_block = self.compiler.compile_block
         opb = cpu.opb
         ticking = opb is not None and opb.ticking
-        executed = cpu.stats.instructions
+        # The counters are folded into stats between runs, so the
+        # instructions executed are ``base`` plus the counter.
+        base = executed = cpu.stats.instructions
         near_budget = False
         pc = cpu.pc
         block = None
@@ -871,11 +965,13 @@ class JitEngine(ExecutionEngine):
                             cpu._drain_imm_latch(max_instructions)
                         finally:
                             pc = cpu.pc
-                        executed = cpu.stats.instructions
+                        base = executed = cpu.stats.instructions
                         continue
                     cycles_before = counters[CNT_CYCLES]
                     try:
-                        pc = block[1]()
+                        # One iteration: the deadline check above stays
+                        # per iteration of a self-loop.
+                        pc = block[1](1)
                     except BaseException as exc:
                         pc = self._fault_point(block, exc, pc)
                         block = None  # rewound: not again below
@@ -888,8 +984,11 @@ class JitEngine(ExecutionEngine):
                                          - cycles_before)
                     executed += n
                     continue
-                pc = block[1]()
-                executed += n
+                # A self-loop runs at most this many iterations, so it
+                # never crosses the instruction budget (n is 0 only for
+                # a raiser at its entry).
+                pc = block[1]((max_instructions - executed) // (n or 1))
+                executed = base + counters[CNT_INSTRUCTIONS]
         except BaseException as exc:
             if block is not None:
                 pc = self._fault_point(block, exc, pc)

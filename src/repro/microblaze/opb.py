@@ -141,29 +141,40 @@ class OnChipPeripheralBus:
         if getattr(peripheral, "wants_ticks", False):
             self.ticking.append(peripheral)
 
-    def owns(self, address: int) -> bool:
-        """Whether ``address`` decodes to one of the attached peripherals."""
-        return self._find(address) is not None
-
     def _find(self, address: int) -> Optional[Peripheral]:
         for peripheral in self.peripherals:
             if peripheral.base_address <= address < peripheral.base_address + peripheral.window_size:
                 return peripheral
         return None
 
-    def read(self, address: int) -> int:
+    def try_read(self, address: int) -> Optional[int]:
+        """The word at ``address``, or ``None`` when no peripheral owns
+        it: one address decode per access (the engines' OPB loads)."""
         peripheral = self._find(address)
         if peripheral is None:
-            raise BusError(f"OPB read from unmapped address {address:#010x}")
+            return None
         self.reads += 1
         return peripheral.read(address - peripheral.base_address) & 0xFFFFFFFF
 
-    def write(self, address: int, value: int) -> None:
+    def try_write(self, address: int, value: int) -> bool:
+        """Write ``value`` at ``address``; ``False`` when no peripheral
+        owns it (the engines' OPB stores)."""
         peripheral = self._find(address)
         if peripheral is None:
-            raise BusError(f"OPB write to unmapped address {address:#010x}")
+            return False
         self.writes += 1
         peripheral.write(address - peripheral.base_address, value & 0xFFFFFFFF)
+        return True
+
+    def read(self, address: int) -> int:
+        value = self.try_read(address)
+        if value is None:
+            raise BusError(f"OPB read from unmapped address {address:#010x}")
+        return value
+
+    def write(self, address: int, value: int) -> None:
+        if not self.try_write(address, value):
+            raise BusError(f"OPB write to unmapped address {address:#010x}")
 
     def tick(self, cycles: int) -> None:
         """Manually advance *every* attached peripheral (public API)."""

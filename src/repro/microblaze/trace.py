@@ -18,6 +18,11 @@ class BranchObserver(Protocol):
 
     ``on_backward_branch(pc, target)`` fires for every taken branch whose
     target lies below the branch (``target < pc``): one loop iteration.
+    The two scalars are all an observer gets: the jit keeps a self-loop's
+    registers and statistics in locals until the loop exits, so an
+    observer must not read CPU registers or statistics mid-run.  An
+    observer that raises stops the run with the branch completed (pc at
+    the target, ``imm`` latch clear) on every engine.
     The optional ``on_run_end(n)`` callback reports the number of
     instructions executed by the finished (or faulted) run, which is how
     the profiler keeps its ``instructions_observed`` figure without

@@ -45,7 +45,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import replace
 from pathlib import Path
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import chaos, obs
 from ..cad import (
@@ -55,6 +55,7 @@ from ..cad import (
     CadArtifactCache,
     served_from_cache,
 )
+from ..caching import lru_memoize
 from ..compiler import compile_source_cached
 from ..digest import shard_index
 from ..microblaze.engines import DEFAULT_ENGINE
@@ -214,6 +215,16 @@ def _execute_fuzz(job: WarpJob, result: ServiceResult) -> None:
             f"({len(result.fuzz_bundles)} repro bundle(s) attached)")
 
 
+@lru_memoize(maxsize=64)
+def _suite_source(benchmark: str, small: bool) -> Tuple[str, str]:
+    """``(source, name)`` of a suite benchmark.  Both are a pure function
+    of the name and size, so a worker builds each one once; building also
+    computes the reference checksum, which a job never reads."""
+    from ..apps import build_benchmark
+    bench = build_benchmark(benchmark, small=small)
+    return bench.source, bench.name
+
+
 def _execute_attempt(job: WarpJob,
                      artifact_cache: Optional[CadArtifactCache]) -> ServiceResult:
     """One execution attempt: compile (memoized), profile, partition
@@ -248,9 +259,7 @@ def _execute_attempt(job: WarpJob,
         cache = artifact_cache if artifact_cache is not None \
             else process_artifact_cache()
         if job.benchmark is not None:
-            from ..apps import build_benchmark
-            bench = build_benchmark(job.benchmark, small=job.small)
-            source, name = bench.source, bench.name
+            source, name = _suite_source(job.benchmark, job.small)
         else:
             source, name = job.source, job.name
         program = compile_source_cached(source, name=name,

@@ -155,8 +155,9 @@ class TestOpb:
         bus.attach(periph)
         bus.write(OPB_BASE_ADDRESS + 4, 99)
         assert bus.read(OPB_BASE_ADDRESS + 4) == 99
-        assert bus.owns(OPB_BASE_ADDRESS)
-        assert not bus.owns(OPB_BASE_ADDRESS + 0x1000)
+        assert bus.try_read(OPB_BASE_ADDRESS) is not None
+        assert bus.try_read(OPB_BASE_ADDRESS + 0x1000) is None
+        assert not bus.try_write(OPB_BASE_ADDRESS + 0x1000, 1)
 
     def test_unmapped_access_raises(self):
         bus = OnChipPeripheralBus()

@@ -127,12 +127,12 @@ class _MarkingCompiler(SourceBlockCompiler):
     """An emission override: every block also records its entry pc."""
 
     def _finish(self, entry, *args, **kwargs):
-        n, end, static_cycles, source = super()._finish(entry, *args,
-                                                        **kwargs)
+        n, end, static_cycles, source, first = super()._finish(
+            entry, *args, **kwargs)
         source = source.replace(
-            "    def _block():\n",
-            f"    def _block():\n        cpu.marks.add({entry})\n", 1)
-        return n, end, static_cycles, source
+            "    def _block(_limit):\n",
+            f"    def _block(_limit):\n        cpu.marks.add({entry})\n", 1)
+        return n, end, static_cycles, source, first + 1
 
 
 class _MarkingJit(JitEngine):
