@@ -38,9 +38,11 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_cad.json"
 #: Acceptance floor: cacheable-stage hit rate of the second identical pass.
 MIN_SECOND_PASS_STAGE_HIT_RATE = 0.90
 
-#: Timed repetitions per configuration (best-of to damp scheduler noise;
-#: the staged flow skips synthesis+placement — the bulk of the cold wall
-#: time — so the comparison below holds with a ~6x margin).
+#: Timed repetitions per configuration (best-of to damp scheduler noise).
+#: The staged flow skips synthesis and placement; with the incremental
+#: placer, synthesis (then decompilation) is the larger share of the cold
+#: wall time, and the comparison below held with a 2.3x-2.6x margin
+#: (median 2.6x) over ten runs on a 2-CPU x86-64 container.
 REPEATS = 5
 
 

@@ -49,6 +49,8 @@ class DecompileStage(FlowStage):
     """
 
     name = "decompile"
+    # v2: a load after a store of the same iteration is rejected.
+    key_version = 2
 
     def compute(self, context: FlowContext):
         body = decompile_region(context.program.text, context.region)

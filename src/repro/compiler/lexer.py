@@ -9,8 +9,7 @@ syntax the parser understands is built from the token kinds defined here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List, NamedTuple
 
 from .errors import LexerError
 
@@ -33,13 +32,13 @@ _TOKEN_RE = re.compile(
   | (?P<number>0[xX][0-9a-fA-F]+|\d+)
   | (?P<ident>[A-Za-z_]\w*)
   | (?P<op>""" + "|".join(re.escape(op) for op in _OPERATORS) + r""")
+  | (?P<error>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token.
 
     ``kind`` is one of ``"number"``, ``"ident"``, ``"keyword"``, ``"op"`` or
@@ -63,29 +62,29 @@ class Token:
 
 
 def tokenize(source: str) -> List[Token]:
-    """Tokenize ``source`` into a list of tokens terminated by an EOF token."""
+    """Tokenize ``source`` into a list of tokens terminated by an EOF token.
+
+    One ``finditer`` pass: every character belongs to some match (a
+    character no token can start with matches ``error``), and only
+    whitespace and comments can span lines.
+    """
     tokens: List[Token] = []
-    position = 0
+    append = tokens.append
     line = 1
-    length = len(source)
-    while position < length:
-        match = _TOKEN_RE.match(source, position)
-        if match is None:
-            snippet = source[position:position + 10]
-            raise LexerError(f"unexpected character sequence {snippet!r}", line)
-        text = match.group(0)
-        line += text.count("\n")
-        position = match.end()
-        if match.lastgroup in ("ws", "comment"):
-            continue
-        token_line = line - text.count("\n")
-        if match.lastgroup == "number":
-            value = int(text, 0)
-            tokens.append(Token("number", text, token_line, value))
-        elif match.lastgroup == "ident":
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, token_line))
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        if kind == "ws" or kind == "comment":
+            line += text.count("\n")
+        elif kind == "op":
+            append(Token("op", text, line))
+        elif kind == "ident":
+            append(Token("keyword" if text in KEYWORDS else "ident", text, line))
+        elif kind == "number":
+            append(Token("number", text, line, int(text, 0)))
         else:
-            tokens.append(Token("op", text, token_line))
-    tokens.append(Token("eof", "", line))
+            start = match.start()
+            snippet = source[start:start + 10]
+            raise LexerError(f"unexpected character sequence {snippet!r}", line)
+    append(Token("eof", "", line))
     return tokens

@@ -72,6 +72,9 @@ _BINARY_LEVELS = [
     ["+", "-"],
     ["*", "/", "%"],
 ]
+#: Binary operator -> its level in :data:`_BINARY_LEVELS`.
+_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS)
+               for op in ops}
 
 
 class Parser:
@@ -80,16 +83,15 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.position = 0
+        #: The token at ``position``.
+        self.current = tokens[0]
 
     # ------------------------------------------------------------------ cursor
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.position]
-
     def advance(self) -> Token:
         token = self.current
         if token.kind != "eof":
             self.position += 1
+            self.current = self.tokens[self.position]
         return token
 
     def expect_op(self, text: str) -> Token:
@@ -320,14 +322,20 @@ class Parser:
         return self._binary(0)
 
     def _binary(self, level: int) -> Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._unary()
-        left = self._binary(level + 1)
-        while self.current.kind == "op" and self.current.text in _BINARY_LEVELS[level]:
-            op = self.advance()
-            right = self._binary(level + 1)
+        """A chain of binary operators of ``level`` or tighter (precedence
+        climbing): each operator's right operand binds only tighter
+        operators, so equal levels associate to the left."""
+        left = self._unary()
+        while True:
+            op = self.current
+            if op.kind != "op":
+                return left
+            op_level = _PRECEDENCE.get(op.text)
+            if op_level is None or op_level < level:
+                return left
+            self.advance()
+            right = self._binary(op_level + 1)
             left = BinaryOp(line=op.line, op=op.text, left=left, right=right)
-        return left
 
     def _unary(self) -> Expr:
         token = self.current

@@ -14,7 +14,8 @@ iteration:
 Simple forward conditional branches inside the body (an ``if`` without an
 ``else``) are if-converted into :class:`~repro.decompile.expr.Mux` nodes.
 Anything the on-chip tools could not handle — subroutine calls, indirect
-branches, branches that leave the region — raises
+branches, branches that leave the region, a load that follows a store of
+the same iteration — raises
 :class:`DecompilationError`, which the dynamic partitioning module treats
 as "leave this kernel in software".
 """
@@ -218,6 +219,11 @@ class SymbolicExecutor:
         self._imm_latch = None
 
         if klass is InstrClass.LOAD:
+            if self._stores:
+                # The WCLA reads every load from start-of-iteration memory
+                # and writes the stores back afterwards, so a load after a
+                # store of the same iteration would read a stale word.
+                raise DecompilationError("load after store in one iteration")
             base = self._read_reg(instr.ra, state)
             offset = self._read_reg(instr.rb, state) if instr.spec.fmt.value == "A" \
                 else builder.const(imm)

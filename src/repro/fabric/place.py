@@ -7,6 +7,17 @@ connectivity order, each at the free location that minimises the
 half-perimeter wirelength (HPWL) of its already-placed neighbours, followed
 by a bounded pass of improving pairwise swaps.
 
+Both passes are incremental.  A site's cost, the sum of its Manhattan
+distances to the placed neighbours, separates into a row term plus a column
+term, so each component computes one cost per row and one per column and
+scans the free sites (kept in row-major order, claimed sites removed as
+they go) for the first cheapest one, skipping rows that cannot beat the
+best so far.  A trial swap only changes the nets from the swapped pair to
+other components, so the swap pass compares the lengths of those nets
+alone.  Both give exactly the decisions of a placer that re-evaluates every
+site and the total wirelength from scratch; ``tests/test_place_reference.py``
+keeps that placer as the reference.
+
 The placement operates on a *component netlist* derived from the synthesis
 result: each datapath component occupies a contiguous group of CLBs sized
 by its LUT count, the control unit is one more component, and the fixed
@@ -17,7 +28,7 @@ sites on the fabric's edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..decompile.expr import BinExpr, Condition, Mux, Node, UnExpr, walk
@@ -134,114 +145,154 @@ def build_component_netlist(synthesis: SynthesisResult,
     return components, nets
 
 
+def _axis_costs(size: int, positions: List[int]) -> List[int]:
+    """``sum(abs(x - p) for p in positions)`` for every ``x`` in
+    ``range(size)``: from ``x`` to ``x + 1`` the sum grows by one per
+    position at or below ``x`` and shrinks by one per position above."""
+    positions = sorted(positions)
+    count = len(positions)
+    cost = sum(abs(position) for position in positions)
+    costs = []
+    below = 0
+    for x in range(size):
+        costs.append(cost)
+        while below < count and positions[below] <= x:
+            below += 1
+        cost += 2 * below - count
+    return costs
+
+
 class GreedyPlacer:
     """Constructive placer with a bounded improvement pass."""
 
     def __init__(self, fabric: FabricParameters):
         self.fabric = fabric
 
-    # ---------------------------------------------------------------- helpers
-    def _free_sites(self, occupied: Set[Tuple[int, int]]) -> List[Tuple[int, int]]:
-        sites = []
-        for row in range(1, self.fabric.rows):
-            for column in range(self.fabric.columns):
-                if (row, column) not in occupied:
-                    sites.append((row, column))
-        return sites
-
-    @staticmethod
-    def _distance(a: Tuple[int, int], b: Tuple[int, int]) -> int:
-        return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-    def _wirelength(self, components: Dict[str, PlacedComponent],
-                    nets: Sequence[Net]) -> int:
-        total = 0
-        for net in nets:
-            driver = components[net.driver].location
-            sink = components[net.sink].location
-            if driver is not None and sink is not None:
-                total += self._distance(driver, sink)
-        return total
-
     # ------------------------------------------------------------------ place
     def place(self, components: Sequence[PlacedComponent],
               nets: Sequence[Net]) -> PlacementResult:
+        rows, columns = self.fabric.rows, self.fabric.columns
         by_name = {component.name: component for component in components}
-        occupied: Set[Tuple[int, int]] = set()
+        # Free CLB sites, one ascending column list per row: read row by
+        # row they are the row-major order in which sites are scanned and
+        # claimed.  Claimed sites are removed, never rebuilt.
+        free: List[List[int]] = [[] if row == 0 else list(range(columns))
+                                 for row in range(rows)]
         for component in components:
             if component.fixed and component.location is not None:
-                occupied.add(component.location)
+                row, column = component.location
+                if 0 < row < rows and column in free[row]:
+                    free[row].remove(column)
+        num_free = sum(map(len, free))
 
-        # Connectivity-ordered constructive placement.
+        # Per component, the other endpoint of every net touching it (a
+        # net from a component to itself has no length).
+        linked: Dict[str, List[PlacedComponent]] = {name: [] for name in by_name}
         connectivity: Dict[str, int] = {name: 0 for name in by_name}
         for net in nets:
-            connectivity[net.driver] = connectivity.get(net.driver, 0) + 1
-            connectivity[net.sink] = connectivity.get(net.sink, 0) + 1
+            driver, sink = net.driver, net.sink
+            connectivity[driver] += 1
+            connectivity[sink] += 1
+            if sink != driver:
+                linked[driver].append(by_name[sink])
+                linked[sink].append(by_name[driver])
+
+        # Connectivity-ordered constructive placement.
         movable = [c for c in components if not c.fixed]
-        movable.sort(key=lambda c: connectivity.get(c.name, 0), reverse=True)
+        movable.sort(key=lambda c: connectivity[c.name], reverse=True)
 
         for component in movable:
-            best_site, best_cost = None, None
-            free = self._free_sites(occupied)
-            if not free:
+            if not num_free:
                 raise FabricCapacityError(
                     f"fabric out of CLB sites while placing {component.name!r}"
                 )
-            neighbours = [
-                by_name[other].location
-                for net in nets
-                for other in net.endpoints()
-                if other != component.name
-                and component.name in net.endpoints()
-                and by_name[other].location is not None
-            ]
-            for site in free:
-                if neighbours:
-                    cost = sum(self._distance(site, n) for n in neighbours)
-                else:
-                    cost = site[0] + site[1]
+            neighbours = [other.location for other in linked[component.name]
+                          if other.location is not None]
+            # A site's cost, the sum of its distances to the placed
+            # neighbours, is a row term plus a column term.
+            if neighbours:
+                row_cost = _axis_costs(rows, [n[0] for n in neighbours])
+                column_cost = _axis_costs(columns, [n[1] for n in neighbours])
+            else:
+                row_cost = list(range(rows))
+                column_cost = list(range(columns))
+            # The first cheapest site in row-major order: per row its
+            # first cheapest free column, kept only if strictly cheaper
+            # than every earlier row's.
+            least_column_cost = min(column_cost)
+            best_site, best_cost = None, None
+            for row in range(1, rows):
+                row_term = row_cost[row]
+                if not free[row] or best_cost is not None \
+                        and row_term + least_column_cost >= best_cost:
+                    continue
+                column = min(free[row], key=column_cost.__getitem__)
+                cost = row_term + column_cost[column]
                 if best_cost is None or cost < best_cost:
-                    best_site, best_cost = site, cost
+                    best_site, best_cost = (row, column), cost
             component.location = best_site
-            occupied.add(best_site)
-            # Large components occupy additional adjacent sites.
+            best_row, best_column = best_site
+            free[best_row].remove(best_column)
+            num_free -= 1
+            # Large components occupy additional sites, the first free
+            # ones within distance 2 of the anchor in row-major order.
             extra_needed = component.clbs - 1
-            for site in self._free_sites(occupied):
+            for row in range(max(1, best_row - 2), min(rows, best_row + 3)):
                 if extra_needed <= 0:
                     break
-                if self._distance(site, best_site) <= 2:
-                    occupied.add(site)
-                    extra_needed -= 1
+                reach = 2 - abs(row - best_row)
+                claimed = [column for column in free[row]
+                           if abs(column - best_column) <= reach][:extra_needed]
+                for column in claimed:
+                    free[row].remove(column)
+                extra_needed -= len(claimed)
+                num_free -= len(claimed)
 
         # Improvement pass: pairwise swaps that reduce total wirelength.
+        # Swapping a and b changes only the nets from either to a third
+        # component (a net between them keeps its length), so the swap is
+        # kept exactly when those nets get shorter in total.
         improved = True
         passes = 0
         while improved and passes < 3:
             improved = False
             passes += 1
-            for i in range(len(movable)):
-                for j in range(i + 1, len(movable)):
-                    a, b = movable[i], movable[j]
-                    before = self._wirelength(by_name, nets)
-                    a.location, b.location = b.location, a.location
-                    after = self._wirelength(by_name, nets)
-                    if after >= before:
+            for i, a in enumerate(movable):
+                for b in movable[i + 1:]:
+                    (a_row, a_column), (b_row, b_column) = a.location, b.location
+                    gain = 0
+                    for other in linked[a.name]:
+                        if other is not b and other.location is not None:
+                            row, column = other.location
+                            gain += abs(a_row - row) + abs(a_column - column) \
+                                - abs(b_row - row) - abs(b_column - column)
+                    for other in linked[b.name]:
+                        if other is not a and other.location is not None:
+                            row, column = other.location
+                            gain += abs(b_row - row) + abs(b_column - column) \
+                                - abs(a_row - row) - abs(a_column - column)
+                    if gain > 0:
                         a.location, b.location = b.location, a.location
-                    else:
                         improved = True
 
+        wirelength = 0
+        for net in nets:
+            driver = by_name[net.driver].location
+            sink = by_name[net.sink].location
+            if driver is not None and sink is not None:
+                wirelength += abs(driver[0] - sink[0]) + abs(driver[1] - sink[1])
         clbs_used = sum(c.clbs for c in movable)
         area = AreaReport(
             luts_used=sum(c.luts for c in movable),
             clbs_used=clbs_used,
-            clbs_available=(self.fabric.rows - 1) * self.fabric.columns,
+            clbs_available=(rows - 1) * columns,
             mac_used=any(n.driver == "mac" or n.sink == "mac" for n in nets),
             registers_used=3,
         )
         return PlacementResult(
             components=by_name,
             nets=list(nets),
-            total_wirelength=self._wirelength(by_name, nets),
+            total_wirelength=wirelength,
             area=area,
         )
 

@@ -37,7 +37,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .encoding import encode
 from .instructions import OPCODES, Instruction
 from .program import Program, Symbol
-from .registers import RegisterError, parse_register
+from .registers import register_index
+
+
+#: A label definition at the start of a line, and the rest of the line.
+_LABEL_RE = re.compile(r"([A-Za-z_.$][\w.$]*)\s*:\s*(.*)$")
 
 
 class AssemblyError(ValueError):
@@ -92,8 +96,8 @@ class Assembler:
             if not line:
                 continue
             # Labels (possibly several) at the start of the line.
-            while True:
-                match = re.match(r"^([A-Za-z_.$][\w.$]*)\s*:\s*(.*)$", line)
+            while ":" in line:
+                match = _LABEL_RE.match(line)
                 if not match:
                     break
                 label, line = match.group(1), match.group(2).strip()
@@ -209,7 +213,7 @@ class Assembler:
 
     @staticmethod
     def _split_operands(text: str) -> List[str]:
-        return [token.strip() for token in text.split(",") if token.strip()]
+        return [token for token in map(str.strip, text.split(",")) if token]
 
     @staticmethod
     def _parse_integer(token: str, line_number: int) -> int:
@@ -291,17 +295,15 @@ class Assembler:
 
     @staticmethod
     def _looks_like_register(token: str) -> bool:
-        try:
-            parse_register(token)
-            return True
-        except RegisterError:
-            return False
+        return register_index(token) is not None
 
-    def _reg(self, token: str, line_number: int) -> int:
-        try:
-            return parse_register(token)
-        except RegisterError as exc:
-            raise AssemblyError(str(exc), line_number) from exc
+    @staticmethod
+    def _reg(token: str, line_number: int) -> int:
+        index = register_index(token)
+        if index is None:
+            raise AssemblyError(f"invalid register operand: {token!r}",
+                                line_number)
+        return index
 
     @staticmethod
     def _load_immediate(rd: int, value: int) -> List[Tuple[Instruction, bool, bool]]:

@@ -31,6 +31,8 @@ Register     Role
 
 from __future__ import annotations
 
+from typing import Optional
+
 NUM_REGISTERS = 32
 WORD_BITS = 32
 WORD_MASK = 0xFFFFFFFF
@@ -64,6 +66,27 @@ def register_name(index: int) -> str:
     return f"r{index}"
 
 
+#: Register operand spellings -> index: ``r0`` .. ``r31`` and the ABI
+#: aliases.
+_REGISTER_NAMES = {**{f"r{index}": index for index in range(NUM_REGISTERS)},
+                   "zero": 0, "sp": STACK_POINTER, "lr": LINK_REGISTER}
+
+
+def register_index(name: str) -> Optional[int]:
+    """The index of register operand ``name``, or ``None`` when ``name`` is
+    not a register (see :func:`parse_register` for the accepted syntax)."""
+    index = _REGISTER_NAMES.get(name)
+    if index is not None:
+        return index
+    text = name.strip().lower().rstrip(",")
+    index = _REGISTER_NAMES.get(text)
+    if index is None and text.startswith("r") and text[1:].isdigit():
+        index = int(text[1:])
+        if not 0 <= index < NUM_REGISTERS:
+            return None
+    return index
+
+
 def parse_register(name: str) -> int:
     """Parse a register operand such as ``r12`` into its numeric index.
 
@@ -71,15 +94,10 @@ def parse_register(name: str) -> int:
     handful of ABI aliases (``sp``, ``lr``, ``zero``) which make compiler
     generated assembly easier to read.
     """
-    text = name.strip().lower().rstrip(",")
-    aliases = {"zero": 0, "sp": STACK_POINTER, "lr": LINK_REGISTER}
-    if text in aliases:
-        return aliases[text]
-    if text.startswith("r") and text[1:].isdigit():
-        index = int(text[1:])
-        if 0 <= index < NUM_REGISTERS:
-            return index
-    raise RegisterError(f"invalid register operand: {name!r}")
+    index = register_index(name)
+    if index is None:
+        raise RegisterError(f"invalid register operand: {name!r}")
+    return index
 
 
 def to_signed(value: int, bits: int = WORD_BITS) -> int:

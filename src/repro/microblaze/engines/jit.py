@@ -485,6 +485,25 @@ class SourceBlockCompiler:
         return self._finish(entry, end, n, deltas, lines, *term,
                             static_cycles=static_cycles, until=until)
 
+    def _peek(self, pc: int) -> Instruction:
+        """The instruction at ``pc`` without a fetch's side effects (no
+        decode-cache entry, no port count, no translation-table record);
+        raises where :meth:`_fetch` would."""
+        cpu = self.cpu
+        instr = cpu._decoded.get(pc)
+        if instr is not None:
+            return instr
+        ports = cpu.instr_bram.port_a_accesses
+        try:
+            return cpu.fetch(pc)
+        except (EncodingError, MemoryError_):
+            if self._points is None:
+                self._fetched = None
+            raise
+        finally:
+            cpu._decoded.pop(pc, None)
+            cpu.instr_bram.port_a_accesses = ports
+
     # ------------------------------------------------------------------ pieces
     @staticmethod
     def _delta(deltas: List[int], klass: InstrClass, cycles: int) -> None:
@@ -650,12 +669,16 @@ class SourceBlockCompiler:
         extra = 0
         # The static halt idiom (an unconditional branch to itself) skips
         # its slot, so the slot is not even fetched (as in the interpreter).
-        halts = instr.klass is InstrClass.BRANCH_UNCOND \
-            and self._static_target(pc, instr, pending_imm) == pc
-        if instr.has_delay_slot and not halts:
+        # A register-held unconditional branch halts or not at run time:
+        # the translation reads its slot without a trace and the generated
+        # code fetches the slot only when the branch does not halt.
+        uncond = instr.klass is InstrClass.BRANCH_UNCOND
+        target = self._static_target(pc, instr, pending_imm)
+        if instr.has_delay_slot and not (uncond and target == pc):
             end = pc + 4
             try:
-                slot_instr = self._fetch(pc + 4)
+                slot_instr = self._peek(pc + 4) if uncond and target is None \
+                    else self._fetch(pc + 4)
             except (EncodingError, MemoryError_):
                 return self._raiser(pc, f"cpu.fetch({pc + 4})",
                                     "slot refetch did not raise"), 0, end
@@ -811,6 +834,7 @@ class SourceBlockCompiler:
             lines.append("    cpu.halted = True")
             if slot is not None:
                 lines.append("else:")
+                lines.append(f"    cpu.fetch({pc + 4})")
                 lines += ["    " + line for line in slot]
         elif slot is not None:
             lines += slot

@@ -255,6 +255,33 @@ class TestSemanticsEdges:
         assert observed["interp"][0] == 2
         assert observed["interp"][3][6] == 0  # the slot never ran
 
+    @pytest.mark.parametrize("source,ports", [
+        ("addi r5, r0, 0\n brd r5\n addi r6, r0, 2\n", 2),
+        ("addi r5, r0, 4\n brad r5\n addi r6, r0, 2\n", 2),
+        # Not halting: the slot is fetched and runs, as in the interpreter.
+        ("addi r5, r0, 12\n brd r5\n addi r6, r0, 2\n addi r7, r0, 1\n"
+         " bri 0\n", 4),
+    ], ids=["brd-halts", "brad-halts", "brd-jumps"])
+    def test_register_held_halting_branch_fetches_no_slot(self, source,
+                                                           ports):
+        """A register-held unconditional branch halts or not at run time;
+        a halting one never fetches its slot.  The second jit system
+        rebinds the first one's translations (the translation-table
+        replay path)."""
+        program = assemble(source)
+        observed = []
+        for engine in ("interp", "jit", "jit"):
+            system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
+            result = system.run(program)
+            observed.append((system.instr_bram.port_a_accesses,
+                             system.data_bram.port_a_accesses,
+                             result.stats, list(system.cpu.registers),
+                             system.cpu.pc))
+        assert observed[1] == observed[0]
+        assert observed[2] == observed[0]
+        assert observed[0][0] == ports
+        assert observed[0][3][6] == (0 if ports == 2 else 2)
+
     def test_halting_branch_in_last_bram_word_halts(self):
         """A ``brid 0`` in the last instruction word halts on both engines:
         its slot would lie past the BRAM end, and is never fetched."""

@@ -9,7 +9,7 @@ from repro.apps import benchmark_names
 from repro.decompile import decompile_and_extract
 from repro.fabric import DEFAULT_WCLA
 from repro.isa import decode
-from repro.microblaze import PAPER_CONFIG, run_program
+from repro.microblaze import MINIMAL_CONFIG, PAPER_CONFIG, run_program
 from repro.partition import (
     DpmCostModel,
     DynamicPartitioningModule,
@@ -118,6 +118,65 @@ class TestWarpProcessor:
         speedups = {name: result.speedup
                     for name, result in warp_small_results.items()}
         assert max(speedups, key=speedups.get) == "brev"
+
+
+# --------------------------------------------------------------------------- transparency
+_RELOAD_TEMPLATE = """
+int a[9] = {1, 4, 7, 10, 13, 16, 19, 22, 25};
+int b[9];
+int main() {
+    int i; int s; int t;
+    s = 0;
+    for (i = 0; i < 9; i = i + 1) { %s }
+    t = 0;
+    for (i = 0; i < 9; i = i + 1) { t = t + b[i]; }
+    return s + t;
+}
+"""
+
+
+def _software_and_warp_runs(body, config):
+    """The warp result for a two-loop program whose first loop is ``body``,
+    and the run its answer comes from: the patched warp run when the
+    kernel partitioned, the software run otherwise."""
+    from repro.compiler import compile_to_program
+
+    program = compile_to_program(_RELOAD_TEMPLATE % body, name="reload",
+                                 config=config)
+    result = WarpProcessor(config=config).run(program)
+    warp = result.warp_mb_result if result.partitioning.success \
+        else result.software_result
+    return result, warp
+
+
+class TestWarpTransparency:
+    """A warp run must equal the software run in return value and in the
+    whole data image, also for loops the WCLA cannot host."""
+
+    @pytest.mark.parametrize("config", [PAPER_CONFIG, MINIMAL_CONFIG],
+                             ids=["paper", "minimal"])
+    @pytest.mark.parametrize("body", [
+        "b[i] = a[i]; s = s + b[i];",
+        "b[i] = a[i]; b[i] = b[i] + 1;",
+    ])
+    def test_store_then_reload_stays_in_software(self, body, config):
+        result, warp = _software_and_warp_runs(body, config)
+        assert not result.partitioning.success
+        assert result.partitioning.reason == \
+            "decompilation failed: load after store in one iteration"
+        software = result.software_result
+        assert warp.return_value == software.return_value
+        assert bytes(warp.data_image) == bytes(software.data_image)
+
+    @pytest.mark.parametrize("config", [PAPER_CONFIG, MINIMAL_CONFIG],
+                             ids=["paper", "minimal"])
+    def test_load_before_store_still_partitions(self, config):
+        result, warp = _software_and_warp_runs(
+            "s = s + b[i]; b[i] = a[i] + 1;", config)
+        assert result.partitioning.success
+        software = result.software_result
+        assert warp.return_value == software.return_value
+        assert bytes(warp.data_image) == bytes(software.data_image)
 
 
 # --------------------------------------------------------------------------- multiprocessor
