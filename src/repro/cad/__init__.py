@@ -39,7 +39,6 @@ from .artifacts import (
     SOURCE_HIT,
     SOURCE_MISS,
     SOURCE_NEGATIVE,
-    SOURCE_PEER,
     SOURCE_UNCACHED,
     CadArtifactCache,
     CapacityRejection,
@@ -85,7 +84,6 @@ __all__ = [
     "SOURCE_HIT",
     "SOURCE_MISS",
     "SOURCE_NEGATIVE",
-    "SOURCE_PEER",
     "SOURCE_UNCACHED",
     "CadFlow",
     "DpmCostModel",

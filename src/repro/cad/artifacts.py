@@ -24,7 +24,7 @@ outside the cache.  The in-memory entries sit on the repo-wide
 A *persistent* tier can be layered underneath: pass a
 :class:`repro.server.store.DiskArtifactStore` (or any object with
 ``stage_get``/``stage_put``/``stats``, where ``stage_get`` returns
-``(value, "disk" | "peer" | "miss")``) as ``store``.  Entries are written
+the value or ``None``) as ``store``.  Entries are written
 through to it and a memory miss consults it before counting a miss, so a
 fresh process — or another machine sharing the directory — starts warm.
 
@@ -48,12 +48,11 @@ SOURCE_MISS = "miss"                  # executed; cache consulted and stored
 SOURCE_HIT = "hit"                    # served from an in-memory entry
 SOURCE_NEGATIVE = "negative-hit"      # memoized capacity rejection replayed
 SOURCE_DISK = "disk-hit"              # served by the persistent store tier
-SOURCE_PEER = "peer-hit"              # pulled from a mesh peer's store
 SOURCE_UNCACHED = "uncached"          # executed; no cache or uncacheable
 
 #: The sources that count as served from the cache — the one definition
 #: behind ``cad_cache_hit``, the report's stage hit rates and ``top``.
-CACHE_SERVED_SOURCES = (SOURCE_HIT, SOURCE_NEGATIVE, SOURCE_DISK, SOURCE_PEER)
+CACHE_SERVED_SOURCES = (SOURCE_HIT, SOURCE_NEGATIVE, SOURCE_DISK)
 
 #: Bound on the in-memory stage entries of one cache.
 STAGE_CACHE_ENTRIES = 1024
@@ -107,7 +106,7 @@ class CadArtifactCache:
     def __init__(self, store=None):
         self._stages = BoundedLRU(STAGE_CACHE_ENTRIES)
         #: Optional persistent tier under the in-memory entries (duck-typed:
-        #: ``stage_get`` -> ``(value, source)``/``stage_put``/``stats``, e.g.
+        #: ``stage_get`` -> value or ``None``/``stage_put``/``stats``, e.g.
         #: :class:`repro.server.store.DiskArtifactStore`).
         self.disk_store = store
         self._lock = threading.Lock()
@@ -124,19 +123,17 @@ class CadArtifactCache:
         ``value`` is ``None`` on a miss.  A memory miss consults the
         persistent tier (when configured); a hit there promotes the entry
         into memory.  A replayed capacity rejection is a negative hit
-        whichever tier held it, so ``disk-hit``/``peer-hit`` always mean
-        a usable artifact.
+        whichever tier held it, so ``disk-hit`` always means a usable
+        artifact.
         """
         entry = f"{stage}\x00{key}"
         value = self._stages.get(entry)
         source = SOURCE_HIT
         if value is None and self.disk_store is not None:
-            value, found = self.disk_store.stage_get(stage, key)
+            value = self.disk_store.stage_get(stage, key)
             if value is not None:
                 self._stages.put(entry, value)
-                # The store says how it satisfied this lookup: a plain
-                # local file or a mesh peer pull.
-                source = SOURCE_PEER if found == "peer" else SOURCE_DISK
+                source = SOURCE_DISK
         if value is None:
             source = SOURCE_MISS
         elif is_negative_artifact(value):
@@ -187,16 +184,10 @@ class CadArtifactCache:
         """Stage lookups served by the persistent tier."""
         return sum(self.stage_disk_hits().values())
 
-    @property
-    def peer_hits(self) -> int:
-        """Stage lookups pulled from a mesh peer's store — a network
-        round-trip, so counted apart from ``disk_hits``."""
-        return sum(self.stage_peer_hits().values())
-
     def stage_counters(self) -> Dict[str, Tuple[int, int]]:
         """Per-stage ``{stage: (memory hits, misses)}``.  Memory hits
-        include replayed rejections; disk and peer hits are separate —
-        see :meth:`stage_disk_hits` and :meth:`stage_peer_hits`."""
+        include replayed rejections; disk hits are separate — see
+        :meth:`stage_disk_hits`."""
         counts = self.lookup_counts()
         hits = _by_stage(counts, SOURCE_HIT, SOURCE_NEGATIVE)
         misses = _by_stage(counts, SOURCE_MISS)
@@ -207,18 +198,14 @@ class CadArtifactCache:
         """Per-stage hits served by the persistent tier."""
         return _by_stage(self.lookup_counts(), SOURCE_DISK)
 
-    def stage_peer_hits(self) -> Dict[str, int]:
-        """Per-stage hits pulled from a mesh peer's store."""
-        return _by_stage(self.lookup_counts(), SOURCE_PEER)
-
     def stats(self) -> Dict:
         """Monitoring snapshot of the counter table.
 
         ``hits``, ``misses`` and ``hit_rate`` are totals over stage
-        lookups: every cache-served source (memory, negative, disk, peer)
-        is a hit, and ``disk_hits``/``peer_hits`` break out the subsets
-        served by the persistent tier — the report's stage-table
-        convention.  ``per_stage`` splits the same numbers by stage.
+        lookups: every cache-served source (memory, negative, disk) is a
+        hit, and ``disk_hits`` breaks out the subset served by the
+        persistent tier — the report's stage-table convention.
+        ``per_stage`` splits the same numbers by stage.
         """
         with self._lock:
             counts = dict(self._lookups)
@@ -226,15 +213,13 @@ class CadArtifactCache:
         per_stage: Dict[str, Dict[str, int]] = {}
         for (stage, source), count in sorted(counts.items()):
             bucket = per_stage.setdefault(stage, {
-                "hits": 0, "misses": 0, "disk_hits": 0, "peer_hits": 0})
+                "hits": 0, "misses": 0, "disk_hits": 0})
             if source == SOURCE_MISS:
                 bucket["misses"] += count
             else:
                 bucket["hits"] += count
                 if source == SOURCE_DISK:
                     bucket["disk_hits"] += count
-                elif source == SOURCE_PEER:
-                    bucket["peer_hits"] += count
         hits = sum(bucket["hits"] for bucket in per_stage.values())
         misses = sum(bucket["misses"] for bucket in per_stage.values())
         lookups = hits + misses
@@ -244,7 +229,6 @@ class CadArtifactCache:
             "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
             "negative_hits": sum(_by_stage(counts, SOURCE_NEGATIVE).values()),
             "disk_hits": sum(b["disk_hits"] for b in per_stage.values()),
-            "peer_hits": sum(b["peer_hits"] for b in per_stage.values()),
             "store_put_errors": put_errors,
             "stages": self._stages.stats(),
             "per_stage": per_stage,

@@ -13,7 +13,7 @@ stages have in common:
   wall time, its modelled on-chip cycles (the
   :class:`DpmCostModel` contribution that used to be summed centrally),
   and how it was satisfied (a ``SOURCE_*`` value: ``miss``/``hit``/
-  ``negative-hit``/``disk-hit``/``peer-hit``/``uncached``).  Every cache
+  ``negative-hit``/``disk-hit``/``uncached``).  Every cache
   count a job reports derives from these records (:func:`served_from_cache`);
 * **tracing** — hooks invoked after every stage record;
 * **failure mapping** — domain errors are wrapped in :class:`FlowError`

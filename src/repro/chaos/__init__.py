@@ -46,8 +46,6 @@ from .plan import (
     Injection,
     KILL_EXIT_CODE,
     SITE_CAD_STAGE,
-    SITE_MESH_MEMBER,
-    SITE_PEER_FETCH,
     SITE_STORE_LOAD,
     SITE_STORE_PUBLISH,
     SITE_WIRE_READ,
@@ -153,8 +151,6 @@ __all__ = [
     "PLAN_ENV_VAR",
     "SITES",
     "SITE_CAD_STAGE",
-    "SITE_MESH_MEMBER",
-    "SITE_PEER_FETCH",
     "SITE_STORE_LOAD",
     "SITE_STORE_PUBLISH",
     "SITE_WIRE_READ",

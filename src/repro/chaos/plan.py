@@ -11,10 +11,8 @@ kind     effect                                                 sites
 ======== ====================================================== =========
 error    raise :class:`ChaosError` (classified *transient*:     worker,
          the recovery policies retry it within a bounded         cad-stage,
-         budget)                                                 store,
-                                                                 peer-fetch
-reset    raise :class:`ConnectionResetError`                     wire,
-                                                                 mesh-member
+         budget)                                                 store
+reset    raise :class:`ConnectionResetError`                     wire
 delay    ``time.sleep(delay_s)``                                 any
 kill     ``os._exit(KILL_EXIT_CODE)`` — the worker process       worker
          dies as a segfault would, bypassing all handlers
@@ -50,12 +48,9 @@ SITE_STORE_LOAD = "store-load"      #: disk-store entry bytes just read
 SITE_STORE_PUBLISH = "store-publish"  #: disk-store entry about to publish
 SITE_WORKER_JOB = "worker-job"      #: a worker beginning a job execution
 SITE_CAD_STAGE = "cad-stage"        #: a CAD flow stage about to compute
-SITE_PEER_FETCH = "peer-fetch"      #: a mesh peer store fetch attempt
-SITE_MESH_MEMBER = "mesh-member"    #: a mesh member about to be contacted
 
 SITES = (SITE_WIRE_READ, SITE_WIRE_WRITE, SITE_STORE_LOAD,
-         SITE_STORE_PUBLISH, SITE_WORKER_JOB, SITE_CAD_STAGE,
-         SITE_PEER_FETCH, SITE_MESH_MEMBER)
+         SITE_STORE_PUBLISH, SITE_WORKER_JOB, SITE_CAD_STAGE)
 
 _KINDS = ("error", "reset", "delay", "kill", "truncate", "corrupt", "orphan")
 

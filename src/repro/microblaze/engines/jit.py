@@ -404,6 +404,9 @@ class SourceBlockCompiler:
         # that branches back to its own entry (a self-loop).
         target: Optional[int] = None
         until: Optional[str] = None
+        # The pc a fault in the terminator's lines leaves; ``None`` for a
+        # raiser, which sets cpu.pc itself.
+        fault_pc: Optional[int] = None
 
         while True:
             end = pc
@@ -436,7 +439,8 @@ class SourceBlockCompiler:
                 continue
 
             if instr.is_branch:
-                term, extra, end = self._terminator(pc, instr, pending_imm)
+                term, extra, end, fault_pc = self._terminator(pc, instr,
+                                                              pending_imm)
                 n += 1 + extra
                 target = self._static_target(pc, instr, pending_imm)
                 if term[1] is not None and target == entry:
@@ -471,10 +475,9 @@ class SourceBlockCompiler:
                 break
 
         if points is not None:
-            # Only a delay slot (at ``end``) or a raiser (which sets
-            # cpu.pc itself) can fault in the terminator's lines.
-            points.append((len(lines), end if term[1] is not None else None,
-                           pending_imm, list(deltas)))
+            # Only a delay slot or a raiser can fault in the terminator's
+            # lines.
+            points.append((len(lines), fault_pc, pending_imm, list(deltas)))
             if term[2]:
                 # A raising observer: the branch has completed, so the pc
                 # is its target (a register-held one is the frame's
@@ -660,10 +663,11 @@ class SourceBlockCompiler:
         """Source for the branch ending a block (plus its delay slot).
 
         Returns ``((lines, return_expr, hook_lines), extra_instructions,
-        end_address)``, where ``hook_lines`` call the observers of a taken
-        backward branch (:func:`_backward_hook`).
+        end_address, fault_pc)``, where ``hook_lines`` call the observers
+        of a taken backward branch (:func:`_backward_hook`) and
+        ``fault_pc`` is the pc a fault in ``lines`` leaves (``None`` when
+        a raiser sets it).
         """
-        cpu = self.cpu
         end = pc
         slot: Optional[List[str]] = None
         extra = 0
@@ -674,37 +678,60 @@ class SourceBlockCompiler:
         # code fetches the slot only when the branch does not halt.
         uncond = instr.klass is InstrClass.BRANCH_UNCOND
         target = self._static_target(pc, instr, pending_imm)
+        dynamic_halt = uncond and target is None
         if instr.has_delay_slot and not (uncond and target == pc):
             end = pc + 4
             try:
-                slot_instr = self._peek(pc + 4) if uncond and target is None \
+                slot_instr = self._peek(pc + 4) if dynamic_halt \
                     else self._fetch(pc + 4)
             except (EncodingError, MemoryError_):
-                return self._raiser(pc, f"cpu.fetch({pc + 4})",
-                                    "slot refetch did not raise"), 0, end
-            if slot_instr.is_branch \
-                    or slot_instr.klass is InstrClass.IMM_PREFIX:
-                return self._raiser(
-                    pc, f"cpu._execute_delay_slot({pc})",
-                    "delay slot check did not raise"), 0, end
-            unit = slot_instr.requires
-            if unit is not None and not cpu.config.has_unit(unit):
-                # The interpreter charges neither the branch nor the slot
-                # (the fault fires inside the slot's unit check, before
-                # the branch's stats.record); defer to its own execution.
-                return self._raiser(
-                    pc, f"cpu._execute_delay_slot({pc})",
-                    "slot unit check did not raise"), 0, end
+                slot_instr = None
+            raiser = self._slot_raiser(pc, instr, slot_instr)
+            if raiser is not None:
+                # A register-held branch reaches the fault only when it
+                # does not halt.
+                term = self._uncond_branch(pc, instr, pending_imm, raiser) \
+                    if dynamic_halt else (raiser, None, [])
+                return term, 0, end, None
             # The imm latch is cleared only after the whole branch — slot
             # included — so a pending prefix fuses into the slot too.
             slot = self._straightline(slot_instr, pending_imm, slot=True)
+            if dynamic_halt:
+                slot.insert(0, f"cpu.fetch({pc + 4})")
             extra = 1
 
         if instr.klass is InstrClass.BRANCH_COND:
             term = self._cond_branch(pc, instr, pending_imm, slot)
         else:
             term = self._uncond_branch(pc, instr, pending_imm, slot)
-        return term, extra, end
+        return term, extra, end, end
+
+    def _slot_raiser(self, pc: int, instr: Instruction,
+                     slot_instr: Optional[Instruction]
+                     ) -> Optional[List[str]]:
+        """Raiser lines for a delay slot the interpreter faults on — its
+        fetch (``slot_instr`` is ``None``), a branch or ``imm`` in it, or
+        a unit it needs — or ``None`` for a slot that runs.  A call
+        writes its link register first, as the interpreter does."""
+        if slot_instr is None:
+            statement = f"cpu.fetch({pc + 4})"
+            unreachable = "slot refetch did not raise"
+        elif slot_instr.is_branch \
+                or slot_instr.klass is InstrClass.IMM_PREFIX:
+            statement = f"cpu._execute_delay_slot({pc})"
+            unreachable = "delay slot check did not raise"
+        elif slot_instr.requires is not None \
+                and not self.cpu.config.has_unit(slot_instr.requires):
+            # The interpreter charges neither the branch nor the slot
+            # (the fault fires inside the slot's unit check, before the
+            # branch's stats.record); defer to its own execution.
+            statement = f"cpu._execute_delay_slot({pc})"
+            unreachable = "slot unit check did not raise"
+        else:
+            return None
+        link = [f"regs[{instr.rd}] = {pc & _M}"] \
+            if instr.klass is InstrClass.CALL and instr.rd else []
+        return link + self._raiser(pc, statement, unreachable)[0]
 
     @staticmethod
     def _static_target(pc: int, instr: Instruction,
@@ -834,7 +861,6 @@ class SourceBlockCompiler:
             lines.append("    cpu.halted = True")
             if slot is not None:
                 lines.append("else:")
-                lines.append(f"    cpu.fetch({pc + 4})")
                 lines += ["    " + line for line in slot]
         elif slot is not None:
             lines += slot

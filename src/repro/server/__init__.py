@@ -17,12 +17,6 @@ and restart without losing its CAD work.
   :class:`RemoteWorkerBackend`, the ``worker_fn`` backend that lets a
   local service fan jobs out to remote gateways with stable content
   affinity.
-* :mod:`~repro.server.mesh` — the consistent-hash gateway mesh:
-  :class:`HashRing` (virtual-node ring; a membership change reshuffles
-  only ~1/N of keys), :class:`GatewayMesh` (membership over additive
-  ``mesh-*`` verbs plus on-demand warm-store replication) and
-  :class:`MeshBackend` (ring-aware remote worker backend with
-  forwarding-friendly ``route="ring"`` submissions).
 * :mod:`~repro.server.store` — :class:`DiskArtifactStore`, the
   persistent content-addressed artifact tier under
   :class:`~repro.cad.CadArtifactCache`: atomic one-file-per-entry
@@ -41,7 +35,6 @@ from .client import (
     parse_address,
 )
 from .gateway import DEFAULT_QUEUE_LIMIT, WarpGateway, start_gateway_thread
-from .mesh import GatewayMesh, HashRing, MeshBackend
 from .protocol import (
     GatewayBusyError,
     GatewayDrainingError,
@@ -70,9 +63,6 @@ __all__ = [
     "DEFAULT_QUEUE_LIMIT",
     "WarpGateway",
     "start_gateway_thread",
-    "GatewayMesh",
-    "HashRing",
-    "MeshBackend",
     "GatewayBusyError",
     "GatewayDrainingError",
     "HandshakeError",

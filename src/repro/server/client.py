@@ -25,7 +25,6 @@ Three consumers of the ``WARPNET`` protocol live here:
 
 from __future__ import annotations
 
-import base64
 import socket
 import threading
 from contextlib import contextmanager
@@ -143,16 +142,13 @@ class GatewayClient:
 
     # -------------------------------------------------------------------- verbs
     def submit(self, jobs: Sequence[WarpJob], wait: bool = True,
-               client_id: Optional[str] = None,
-               route: Optional[str] = None) -> Union[ServiceReport, str]:
+               client_id: Optional[str] = None) -> Union[ServiceReport, str]:
         """Submit a batch.  ``wait=True`` blocks for the finished
         :class:`ServiceReport`; ``wait=False`` returns the batch id.
 
         ``client_id`` attributes the batch to a per-client admission
-        quota on the gateway; ``route="ring"`` marks the batch as
-        ring-routed, letting a mesh gateway forward it to the current
-        ring owner when the client's ring is stale.  Both travel as
-        additive request keys — older gateways ignore them.
+        quota on the gateway; it travels as an additive request key —
+        older gateways ignore it.
 
         Raises :class:`~repro.server.protocol.GatewayBusyError` when the
         gateway's admission queue rejects the batch.
@@ -164,8 +160,6 @@ class GatewayClient:
         }
         if client_id is not None:
             request["client"] = client_id
-        if route is not None:
-            request["route"] = route
         reply = self._round_trip(request)
         if wait:
             return ServiceReport.from_plain(reply["report"])
@@ -226,29 +220,6 @@ class GatewayClient:
         """
         return self._round_trip({"verb": "metrics", "since": since,
                                  "spans": include_spans})
-
-    # --------------------------------------------------------------- mesh verbs
-    def mesh_join(self, address: str) -> Dict:
-        """Announce gateway ``address`` ("host:port") as a mesh member;
-        returns the receiving gateway's view of the membership."""
-        return self._round_trip({"verb": "mesh-join", "address": address})
-
-    def mesh_peers(self) -> Dict:
-        """The gateway's mesh membership (``members``, ``ring_version``,
-        counters) — also how ring-aware clients refresh their ring."""
-        return self._round_trip({"verb": "mesh-peers"})
-
-    def mesh_fetch(self, stage: str, key: str) -> Optional[bytes]:
-        """Fetch one raw store entry blob from the gateway's disk store,
-        or ``None`` when it does not hold the entry.  The blob travels
-        base64 inside the JSON frame (the protocol stays JSON-only) and
-        is re-validated by the requesting store's own decode path."""
-        reply = self._round_trip({"verb": "mesh-fetch",
-                                  "stage": stage, "key": key})
-        blob = reply.get("blob")
-        if blob is None:
-            return None
-        return base64.b64decode(blob)
 
     def shutdown(self) -> None:
         """Ask the gateway to stop (acknowledged before it goes down)."""
@@ -345,8 +316,7 @@ class AsyncGatewayClient:
 #: pairs.  The pool holds only *idle* connections: WARPNET framing is
 #: strict request/reply per connection, so a connection is leased to
 #: exactly one round trip at a time — two threads sharing a socket would
-#: read each other's replies (and a mesh fetch that received a
-#: *forward's* reply would install the wrong artifact type).
+#: read each other's replies.
 _CLIENT_POOL: Dict[Tuple[str, int], List[Tuple[float, GatewayClient]]] = {}
 _CLIENT_POOL_LOCK = threading.Lock()
 
@@ -457,12 +427,8 @@ class RemoteWorkerBackend:
 
     def __call__(self, job: WarpJob) -> ServiceResult:
         schedule = self.retry.delays()
+        address = self.address_for(job)
         while True:
-            # Routed per attempt: here the digest is stable so every
-            # attempt lands on the same gateway, but a ring-aware
-            # subclass re-routes after _note_failure drops a dead member
-            # — that is the failover path.
-            address = self.address_for(job)
             occupancy = 0.0
             try:
                 result = self._submit_once(address, job)
@@ -480,16 +446,11 @@ class RemoteWorkerBackend:
             except (protocol.ProtocolError, TimeoutError,
                     ConnectionError, OSError, EOFError) as error:
                 _drop_pooled_client(address)
-                self._note_failure(address)
                 if schedule.give_up():
                     return self._failed(job, address, error)
             except Exception as error:  # noqa: BLE001 - remote fault boundary
                 return self._failed(job, address, error)
             schedule.backoff(occupancy)
-
-    def _note_failure(self, address: Tuple[str, int]) -> None:
-        """Hook for subclasses: a connection-level failure talking to
-        ``address`` (the ring backend drops the member and re-routes)."""
 
     def _submit_once(self, address: Tuple[str, int],
                      job: WarpJob) -> ServiceResult:

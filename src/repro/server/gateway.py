@@ -30,12 +30,6 @@ A :class:`WarpGateway` binds one listening socket and fronts one
 * **persistence** — with a ``store_path`` the gateway's CAD cache is
   backed by a :class:`~repro.server.store.DiskArtifactStore`, so a
   restarted gateway (or a second one sharing the directory) starts warm.
-* **mesh** — gateways form a :class:`~repro.server.mesh.GatewayMesh`
-  (``peers=`` / ``--peer``): membership travels over the additive
-  ``mesh-join``/``mesh-peers`` verbs, warm store entries replicate on
-  demand over ``mesh-fetch``, and a ``route="ring"`` submission that
-  lands on a non-owner is forwarded to the consistent-hash ring owner
-  (falling back to local execution if the owner cannot take it).
 
 The gateway is deliberately loop-per-thread: ``run()`` owns its own
 ``asyncio`` event loop, so tests and the CLI can host a gateway on a
@@ -45,20 +39,17 @@ background thread next to blocking client code.
 from __future__ import annotations
 
 import asyncio
-import base64
 import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from .. import chaos, obs
+from .. import obs
 from ..service.jobs import JobSpecError, ServiceReport, WarpJob
 from ..service.pool import WarpService, configure_process_store
 from ..service.scheduler import DEFAULT_AGING_INTERVAL_S, aged_priority
 from . import protocol
-from .client import _drop_pooled_client, _pooled_client, parse_address
-from .mesh import GatewayMesh
 
 #: Default number of jobs the admission queue accepts (queued + running).
 DEFAULT_QUEUE_LIMIT = 64
@@ -67,9 +58,6 @@ DEFAULT_QUEUE_LIMIT = 64
 #: this the oldest finished batches are dropped (a long-running gateway
 #: must not grow without bound).
 DEFAULT_RETAINED_BATCHES = 256
-
-#: How long a ring-forwarded submission waits for the owner's report.
-FORWARD_TIMEOUT = 600.0
 
 #: Default number of batches executing concurrently.  Small on purpose:
 #: each executing batch fans out over the same worker pool (or the
@@ -117,8 +105,7 @@ class WarpGateway:
                  telemetry: bool = True,
                  max_concurrent_batches: int = DEFAULT_MAX_CONCURRENT_BATCHES,
                  client_quota: Optional[int] = None,
-                 aging_interval_s: Optional[float] = DEFAULT_AGING_INTERVAL_S,
-                 peers: Optional[Sequence[str]] = None):
+                 aging_interval_s: Optional[float] = DEFAULT_AGING_INTERVAL_S):
         if queue_limit <= 0:
             raise ValueError("queue_limit must be positive")
         if retained_batches <= 0:
@@ -138,11 +125,6 @@ class WarpGateway:
         #: Aging cadence of the batch queue's priority scheduler
         #: (``None`` disables aging — classic strict priority).
         self.aging_interval_s = aging_interval_s
-        #: Mesh peer seed addresses joined at startup (``--peer``).
-        self._peer_seeds = [str(peer) for peer in (peers or ())]
-        #: The live mesh view; built in :meth:`start` once the real port
-        #: is known (a ``port=0`` gateway has no address before binding).
-        self.mesh: Optional[GatewayMesh] = None
         #: Telemetry plane: a gateway is observable out of the box — it
         #: installs a process-wide telemetry (pool workers send theirs
         #: back with each job result) unless the process already has one
@@ -191,8 +173,7 @@ class WarpGateway:
 
     # ------------------------------------------------------------------ lifecycle
     async def start(self) -> None:
-        """Bind the socket, build the mesh view, start the batch runner
-        pool (idempotent)."""
+        """Bind the socket and start the batch runner pool (idempotent)."""
         if self._server is not None:
             return
         self._loop = asyncio.get_running_loop()
@@ -202,19 +183,6 @@ class WarpGateway:
                                                   host=self.host,
                                                   port=self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        self.mesh = GatewayMesh(self.address)
-        disk = getattr(self.service.artifact_cache, "disk_store", None)
-        if disk is not None:
-            # Local misses consult the mesh before recomputing.  Wired
-            # at the gateway-process level: pooled workers keep their
-            # own local store tier (documented limitation — the entry
-            # still replicates when the gateway's serial path, or a
-            # peer, touches it).
-            disk.peer_fetcher = self.mesh.fetch_blob
-        for peer in self._peer_seeds:
-            # Blocking socket I/O off the loop; a dead seed peer fails
-            # the startup loudly rather than leaving us silently meshless.
-            await self._loop.run_in_executor(None, self.mesh.join_via, peer)
         self._runner_tasks = [
             asyncio.ensure_future(self._run_batches())
             for _ in range(self.max_concurrent_batches)]
@@ -538,13 +506,6 @@ class WarpGateway:
             await self._verb_cache_stats(writer)
         elif verb == "metrics":
             await self._verb_metrics(request, writer)
-        elif verb == "mesh-join":
-            await self._verb_mesh_join(request, writer)
-        elif verb == "mesh-peers":
-            await protocol.write_frame(writer,
-                                       {"ok": True, **self.mesh.members()})
-        elif verb == "mesh-fetch":
-            await self._verb_mesh_fetch(request, writer)
         elif verb == "shutdown":
             # Graceful drain: admitted batches finish (their submitters
             # get real reports), new submissions are rejected with the
@@ -567,6 +528,15 @@ class WarpGateway:
         return False
 
     async def _verb_submit(self, request: Dict, writer) -> None:
+        if "route" in request:
+            # A routed submit asks for a relay this gateway does not do;
+            # running it here would silently ignore that.
+            await protocol.write_frame(writer, {
+                "ok": False, "error": "bad-request",
+                "message": "submit does not take 'route': this gateway "
+                           "runs every batch itself",
+            })
+            return
         try:
             jobs = protocol.jobs_from_plain(request.get("jobs"))
         except JobSpecError as error:
@@ -575,10 +545,6 @@ class WarpGateway:
             })
             return
         client = request.get("client")
-        forwarded_reply = await self._maybe_forward(request, jobs)
-        if forwarded_reply is not None:
-            await protocol.write_frame(writer, forwarded_reply)
-            return
         busy = self._admit(jobs, client=client)
         if busy is not None:
             await protocol.write_frame(writer, busy)
@@ -593,105 +559,6 @@ class WarpGateway:
         await batch.done.wait()
         await protocol.write_frame(writer, self._batch_reply(batch))
 
-    async def _maybe_forward(self, request: Dict,
-                             jobs: List[WarpJob]) -> Optional[Dict]:
-        """Ring-aware forwarding: a single-job ``route="ring"`` batch
-        that this gateway does not own under its (authoritative) ring is
-        relayed to the ring owner — the stale-ring fallback that keeps a
-        client with an old membership view hitting warm caches.
-
-        The ``forwarded`` hop guard caps the relay at one hop: the
-        owner executes even if *its* ring disagrees, so two gateways
-        with momentarily divergent views can never forward in a loop.
-        Returns the owner's reply (tagged ``forwarded_to``), or ``None``
-        to execute locally — also the fallback when the owner cannot be
-        reached or cannot take the batch.
-        """
-        if (request.get("route") != "ring" or request.get("forwarded")
-                or self._draining or len(jobs) != 1
-                or self.mesh is None or len(self.mesh.ring) <= 1):
-            return None
-        owner = self.mesh.ring.node_for(repr(jobs[0].dedup_key()))
-        if owner is None or owner == self.mesh.self_address:
-            return None
-        reply = await asyncio.get_running_loop().run_in_executor(
-            None, self._forward_submit, owner, request)
-        if obs.ACTIVE is not None:
-            obs.inc("warp_mesh_forwards_total",
-                    result="relayed" if reply is not None else "local",
-                    help_text="Ring-routed submissions forwarded to the "
-                              "ring owner, by outcome")
-        return reply
-
-    def _forward_submit(self, owner: str, request: Dict) -> Optional[Dict]:
-        """Blocking side of the relay (runs off the event loop)."""
-        address = parse_address(owner)
-        forwarded = dict(request)
-        forwarded["forwarded"] = True
-        try:
-            if chaos.ACTIVE_PLAN is not None:
-                chaos.fire(chaos.SITE_MESH_MEMBER, label=owner)
-            with _pooled_client(address, FORWARD_TIMEOUT) as forward_client:
-                reply = forward_client._round_trip(forwarded)
-        except (protocol.GatewayBusyError, protocol.GatewayDrainingError,
-                protocol.RemoteError):
-            return None          # owner is alive but can't take it: run local
-        except ConnectionResetError:
-            # Injected (or real) member failure mid-conversation.
-            _drop_pooled_client(address)
-            self.mesh.drop_member(owner)
-            return None
-        except (protocol.ProtocolError, TimeoutError, ConnectionError,
-                OSError, EOFError):
-            _drop_pooled_client(address)
-            self.mesh.drop_member(owner)
-            return None
-        reply = dict(reply)
-        reply["forwarded_to"] = owner
-        return reply
-
-    async def _verb_mesh_join(self, request: Dict, writer) -> None:
-        address = request.get("address")
-        if not address:
-            await protocol.write_frame(writer, {
-                "ok": False, "error": "bad-address",
-                "message": "mesh-join needs an 'address' of host:port",
-            })
-            return
-        try:
-            view = self.mesh.handle_join(str(address))
-        except ValueError as error:
-            await protocol.write_frame(writer, {
-                "ok": False, "error": "bad-address", "message": str(error),
-            })
-            return
-        await protocol.write_frame(writer, {"ok": True, **view})
-
-    async def _verb_mesh_fetch(self, request: Dict, writer) -> None:
-        """Serve one raw store entry blob to a mesh peer (base64 in the
-        JSON frame; ``blob: null`` when we don't hold it).  Entries are
-        immutable and content-addressed, so no locking is needed beyond
-        the store's own atomic publishes."""
-        stage, key = request.get("stage"), request.get("key")
-        if not stage or not key:
-            await protocol.write_frame(writer, {
-                "ok": False, "error": "bad-request",
-                "message": "mesh-fetch needs 'stage' and 'key'",
-            })
-            return
-        disk = getattr(self.service.artifact_cache, "disk_store", None)
-        blob = None
-        if disk is not None:
-            try:
-                blob = disk.entry_blob(str(stage), str(key))
-            except Exception:  # noqa: BLE001 - peer fetch must not wedge us
-                blob = None
-        await protocol.write_frame(writer, {
-            "ok": True, "stage": stage, "key": key,
-            "blob": base64.b64encode(blob).decode("ascii")
-            if blob is not None else None,
-        })
-
     def _lookup(self, request: Dict) -> Optional[_Batch]:
         return self._batches.get(request.get("batch_id"))
 
@@ -703,12 +570,7 @@ class WarpGateway:
                 "message": f"no batch {request.get('batch_id')!r}",
             })
             return
-        reply = self._batch_reply(batch)
-        # Additive key (decoders use .get(): no version bump) — lets a
-        # ring-aware client refresh its membership from any reply.
-        if self.mesh is not None:
-            reply["mesh"] = self.mesh.members()
-        await protocol.write_frame(writer, reply)
+        await protocol.write_frame(writer, self._batch_reply(batch))
 
     async def _verb_stream(self, request: Dict, writer) -> None:
         """Stream a batch's results one frame at a time, then ``done``.
@@ -768,7 +630,6 @@ class WarpGateway:
             "draining": self._draining,
             "mode": self.service.mode,
             "workers": self.service.workers,
-            "mesh": self.mesh.members() if self.mesh is not None else None,
         }
         telemetry = obs.ACTIVE
         if telemetry is not None:
@@ -807,7 +668,6 @@ class WarpGateway:
                         for batch_id, batch in self._batches.items()},
             "mode": self.service.mode,
             "workers": self.service.workers,
-            "mesh": self.mesh.members() if self.mesh is not None else None,
         }
         if self.service.workers >= 1:
             # Pool workers hold their own per-process caches; this

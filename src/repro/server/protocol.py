@@ -29,16 +29,11 @@ Verbs (the request's ``"verb"`` field): ``submit`` (a batch of jobs;
 ``stream-results`` (one frame per result, then a ``done`` frame),
 ``cache-stats``, ``metrics`` (the live telemetry snapshot: aggregated
 metric families plus trace spans since a ``since`` cursor; pass
-``"spans": false`` to skip span payloads), the mesh verbs ``mesh-join``
-(announce a gateway address; the reply carries the receiver's member
-list), ``mesh-peers`` (membership + ring version + peer-fetch counters)
-and ``mesh-fetch`` (one raw store entry blob, base64 inside the JSON
-frame — additive verbs per the versioning discipline below, NOT a
-version bump), and ``shutdown``.  A ``submit`` may carry the additive
-``client`` (per-client quota attribution) and ``route``/``forwarded``
-keys (``route="ring"`` lets a mesh gateway forward a stale-ring
-submission to the ring owner; the reply then gains ``forwarded_to``).
-Error replies are
+``"spans": false`` to skip span payloads) and ``shutdown``; any other
+verb gets the ``unknown-verb`` error.  A ``submit`` may carry the
+additive ``client`` key (per-client quota attribution); one that carries
+``route`` is rejected with ``bad-request``, since every gateway runs its
+batches itself.  Error replies are
 ``{"ok": false, "error": <kind>, "message": ...}``; the admission-control
 rejection additionally carries ``"code": 429`` and the queue occupancy so
 clients can implement typed backpressure handling

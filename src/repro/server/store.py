@@ -36,7 +36,7 @@ Trust model: unlike checkpoint blobs (which refuse all pickled globals),
 store entries hold real repo classes and are unpickled normally.  The
 store is a *local cache directory* with filesystem permissions, not a
 network input — do not point it at untrusted data.  Nothing travels the
-wire protocol as a pickle; gateways exchange JSON only.
+wire protocol as a pickle; the wire carries JSON only.
 """
 
 from __future__ import annotations
@@ -81,13 +81,6 @@ class DiskStoreSchemaError(DiskStoreError):
     """An entry (or the store marker) has an unsupported schema version."""
 
 
-#: How :meth:`DiskArtifactStore.stage_get` reports each lookup outcome: a
-#: quarantined corrupt entry is a miss to the caller (its span says
-#: ``corrupt``).
-_GET_SOURCES = {"disk": "disk", "peer": "peer", "miss": "miss",
-                "corrupt": "miss"}
-
-
 class DiskArtifactStore:
     """A size-bounded, content-addressed artifact store in one directory.
 
@@ -100,24 +93,11 @@ class DiskArtifactStore:
 
     def __init__(self, root, max_bytes: Optional[int] = DEFAULT_MAX_BYTES,
                  quarantine_corrupt: bool = True,
-                 tmp_max_age_s: float = DEFAULT_TMP_MAX_AGE_S,
-                 peer_fetcher=None):
+                 tmp_max_age_s: float = DEFAULT_TMP_MAX_AGE_S):
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive (or None, unbounded)")
         self.root = Path(root)
         self.max_bytes = max_bytes
-        #: Mesh replication seam: a ``(stage, key) -> Optional[bytes]``
-        #: callable returning a raw ``WARPDISK`` entry blob from a peer
-        #: gateway's store, consulted on a local miss (set by the gateway
-        #: when it joins a mesh — see :mod:`repro.server.mesh`).  A
-        #: fetched blob goes through exactly the local decode path — same
-        #: loud schema check, and a corrupt peer payload is counted and
-        #: treated as a miss (there is no local file to quarantine) — and
-        #: a good one is published locally, so the next lookup is a plain
-        #: disk hit.  Peers share the trust domain of a shared store
-        #: directory; the fetcher must only ever talk to configured mesh
-        #: members, never arbitrary hosts.
-        self.peer_fetcher = peer_fetcher
         #: When set (the default), a corrupt/truncated entry is moved
         #: aside and reported as a miss instead of raising — the caller
         #: recomputes, the flow survives.  Schema-version mismatches are
@@ -134,12 +114,6 @@ class DiskArtifactStore:
         self.corrupt_entries = 0
         #: Orphaned tmp files removed by the open-time GC.
         self.orphan_tmp_removed = 0
-        #: Entries satisfied from a mesh peer on a local miss (counted
-        #: separately from ``hits`` end to end: a peer hit is a network
-        #: round-trip, not a local file read).
-        self.peer_hits = 0
-        #: Peer fetches that returned an undecodable blob.
-        self.peer_fetch_errors = 0
         #: Running size estimate so a write only pays a full directory
         #: scan when the bound is (approximately) crossed.  Other
         #: processes' writes are invisible to it, but eviction itself
@@ -259,15 +233,8 @@ class DiskArtifactStore:
         os.replace(tmp, path)
 
     # ---------------------------------------------------------------- entries
-    def stage_get(self, stage: str,
-                  key: str) -> Tuple[Optional[object], str]:
-        """Fetch one stage entry as ``(value, source)``.
-
-        ``source`` says how the lookup was satisfied: ``"disk"`` (a local
-        file), ``"peer"`` (pulled from a mesh peer on a local miss) or
-        ``"miss"``, where ``value`` is ``None``.  It comes back with the
-        value rather than through shared state, so concurrent lookups on
-        one store never see each other's source.
+    def stage_get(self, stage: str, key: str) -> Optional[object]:
+        """Fetch one stage entry, or ``None`` on a miss.
 
         A hit refreshes the entry's mtime (the LRU clock).  A truncated,
         zero-length or undecodable entry is **quarantined** (moved to
@@ -279,13 +246,12 @@ class DiskArtifactStore:
         disagree, and recomputing would silently discard a warm store.
         """
         if obs.ACTIVE is None:
-            value, outcome = self._stage_get(stage, key)
-            return value, _GET_SOURCES[outcome]
+            return self._stage_get(stage, key)[0]
         start = time.perf_counter()
         outcome = "miss"
         try:
             value, outcome = self._stage_get(stage, key)
-            return value, _GET_SOURCES[outcome]
+            return value
         finally:
             # Nests under the caller's open span (the CAD stage that
             # missed in memory), joining the job's trace.
@@ -295,15 +261,12 @@ class DiskArtifactStore:
 
     def _stage_get(self, stage: str,
                    key: str) -> Tuple[Optional[object], str]:
-        """``(value, outcome)``: the outcome is a :data:`_GET_SOURCES` key."""
+        """``(value, outcome)``: the outcome (``disk``, ``miss`` or
+        ``corrupt``) labels the store-load span."""
         path = self._entry_path(stage, key)
         try:
             blob = path.read_bytes()
         except FileNotFoundError:
-            if self.peer_fetcher is not None:
-                value = self._peer_get(stage, key, path)
-                if value is not None:
-                    return value, "peer"
             self.misses += 1
             return None, "miss"
         if chaos.ACTIVE_PLAN is not None:
@@ -335,35 +298,6 @@ class DiskArtifactStore:
         self.hits += 1
         return value, "disk"
 
-    def _peer_get(self, stage: str, key: str, path: Path) -> Optional[object]:
-        """Try the mesh on a local miss: fetch the raw entry blob from a
-        peer, decode it through the normal (loud) entry codec, and
-        publish it locally so subsequent lookups are plain disk hits.
-        Any peer failure degrades to a miss — the caller recomputes.
-        """
-        try:
-            blob = self.peer_fetcher(stage, key)
-        except Exception:
-            # The mesh layer already classifies and counts its own
-            # failures (chaos resets, dead members); anything escaping
-            # to here still must not take down a CAD stage.
-            self.peer_fetch_errors += 1
-            return None
-        if blob is None:
-            return None
-        try:
-            value = self._decode(blob, f"peer:{stage}-{key}")
-        except DiskStoreSchemaError:
-            raise          # build/store disagreement stays loud, as local.
-        except DiskStoreError:
-            # A corrupt peer payload: nothing local to quarantine, just
-            # count it and recompute.
-            self.peer_fetch_errors += 1
-            return None
-        self._store_blob(path, blob)
-        self.peer_hits += 1
-        return value
-
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside (``<name>.quarantine``) so the next
         lookup recomputes instead of re-tripping on it, while the bad
@@ -387,11 +321,8 @@ class DiskArtifactStore:
                             time.perf_counter() - start, stage=stage)
 
     def _stage_put(self, stage: str, key: str, value: object) -> None:
-        self._store_blob(self._entry_path(stage, key), self._encode(value))
-
-    def _store_blob(self, path: Path, blob: bytes) -> None:
-        """Publish an already-encoded entry blob under the size bound
-        (shared by local writes and peer replication)."""
+        path = self._entry_path(stage, key)
+        blob = self._encode(value)
         with self._locked():
             self._publish(path, blob)
             self.writes += 1
@@ -403,25 +334,6 @@ class DiskArtifactStore:
                 self._approx_bytes += len(blob)
             if self._approx_bytes > self.max_bytes:
                 self._approx_bytes = self._evict_locked()
-
-    def entry_blob(self, stage: str, key: str) -> Optional[bytes]:
-        """The raw encoded bytes of one entry, or ``None`` — what a mesh
-        peer serves over ``mesh-fetch``.  Entries are immutable and
-        content-addressed, so the bytes are safe to hand out verbatim;
-        the requesting store re-validates them through its own decode
-        path.  Does not touch hit/miss accounting (the *requester* is
-        the one doing a lookup) but refreshes the LRU clock: a replica
-        another member still wants is worth keeping."""
-        path = self._entry_path(stage, key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        try:
-            os.utime(path)
-        except OSError:  # pragma: no cover - entry evicted under our feet
-            pass
-        return blob
 
     # --------------------------------------------------------------- eviction
     def _entries(self) -> List[Tuple[Path, int, float]]:
@@ -468,8 +380,6 @@ class DiskArtifactStore:
         self.evictions = 0
         self.corrupt_entries = 0
         self.orphan_tmp_removed = 0
-        self.peer_hits = 0
-        self.peer_fetch_errors = 0
         self._approx_bytes = None
 
     # -------------------------------------------------------------- accounting
@@ -493,6 +403,4 @@ class DiskArtifactStore:
             "evictions": self.evictions,
             "corrupt_entries": self.corrupt_entries,
             "orphan_tmp_removed": self.orphan_tmp_removed,
-            "peer_hits": self.peer_hits,
-            "peer_fetch_errors": self.peer_fetch_errors,
         }

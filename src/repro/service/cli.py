@@ -16,12 +16,11 @@ entering each job's dedup key exactly like ``WarpJob(stages=...)``), and ::
 runs a declarative job file.  Networked subcommands::
 
     repro-warp serve [--host H] [--port P] [--workers N]
-                     [--queue-limit N] [--store DIR] [--peer H:P]
+                     [--queue-limit N] [--store DIR]
                      [--max-batches N] [--client-quota N]
 
 starts a WARPNET gateway fronting a warp service (``--store`` persists
-CAD artifacts across restarts, ``--peer`` joins a gateway mesh that
-replicates warm stage artifacts, ``--max-batches`` bounds concurrent
+CAD artifacts across restarts, ``--max-batches`` bounds concurrent
 batch execution and ``--client-quota`` caps per-client admission), ::
 
     repro-warp submit examples/service_jobs.json --gateway HOST:PORT
@@ -37,7 +36,6 @@ per gateway, content-affinity routed), and the observability verbs ::
 
     repro-warp metrics --gateway HOST:PORT [--prom] [--spans] [--out F]
     repro-warp top     --gateway HOST:PORT [--interval S] [--iterations N]
-    repro-warp mesh    --gateway HOST:PORT
 
 scrape a running gateway's live telemetry (``--prom`` renders the
 Prometheus text exposition) and poll it into a terminal dashboard of
@@ -189,11 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="disable the telemetry plane (the metrics verb "
                             "answers with enabled=false; zero per-job "
                             "overhead)")
-    serve.add_argument("--peer", action="append", default=None,
-                       metavar="HOST:PORT",
-                       help="join the gateway mesh through this running "
-                            "peer (repeatable; the gateways replicate "
-                            "warm stage artifacts over the ring)")
     serve.add_argument("--max-batches", type=int, default=None,
                        help="batches executed concurrently against the "
                             "shared worker pool (default 4)")
@@ -247,12 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="seconds between polls (default 2)")
     top.add_argument("--iterations", type=int, default=0,
                      help="stop after N polls (0 = run until Ctrl-C)")
-
-    mesh = subparsers.add_parser(
-        "mesh", help="show a gateway's mesh membership, hash ring version "
-                     "and peer replication counters")
-    mesh.add_argument("--gateway", default="127.0.0.1:7877",
-                      help="gateway address host:port")
 
     fuzz = subparsers.add_parser(
         "fuzz", help="run a differential fuzzing campaign: generated "
@@ -464,15 +451,13 @@ def _cmd_serve(args) -> int:
                           store_path=args.store,
                           telemetry=not args.no_telemetry,
                           max_concurrent_batches=max_batches,
-                          client_quota=args.client_quota,
-                          peers=args.peer)
+                          client_quota=args.client_quota)
     thread = start_gateway_thread(gateway)
     print(f"repro-warp gateway listening on {gateway.address} "
           f"[{gateway.service.mode}, workers={gateway.service.workers}, "
           f"queue limit {gateway.queue_limit} jobs, "
           f"{max_batches} concurrent batches"
           + (f", store {args.store}" if args.store else "")
-          + (f", mesh peers {','.join(args.peer)}" if args.peer else "")
           + (", telemetry off" if args.no_telemetry else "")
           + "]; stop with the shutdown verb or Ctrl-C", flush=True)
     try:
@@ -544,32 +529,6 @@ def _cmd_metrics(args) -> int:
         print(f"metrics written to {args.out}")
     else:
         sys.stdout.write(text)
-    return 0
-
-
-def _cmd_mesh(args) -> int:
-    from ..server import client as server_client
-    from ..server.protocol import HandshakeError, ProtocolError, RemoteError
-
-    try:
-        with server_client.GatewayClient(args.gateway) as client:
-            reply = client.mesh_peers()
-    except (HandshakeError, ProtocolError, RemoteError,
-            ConnectionError, OSError) as error:
-        print(f"repro-warp: gateway {args.gateway}: {error}",
-              file=sys.stderr)
-        return 3
-    members = reply.get("members") or []
-    print(f"mesh of {reply.get('self')} — {len(members)} member(s), "
-          f"ring version {reply.get('ring_version')}")
-    for member in members:
-        marker = " (self)" if member == reply.get("self") else ""
-        print(f"  {member}{marker}")
-    print(f"joins: {reply.get('joins', 0)}  "
-          f"member drops: {reply.get('member_drops', 0)}")
-    print(f"peer fetches: {reply.get('peer_fetch_hits', 0)} hits  "
-          f"{reply.get('peer_fetch_misses', 0)} misses  "
-          f"{reply.get('peer_fetch_failures', 0)} failures")
     return 0
 
 
@@ -702,8 +661,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_metrics(args)
         if args.command == "top":
             return _cmd_top(args)
-        if args.command == "mesh":
-            return _cmd_mesh(args)
         if args.command == "remote-suite":
             return _cmd_remote_suite(args, _sweep_jobs_from_args(args))
         if args.command == "suite":

@@ -25,7 +25,6 @@ from ..cad import (
     CACHE_SERVED_SOURCES,
     SOURCE_DISK,
     SOURCE_MISS,
-    SOURCE_PEER,
     validate_job_stage_names,
 )
 from ..eval.figures import metric_rows
@@ -58,7 +57,6 @@ RESULT_METRIC_FIELDS: Dict[str, str] = {
     "cache.misses": "cache_misses",
     "cache.negative_hits": "cache_negative_hits",
     "cache.disk_hits": "cache_disk_hits",
-    "cache.peer_hits": "cache_peer_hits",
     "resilience.retries": "retries",
     "resilience.timeouts": "timeouts",
     "fuzz.programs": "fuzz_programs",
@@ -269,13 +267,9 @@ class ServiceResult:
     #: Stage lookups served by the persistent disk store tier (counted
     #: separately from in-memory stage hits).
     cache_disk_hits: int = 0
-    #: Stage lookups pulled from a mesh peer's store on a local miss
-    #: (counted separately from ``cache_disk_hits`` — a peer hit is a
-    #: network round-trip, not a local file read).
-    cache_peer_hits: int = 0
     #: Per-stage CAD flow accounting: host wall milliseconds per stage and
     #: how each stage was satisfied ("miss"/"hit"/"negative-hit"/
-    #: "disk-hit"/"peer-hit"/"uncached"); memoized capacity rejections
+    #: "disk-hit"/"uncached"); memoized capacity rejections
     #: served to this job.
     stage_wall_ms: Dict[str, float] = field(default_factory=dict)
     stage_cache: Dict[str, str] = field(default_factory=dict)
@@ -427,11 +421,6 @@ class ServiceReport:
         return self.metrics_totals()["cache.disk_hits"]
 
     @property
-    def cache_peer_hits(self) -> int:
-        """Stage lookups pulled from a mesh peer's store."""
-        return self.metrics_totals()["cache.peer_hits"]
-
-    @property
     def total_retries(self) -> int:
         """Retries absorbed across the batch (transient faults, crashed
         or hung neighbours, remote resubmissions)."""
@@ -481,15 +470,14 @@ class ServiceReport:
         """Per-stage aggregate: total host wall ms, cache hits/misses and
         the stage-level hit rate across every executed job.
 
-        ``hits`` counts every cache-served stage (memory, negative, disk
-        and peer); ``disk hits`` / ``peer hits`` additionally break
-        out the subsets served by the persistent store tier locally and
-        pulled from a mesh peer.
+        ``hits`` counts every cache-served stage (memory, negative and
+        disk); ``disk hits`` additionally breaks out the subset served by
+        the persistent store tier.
         """
         entries: List[Tuple[str, Dict[str, float]]] = []
         for stage in self.stage_order():
             wall_ms = 0.0
-            hits = misses = disk = peer = 0
+            hits = misses = disk = 0
             for result in self.results:
                 wall_ms += result.stage_wall_ms.get(stage, 0.0)
                 source = result.stage_cache.get(stage)
@@ -497,8 +485,6 @@ class ServiceReport:
                     hits += 1
                     if source == SOURCE_DISK:
                         disk += 1
-                    elif source == SOURCE_PEER:
-                        peer += 1
                 elif source == SOURCE_MISS:
                     misses += 1
             lookups = hits + misses
@@ -507,7 +493,6 @@ class ServiceReport:
                 "hits": hits,
                 "misses": misses,
                 "disk hits": disk,
-                "peer hits": peer,
                 "hit rate": hits / lookups if lookups else 0.0,
             }))
         return entries
@@ -589,7 +574,6 @@ class ServiceReport:
                     "hits": metrics["hits"],
                     "misses": metrics["misses"],
                     "disk_hits": metrics["disk hits"],
-                    "peer_hits": metrics["peer hits"],
                     "hit_rate": round(metrics["hit rate"], 4),
                 }
                 for stage, metrics in self.stage_summary()
@@ -675,8 +659,7 @@ def expand_duplicate(result: ServiceResult, job: WarpJob) -> ServiceResult:
     return replace(result, job_name=job.name, config_label=job.config_label,
                    deduped_from=result.job_name,
                    cache_hits=0, cache_misses=0, cache_negative_hits=0,
-                   cache_disk_hits=0, cache_peer_hits=0, retries=0,
-                   timeouts=0,
+                   cache_disk_hits=0, retries=0, timeouts=0,
                    stage_wall_ms={}, stage_cache={}, wall_seconds=0.0,
                    fuzz_programs=0, fuzz_instructions=0, fuzz_divergences=0,
                    fuzz_known_divergences=0, fuzz_bisect_steps=0,

@@ -51,7 +51,6 @@ from .. import chaos, obs
 from ..cad import (
     SOURCE_DISK,
     SOURCE_NEGATIVE,
-    SOURCE_PEER,
     CadArtifactCache,
     served_from_cache,
 )
@@ -331,7 +330,6 @@ def _account_cache(result: ServiceResult, records) -> None:
         result.cache_misses = 1 - result.cache_hits
     result.cache_negative_hits = sources.count(SOURCE_NEGATIVE)
     result.cache_disk_hits = sources.count(SOURCE_DISK)
-    result.cache_peer_hits = sources.count(SOURCE_PEER)
 
 
 def _worker_entry(job: WarpJob) -> ServiceResult:
@@ -378,7 +376,6 @@ def _collect_cache_metrics(registry) -> None:
             "CAD artifact cache events by kind (cumulative)")
         events.set(cache.negative_hits, kind="negative-hit")
         events.set(cache.disk_hits, kind="disk-hit")
-        events.set(cache.peer_hits, kind="peer-hit")
         events.set(cache.store_put_errors, kind="store-put-error")
         stage_family = registry.gauge(
             "warp_cache_stage_lookups",
@@ -388,8 +385,6 @@ def _collect_cache_metrics(registry) -> None:
             stage_family.set(misses, stage=stage, result="miss")
         for stage, disk in cache.stage_disk_hits().items():
             stage_family.set(disk, stage=stage, result="disk-hit")
-        for stage, peer in cache.stage_peer_hits().items():
-            stage_family.set(peer, stage=stage, result="peer-hit")
         store = cache.disk_store
         if store is not None:
             store_family = registry.gauge(

@@ -20,8 +20,6 @@ import time
 
 import pytest
 
-import contextlib
-
 from repro import chaos
 from repro.cad import CadArtifactCache
 from repro.chaos import (
@@ -30,8 +28,6 @@ from repro.chaos import (
     FaultRule,
     Injection,
     SITE_CAD_STAGE,
-    SITE_MESH_MEMBER,
-    SITE_PEER_FETCH,
     SITE_STORE_LOAD,
     SITE_STORE_PUBLISH,
     SITE_WIRE_READ,
@@ -83,6 +79,18 @@ class TestFaultPlanMachinery:
             FaultRule(site=SITE_WORKER_JOB, kind="error", probability=0.0)
         with pytest.raises(ValueError, match="max_fires"):
             FaultRule(site=SITE_WORKER_JOB, kind="error", max_fires=0)
+
+    @pytest.mark.parametrize("site, kind", [("peer-fetch", "error"),
+                                            ("mesh-member", "reset")])
+    def test_deleted_gateway_mesh_sites_are_rejected(self, site, kind):
+        """The gateway mesh and its two injection sites are gone; a plan
+        that still names one fails when built, never fires silently."""
+        with pytest.raises(ValueError, match="unknown injection site"):
+            FaultRule(site=site, kind=kind)
+        # A plan exported to pool workers (JSON) is rejected the same way.
+        with pytest.raises(ValueError, match="unknown injection site"):
+            FaultPlan.from_plain({"seed": 1, "rules": [{"site": site,
+                                                        "kind": kind}]})
 
     @staticmethod
     def _fire_script(plan):
@@ -446,91 +454,3 @@ class TestPoolChaos:
             with WarpService(workers=2) as service:
                 chaotic = service.run(jobs)
         assert chaotic.canonical() == baseline.canonical()
-
-
-# ------------------------------------------------------------------ mesh chaos
-@contextlib.contextmanager
-def _mesh_gateway(store_path, peers=None):
-    """A gateway over its own explicit disk store on a daemon thread."""
-    service = WarpService(workers=0, artifact_cache=CadArtifactCache(
-        store=DiskArtifactStore(store_path)))
-    gateway = WarpGateway(port=0, service=service, peers=peers)
-    thread = start_gateway_thread(gateway)
-    try:
-        yield gateway
-    finally:
-        gateway.request_stop()
-        thread.join(timeout=30)
-        close_pooled_clients()
-
-
-class TestMeshChaos:
-    """Mesh fault drills: peer-fetch failures and member drops degrade to
-    local recompute — the canonical report stays identical to fault-free
-    — and every injected failure is visible in the mesh counters *and*
-    the live ``metrics`` scrape."""
-
-    def test_peer_fetch_faults_degrade_to_local_recompute(self, tmp_path):
-        jobs = _parity_jobs()
-        baseline = _baseline(jobs, tmp_path / "clean-store")
-        plan = FaultPlan(seed=6, rules=[
-            FaultRule(site=SITE_PEER_FETCH, kind="error", max_fires=2)])
-        with _mesh_gateway(tmp_path / "g1") as warm_gateway:
-            with GatewayClient(warm_gateway.address) as client:
-                assert client.submit(jobs).num_failed == 0  # warm the peer
-            with _mesh_gateway(tmp_path / "g2",
-                               peers=[warm_gateway.address]) as cold_gateway:
-                with chaos.active_plan(plan):
-                    with GatewayClient(cold_gateway.address) as client:
-                        chaotic = client.submit(jobs)
-                        metrics = client.metrics(include_spans=False)
-        assert chaotic.num_failed == 0
-        assert chaotic.canonical() == baseline.canonical()
-        assert plan.injections == {(SITE_PEER_FETCH, "error"): 2}
-        # The two failed attempts were counted and recomputed locally;
-        # once the budget was spent, later lookups reached the peer.
-        mesh = metrics["mesh"]
-        assert mesh["peer_fetch_failures"] == 2
-        assert mesh["peer_fetch_hits"] > 0
-        assert chaotic.cache_peer_hits == mesh["peer_fetch_hits"]
-        samples = metrics["metrics"].get(
-            "warp_mesh_peer_fetches_total", {}).get("samples", [])
-        by_result = {sample["labels"].get("result"): sample["value"]
-                     for sample in samples}
-        assert by_result.get("error") == 2.0
-        assert by_result.get("hit", 0.0) > 0
-
-    def test_injected_member_drop_recovers_by_recompute_and_rejoin(
-            self, tmp_path):
-        jobs = _parity_jobs()
-        baseline = _baseline(jobs, tmp_path / "clean-store")
-        plan = FaultPlan(seed=8, rules=[
-            FaultRule(site=SITE_MESH_MEMBER, kind="reset", max_fires=1)])
-        with _mesh_gateway(tmp_path / "g1") as warm_gateway:
-            with GatewayClient(warm_gateway.address) as client:
-                assert client.submit(jobs).num_failed == 0
-            with _mesh_gateway(tmp_path / "g2",
-                               peers=[warm_gateway.address]) as cold_gateway:
-                with chaos.active_plan(plan):
-                    with GatewayClient(cold_gateway.address) as client:
-                        chaotic = client.submit(jobs)
-                # The first fetch attempt hit the injected reset: the
-                # member was dropped, so the whole batch recomputed
-                # locally — invisibly, and visibly counted.
-                with GatewayClient(cold_gateway.address) as client:
-                    view = client.mesh_peers()
-                    assert view["member_drops"] == 1
-                    assert view["members"] == [cold_gateway.address]
-                    metrics = client.metrics(include_spans=False)
-                    samples = metrics["metrics"].get(
-                        "warp_mesh_member_drops_total", {}).get("samples", [])
-                    assert sum(s["value"] for s in samples) >= 1.0
-                    # Recovery: an explicit rejoin restores the mesh.
-                    rejoined = client.mesh_join(warm_gateway.address)
-                    assert set(rejoined["members"]) \
-                        == {warm_gateway.address, cold_gateway.address}
-                    assert rejoined["ring_version"] > view["ring_version"]
-        assert chaotic.num_failed == 0
-        assert chaotic.canonical() == baseline.canonical()
-        assert chaotic.cache_peer_hits == 0  # everything recomputed locally
-        assert plan.injections == {(SITE_MESH_MEMBER, "reset"): 1}

@@ -255,32 +255,101 @@ class TestSemanticsEdges:
         assert observed["interp"][0] == 2
         assert observed["interp"][3][6] == 0  # the slot never ran
 
-    @pytest.mark.parametrize("source,ports", [
-        ("addi r5, r0, 0\n brd r5\n addi r6, r0, 2\n", 2),
-        ("addi r5, r0, 4\n brad r5\n addi r6, r0, 2\n", 2),
+    @staticmethod
+    def _outcomes(program, config=PAPER_CONFIG, last_word=False):
+        """Run ``program`` on interp, jit and jit again (the second jit
+        system rebinds the first one's translations: the
+        translation-table replay path) and check they agree.  Returns the
+        interpreter's outcome: the raised fault (or ``None``), the
+        instruction- and data-port counts, the statistics, the registers,
+        the pc and the imm latch.  ``last_word`` loads the program at the
+        end of the instruction BRAM."""
+        outcomes = []
+        for engine in ("interp", "jit", "jit"):
+            system = MicroBlazeSystem(config=config, engine=engine)
+            try:
+                if last_word:
+                    base = system.instr_bram.size - 4 * len(program.text)
+                    system.instr_bram.store_words(base, program.text)
+                    system.cpu.reset(entry_point=base)
+                    system.cpu.run()
+                else:
+                    system.run(program)
+                fault = None
+            except (IllegalInstruction, MemoryError_) as exc:
+                fault = f"{type(exc).__name__}: {exc}"
+            cpu = system.cpu
+            outcomes.append((fault, system.instr_bram.port_a_accesses,
+                             system.data_bram.port_a_accesses,
+                             cpu.stats, list(cpu.registers), cpu.pc,
+                             cpu._imm_latch))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+        return outcomes[0]
+
+    @pytest.mark.parametrize("source,ports,fault", [
+        ("addi r5, r0, 0\n brd r5\n addi r6, r0, 2\n", 2, None),
+        ("addi r5, r0, 4\n brad r5\n addi r6, r0, 2\n", 2, None),
         # Not halting: the slot is fetched and runs, as in the interpreter.
         ("addi r5, r0, 12\n brd r5\n addi r6, r0, 2\n addi r7, r0, 1\n"
-         " bri 0\n", 4),
-    ], ids=["brd-halts", "brad-halts", "brd-jumps"])
+         " bri 0\n", 4, None),
+        # A halting branch never reaches an illegal slot...
+        ("addi r5, r0, 0\n brd r5\n brid 0\n", 2, None),
+        ("addi r5, r0, 0\n brd r5\n imm 5\n", 2, None),
+        # ...and a jumping one faults on it, at the branch.
+        ("addi r5, r0, 12\n brd r5\n brid 0\n", 3,
+         "IllegalInstruction: illegal instruction brid in delay slot "
+         "at 0x8"),
+    ], ids=["brd-halts", "brad-halts", "brd-jumps", "brd-halts-branch-slot",
+            "brd-halts-imm-slot", "brd-jumps-branch-slot"])
     def test_register_held_halting_branch_fetches_no_slot(self, source,
-                                                           ports):
+                                                           ports, fault):
         """A register-held unconditional branch halts or not at run time;
-        a halting one never fetches its slot.  The second jit system
-        rebinds the first one's translations (the translation-table
-        replay path)."""
-        program = assemble(source)
-        observed = []
-        for engine in ("interp", "jit", "jit"):
-            system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
-            result = system.run(program)
-            observed.append((system.instr_bram.port_a_accesses,
-                             system.data_bram.port_a_accesses,
-                             result.stats, list(system.cpu.registers),
-                             system.cpu.pc))
-        assert observed[1] == observed[0]
-        assert observed[2] == observed[0]
-        assert observed[0][0] == ports
-        assert observed[0][3][6] == (0 if ports == 2 else 2)
+        a halting one never fetches its slot, so an illegal slot faults
+        only when the branch does not halt."""
+        outcome = self._outcomes(assemble(source))
+        assert outcome[0] == fault
+        assert outcome[1] == ports
+        assert outcome[4][6] == (2 if ports == 4 else 0)  # the slot ran
+        if fault is not None:
+            assert outcome[5] == 4  # the branch's pc, the branch unrecorded
+            assert outcome[3].branches_taken == 0
+
+    @pytest.mark.parametrize("source,config,link,fault", [
+        # A halting branch skips a slot whose unit is missing.
+        ("addi r5, r0, 0\n brd r5\n mul r3, r4, r4\n", MINIMAL_CONFIG,
+         0, None),
+        # A call writes its link register before its slot faults.
+        ("addi r5, r0, 12\n brlid r15, 8\n brid 0\n", PAPER_CONFIG, 4,
+         "IllegalInstruction: illegal instruction brid in delay slot "
+         "at 0x8"),
+        ("addi r5, r0, 12\n brald r15, r5\n mul r3, r4, r4\n",
+         MINIMAL_CONFIG, 4,
+         "IllegalInstruction: mul at 0x8 requires the multiplier which is "
+         "not configured"),
+    ], ids=["brd-halts-unit-slot", "brlid-branch-slot", "brald-unit-slot"])
+    def test_faulting_delay_slots_match_the_interpreter(self, source, config,
+                                                        link, fault):
+        outcome = self._outcomes(assemble(source), config=config)
+        assert outcome[0] == fault
+        assert outcome[4][15] == link
+
+    @pytest.mark.parametrize("source,fault", [
+        ("addi r3, r0, 5\n addi r5, r0, 0\n brd r5\n", None),
+        ("addi r3, r0, 5\n addi r5, r0, 8\n brd r5\n",
+         "MemoryError_: instr_bram: access of 4 bytes at 0x400 outside "
+         "0..0x400"),
+    ], ids=["brd-halts", "brd-jumps"])
+    def test_register_held_branch_in_last_bram_word(self, source, fault):
+        """The slot of a register-held branch in the last instruction word
+        lies past the BRAM end: fetching it faults only when the branch
+        does not halt."""
+        outcome = self._outcomes(
+            assemble(source),
+            config=MicroBlazeConfig(instr_bram_kb=1, data_bram_kb=1),
+            last_word=True)
+        assert outcome[0] == fault
+        assert outcome[4][3] == 5
 
     def test_halting_branch_in_last_bram_word_halts(self):
         """A ``brid 0`` in the last instruction word halts on both engines:

@@ -350,7 +350,7 @@ class TestCrossProcessAggregation:
                                                            monkeypatch):
         """Whether a pool worker collects follows the submitting service,
         not the job: a job that arrives already carrying a trace id (a
-        wire submit, a mesh forward, a job file) costs an untraced
+        wire submit or a job file) costs an untraced
         service's workers nothing."""
         from repro.service import pool
 

@@ -17,7 +17,7 @@ from repro.cad import (
     CadArtifactCache,
     CapacityRejection,
     SOURCE_DISK,
-    SOURCE_PEER,
+    SOURCE_MISS,
     is_negative_artifact,
 )
 from repro import obs
@@ -32,10 +32,7 @@ from repro.server import (
     GatewayBusyError,
     GatewayClient,
     GatewayDrainingError,
-    GatewayMesh,
     HandshakeError,
-    HashRing,
-    MeshBackend,
     ProtocolError,
     RemoteError,
     RemoteWorkerBackend,
@@ -223,15 +220,19 @@ class TestWireProtocol:
         assert clone.results[0] == result
         assert clone.mode == "serial" and clone.wall_seconds == 1.25
         assert clone.cache_disk_hits == 3
+        # A sender from before the gateway mesh was deleted still writes
+        # ``cache_peer_hits``; the key is ignored, the result decodes.
+        old_sender = dict(result.to_plain(), cache_peer_hits=2)
+        assert ServiceResult.from_plain(old_sender) == result
 
 
 # --------------------------------------------------------------------------- disk store
 class TestDiskArtifactStore:
     def test_roundtrip_and_counters(self, tmp_path):
         store = DiskArtifactStore(tmp_path / "store")
-        assert store.stage_get("synthesis", "a" * 8) == (None, "miss")
+        assert store.stage_get("synthesis", "a" * 8) is None
         store.stage_put("synthesis", "a" * 8, {"luts": 12})
-        assert store.stage_get("synthesis", "a" * 8) == ({"luts": 12}, "disk")
+        assert store.stage_get("synthesis", "a" * 8) == {"luts": 12}
         stats = store.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["writes"] == 1 and stats["entries"] == 1
@@ -240,12 +241,12 @@ class TestDiskArtifactStore:
     def test_entries_survive_a_new_instance(self, tmp_path):
         DiskArtifactStore(tmp_path).stage_put("place", "k1", (1, 2, 3))
         assert DiskArtifactStore(tmp_path).stage_get("place", "k1") == \
-            ((1, 2, 3), "disk")
+            (1, 2, 3)
 
     def test_capacity_rejections_persist(self, tmp_path):
         DiskArtifactStore(tmp_path).stage_put(
             "place", "k", CapacityRejection(message="too big"))
-        value, _ = DiskArtifactStore(tmp_path).stage_get("place", "k")
+        value = DiskArtifactStore(tmp_path).stage_get("place", "k")
         assert isinstance(value, CapacityRejection)
         assert is_negative_artifact(value)
 
@@ -260,8 +261,8 @@ class TestDiskArtifactStore:
             os.utime(path, (now - age, now - age))
         store.max_bytes = store.size_bytes() - 1  # force eviction of >= 1
         store.stage_put("route", "key4", b"x" * 64)
-        assert store.stage_get("route", "key0")[0] is None  # oldest went first
-        assert store.stage_get("route", "key4")[0] == b"x" * 64
+        assert store.stage_get("route", "key0") is None  # oldest went first
+        assert store.stage_get("route", "key4") == b"x" * 64
         assert store.evictions >= 1
         assert store.size_bytes() <= store.max_bytes
 
@@ -302,78 +303,72 @@ class TestDiskArtifactStore:
         path = store._entry_path("route", "bad")
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])  # torn write
-        assert store.stage_get("route", "bad") == (None, "miss")
+        assert store.stage_get("route", "bad") is None
         assert store.corrupt_entries == 1
         assert not path.exists()
         assert path.with_name(path.name + ".quarantine").exists()
         # The slot is reusable after recompute.
         store.stage_put("route", "bad", {"x": 1})
-        assert store.stage_get("route", "bad") == ({"x": 1}, "disk")
+        assert store.stage_get("route", "bad") == {"x": 1}
 
     def test_zero_length_entry_is_tolerated(self, tmp_path):
         """Satellite: a crash between open and write leaves a zero-length
         file; it must read as a miss, not an exception."""
         store = DiskArtifactStore(tmp_path)
         store._entry_path("route", "empty").write_bytes(b"")
-        assert store.stage_get("route", "empty") == (None, "miss")
+        assert store.stage_get("route", "empty") is None
         assert store.corrupt_entries == 1
 
-    def test_concurrent_peer_pulls_and_disk_hits_keep_their_labels(
+    def test_concurrent_misses_and_disk_hits_keep_their_labels(
             self, tmp_path, monkeypatch):
-        """The store returns each lookup's source with its value, so a mesh
-        peer pull on one thread and local disk hits on another, through
-        one store, never swap the ``peer-hit``/``disk-hit`` labels."""
-        peer = DiskArtifactStore(tmp_path / "peer")
-
-        def fetch(stage, key):
-            path = peer._entry_path(stage, key)
-            return path.read_bytes() if path.exists() else None
-
-        local = DiskArtifactStore(tmp_path / "local", peer_fetcher=fetch)
+        """A miss on one thread and disk hits on another, through one
+        store, each get their own value, so the cache never swaps the
+        ``miss``/``disk-hit`` labels."""
+        store = DiskArtifactStore(tmp_path)
         count = 20
         for index in range(count):
-            peer.stage_put("route", f"p{index}", {"index": index})
-            local.stage_put("route", f"d{index}", {"index": index})
+            store.stage_put("route", f"d{index}", {"index": index})
         # Force the worst interleaving.  A lookup's store-load span is
         # recorded after the store has answered and before the cache has
         # read the answer, so each disk hit parks there until the other
-        # thread has completed one whole peer pull.
-        turn, pulled = threading.Semaphore(0), threading.Semaphore(0)
+        # thread has completed one whole miss.
+        turn, missed = threading.Semaphore(0), threading.Semaphore(0)
         record_span = obs.record_span
 
         def parked(name, duration_s, **attrs):
             if attrs.get("outcome") == "hit":
                 turn.release()
-                pulled.acquire(timeout=10)
+                missed.acquire(timeout=10)
             return record_span(name, duration_s, **attrs)
 
         monkeypatch.setattr(obs, "record_span", parked)
-        labels = {SOURCE_PEER: [], SOURCE_DISK: []}
+        lookups = {SOURCE_MISS: [], SOURCE_DISK: []}
 
-        def pull_from_peer():
-            cache = CadArtifactCache(store=local)
+        def miss():
+            cache = CadArtifactCache(store=store)
             for index in range(count):
                 turn.acquire(timeout=10)
-                labels[SOURCE_PEER].append(
-                    cache.stage_lookup("route", f"p{index}")[1])
-                pulled.release()
+                lookups[SOURCE_MISS].append(
+                    cache.stage_lookup("route", f"m{index}"))
+                missed.release()
 
         def hit_disk():
-            cache = CadArtifactCache(store=local)
+            cache = CadArtifactCache(store=store)
             for index in range(count):
-                labels[SOURCE_DISK].append(
-                    cache.stage_lookup("route", f"d{index}")[1])
+                lookups[SOURCE_DISK].append(
+                    cache.stage_lookup("route", f"d{index}"))
 
         with obs.active_telemetry():
-            threads = [threading.Thread(target=pull_from_peer),
+            threads = [threading.Thread(target=miss),
                        threading.Thread(target=hit_disk)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
-        assert labels[SOURCE_PEER] == [SOURCE_PEER] * count
-        assert labels[SOURCE_DISK] == [SOURCE_DISK] * count
-        assert local.peer_hits == count and local.hits == count
+        assert lookups[SOURCE_MISS] == [(None, SOURCE_MISS)] * count
+        assert lookups[SOURCE_DISK] == [({"index": index}, SOURCE_DISK)
+                                        for index in range(count)]
+        assert store.misses == count and store.hits == count
 
     def test_orphan_tmp_files_are_collected_at_open(self, tmp_path):
         """Satellite: ``*.tmp`` droppings from a crashed publisher are
@@ -577,6 +572,33 @@ class TestGateway:
                 with pytest.raises(RemoteError, match="unknown-batch"):
                     client.status("batch-999")
 
+    @pytest.mark.parametrize("verb", ["mesh-join", "mesh-peers",
+                                      "mesh-fetch"])
+    def test_deleted_mesh_verbs_are_unknown_verbs(self, verb):
+        with running_gateway() as gateway:
+            with GatewayClient(gateway.address) as client:
+                with pytest.raises(RemoteError, match="unknown-verb"):
+                    client._round_trip({"verb": verb,
+                                        "address": "127.0.0.1:1",
+                                        "stage": "synthesis", "key": "k"})
+                assert client.cache_stats()["ok"]  # the connection lives
+
+    @pytest.mark.parametrize("extra", [{"route": "ring"},
+                                       {"route": "ring", "forwarded": True}])
+    def test_routed_submit_is_rejected_and_runs_nothing(self, extra):
+        with running_gateway(service=WarpService(
+                workers=0, artifact_cache=CadArtifactCache())) as gateway:
+            with GatewayClient(gateway.address) as client:
+                with pytest.raises(RemoteError, match="bad-request"):
+                    client._round_trip({
+                        "verb": "submit", "wait": True, **extra,
+                        "jobs": protocol.jobs_to_plain(
+                            [WarpJob(name="j", benchmark="brev",
+                                     small=True)])})
+                stats = client.cache_stats()
+        assert stats["batches"] == {} and stats["pending_jobs"] == 0
+        assert stats["cache"]["hits"] == stats["cache"]["misses"] == 0
+
     def test_gateway_rejects_foreign_protocol_versions(self):
         with running_gateway() as gateway:
             with socket.create_connection(("127.0.0.1", gateway.port),
@@ -694,57 +716,6 @@ class TestRemoteWorkerBackend:
             RemoteWorkerBackend([])
         with pytest.raises(ValueError):
             RemoteWorkerBackend(["no-port-here"])
-
-
-# -------------------------------------------------------------------- hash ring
-class TestHashRing:
-    def test_ownership_is_deterministic_and_order_independent(self):
-        nodes = ["10.0.0.1:7877", "10.0.0.2:7877", "10.0.0.3:7877"]
-        ring = HashRing(nodes)
-        again = HashRing(list(reversed(nodes)))
-        keys = [f"key-{index}" for index in range(200)]
-        owners = [ring.node_for(key) for key in keys]
-        assert owners == [again.node_for(key) for key in keys]
-        assert set(owners) <= set(nodes)
-        assert len(set(owners)) == len(nodes)  # vnodes spread the keyspace
-
-    def test_add_reshuffles_at_most_2_over_n_of_keys(self):
-        """Acceptance: growing the mesh moves only the new member's key
-        ranges — bounded by 2/N of ~1000 keys — and every moved key
-        lands on the new member (never shuffled between survivors)."""
-        nodes = [f"10.0.0.{index}:7877" for index in range(1, 5)]
-        ring = HashRing(nodes)
-        keys = [f"job-{index}" for index in range(1000)]
-        before = {key: ring.node_for(key) for key in keys}
-        assert ring.add("10.0.0.9:7877")
-        moved = [key for key in keys if ring.node_for(key) != before[key]]
-        assert len(moved) <= 2 * len(keys) / len(ring)
-        assert all(ring.node_for(key) == "10.0.0.9:7877" for key in moved)
-
-    def test_remove_moves_only_the_lost_members_keys(self):
-        nodes = [f"10.0.0.{index}:7877" for index in range(1, 6)]
-        ring = HashRing(nodes)
-        keys = [f"job-{index}" for index in range(1000)]
-        before = {key: ring.node_for(key) for key in keys}
-        lost = nodes[2]
-        assert ring.remove(lost)
-        for key in keys:
-            if before[key] == lost:
-                assert ring.node_for(key) in ring.nodes
-            else:
-                assert ring.node_for(key) == before[key]
-        orphaned = sum(1 for key in keys if before[key] == lost)
-        assert orphaned <= 2 * len(keys) / (len(ring) + 1)
-
-    def test_empty_ring_and_membership_queries(self):
-        ring = HashRing()
-        assert ring.node_for("anything") is None
-        assert ring.add("a:1") and not ring.add("a:1")
-        assert "a:1" in ring and len(ring) == 1
-        assert ring.node_for("anything") == "a:1"
-        assert ring.remove("a:1") and not ring.remove("a:1")
-        with pytest.raises(ValueError):
-            HashRing(vnodes=0)
 
 
 # ------------------------------------------------------------- priority aging
@@ -937,177 +908,6 @@ class TestGatewayConcurrency:
         assert run_drill(None) == ["high-last", "low"]
 
 
-# -------------------------------------------------------------- gateway mesh
-def _stored_service(path):
-    """A serial service over its own explicit disk store (two of these
-    can coexist in one process, unlike ``configure_process_store``)."""
-    return WarpService(workers=0, artifact_cache=CadArtifactCache(
-        store=DiskArtifactStore(path)))
-
-
-class TestGatewayMesh:
-    def test_join_and_peers_verbs_mesh_two_gateways(self, tmp_path):
-        with running_gateway(service=_stored_service(tmp_path / "g1")) as g1:
-            with running_gateway(service=_stored_service(tmp_path / "g2"),
-                                 peers=[g1.address]) as g2:
-                for gateway in (g1, g2):
-                    with GatewayClient(gateway.address) as client:
-                        view = client.mesh_peers()
-                    assert view["self"] == gateway.address
-                    assert set(view["members"]) == {g1.address, g2.address}
-                    assert view["ring_version"] >= 2
-                    # The additive block is JSON-plain: it must survive
-                    # the codec byte-for-byte (no exotic types).
-                    assert json.loads(json.dumps(view)) == view
-
-    def test_mesh_fetch_serves_raw_store_entries(self, tmp_path):
-        service = _stored_service(tmp_path / "g1")
-        store = service.artifact_cache.disk_store
-        store.stage_put("synthesis", "cafe" * 4, {"luts": 42})
-        with running_gateway(service=service) as gateway:
-            with GatewayClient(gateway.address) as client:
-                blob = client.mesh_fetch("synthesis", "cafe" * 4)
-                assert blob == store._entry_path(
-                    "synthesis", "cafe" * 4).read_bytes()
-                assert client.mesh_fetch("synthesis", "beef" * 4) is None
-
-    def test_cold_gateway_warms_from_its_peer(self, tmp_path):
-        """Acceptance: a cold mesh member pulls warm stage entries from
-        its peer (counted as peer hits end to end, in the report and the
-        live scrape) and produces a canonically identical report."""
-        jobs = [WarpJob(name="brev-s", benchmark="brev", small=True)]
-        with running_gateway(service=_stored_service(tmp_path / "g1")) as g1:
-            with GatewayClient(g1.address) as client:
-                warm = client.submit(jobs)
-            assert warm.num_failed == 0
-            with running_gateway(service=_stored_service(tmp_path / "g2"),
-                                 peers=[g1.address]) as g2:
-                with GatewayClient(g2.address) as client:
-                    cold = client.submit(jobs)
-                    metrics = client.metrics(include_spans=False)
-        assert cold.num_failed == 0
-        assert cold.canonical() == warm.canonical()
-        assert cold.cache_peer_hits > 0
-        assert cold.cache_disk_hits == 0  # nothing was local yet
-        result = cold.results[0]
-        assert "peer-hit" in result.stage_cache.values()
-        assert result.cad_cache_hit  # peer-served stages are cache hits
-        # The report's stage table breaks peer hits out.
-        plain = cold.to_plain()
-        assert sum(stage["peer_hits"]
-                   for stage in plain["stages"].values()) \
-            == cold.cache_peer_hits
-        # Mesh counters: in the additive reply block and the live scrape.
-        assert metrics["mesh"]["peer_fetch_hits"] > 0
-        families = metrics["metrics"]
-        assert any(sample["labels"].get("result") == "hit"
-                   and sample["value"] > 0
-                   for sample in families.get(
-                       "warp_mesh_peer_fetches_total", {}).get("samples", []))
-        assert any(sample["value"] >= 2.0 for sample in families.get(
-            "warp_mesh_members", {}).get("samples", []))
-
-    def test_ring_routed_submission_is_forwarded_to_the_owner(self, tmp_path):
-        with running_gateway(service=_stored_service(tmp_path / "g1")) as g1:
-            with running_gateway(service=_stored_service(tmp_path / "g2"),
-                                 peers=[g1.address]) as g2:
-                ring = HashRing([g1.address, g2.address])
-                owned = {}
-                for index in range(64):
-                    job = WarpJob(name=f"probe-{index}", benchmark="brev",
-                                  small=True,
-                                  max_instructions=150_000 + index)
-                    owner = ring.node_for(repr(job.dedup_key()))
-                    owned.setdefault(owner, job)
-                    if len(owned) == 2:
-                        break
-                assert set(owned) == {g1.address, g2.address}
-                with GatewayClient(g2.address) as client:
-                    # Not the owner: relayed to g1, reply says so.
-                    relayed = client._round_trip({
-                        "verb": "submit", "wait": True, "route": "ring",
-                        "jobs": protocol.jobs_to_plain(
-                            [owned[g1.address]])})
-                    assert relayed.get("forwarded_to") == g1.address
-                    report = ServiceReport.from_plain(relayed["report"])
-                    assert report.num_failed == 0
-                    # The owner executes locally: no forward tag.
-                    local = client._round_trip({
-                        "verb": "submit", "wait": True, "route": "ring",
-                        "jobs": protocol.jobs_to_plain(
-                            [owned[g2.address]])})
-                    assert "forwarded_to" not in local
-                    assert ServiceReport.from_plain(
-                        local["report"]).num_failed == 0
-
-    def test_status_and_metrics_carry_mesh_info_additively(self):
-        """Satellite: replies gain a ``mesh`` block without any protocol
-        version bump — old decoders ignore it, the report still decodes."""
-        with running_gateway() as gateway:
-            with GatewayClient(gateway.address) as client:
-                batch_id = client.submit(
-                    [WarpJob(name="j", benchmark="brev", small=True)],
-                    wait=False)
-                deadline = time.time() + 120
-                while True:
-                    status = client.status(batch_id)
-                    if status["state"] == "done":
-                        break
-                    assert time.time() < deadline, status
-                    time.sleep(0.05)
-                assert status["mesh"]["self"] == gateway.address
-                assert status["mesh"]["members"] == [gateway.address]
-                assert isinstance(status["report"], ServiceReport)
-                metrics = client.metrics(include_spans=False)
-                assert metrics["mesh"]["ring_version"] >= 1
-                stats = client.cache_stats()
-                assert stats["mesh"]["self"] == gateway.address
-
-    def test_mesh_backend_routes_by_ring_and_fails_over(self):
-        addresses = [("127.0.0.1", 7001), ("127.0.0.1", 7002),
-                     ("127.0.0.1", 7003)]
-        backend = MeshBackend(addresses)
-        jobs = [WarpJob(name=f"j{index}", benchmark="brev", small=True,
-                        max_instructions=100_000 + index)
-                for index in range(60)]
-        reference = HashRing([f"127.0.0.1:{port}" for _, port in addresses])
-        before = {}
-        for job in jobs:
-            host, port = backend.address_for(job)
-            assert f"{host}:{port}" \
-                == reference.node_for(repr(job.dedup_key()))
-            before[job.name] = (host, port)
-        # Routing survives pickling (pool workers rebuild the ring).
-        clone = pickle.loads(pickle.dumps(backend))
-        assert all(clone.address_for(job) == before[job.name]
-                   for job in jobs)
-        # Failover: dropping a dead member re-routes only its jobs.
-        backend._note_failure(("127.0.0.1", 7002))
-        assert backend.ring_members() == ("127.0.0.1:7001",
-                                          "127.0.0.1:7003")
-        moved = [job.name for job in jobs
-                 if backend.address_for(job) != before[job.name]]
-        assert moved == [job.name for job in jobs
-                         if before[job.name] == ("127.0.0.1", 7002)]
-        for job in jobs:
-            assert backend.address_for(job)[1] != 7002
-
-    def test_mesh_backend_runs_a_suite_over_a_mesh(self, tmp_path):
-        """MeshBackend against a live two-gateway mesh: every result is
-        identical to the serial in-process path."""
-        jobs = _small_jobs()
-        with running_gateway(service=_stored_service(tmp_path / "g1")) as g1:
-            with running_gateway(service=_stored_service(tmp_path / "g2"),
-                                 peers=[g1.address]) as g2:
-                backend = MeshBackend([g1.address, g2.address],
-                                      client_id="suite")
-                remote = WarpService(workers=0, worker_fn=backend).run(jobs)
-        local = WarpService(workers=0,
-                            artifact_cache=CadArtifactCache()).run(jobs)
-        assert remote.num_failed == 0
-        assert remote.canonical() == local.canonical()
-
-
 # ----------------------------------------------------------------------- CLI verbs
 class TestServerCli:
     def test_suite_stages_flag_threads_into_jobs(self, tmp_path):
@@ -1159,6 +959,16 @@ class TestServerCli:
         assert main(["remote-suite", "--gateways", "nonsense",
                      "--benchmarks", "brev", "--small", "--quiet"]) == 2
         assert "host:port" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["serve", "--port", "0", "--peer", "127.0.0.1:7878"], "--peer"),
+        (["mesh", "--gateway", "127.0.0.1:7877"], "'mesh'"),
+    ])
+    def test_deleted_mesh_cli_entry_points_exit_2(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
 
     def test_submit_cli_reports_unreachable_gateway(self, capsys):
         with socket.socket() as probe:
