@@ -117,11 +117,11 @@ class _KernelSource:
 
     def access(self, scope: _Scope, load: bool, width: int, address: str,
                value: str) -> None:
-        """One port-B access, indexing the BRAM storage directly when the
-        address is valid (loaded words are zero-extended, never wider
-        than 32 bits)."""
+        """One port-B access, indexing the BRAM storage or its word and
+        halfword views directly when the address is valid (loaded words
+        are zero-extended, never wider than 32 bits)."""
         for text in inline_access_source(
-                load, width, address, value, "mem",
+                load, width, address, value, "mem", "words", "halves",
                 "load" if load else "store", f"top{width}", "pb += 1"):
             self.line(scope, text)
 
@@ -215,10 +215,13 @@ def kernel_source(body) -> str:
     evaluates the register updates, then the stores in program order,
     then the continue condition, all against the registers at the start
     of the iteration, and only then commits the register updates
-    (registered semantics).  Memory is the data BRAM's port B: valid
-    accesses index its storage directly and are counted in a local that
-    is added to ``port_b_accesses`` on every exit; the rest go through
-    ``load_port_b`` / ``store_port_b``, which raise.
+    (registered semantics).  Memory is the data BRAM's port B: a valid
+    access indexes its storage (bytes) or its native-order ``word_view``
+    / ``half_view`` at the shifted address (words and halfwords; on a
+    big-endian host, a converted storage slice, see
+    :func:`~repro.microblaze.memory.inline_access_source`) and is counted
+    in a local that is added to ``port_b_accesses`` on every exit; the
+    rest go through ``load_port_b`` / ``store_port_b``, which raise.
     """
     emitter = _KernelSource()
     scope = _Scope(" " * 12, set())
@@ -245,6 +248,7 @@ def kernel_source(body) -> str:
     return "\n".join([
         "def _kernel(live_in, bram, max_iterations):",
         "    mem = bram.storage",
+        "    words, halves = bram.word_view, bram.half_view",
         "    load = bram.load_port_b",
         "    store = bram.store_port_b",
         "    top1, top2, top4 = bram.size - 1, bram.size - 2, bram.size - 4",

@@ -6,7 +6,8 @@ self-contained *body blocks* (straight-line arithmetic, nested bounded
 loops, data-dependent forward branches, delay-slot branch variants,
 ``imm``-prefixed 32-bit constants, masked BRAM loads/stores, OPB peripheral
 traffic, and — in the ``faulty`` profile — deliberately near-fault
-addressing; the ``loops`` profile instead builds single-block counted
+addressing and unconditional branches and calls whose delay slot cannot
+execute; the ``loops`` profile instead builds single-block counted
 loops, some faulting on a later iteration), and assembles prologue +
 blocks + a checksum epilogue through the ordinary
 :func:`repro.isa.assemble` path.  The same ``(seed, profile)``
@@ -26,7 +27,7 @@ Register conventions (chosen so blocks stay droppable):
 ``r5-r12``  work pool — every generated ALU/memory op targets these
 ``r15``   link register of generated ``brlid``/``rtsd`` call blocks
 ``r16``   constant 0, base register of immediate-form loads/stores
-``r17``   address scratch (masked effective addresses)
+``r17``   address scratch (masked effective addresses, branch targets)
 ``r18/r19``  outer/inner loop down-counters (``r19`` is the
           faulting address walk of a ``loops``-profile block)
 ========  ==========================================================
@@ -66,6 +67,9 @@ _INNER_COUNTER = 19
 _WALK_REG = 19
 #: Chance that a ``loops``-profile block faults on a later iteration.
 _LATE_FAULT_PROBABILITY = 0.1
+#: Chance that a ``faulty``-profile block starts with a branch or call
+#: whose delay slot cannot execute.
+_SLOT_FAULT_PROBABILITY = 0.2
 
 _COND_STEMS = ("beq", "bne", "blt", "ble", "bgt", "bge")
 
@@ -94,7 +98,9 @@ class GeneratorProfile:
         ("shift", 2), ("imm32", 1), ("load", 3), ("store", 3),
     )
     #: Use the byte-aligned mask for every access width, producing
-    #: misaligned word/half addresses — real, comparable faults.
+    #: misaligned word/half addresses — real, comparable faults — and
+    #: start some blocks with a delay slot that cannot execute
+    #: (``_SLOT_FAULT_PROBABILITY``).
     near_fault: bool = False
     #: Emit OPB peripheral reads/writes (the harness attaches a
     #: :class:`~repro.microblaze.opb.SimplePeripheral` at the OPB base).
@@ -143,7 +149,8 @@ PROFILES: Dict[str, GeneratorProfile] = {
         GeneratorProfile(
             name="faulty",
             description="near-fault addressing: misaligned word/half "
-                        "accesses raise real memory faults",
+                        "accesses raise real memory faults; unconditional "
+                        "branches and calls with an illegal delay slot",
             near_fault=True,
             weights=(("alu", 4), ("logical", 2), ("load", 6), ("store", 6)),
         ),
@@ -423,8 +430,39 @@ class _BlockBuilder:
                 self._one_op()
         self._loop_tail(_OUTER_COUNTER, loop)
 
+    def _slot_fault(self) -> None:
+        """An unconditional delay-slot branch or call whose slot cannot
+        execute on the default configuration: a branch, an ``imm`` prefix
+        or ``idiv`` (no divider).  A register-held target is, depending on
+        a work register, the word past the slot or the branch itself;
+        ``brlid`` always calls past the slot.  A branch to itself halts
+        without running its slot; every other form raises in the slot, a
+        call after writing its link register."""
+        mnemonic = self.rng.choice(("brd", "brad", "brld", "brald", "brlid"))
+        slot = self.rng.choice(("bri 8", f"imm {self.rng.randint(0, 65535)}",
+                                "idiv r5, r6, r7"))
+        branch, after = self._label("slotbr"), self._label("slotok")
+        target = self._reg(_ADDR_REG)
+        link = f"{self._reg(_LINK_REG)}, " if "l" in mnemonic else ""
+        if mnemonic == "brlid":
+            operand = after
+        else:
+            # 0 targets the branch itself; 8 lands past the slot.
+            self.emit(f"andi {target}, {self._reg(self._work())}, 8")
+            if mnemonic in ("brad", "brald"):
+                self.emit(f"addi {target}, {target}, {branch}")
+            operand = target
+        self.block.lines.append(f"{branch}:")
+        self.emit(f"{mnemonic} {link}{operand}")
+        self.emit(slot)
+        self.block.lines.append(f"{after}:")
+
     def build(self) -> _Block:
         profile = self.profile
+        # Emitted first, so that the first block's runs before any
+        # near-fault access can fault.
+        if profile.near_fault and self.rng.random() < _SLOT_FAULT_PROBABILITY:
+            self._slot_fault()
         if profile.self_loops:
             self._self_loop()
             return self.block

@@ -76,12 +76,22 @@ def _bram_to_plain(bram: BlockRAM) -> Dict:
     }
 
 
-def _restore_bram(bram: BlockRAM, plain: Dict, label: str) -> None:
+def _check_bram(bram: BlockRAM, plain: Dict, label: str) -> None:
     if bram.size != plain["size"]:
         raise CheckpointError(
             f"{label}: checkpoint holds {plain['size']} bytes but the target "
             f"BRAM has {bram.size}"
         )
+    if len(plain["data"]) != bram.size:
+        # The storage is rewritten in place and never resized (its word
+        # views pin it), so a short or long image cannot be restored.
+        raise CheckpointError(
+            f"{label}: checkpoint data holds {len(plain['data'])} bytes but "
+            f"its recorded size is {plain['size']}"
+        )
+
+
+def _restore_bram(bram: BlockRAM, plain: Dict) -> None:
     bram.storage[:] = plain["data"]
     bram.port_a_accesses = plain["port_a_accesses"]
     bram.port_b_accesses = plain["port_b_accesses"]
@@ -197,6 +207,8 @@ def restore_checkpoint(system: MicroBlazeSystem, blob: bytes) -> None:
             f"({config.describe()} vs {system.config.describe()})"
         )
 
+    _check_bram(system.instr_bram, payload["instr_bram"], "instr_bram")
+    _check_bram(system.data_bram, payload["data_bram"], "data_bram")
     recorded = {(entry["name"], entry["base_address"]): entry
                 for entry in payload["opb"]["peripherals"]}
     attached = {(p.name, p.base_address): p for p in system.opb.peripherals}
@@ -216,8 +228,8 @@ def restore_checkpoint(system: MicroBlazeSystem, blob: bytes) -> None:
                 f"instance does not implement restore_state()"
             )
 
-    _restore_bram(system.instr_bram, payload["instr_bram"], "instr_bram")
-    _restore_bram(system.data_bram, payload["data_bram"], "data_bram")
+    _restore_bram(system.instr_bram, payload["instr_bram"])
+    _restore_bram(system.data_bram, payload["data_bram"])
     system.i_lmb.reads, system.i_lmb.writes = payload["lmb"]["i"]
     system.d_lmb.reads, system.d_lmb.writes = payload["lmb"]["d"]
     system.opb.reads = payload["opb"]["reads"]

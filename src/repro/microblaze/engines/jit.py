@@ -39,10 +39,14 @@ Each program is translated once per process: a per-program translation
 table (``_CODE_CACHE.translations``) maps the instruction-BRAM digest, the
 configuration and the entry pc to the finished translation, so a fresh
 system running an already-seen program only replays the recorded fetches
-and binds closures.  Data-BRAM loads and stores index the BRAM storage
-directly when the address is valid and fall back to the checked
-:class:`~repro.microblaze.memory.BlockRAM` methods otherwise, which
-raise the interpreter's exact fault.
+and binds closures.  Data-BRAM loads and stores read and write the BRAM
+in place when the address is valid: a byte indexes its storage, a word
+or halfword its native-order ``word_view`` / ``half_view`` at the
+shifted address (on a big-endian host, where the views would read the
+words byte-swapped, a storage slice converted to and from an integer).
+Every other address falls back to the checked
+:class:`~repro.microblaze.memory.BlockRAM` methods, which raise the
+interpreter's exact fault.
 
 A data instruction's body is its opcode-table operator
 (:attr:`~repro.isa.instructions.OpSpec.op`) rendered by
@@ -254,7 +258,7 @@ def _backward_hook(guard: str, pc: int, target: str) -> List[str]:
 #: translation binds, see :func:`bind`.
 FACTORY_PARAMS = ("cpu, regs, cnt, bram_load, bram_store, opb_read, "
                   "opb_write, hooks, to_signed, signed_division, "
-                  "IllegalInstruction, dmem, dbram")
+                  "IllegalInstruction, dmem, dwords, dhalves, dbram")
 
 
 def compile_source(source: str, filename: str):
@@ -270,9 +274,9 @@ def bind(code, cpu):
     """Run a generated module's code object and call its ``_make``
     factory with ``cpu``'s state.
 
-    Register file, counter array, observer list and BRAM storage keep
-    their identity for the CPU's lifetime, so one bind lasts until the
-    engine invalidates the translation.
+    Register file, counter array, observer list, BRAM storage and its
+    word and halfword views keep their identity for the CPU's lifetime,
+    so one bind lasts until the engine invalidates the translation.
     """
     from ..cpu import IllegalInstruction
     namespace: Dict[str, object] = {}
@@ -284,7 +288,7 @@ def bind(code, cpu):
         opb.try_read if opb is not None else None,
         opb.try_write if opb is not None else None,
         cpu._observers, to_signed, signed_division, IllegalInstruction,
-        dbram.storage, dbram,
+        dbram.storage, dbram.word_view, dbram.half_view, dbram,
     )
 
 
@@ -609,7 +613,7 @@ class SourceBlockCompiler:
         # memory (faults and port counters) into a scratch local.
         value = (f"regs[{rd}]" if rd else "_v") if load else _r(rd)
         access = inline_access_source(
-            load, width, "_a", value, "dmem",
+            load, width, "_a", value, "dmem", "dwords", "dhalves",
             "bram_load" if load else "bram_store",
             str(self.cpu.data_bram.size - width),
             "dbram.port_a_accesses += 1")

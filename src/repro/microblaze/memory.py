@@ -16,12 +16,20 @@ so that contention between the processor and the WCLA can be studied.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 
 class MemoryError_(Exception):
     """Raised on out-of-range or misaligned memory accesses."""
+
+
+#: Whether the host stores words least significant byte first, so that
+#: :attr:`BlockRAM.word_view` and :attr:`BlockRAM.half_view` read the
+#: BRAM's little-endian words as they are.  :func:`inline_access_source`
+#: indexes those views only when this holds.
+LITTLE_ENDIAN_HOST = sys.byteorder == "little"
 
 
 class BlockRAM:
@@ -33,6 +41,12 @@ class BlockRAM:
         self.name = name
         self.size = size_bytes
         self.storage = bytearray(size_bytes)
+        #: Native-order views of ``storage`` as 32-bit words and 16-bit
+        #: halfwords (the trailing bytes that fill no whole item are left
+        #: out), which generated code indexes.  They pin ``storage``: it
+        #: can be rewritten in place but never resized.
+        self.word_view = memoryview(self.storage)[:size_bytes & ~3].cast("I")
+        self.half_view = memoryview(self.storage)[:size_bytes & ~1].cast("H")
         #: Number of accesses performed through port A (processor side).
         self.port_a_accesses = 0
         #: Number of accesses performed through port B (DPM / WCLA side).
@@ -128,18 +142,25 @@ class BlockRAM:
 
 
 def inline_access_source(load: bool, width: int, address: str, value: str,
-                         memory: str, checked: str, top: str,
-                         count: str) -> List[str]:
+                         memory: str, words: str, halves: str, checked: str,
+                         top: str, count: str) -> List[str]:
     """Source lines of one BRAM access that generated code runs inline.
 
     The jit engine (port A) and the generated WCLA kernels (port B)
     both emit their data-BRAM accesses through this helper.  An
-    address that :meth:`BlockRAM._check` accepts indexes ``memory`` (the
-    BRAM's ``storage``) directly and runs the ``count`` statement, which
-    keeps the port counter exact.  Every address ``_check`` rejects
-    (negative, past the end, misaligned) calls ``checked`` instead, the
-    BRAM's own method for that port, so the same :class:`MemoryError_`
-    fires at the same point.
+    address that :meth:`BlockRAM._check` accepts is read or written in
+    place and runs the ``count`` statement, which keeps the port counter
+    exact.  Every address ``_check`` rejects (negative, past the end,
+    misaligned) calls ``checked`` instead, the BRAM's own method for that
+    port, so the same :class:`MemoryError_` fires at the same point.
+
+    A byte indexes ``memory`` (the BRAM's ``storage``).  A word or
+    halfword indexes ``words`` or ``halves`` (its :attr:`~BlockRAM.word_view`
+    and :attr:`~BlockRAM.half_view`) at the address shifted right by two
+    or one; the guard has already proved it aligned and in range.  On a
+    big-endian host (:data:`LITTLE_ENDIAN_HOST` false) the views hold
+    byte-swapped words, so those widths convert a slice of ``memory``
+    with ``int.from_bytes`` / ``int.to_bytes`` instead.
 
     ``address`` is a local name or a literal (it is read more than once)
     and ``top`` the source of the highest valid address for ``width``
@@ -150,19 +171,17 @@ def inline_access_source(load: bool, width: int, address: str, value: str,
     guard = f"not 0 <= {address} <= {top}"
     if width > 1:
         guard = f"{address} & {width - 1} or {guard}"
-    span = f"{memory}[{address}:{address} + {width}]"
-    if load:
-        slow = f"{value} = {checked}({address}, {width})"
-        fast = f"{value} = {memory}[{address}]" if width == 1 else \
-            f'{value} = int.from_bytes({span}, "little")'
+    masked = value if width == 4 else f"({value}) & {(1 << 8 * width) - 1}"
+    if width == 1 or LITTLE_ENDIAN_HOST:
+        cell = {1: f"{memory}[{address}]", 2: f"{halves}[{address} >> 1]",
+                4: f"{words}[{address} >> 2]"}[width]
+        fast = f"{value} = {cell}" if load else f"{cell} = {masked}"
     else:
-        slow = f"{checked}({address}, {value}, {width})"
-        if width == 1:
-            fast = f"{memory}[{address}] = ({value}) & 255"
-        elif width == 2:
-            fast = f'{span} = (({value}) & 65535).to_bytes(2, "little")'
-        else:
-            fast = f'{span} = ({value}).to_bytes(4, "little")'
+        span = f"{memory}[{address}:{address} + {width}]"
+        fast = f'{value} = int.from_bytes({span}, "little")' if load \
+            else f'{span} = ({masked}).to_bytes({width}, "little")'
+    slow = f"{value} = {checked}({address}, {width})" if load \
+        else f"{checked}({address}, {value}, {width})"
     return [f"if {guard}:", f"    {slow}", "else:", f"    {fast}",
             f"    {count}"]
 

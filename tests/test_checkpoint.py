@@ -340,6 +340,39 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="configuration"):
             restore_checkpoint(other, blob)
 
+    @pytest.mark.parametrize("bram", ["instr_bram", "data_bram"])
+    @pytest.mark.parametrize("delta", [-4, 1], ids=["short", "long"])
+    def test_bram_data_length_mismatch_rejected_untouched(
+            self, bram, delta, compiled_small_programs):
+        """A BRAM image shorter or longer than its recorded size is
+        rejected, naming both lengths, before anything is written: the
+        target keeps its contents, and its storage keeps its size."""
+        import zlib
+
+        _, blob = _checkpoint_mid_run(compiled_small_programs["brev"],
+                                      "jit")
+        header = len(CHECKPOINT_MAGIC) + 2
+        payload = pickle.loads(zlib.decompress(blob[header:]))
+        plain = payload[bram]
+        plain["data"] = plain["data"][:delta] if delta < 0 \
+            else plain["data"] + bytes(delta)
+        tampered = blob[:header] + zlib.compress(pickle.dumps(payload))
+
+        target = MicroBlazeSystem(config=PAPER_CONFIG, engine="jit")
+        target.run(compiled_small_programs["matmul"])
+        before = (bytes(target.instr_bram.storage),
+                  bytes(target.data_bram.storage))
+        with pytest.raises(CheckpointError) as info:
+            restore_checkpoint(target, tampered)
+        message = str(info.value)
+        assert message.startswith(bram)
+        assert f"{plain['size'] + delta} bytes" in message
+        assert f"recorded size is {plain['size']}" in message
+        assert (bytes(target.instr_bram.storage),
+                bytes(target.data_bram.storage)) == before
+        for memory in (target.instr_bram, target.data_bram):
+            assert len(memory.storage) == memory.size
+
     @staticmethod
     def _blob_recording(program, deleted):
         """A mid-run checkpoint whose payload names the deleted engine

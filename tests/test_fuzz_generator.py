@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.fuzz import (
@@ -13,6 +15,7 @@ from repro.fuzz import (
     shrink,
 )
 from repro.fuzz.generator import DATA_WINDOW_BYTES
+from repro.fuzz.harness import check_program, observe
 from repro.microblaze import MicroBlazeSystem, PAPER_CONFIG
 from repro.microblaze.opb import OPB_BASE_ADDRESS, SimplePeripheral
 
@@ -62,6 +65,34 @@ class TestHalting:
                 raise
         else:
             assert system.cpu.halted
+
+
+class TestSlotFaults:
+    """The ``faulty`` profile starts some blocks with an unconditional
+    delay-slot branch or call whose slot cannot execute (a branch, an
+    ``imm`` or ``idiv`` without a divider).  Seeds 0-199 reach it from
+    every form, raising in the slot and, for a register-held branch to
+    itself, halting without running the slot; every engine matches the
+    interpreter on those runs in every compared field."""
+
+    def test_reached_forms_match_the_interpreter_exactly(self):
+        reached = set()
+        for seed in range(200):
+            first = re.search(r"Lb0_slotbr\d+:\n\s+(\w+)",
+                              generate_source(seed, "faulty"))
+            if first is None:
+                continue
+            program = generate_program(seed, "faulty")
+            reference = observe(program, "interp")
+            slot_fault = reference.outcome == "fault" \
+                and "IllegalInstruction" in reference.error
+            assert slot_fault or reference.outcome == "halted", seed
+            reached.add((first.group(1), reference.outcome))
+            verdict = check_program(program, seed=seed, profile="faulty")
+            assert verdict.divergences == [], seed
+        assert {form for form, _ in reached} \
+            == {"brd", "brad", "brld", "brald", "brlid"}
+        assert {outcome for _, outcome in reached} == {"fault", "halted"}
 
 
 class TestShrinking:

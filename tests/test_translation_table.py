@@ -12,8 +12,10 @@
   address, just past the end, misaligned and at a wrapped negative
   address, on two data-BRAM sizes, on every block engine in both
   statistics modes, against the interpreter's exception, message,
-  statistics and port counters; and the emitted guard itself against
-  ``BlockRAM``'s checked methods.
+  statistics and port counters; the emitted access itself, in both its
+  word-view and its big-endian slice rendering, against ``BlockRAM``'s
+  checked methods; and jit code reading contents that a checkpoint
+  restore or a second load wrote through the same views.
 
 No test depends on what earlier tests left in the table: each either
 warms it with a *different* program that shares entry pcs first or runs
@@ -23,6 +25,7 @@ an image no other test runs.
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
@@ -42,6 +45,7 @@ from repro.microblaze import (
     spawn_from_checkpoint,
 )
 from repro.microblaze.engines import _REGISTRY, register_engine
+from repro.microblaze import memory
 from repro.microblaze.memory import inline_access_source
 from repro.microblaze.engines.jit import (
     _CODE_CACHE,
@@ -432,16 +436,28 @@ def test_bram_boundaries_match_the_interpreter(data_kb, shape, op, engine):
     assert faults == len(addresses) - 1
 
 
+@pytest.mark.parametrize("little", [True, False], ids=["views", "slices"])
+@pytest.mark.parametrize("size", [14, 15, 16])
 @pytest.mark.parametrize("width", [1, 2, 4])
 @pytest.mark.parametrize("load", [True, False], ids=["load", "store"])
-def test_inline_access_source_mirrors_the_checked_methods(load, width):
+def test_inline_access_source_mirrors_the_checked_methods(
+        load, width, size, little, monkeypatch):
     """The emitted guard is exactly ``BlockRAM._check``, negative
-    addresses included (no generated caller can produce one today)."""
-    size = 16
+    addresses included (no generated caller can produce one today).
+    Both renderings of the fast path, the word and halfword views of a
+    little-endian host and the converted storage slices of a big-endian
+    one (forced here through the same switch), read and write what the
+    checked methods do, also at the last valid address of a BRAM whose
+    views leave its trailing bytes out."""
+    if little and sys.byteorder != "little":
+        pytest.skip("the views hold byte-swapped words on this host")
+    monkeypatch.setattr(memory, "LITTLE_ENDIAN_HOST", little)
     value = 0xA5C3_E1F7
     lines = inline_access_source(load, width, "a", "v" if load else "value",
-                                 "mem", "checked", "top",
+                                 "mem", "words", "halves", "checked", "top",
                                  "bram.port_a_accesses += 1")
+    views = {1: "mem[a]", 2: "halves[a >> 1]", 4: "words[a >> 2]"}
+    assert (views[width] in "\n".join(lines)) == (little or width == 1)
     for address in list(range(-2 * width, size + width)) + [0xFFFF_FFFC]:
         results = []
         for inline in (True, False):
@@ -451,7 +467,8 @@ def test_inline_access_source_mirrors_the_checked_methods(load, width):
             try:
                 if inline:
                     namespace = dict(a=address, value=value, v=None,
-                                     mem=bram.storage, checked=checked,
+                                     mem=bram.storage, words=bram.word_view,
+                                     halves=bram.half_view, checked=checked,
                                      top=size - width, bram=bram)
                     exec("\n".join(lines), namespace)
                     outcome = namespace["v"]
@@ -464,3 +481,61 @@ def test_inline_access_source_mirrors_the_checked_methods(load, width):
             results.append((outcome, bram.port_a_accesses,
                             bytes(bram.storage)))
         assert results[0] == results[1], address
+
+
+def _view_reader(word: int, half: int, byte: int):
+    """Loads a word, a halfword and a byte, returns their sum and stores
+    it back as a word and as a halfword."""
+    return assemble(f"""
+        .text
+        lwi  r5, r0, 0
+        lhui r6, r0, 4
+        lbui r7, r0, 6
+        add  r3, r5, r6
+        add  r3, r3, r7
+        swi  r3, r0, 8
+        shi  r3, r0, 12
+        bri  0
+        .data
+        .word {word}
+        .half {half}
+        .byte {byte}
+    """)
+
+
+def test_views_read_restored_and_reloaded_contents():
+    """A checkpoint restore and a second load rewrite the data BRAM in
+    place: jit code indexes the same word and halfword views and reads
+    the new contents, as the interpreter does."""
+    system = MicroBlazeSystem(config=PAPER_CONFIG, engine="jit")
+    bram = system.data_bram
+    words, halves = bram.word_view, bram.half_view
+
+    def check(result, reference, word, half, byte):
+        total = ((word + half + byte) & 0xFFFF_FFFF).to_bytes(4, "little")
+        assert result.return_value == int.from_bytes(total, "little")
+        assert result.data_image[8:14] == total + total[:2]
+        assert (result.stats, result.data_image) \
+            == (reference.stats, reference.data_image)
+        assert bram.word_view is words and bram.half_view is halves
+
+    def interp(program):
+        return MicroBlazeSystem(config=PAPER_CONFIG,
+                                engine="interp").run(program)
+
+    first = (0x0102_0304, 0x0506, 0x07)
+    check(system.run(_view_reader(*first)), interp(_view_reader(*first)),
+          *first)
+
+    restored = (0x8899_AABB, 0xCCDD, 0xEE)
+    source = MicroBlazeSystem(config=PAPER_CONFIG, engine="jit")
+    source.start(_view_reader(*restored))
+    assert not run_slice(source, 2)
+    blob = capture_checkpoint(source)
+    restore_checkpoint(system, blob)
+    check(system.resume(),
+          spawn_from_checkpoint(blob, engine="interp").resume(), *restored)
+
+    reloaded = (0xFFFF_FFFF, 0xFFFF, 0xFF)
+    system.load(_view_reader(*reloaded))
+    check(system.run(), interp(_view_reader(*reloaded)), *reloaded)
