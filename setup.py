@@ -1,9 +1,9 @@
-"""Setuptools shim.
+"""Setuptools packaging for the ``repro`` package.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so the package can be installed in editable mode on machines whose
-packaging toolchain predates PEP 660 editable wheels (e.g. offline
-environments without the ``wheel`` package):
+This file holds the project metadata.  It installs the package, or an
+editable copy of it, on machines whose packaging toolchain predates
+PEP 660 editable wheels (e.g. offline environments without the
+``wheel`` package):
 
     pip install -e . --no-use-pep517
     # or
@@ -18,12 +18,11 @@ setup(
     description=(
         "Warp processing for FPGA soft processor cores: a reproduction of "
         "Lysecky & Vahid, DATE 2005 — with a networked warp service "
-        "(WARPNET gateway, remote workers, persistent CAD artifact store)"
+        "(WARPNET gateway, worker pool, persistent CAD artifact store)"
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "networkx"],
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={
         "console_scripts": [

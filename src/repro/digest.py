@@ -5,9 +5,8 @@ Four subsystems need the *same* notion of a stable content digest:
 * the CAD flow's content addresses (:mod:`repro.cad.keys`) hash canonical
   text forms into per-stage keys;
 * the worker pool's content-affinity routing
-  (:meth:`repro.service.pool.WarpService._shard_index`) and the remote
-  backend's gateway routing (:class:`repro.server.client.RemoteWorkerBackend`)
-  map a job's content onto a shard/gateway index;
+  (:meth:`repro.service.pool.WarpService._shard_index`) maps a job's
+  content onto a shard index;
 * the persistent on-disk artifact store (:mod:`repro.server.store`) names
   its entry files after the same digests;
 * the jit's per-program translation table
@@ -16,8 +15,8 @@ Four subsystems need the *same* notion of a stable content digest:
 
 All of them must avoid the builtin ``hash()``: string hashing is salted
 per interpreter launch (``PYTHONHASHSEED``), so it is neither stable
-across processes (which would scatter a distributed sweep's cache
-affinity) nor across runs (which would make benchmark wall times random).
+across processes (which would scatter the pool's cache affinity) nor
+across runs (which would make benchmark wall times random).
 SHA-256 hex strings are stable everywhere and cheap at these sizes.
 """
 

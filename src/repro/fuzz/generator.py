@@ -49,8 +49,9 @@ DATA_WINDOW_BYTES = 512
 
 #: Address masks confining generated effective addresses to the data
 #: window, per access width.  The aligned masks guarantee fault-free
-#: accesses; the ``faulty`` profile uses the byte mask for every width, so
-#: word/half accesses hit misaligned addresses and raise real faults.
+#: accesses; the ``faulty`` profile uses the byte mask for a few accesses
+#: of every width, so some word/half accesses hit misaligned addresses and
+#: raise real faults.
 ALIGNED_MASKS = {"word": 0x1FC, "half": 0x1FE, "byte": 0x1FF}
 
 #: OPB register window exposed to generated programs (fits the default
@@ -70,6 +71,10 @@ _LATE_FAULT_PROBABILITY = 0.1
 #: Chance that a ``faulty``-profile block starts with a branch or call
 #: whose delay slot cannot execute.
 _SLOT_FAULT_PROBABILITY = 0.2
+#: Chance that a ``faulty``-profile access uses the byte mask instead of
+#: its width's aligned one.  Rare enough that most programs run past
+#: their first block before a misaligned access faults.
+_MISALIGNED_ACCESS_PROBABILITY = 1 / 8
 
 _COND_STEMS = ("beq", "bne", "blt", "ble", "bgt", "bge")
 
@@ -97,9 +102,10 @@ class GeneratorProfile:
         ("alu", 6), ("logical", 4), ("mul", 2), ("barrel", 2),
         ("shift", 2), ("imm32", 1), ("load", 3), ("store", 3),
     )
-    #: Use the byte-aligned mask for every access width, producing
-    #: misaligned word/half addresses — real, comparable faults — and
-    #: start some blocks with a delay slot that cannot execute
+    #: Use the byte-aligned mask for some accesses of every width
+    #: (``_MISALIGNED_ACCESS_PROBABILITY``), producing misaligned
+    #: word/half addresses — real, comparable faults — and start some
+    #: blocks with a delay slot that cannot execute
     #: (``_SLOT_FAULT_PROBABILITY``).
     near_fault: bool = False
     #: Emit OPB peripheral reads/writes (the harness attaches a
@@ -148,7 +154,7 @@ PROFILES: Dict[str, GeneratorProfile] = {
         ),
         GeneratorProfile(
             name="faulty",
-            description="near-fault addressing: misaligned word/half "
+            description="near-fault addressing: some misaligned word/half "
                         "accesses raise real memory faults; unconditional "
                         "branches and calls with an illegal delay slot",
             near_fault=True,
@@ -290,7 +296,10 @@ class _BlockBuilder:
         self.emit(f"li {self._reg(self._work())}, {value}")
 
     def _mask_for(self, width: str) -> int:
-        if self.profile.near_fault:
+        # Only near-fault profiles draw here, so every other profile's
+        # random stream (and thus its programs) is unaffected.
+        if self.profile.near_fault \
+                and self.rng.random() < _MISALIGNED_ACCESS_PROBABILITY:
             return ALIGNED_MASKS["byte"]
         return ALIGNED_MASKS[width]
 

@@ -1,11 +1,10 @@
 """Bounded, deterministic retry with exponential backoff and jitter.
 
-One policy object serves every retry loop in the stack (remote backend,
-gateway client, worker transient retries), so the retry discipline is
-uniform: retry *transient* faults only, a bounded number of times, with
-exponential backoff, deterministic seeded jitter, and — where the fault
-carries load information, like the gateway's ``busy`` reply — backoff
-scaled by how loaded the remote actually is.
+The policy object drives :class:`~repro.server.client.GatewayClient`'s
+retry loop: retry *transient* faults only, a bounded number of times,
+with exponential backoff, deterministic seeded jitter, and — where the
+fault carries load information, like the gateway's ``busy`` reply —
+backoff scaled by how loaded the gateway actually is.
 
 Determinism matters here for the same reason it does in the chaos plane:
 the differential harness replays a faulty run and expects the identical
@@ -67,7 +66,7 @@ class RetrySchedule:
         """Consume one attempt and return the backoff before the next.
 
         ``occupancy`` in [0, 1] stretches the wait up to 2x — the more
-        loaded the remote reports itself, the longer we stay away.
+        loaded the gateway reports itself, the longer we stay away.
         """
         policy = self.policy
         delay = min(policy.max_delay_s,
@@ -85,13 +84,8 @@ class RetrySchedule:
         sleep(self.next_delay(occupancy))
 
 
-#: Retry discipline for remote submissions: jobs are content-addressed
+#: Retry discipline for gateway submissions: jobs are content-addressed
 #: and deterministic, so re-submitting after an ambiguous failure is
 #: idempotent — the worst case is wasted work, never a wrong result.
 DEFAULT_REMOTE_POLICY = RetryPolicy(max_attempts=4, base_delay_s=0.05,
                                     max_delay_s=2.0, jitter=0.25)
-
-#: Retry discipline for in-process transient faults (chaos "error"
-#: kind): tight, no sleeping beyond a token backoff.
-DEFAULT_TRANSIENT_POLICY = RetryPolicy(max_attempts=2, base_delay_s=0.0,
-                                       max_delay_s=0.0, jitter=0.0)

@@ -1,4 +1,4 @@
-"""The networked warp service: gateway, wire protocol, clients, store.
+"""The networked warp service: gateway, wire protocol, client, store.
 
 PR 2 made warp processing a *service object*; this package makes it an
 actual **service**: a process you can start, submit jobs to over TCP,
@@ -12,28 +12,20 @@ and restart without losing its CAD work.
 * :mod:`~repro.server.gateway` — :class:`WarpGateway`, the asyncio
   server fronting a :class:`~repro.service.pool.WarpService` with
   admission control and 429-style backpressure.
-* :mod:`~repro.server.client` — :class:`GatewayClient` (blocking),
-  :class:`AsyncGatewayClient` (asyncio) and
-  :class:`RemoteWorkerBackend`, the ``worker_fn`` backend that lets a
-  local service fan jobs out to remote gateways with stable content
-  affinity.
+* :mod:`~repro.server.client` — :class:`GatewayClient`, the blocking
+  client for every verb, with an optional retry policy for transient
+  faults.
 * :mod:`~repro.server.store` — :class:`DiskArtifactStore`, the
   persistent content-addressed artifact tier under
   :class:`~repro.cad.CadArtifactCache`: atomic one-file-per-entry
   writes, ``flock`` cross-process safety, mtime-LRU size bounding, and
   loud schema versioning.
 
-CLI front ends: ``repro-warp serve`` / ``submit`` / ``remote-suite``
-(:mod:`repro.service.cli`).
+CLI front ends: ``repro-warp serve`` / ``submit`` / ``metrics`` /
+``top`` (:mod:`repro.service.cli`).
 """
 
-from .client import (
-    AsyncGatewayClient,
-    GatewayClient,
-    RemoteWorkerBackend,
-    close_pooled_clients,
-    parse_address,
-)
+from .client import GatewayClient, parse_address
 from .gateway import DEFAULT_QUEUE_LIMIT, WarpGateway, start_gateway_thread
 from .protocol import (
     GatewayBusyError,
@@ -55,10 +47,7 @@ from .store import (
 )
 
 __all__ = [
-    "AsyncGatewayClient",
     "GatewayClient",
-    "RemoteWorkerBackend",
-    "close_pooled_clients",
     "parse_address",
     "DEFAULT_QUEUE_LIMIT",
     "WarpGateway",

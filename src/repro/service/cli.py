@@ -26,13 +26,7 @@ batch execution and ``--client-quota`` caps per-client admission), ::
     repro-warp submit examples/service_jobs.json --gateway HOST:PORT
                       [--no-wait] [--out report.json]
 
-submits a job file to a running gateway, ::
-
-    repro-warp remote-suite --gateways H:P[,H:P...] [suite flags]
-
-runs the built-in sweep through remote gateways via the
-:class:`~repro.server.client.RemoteWorkerBackend` (one local relay shard
-per gateway, content-affinity routed), and the observability verbs ::
+submits a job file to a running gateway, and the observability verbs ::
 
     repro-warp metrics --gateway HOST:PORT [--prom] [--spans] [--out F]
     repro-warp top     --gateway HOST:PORT [--interval S] [--iterations N]
@@ -208,14 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "instead of retrying with backoff")
     output(submit)
 
-    remote = subparsers.add_parser(
-        "remote-suite", help="run the built-in sweep on remote gateways "
-                             "via the RemoteWorkerBackend")
-    remote.add_argument("--gateways", required=True,
-                        help="comma-separated gateway addresses host:port")
-    sweep_flags(remote)
-    output(remote)
-
     metrics_cmd = subparsers.add_parser(
         "metrics", help="scrape a running gateway's live telemetry "
                         "snapshot (metric families + trace spans)")
@@ -379,7 +365,7 @@ def _fuzz_jobs_from_args(args) -> List[WarpJob]:
 
     The seed range splits into contiguous shards (``--jobs``, defaulting
     to one per pool worker) so ``--workers N`` fans the campaign across
-    the pool — or across remote gateways via ``submit`` with a fuzz job
+    the pool — or onto a gateway's pool via ``submit`` with a fuzz job
     file.  Unknown engine names fail with exit code 2, matching
     ``suite --engines``.
     """
@@ -628,26 +614,6 @@ def _cmd_top(args) -> int:
         return 3
 
 
-def _cmd_remote_suite(args, jobs: List[WarpJob]) -> int:
-    from ..server.client import RemoteWorkerBackend
-
-    addresses = _split(args.gateways)
-    try:
-        backend = RemoteWorkerBackend(addresses)
-    except ValueError as error:
-        raise JobSpecError(str(error)) from error
-    # One local relay shard per gateway: the shard digest and the
-    # backend's gateway digest agree, so each shard talks to exactly one
-    # gateway and the gateways execute concurrently.
-    workers = len(addresses) if len(addresses) > 1 else 0
-    try:
-        with WarpService(workers=workers, worker_fn=backend) as service:
-            report = service.run(jobs)
-    finally:
-        backend.close()
-    return _emit_reports([report], args)
-
-
 # --------------------------------------------------------------------------- entry point
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
@@ -661,8 +627,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_metrics(args)
         if args.command == "top":
             return _cmd_top(args)
-        if args.command == "remote-suite":
-            return _cmd_remote_suite(args, _sweep_jobs_from_args(args))
         if args.command == "suite":
             jobs = _sweep_jobs_from_args(args)
             repeats = max(1, args.repeat)

@@ -280,7 +280,7 @@ class ServiceResult:
     #: Set on results fanned out from a deduplicated job: the name of the
     #: job whose execution produced these numbers.
     deduped_from: Optional[str] = None
-    #: Resilience accounting: transient-fault / crash / remote retries
+    #: Resilience accounting: transient-fault / crash retries
     #: absorbed while producing this result, and watchdog timeouts
     #: (``timeouts > 0`` with ``ok=True`` means this innocent job was
     #: re-run after a neighbour hung its shard).
@@ -423,7 +423,7 @@ class ServiceReport:
     @property
     def total_retries(self) -> int:
         """Retries absorbed across the batch (transient faults, crashed
-        or hung neighbours, remote resubmissions)."""
+        or hung neighbours)."""
         return self.metrics_totals()["resilience.retries"]
 
     @property

@@ -453,11 +453,11 @@ class WarpService:
                  artifact_cache: Optional[CadArtifactCache] = None,
                  worker_fn: Callable[[WarpJob], ServiceResult] = _worker_entry):
         """``worker_fn`` is the backend seam: any ``WarpJob ->
-        ServiceResult`` callable, picklable by reference (or by value, e.g.
-        :class:`repro.server.client.RemoteWorkerBackend`, which fans jobs
-        out to networked gateway processes).  With ``workers=0`` a custom
-        backend runs in-process, one job at a time; with ``workers>=1`` it
-        runs inside the content-affinity sharded pool."""
+        ServiceResult`` callable (tests substitute slow, crashing or
+        hanging fakes through it).  With ``workers=0`` a custom backend
+        runs in-process, one job at a time; with ``workers>=1`` it runs
+        inside the content-affinity sharded pool, so it must be picklable
+        by reference."""
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = serial in-process)")
         self.workers = workers
@@ -488,9 +488,7 @@ class WarpService:
         and therefore pool load balance and benchmark wall times — random
         per run.  ``dedup_key()`` is a tuple of strings/bools/ints and
         frozen dataclasses whose ``repr`` is deterministic and
-        field-ordered.  :class:`repro.server.client.RemoteWorkerBackend`
-        routes jobs to gateways with the same digest, so a pool of remote
-        shards keeps the same content affinity as a local one.
+        field-ordered.
         """
         return shard_index(repr(job.dedup_key()), self.workers)
 

@@ -38,7 +38,6 @@ from repro.microblaze.engines import engine_names
 from repro.retry import DEFAULT_REMOTE_POLICY, RetryPolicy
 from repro.server import DiskArtifactStore, GatewayClient, WarpGateway, \
     start_gateway_thread
-from repro.server.client import close_pooled_clients
 from repro.service import WarpJob, WarpService, execute_job
 
 
@@ -314,7 +313,6 @@ class TestDifferentialParity:
         finally:
             gateway.request_stop()
             thread.join(timeout=30)
-            close_pooled_clients()
         assert report.canonical() == baseline.canonical()
         assert plan.total_injections() == 2
 
@@ -331,7 +329,6 @@ class TestDifferentialParity:
         finally:
             gateway.request_stop()
             thread.join(timeout=30)
-            close_pooled_clients()
 
     def test_store_corruption_is_recomputed_not_propagated(self, tmp_path):
         """A corrupted disk entry is quarantined and the value recomputed;

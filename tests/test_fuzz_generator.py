@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -14,7 +15,12 @@ from repro.fuzz import (
     resolve_profile,
     shrink,
 )
-from repro.fuzz.generator import DATA_WINDOW_BYTES
+from repro.fuzz.generator import (
+    ALIGNED_MASKS,
+    DATA_WINDOW_BYTES,
+    _BlockBuilder,
+    _MISALIGNED_ACCESS_PROBABILITY,
+)
 from repro.fuzz.harness import check_program, observe
 from repro.microblaze import MicroBlazeSystem, PAPER_CONFIG
 from repro.microblaze.opb import OPB_BASE_ADDRESS, SimplePeripheral
@@ -93,6 +99,45 @@ class TestSlotFaults:
         assert {form for form, _ in reached} \
             == {"brd", "brad", "brld", "brald", "brlid"}
         assert {outcome for _, outcome in reached} == {"fault", "halted"}
+
+
+class TestMisalignedAccesses:
+    """The ``faulty`` profile gives only a few accesses the byte mask, so
+    most of its programs run past their first block before a misaligned
+    access faults; every other profile keeps its width's aligned mask and
+    draws nothing for it, leaving its random stream untouched."""
+
+    WIDTHS = ("word", "half", "byte") * 400
+
+    def test_aligned_profiles_never_draw_for_a_mask(self):
+        for name in profile_names():
+            profile = resolve_profile(name)
+            if profile.near_fault:
+                continue
+            rng = random.Random(7)
+            builder = _BlockBuilder(rng, profile, 0)
+            before = rng.getstate()
+            masks = [builder._mask_for(width) for width in self.WIDTHS]
+            assert rng.getstate() == before, name
+            assert masks == [ALIGNED_MASKS[width] for width in self.WIDTHS]
+
+    def test_faulty_misaligns_a_minority_of_accesses(self):
+        builder = _BlockBuilder(random.Random(7), resolve_profile("faulty"),
+                                0)
+        wide = [width for width in self.WIDTHS if width != "byte"]
+        misaligned = sum(builder._mask_for(width) == ALIGNED_MASKS["byte"]
+                         for width in wide)
+        share = misaligned / len(wide)
+        assert _MISALIGNED_ACCESS_PROBABILITY / 2 < share \
+            < _MISALIGNED_ACCESS_PROBABILITY * 2
+
+    def test_most_faulty_programs_outlive_a_misaligned_fault(self):
+        outcomes = [observe(generate_program(seed, "faulty"), "interp")
+                    for seed in range(40)]
+        misaligned = [o for o in outcomes if o.outcome == "fault"
+                      and "misaligned" in o.error]
+        assert 0 < len(misaligned) < len(outcomes) // 2
+        assert any(o.outcome == "halted" for o in outcomes)
 
 
 class TestShrinking:

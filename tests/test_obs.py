@@ -22,12 +22,7 @@ from repro.obs import (
     prometheus_text,
     spans_from_jsonl,
 )
-from repro.server import (
-    GatewayClient,
-    WarpGateway,
-    close_pooled_clients,
-    start_gateway_thread,
-)
+from repro.server import GatewayClient, WarpGateway, start_gateway_thread
 from repro.service import WarpJob, WarpService
 from repro.service.jobs import RESULT_METRIC_FIELDS, ServiceResult
 
@@ -42,7 +37,6 @@ def running_gateway(**kwargs):
     finally:
         gateway.request_stop()
         thread.join(timeout=30)
-        close_pooled_clients()
 
 
 def _jobs():

@@ -1,12 +1,11 @@
-"""The networked warp service: wire protocol, disk store, gateway, remote
-worker backend, and the server-side CLI verbs."""
+"""The networked warp service: wire protocol, disk store, gateway, gateway
+client, and the server-side CLI verbs."""
 
 from __future__ import annotations
 
 import contextlib
 import json
 import os
-import pickle
 import socket
 import threading
 import time
@@ -25,6 +24,7 @@ from repro.cad.keys import content_digest
 from repro.digest import digest_int, sha256_hex, shard_index
 from repro.fabric.architecture import FabricParameters, WclaParameters
 from repro.microblaze import PAPER_CONFIG
+from repro.retry import RetryPolicy, RetrySchedule
 from repro.server import (
     DiskArtifactStore,
     DiskStoreError,
@@ -35,11 +35,9 @@ from repro.server import (
     HandshakeError,
     ProtocolError,
     RemoteError,
-    RemoteWorkerBackend,
     STORE_MAGIC,
     STORE_SCHEMA_VERSION,
     WarpGateway,
-    close_pooled_clients,
     start_gateway_thread,
 )
 from repro.server import protocol
@@ -92,7 +90,7 @@ def _slow_worker(job):
 @contextlib.contextmanager
 def running_gateway(**kwargs):
     """A gateway on a daemon thread, bound to an ephemeral port, torn down
-    (and its pooled client connections dropped) on exit."""
+    on exit."""
     kwargs.setdefault("port", 0)
     gateway = WarpGateway(**kwargs)
     thread = start_gateway_thread(gateway)
@@ -101,7 +99,6 @@ def running_gateway(**kwargs):
     finally:
         gateway.request_stop()
         thread.join(timeout=30)
-        close_pooled_clients()
 
 
 # --------------------------------------------------------------------------- digests
@@ -642,60 +639,96 @@ class TestGateway:
                 assert stats["ok"] and "cache" in stats
 
 
-# ------------------------------------------------------------------ remote backend
-class TestRemoteWorkerBackend:
-    def test_serial_service_over_the_backend_is_identical(self):
-        """Acceptance: WarpService(worker_fn=RemoteWorkerBackend) over
-        localhost == the serial in-process path, result for result."""
-        jobs = _small_jobs()
-        with running_gateway(service=WarpService(
-                workers=0, artifact_cache=CadArtifactCache())) as gateway:
-            backend = RemoteWorkerBackend([gateway.address])
-            remote = WarpService(workers=0, worker_fn=backend).run(jobs)
-        local = WarpService(workers=0,
-                            artifact_cache=CadArtifactCache()).run(jobs)
-        assert remote.num_failed == 0
-        assert remote.mode == "serial"
-        _assert_results_identical(remote.results, local.results)
+# ------------------------------------------------------------------ client retry
+@pytest.fixture
+def round_trips(monkeypatch):
+    """Every request/reply attempt a :class:`GatewayClient` makes, as the
+    name of the error it raised (``None`` for a good reply)."""
+    log = []
+    once = GatewayClient._round_trip_once
 
-    def test_pooled_fan_out_across_two_gateways(self):
-        """workers=len(gateways): each local relay shard ships its content
-        partition to 'its' gateway; numbers match the serial path."""
-        jobs = [WarpJob(name="brev-s", benchmark="brev", small=True),
-                WarpJob(name="idct-s", benchmark="idct", small=True),
-                WarpJob(name="matmul-s", benchmark="matmul", small=True)]
-        with contextlib.ExitStack() as stack:
-            gateways = [
-                stack.enter_context(running_gateway(service=WarpService(
-                    workers=0, artifact_cache=CadArtifactCache())))
-                for _ in range(2)
-            ]
-            backend = RemoteWorkerBackend([gw.address for gw in gateways])
-            with WarpService(workers=2, worker_fn=backend) as service:
-                remote = service.run(jobs)
-        local = WarpService(workers=0,
-                            artifact_cache=CadArtifactCache()).run(jobs)
-        assert remote.num_failed == 0 and remote.mode == "pool"
-        _assert_results_identical(remote.results, local.results)
+    def counted(client, request):
+        try:
+            reply = once(client, request)
+        except Exception as error:
+            log.append(type(error).__name__)
+            raise
+        log.append(None)
+        return reply
 
-    def test_routing_is_stable_across_pickling(self):
-        backend = RemoteWorkerBackend([("127.0.0.1", 1), ("127.0.0.1", 2),
-                                       ("127.0.0.1", 3)])
-        clone = pickle.loads(pickle.dumps(backend))
-        for job in _small_jobs():
-            assert backend.address_for(job) == clone.address_for(job)
+    monkeypatch.setattr(GatewayClient, "_round_trip_once", counted)
+    return log
 
-    def test_dead_gateway_becomes_a_failed_result_not_a_crash(self):
-        # Bind-then-close guarantees a port nothing listens on.
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            dead_port = probe.getsockname()[1]
-        backend = RemoteWorkerBackend([("127.0.0.1", dead_port)],
-                                      timeout=5.0)
-        result = backend(WarpJob(name="j", benchmark="brev", small=True))
-        assert not result.ok
-        assert "remote gateway" in result.error
 
+def _fill_slow_queue(client):
+    """Occupy a ``queue_limit=2`` slow gateway with two pending jobs."""
+    client.submit([WarpJob(name=f"q{i}", benchmark="brev", small=True)
+                   for i in range(2)], wait=False)
+
+
+class TestClientRetry:
+    def test_busy_is_absorbed_until_the_queue_drains(self, round_trips):
+        retry = RetryPolicy(max_attempts=20, base_delay_s=0.05,
+                            max_delay_s=0.2)
+        slow_service = WarpService(workers=0, worker_fn=_slow_worker)
+        with running_gateway(queue_limit=2, service=slow_service) as gateway:
+            with GatewayClient(gateway.address, retry=retry) as client:
+                _fill_slow_queue(client)
+                round_trips.clear()
+                report = client.submit([WarpJob(name="late",
+                                                benchmark="brev",
+                                                small=True)])
+        assert report.num_failed == 0
+        assert [r.job_name for r in report.results] == ["late"]
+        *rejected, admitted = round_trips
+        assert rejected and set(rejected) == {"GatewayBusyError"}
+        assert admitted is None
+
+    def test_busy_beyond_the_budget_is_reraised_typed(self, round_trips,
+                                                      monkeypatch):
+        backoffs = []
+        backoff = RetrySchedule.backoff
+
+        def recorded(schedule, occupancy=0.0):
+            backoffs.append(occupancy)
+            backoff(schedule, occupancy)
+
+        monkeypatch.setattr(RetrySchedule, "backoff", recorded)
+        retry = RetryPolicy(max_attempts=2, base_delay_s=0.01,
+                            max_delay_s=0.01, jitter=0.0)
+        slow_service = WarpService(workers=0, worker_fn=_slow_worker)
+        with running_gateway(queue_limit=2, service=slow_service) as gateway:
+            with GatewayClient(gateway.address, retry=retry) as client:
+                _fill_slow_queue(client)
+                round_trips.clear()
+                with pytest.raises(GatewayBusyError) as excinfo:
+                    client.submit([WarpJob(name="late", benchmark="brev",
+                                           small=True)])
+        assert round_trips == ["GatewayBusyError"] * 3
+        # Each backoff is scaled by the occupancy the busy reply reported.
+        assert backoffs == [1.0, 1.0]
+        assert excinfo.value.queue_limit == 2
+        assert excinfo.value.occupancy() == 1.0
+
+    def test_draining_is_never_retried(self, round_trips):
+        retry = RetryPolicy(max_attempts=5, base_delay_s=0.01,
+                            max_delay_s=0.01)
+        slow_service = WarpService(workers=0, worker_fn=_slow_worker)
+        with running_gateway(service=slow_service) as gateway:
+            with GatewayClient(gateway.address) as client:
+                client.submit([WarpJob(name="inflight", benchmark="brev",
+                                       small=True)], wait=False)
+                client.shutdown()
+            with GatewayClient(gateway.address, retry=retry) as client:
+                round_trips.clear()
+                with pytest.raises(GatewayDrainingError):
+                    client.submit([WarpJob(name="late", benchmark="brev",
+                                           small=True)])
+        assert round_trips == ["GatewayDrainingError"]
+
+
+# ------------------------------------------------------------------ backend seam
+class TestBackendSeam:
     def test_backend_busy_rejection_is_reported_as_itself(self):
         """A typed busy rejection surfacing through the backend seam must
         not be mislabeled as a worker death."""
@@ -710,12 +743,6 @@ class TestRemoteWorkerBackend:
         assert "GatewayBusyError" in result.error
         assert "admission queue is full" in result.error
         assert "died" not in result.error
-
-    def test_backend_requires_addresses(self):
-        with pytest.raises(ValueError):
-            RemoteWorkerBackend([])
-        with pytest.raises(ValueError):
-            RemoteWorkerBackend(["no-port-here"])
 
 
 # ------------------------------------------------------------- priority aging
@@ -956,15 +983,13 @@ class TestServerCli:
         assert main(["submit", str(jobfile), "--gateway", "localhost",
                      "--quiet"]) == 2
         assert "host:port" in capsys.readouterr().err
-        assert main(["remote-suite", "--gateways", "nonsense",
-                     "--benchmarks", "brev", "--small", "--quiet"]) == 2
-        assert "host:port" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, named", [
         (["serve", "--port", "0", "--peer", "127.0.0.1:7878"], "--peer"),
         (["mesh", "--gateway", "127.0.0.1:7877"], "'mesh'"),
+        (["remote-suite", "--gateways", "127.0.0.1:7877"], "'remote-suite'"),
     ])
-    def test_deleted_mesh_cli_entry_points_exit_2(self, argv, named, capsys):
+    def test_deleted_cli_entry_points_exit_2(self, argv, named, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -979,13 +1004,6 @@ class TestServerCli:
                      "--gateway", f"127.0.0.1:{dead_port}", "--quiet"])
         assert code == 3
         assert "gateway" in capsys.readouterr().err
-
-    def test_remote_suite_cli(self):
-        with running_gateway(service=WarpService(
-                workers=0, artifact_cache=CadArtifactCache())) as gateway:
-            code = main(["remote-suite", "--gateways", gateway.address,
-                         "--benchmarks", "brev", "--small", "--quiet"])
-        assert code == 0
 
 
 # ------------------------------------------------------------------ gateway smoke
