@@ -13,17 +13,23 @@ Each stage declares exactly what it consumes in its content key:
 * ``implement`` — the routing digest plus the full WCLA (every timing
   constant shapes the clock estimate).
 
-``decompile`` and ``binary-update`` are uncacheable: both depend on the
-region's concrete byte addresses, which the content addresses deliberately
-exclude.
+* ``decompile`` — the region's two concrete byte addresses plus the
+  program text words between them: everything
+  :class:`~repro.decompile.symexec.SymbolicExecutor` reads.  Rejections
+  (:class:`~repro.decompile.symexec.DecompilationError`) are memoized as
+  negatives.
+
+``binary-update`` is uncacheable: it patches the program in place, at the
+region's concrete addresses.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from ..decompile.kernel import extract_kernel
-from ..decompile.symexec import decompile_region
+from ..decompile.symexec import DecompilationError, decompile_region
 from ..fabric.place import FabricCapacityError, place_kernel
 from ..fabric.route import PathfinderLiteRouter
 from ..fabric.implementation import implement_kernel
@@ -43,21 +49,52 @@ from .keys import canonical_body_form, canonical_wcla_form, content_digest
 class DecompileStage(FlowStage):
     """Symbolic execution of the critical region into a kernel descriptor.
 
-    Uncacheable: it reads the program text at the region's concrete
-    addresses.  It is also the gate — a kernel the WCLA cannot host
-    (no induction variable, irregular accesses) stops the flow here.
+    Keyed on the region's concrete addresses and the program text words
+    in ``[start_address, end_address]``, the only input symbolic
+    execution reads, so two programs sharing a loop's text at the same
+    addresses share its decompilation.  A region that cannot be
+    decompiled is memoized as a negative.  The stage is also the gate —
+    a kernel the WCLA cannot host (no induction variable, irregular
+    accesses) stops the flow here.
     """
 
     name = "decompile"
     # v2: a load after a store of the same iteration is rejected.
-    key_version = 2
+    # v3: the stage is keyed on the region's text.
+    key_version = 3
+    negative_exceptions = (DecompilationError,)
+
+    def content_key(self, context: FlowContext) -> Optional[str]:
+        region = context.region
+        text = context.program.text
+        # A word outside the text is where decompilation fails; it is
+        # keyed as such.
+        words = ",".join(
+            f"{text[address // 4]:x}" if 0 <= address // 4 < len(text)
+            else "-"
+            for address in range(region.start_address,
+                                 region.end_address + 4, 4))
+        return content_digest(self.cache_token(),
+                              f"start={region.start_address}",
+                              f"end={region.end_address}",
+                              f"text={words}")
 
     def compute(self, context: FlowContext):
         body = decompile_region(context.program.text, context.region)
         return body, extract_kernel(body)
 
     def install(self, context: FlowContext, value) -> None:
-        context.body, context.kernel = value
+        body, kernel = value
+        region = context.region
+        if body.region is not region:
+            # A cached decompilation carries the region, profile counts
+            # included, of the job that computed it: rebind this job's.
+            body = dataclasses.replace(body, region=region)
+            kernel = dataclasses.replace(kernel, region=region, body=body)
+        context.body, context.kernel = body, kernel
+
+    def revive_negative(self, marker: CapacityRejection) -> BaseException:
+        return DecompilationError(marker.message)
 
     def validate(self, context: FlowContext) -> None:
         if not context.kernel.partitionable:

@@ -10,7 +10,8 @@ Two pieces live here:
 * :class:`WclaPeripheral` — the on-chip-peripheral-bus face of the WCLA
   (Figure 2): the patched application writes the kernel's live-in registers
   into the peripheral's register file, pokes the start register, reads the
-  live-out registers back, and continues after the loop.  The peripheral
+  live-out registers back, and continues after the loop.  The generated
+  kernel reads and writes that register file itself.  The peripheral
   accumulates the hardware cycles and invocation counts that the warp
   execution model and the energy model consume.
 
@@ -206,19 +207,25 @@ def _certain(node: Node, defined: Set[int],
 
 
 def kernel_source(body) -> str:
-    """The source of ``_kernel(live_in, bram, max_iterations)`` for one
-    loop body (a :class:`~repro.decompile.symexec.SymbolicLoopBody`).
+    """The source of ``_kernel(rf, bram, max_iterations)`` for one loop
+    body (a :class:`~repro.decompile.symexec.SymbolicLoopBody`).
 
-    The function runs iterations until the continue condition fails and
-    returns ``(live_out, iterations)``, or ``(None, max_iterations)`` once
-    the budget is spent with the loop still running.  Each iteration
-    evaluates the register updates, then the stores in program order,
-    then the continue condition, all against the registers at the start
-    of the iteration, and only then commits the register updates
-    (registered semantics).  Memory is the data BRAM's port B: a valid
-    access indexes its storage (bytes) or its native-order ``word_view``
-    / ``half_view`` at the shifted address (words and halfwords; on a
-    big-endian host, a converted storage slice, see
+    ``rf`` is the WCLA's 32-entry register file
+    (:attr:`WclaPeripheral.register_file`).  The function reads the
+    body's live-in registers from it (a register the body reads without
+    declaring it live-in is 0: the invocation stub never writes it), runs
+    iterations until the continue condition fails, writes the registers
+    the loop updates back into ``rf`` and returns the iteration count.
+    Once ``max_iterations`` iterations have run with the loop still
+    going, it returns 0 and leaves ``rf`` untouched; so does a port-B
+    fault, which propagates.  Each iteration evaluates the register
+    updates, then the stores in program order, then the continue
+    condition, all against the registers at the start of the iteration,
+    and only then commits the register updates (registered semantics).
+    Memory is the data BRAM's port B: a valid access indexes its storage
+    (bytes) or its native-order ``word_view`` / ``half_view`` at the
+    shifted address (words and halfwords; on a big-endian host, a
+    converted storage slice, see
     :func:`~repro.microblaze.memory.inline_access_source`) and is counted
     in a local that is added to ``port_b_accesses`` on every exit; the
     rest go through ``load_port_b`` / ``store_port_b``, which raise.
@@ -241,12 +248,17 @@ def kernel_source(body) -> str:
         emitter.line(scope,
                      ", ".join(f"r{register}" for register, _ in updates)
                      + " = " + ", ".join(value for _, value in updates))
-    live_out = ", ".join(f"{register}: r{register}" for register, _ in updates)
-    prologue = [f"    r{register} = live_in.get({register}, 0) & {_M}"
+    live_in = body.live_in_registers
+    prologue = [f"    r{register} = rf[{register}] & {_M}"
+                if register in live_in else f"    r{register} = 0"
                 for register in sorted(emitter.registers)]
+    # Every generated value is an unsigned word, so live-outs commit
+    # unmasked.
+    live_out = [f"                rf[{register}] = r{register}"
+                for register, _ in updates]
     resets = [f"            {name} = -1" for name in emitter.sentinels]
     return "\n".join([
-        "def _kernel(live_in, bram, max_iterations):",
+        "def _kernel(rf, bram, max_iterations):",
         "    mem = bram.storage",
         "    words, halves = bram.word_view, bram.half_view",
         "    load = bram.load_port_b",
@@ -259,8 +271,9 @@ def kernel_source(body) -> str:
         *resets,
         *emitter.lines,
         "            if not keep:",
-        f"                return {{{live_out}}}, iteration",
-        "        return None, max_iterations",
+        *live_out,
+        "                return iteration",
+        "        return 0",
         "    finally:",
         "        bram.port_b_accesses += pb",
         "",
@@ -275,7 +288,8 @@ class WclaExecutionEngine:
     hardware loop: no per-node dispatch or call remains per iteration.
     The bytecode is shared process-wide through a source-keyed cache, and
     each translation is recorded in the code-generation accounting under
-    ``engine="wcla"``.
+    ``engine="wcla"``.  The implementation's per-invocation cycle
+    constants (pipeline fill, initiation interval) are read once, here.
     """
 
     def __init__(self, implementation: HardwareImplementation,
@@ -284,6 +298,8 @@ class WclaExecutionEngine:
         self.kernel = implementation.kernel
         self.body = implementation.kernel.body
         self.max_iterations = max_iterations_per_invocation
+        self.pipeline_fill_cycles = implementation.pipeline_fill_cycles
+        self.initiation_interval = implementation.initiation_interval
         start = time.perf_counter()
         source = kernel_source(self.body)
         code = _KERNEL_CODE_CACHE.get(source)
@@ -299,29 +315,29 @@ class WclaExecutionEngine:
 
     def execute(
         self,
-        live_in: Dict[int, int],
+        register_file: List[int],
         bram: BlockRAM,
-    ) -> Tuple[Dict[int, int], KernelInvocation]:
-        """Run the kernel until its continue condition fails.
+    ) -> Tuple[List[int], KernelInvocation]:
+        """Run one invocation: the kernel until its continue condition
+        fails.
 
-        ``live_in`` maps architectural register numbers to their values at
-        loop entry; the returned dictionary holds the values of every
-        register the loop writes, as of loop exit.  The kernel reads and
-        writes ``bram`` through its second port (the WCLA's data address
-        generator side).
+        The kernel reads its live-in registers from ``register_file``
+        (indexed by architectural register number) and, on a normal exit,
+        writes every register the loop updates back into it, as of loop
+        exit.  It reads and writes ``bram`` through its second port (the
+        WCLA's data address generator side).  Returns ``(register_file,
+        invocation)``; an exhausted iteration budget raises
+        :class:`HardwareExecutionError` with ``register_file`` unchanged.
         """
-        live_out, iterations = self._kernel(live_in, bram,
-                                            self.max_iterations)
-        if live_out is None:
+        iterations = self._kernel(register_file, bram, self.max_iterations)
+        if not iterations:
             raise HardwareExecutionError(
                 f"kernel at {self.kernel.region.start_address:#x} exceeded "
                 f"{self.max_iterations} iterations"
             )
-        invocation = KernelInvocation(
-            iterations=iterations,
-            hw_cycles=self.implementation.cycles_for_iterations(iterations),
-        )
-        return live_out, invocation
+        return register_file, KernelInvocation(
+            iterations, self.pipeline_fill_cycles
+            + iterations * self.initiation_interval)
 
 
 class WclaPeripheral:
@@ -340,6 +356,12 @@ class WclaPeripheral:
     0x88      total hardware cycles consumed so far (low 32 bits)
     0x8C      number of kernel invocations so far
     ========  ====================================================
+
+    A start write is one :meth:`WclaExecutionEngine.execute` call on
+    :attr:`register_file`, looked up through :attr:`engine` at that time
+    (a tracer or a test may substitute it).  The ``jit`` engine binds the
+    invocation stub's static accesses straight to :meth:`read` and
+    :meth:`write` (:meth:`~repro.microblaze.opb.OnChipPeripheralBus.resolve`).
     """
 
     CONTROL_OFFSET = 0x80
@@ -407,12 +429,8 @@ class WclaPeripheral:
 
     # ------------------------------------------------------------------- engine
     def _run_kernel(self) -> None:
-        kernel = self.implementation.kernel
-        live_in = {register: self.register_file[register]
-                   for register in kernel.live_in_registers}
-        live_out, invocation = self.engine.execute(live_in, self.data_bram)
-        for register, value in live_out.items():
-            self.register_file[register] = value & 0xFFFFFFFF
+        invocation = self.engine.execute(self.register_file,
+                                         self.data_bram)[1]
         self.invocations += 1
         self.total_iterations += invocation.iterations
         self.total_hw_cycles += invocation.hw_cycles

@@ -57,6 +57,9 @@ ALIGNED_MASKS = {"word": 0x1FC, "half": 0x1FE, "byte": 0x1FF}
 #: OPB register window exposed to generated programs (fits the default
 #: 4-register :class:`~repro.microblaze.opb.SimplePeripheral`).
 OPB_WINDOW_OFFSETS = (0, 4, 8, 12)
+#: Offsets just past that window: no peripheral owns them, so an access
+#: falls through to the data BRAM and faults.
+OPB_UNMAPPED_OFFSETS = (16, 20, 24, 28)
 
 _WORK_REGS = tuple(range(5, 13))
 _CHECKSUM_REG = 3
@@ -75,6 +78,10 @@ _SLOT_FAULT_PROBABILITY = 0.2
 #: its width's aligned one.  Rare enough that most programs run past
 #: their first block before a misaligned access faults.
 _MISALIGNED_ACCESS_PROBABILITY = 1 / 8
+#: Chance that an OPB access goes to a static address past the
+#: peripheral window (:data:`OPB_UNMAPPED_OFFSETS`).  Rare enough that
+#: most programs end without that fault.
+_UNMAPPED_OPB_PROBABILITY = 1 / 64
 
 _COND_STEMS = ("beq", "bne", "blt", "ble", "bgt", "bge")
 
@@ -111,6 +118,9 @@ class GeneratorProfile:
     #: Emit OPB peripheral reads/writes (the harness attaches a
     #: :class:`~repro.microblaze.opb.SimplePeripheral` at the OPB base).
     opb_traffic: bool = False
+    #: Send a few OPB accesses (``_UNMAPPED_OPB_PROBABILITY``) to a static
+    #: address past the peripheral window, where they fault.
+    opb_faults: bool = False
     #: Every body block is one counted loop without internal branches,
     #: so its body is a single superblock that branches back to its own
     #: entry (a self-loop).
@@ -175,8 +185,11 @@ PROFILES: Dict[str, GeneratorProfile] = {
         ),
         GeneratorProfile(
             name="opb",
-            description="peripheral-bus traffic interleaved with BRAM work",
+            description="peripheral-bus traffic interleaved with BRAM "
+                        "work: decoded, static and register-computed "
+                        "addresses, a few unmapped",
             opb_traffic=True,
+            opb_faults=True,
             weights=(("alu", 4), ("logical", 2), ("load", 3), ("store", 3),
                      ("opb_load", 3), ("opb_store", 3)),
         ),
@@ -332,15 +345,36 @@ class _BlockBuilder:
                       f"{self._reg(_ZERO_BASE_REG)}, {offset}")
 
     def _op_opb(self, store: bool) -> None:
+        """One peripheral access, in one of four address shapes: the
+        address register plus the zero base register (an address the jit
+        decodes per access, ``r16`` being set outside the block), a
+        static address (base and immediate offset set in the block, which
+        the jit binds to the owning peripheral), a register-computed
+        offset, and — in ``opb_faults`` profiles — rarely a static
+        address no peripheral owns."""
         from ..microblaze.opb import OPB_BASE_ADDRESS
-        address = OPB_BASE_ADDRESS + self.rng.choice(OPB_WINDOW_OFFSETS)
-        self.emit(f"li {self._reg(_ADDR_REG)}, {address}")
-        if store:
-            self.emit(f"sw {self._reg(self._work())}, "
-                      f"{self._reg(_ADDR_REG)}, {self._reg(_ZERO_BASE_REG)}")
+        mnemonic = "sw" if store else "lw"
+        value = self._reg(self._work())
+        base = self._reg(_ADDR_REG)
+        shape = self.rng.random()
+        if self.profile.opb_faults and shape < _UNMAPPED_OPB_PROBABILITY:
+            self.emit(f"li {base}, {OPB_BASE_ADDRESS}")
+            self.emit(f"{mnemonic}i {value}, {base}, "
+                      f"{self.rng.choice(OPB_UNMAPPED_OFFSETS)}")
+            return
+        offset = self.rng.choice(OPB_WINDOW_OFFSETS)
+        if shape < 0.4:
+            self.emit(f"li {base}, {OPB_BASE_ADDRESS + offset}")
+            self.emit(f"{mnemonic} {value}, {base}, "
+                      f"{self._reg(_ZERO_BASE_REG)}")
+        elif shape < 0.7:
+            self.emit(f"li {base}, {OPB_BASE_ADDRESS}")
+            self.emit(f"{mnemonic}i {value}, {base}, {offset}")
         else:
-            self.emit(f"lw {self._reg(self._work())}, "
-                      f"{self._reg(_ADDR_REG)}, {self._reg(_ZERO_BASE_REG)}")
+            index = self._reg(self._work())
+            self.emit(f"andi {index}, {self._reg(self._work())}, 12")
+            self.emit(f"li {base}, {OPB_BASE_ADDRESS}")
+            self.emit(f"{mnemonic} {value}, {base}, {index}")
 
     def _delay_op(self) -> None:
         """Exactly one single-word instruction, safe in a delay slot (a

@@ -73,6 +73,22 @@ so the pc is its target.  The one difference left on a faulted run is
 the instruction-fetch port: the translation fetched the block's words
 past the fault point.
 
+An OPB load or store decodes its address per access through the bus
+(``try_read`` / ``try_write``), unless its address is static: the
+emitter tracks block-local constants (a register set from constants and
+not rewritten since; a load, a divide, a call's link write or a result
+from any unknown operand forgets it), and a static address at or above
+``OPB_BASE_ADDRESS`` is resolved to its owner's bound ``read`` /
+``write`` and offset by the generated factory, i.e. when the block is
+bound to a CPU — never at translation time, because the translation
+table is shared by systems with different peripheral instances.  The
+resolved access counts the bus's ``reads`` / ``writes`` and masks
+exactly as ``try_read`` / ``try_write`` do, then records the same
+penalty counters; an address no peripheral owned at bind time keeps the
+per-access decode, so it faults as before and reaches a peripheral
+attached later.  This is what makes a WCLA invocation stub (live-in
+writes, start write, live-out reads off one constant base) cheap.
+
 OPB peripheral time is batched: one ``tick(n)`` per block for opted-in
 peripherals, dropping to interpreter granularity when a declared tick
 deadline falls inside the block, so timed device models never observe a
@@ -90,7 +106,7 @@ from ...caching import BoundedLRU
 from ...isa.encoding import EncodingError
 from ...isa.instructions import Instruction, InstrClass
 from ...isa.registers import WORD_MASK, to_signed
-from ...isa.semantics import fuse_imm, relation_source, source
+from ...isa.semantics import BINARY, UNARY, fuse_imm, relation_source, source
 from ..engine import (
     CLASS_INDEX,
     CNT_BRANCHES_NOT_TAKEN,
@@ -255,10 +271,12 @@ def _backward_hook(guard: str, pc: int, target: str) -> List[str]:
 
 
 #: Parameter list of every generated factory ``_make``: the CPU state a
-#: translation binds, see :func:`bind`.
+#: translation binds, see :func:`bind`.  ``opb`` is the peripheral bus
+#: itself: the factory resolves the block's static OPB addresses through
+#: it, and the resolved accesses count its ``reads`` and ``writes``.
 FACTORY_PARAMS = ("cpu, regs, cnt, bram_load, bram_store, opb_read, "
                   "opb_write, hooks, to_signed, signed_division, "
-                  "IllegalInstruction, dmem, dwords, dhalves, dbram")
+                  "IllegalInstruction, dmem, dwords, dhalves, dbram, opb")
 
 
 def compile_source(source: str, filename: str):
@@ -276,7 +294,12 @@ def bind(code, cpu):
 
     Register file, counter array, observer list, BRAM storage and its
     word and halfword views keep their identity for the CPU's lifetime,
-    so one bind lasts until the engine invalidates the translation.
+    so one bind lasts until the engine invalidates the translation.  The
+    factory also resolves each static OPB address of the block to the
+    bound ``read``/``write`` of the peripheral owning it on *this* bus
+    (:meth:`~repro.microblaze.opb.OnChipPeripheralBus.resolve`); an
+    address no peripheral owns yet stays on the per-access decode, so a
+    peripheral attached after the bind is still reached.
     """
     from ..cpu import IllegalInstruction
     namespace: Dict[str, object] = {}
@@ -288,7 +311,7 @@ def bind(code, cpu):
         opb.try_read if opb is not None else None,
         opb.try_write if opb is not None else None,
         cpu._observers, to_signed, signed_division, IllegalInstruction,
-        dbram.storage, dbram.word_view, dbram.half_view, dbram,
+        dbram.storage, dbram.word_view, dbram.half_view, dbram, opb,
     )
 
 
@@ -307,6 +330,12 @@ class SourceBlockCompiler:
         #: ``(body line index, pc, imm latch, block deltas before)`` per
         #: instruction; ``None`` while translating.
         self._points: Optional[List[tuple]] = None
+        #: Block-local constants of the translation in progress: the
+        #: registers set from constants and not rewritten since.
+        self._known: Dict[int, int] = {}
+        #: The block's static OPB accesses, ``(address, write)`` -> the
+        #: index of the factory locals its resolution binds.
+        self._bound: Dict[Tuple[int, bool], int] = {}
 
     # ------------------------------------------------------------------ entry
     def compile_block(self, entry: int) -> JitBlock:
@@ -411,6 +440,8 @@ class SourceBlockCompiler:
         # The pc a fault in the terminator's lines leaves; ``None`` for a
         # raiser, which sets cpu.pc itself.
         fault_pc: Optional[int] = None
+        self._known = {}
+        self._bound = {}
 
         while True:
             end = pc
@@ -465,6 +496,7 @@ class SourceBlockCompiler:
             if points is not None:
                 points.append((len(lines), pc, pending_imm, list(deltas)))
             lines += self._straightline(instr, pending_imm)
+            self._track(instr, pending_imm)
             self._delta(deltas, klass, cycles)
             if klass is InstrClass.LOAD:
                 deltas[CNT_LOADS] += 1
@@ -520,6 +552,48 @@ class SourceBlockCompiler:
         ci = CLASS_INDEX[klass]
         deltas[CNT_CLASS_COUNT + ci] += 1
         deltas[CNT_CLASS_CYCLES + ci] += cycles
+
+    def _track(self, instr: Instruction,
+               pending_imm: Optional[int]) -> None:
+        """Fold one straight-line instruction into the block-local
+        constants: a result computed from constants is known, and a load,
+        a divide or a result from any unknown operand is not."""
+        rd = instr.rd
+        klass = instr.klass
+        if not rd or klass is InstrClass.STORE:
+            return
+        known = self._known
+        op = instr.spec.op
+        value = None
+        if klass is not InstrClass.LOAD and op is not None:
+            operands = {"ra": 0 if instr.ra == 0 else known.get(instr.ra),
+                        "rb": 0 if instr.rb == 0 else known.get(instr.rb),
+                        1: 1,
+                        "imm": fuse_imm(pending_imm, instr.imm) & _M,
+                        "imm5": instr.imm & 31}
+            kind, *sources = op
+            args = [operands[name] for name in sources]
+            if None not in args:
+                value = (UNARY[kind] if len(args) == 1 else BINARY[kind])(
+                    *args)
+        if value is None:
+            known.pop(rd, None)
+        else:
+            known[rd] = value
+
+    def _static_address(self, instr: Instruction,
+                        pending_imm: Optional[int]) -> Optional[int]:
+        """The address of a load or store whose base and offset are
+        block-local constants, ``None`` otherwise."""
+        known = self._known
+        base = 0 if instr.ra == 0 else known.get(instr.ra)
+        if instr.spec.fmt.value == "A":
+            offset = 0 if instr.rb == 0 else known.get(instr.rb)
+        else:
+            offset = fuse_imm(pending_imm, instr.imm)
+        if base is None or offset is None:
+            return None
+        return (base + offset) & _M
 
     @staticmethod
     def _count(klass: InstrClass, cycles, extra: str = "") -> List[str]:
@@ -631,8 +705,14 @@ class SourceBlockCompiler:
                 lines.append(f"_cycles += {base}")
             return lines
 
+        # The dynamic OPB penalty: a slot adds it to its own cycle local,
+        # every other access to the block's counters.
         if slot:
-            lines.append(f"_c = {base}")
+            penalty = [f"_c += {extra}", f"cnt[{port_counter}] += 1"]
+        else:
+            penalty = [f"cnt[{CNT_CYCLES}] += {extra}",
+                       f"cnt[{CNT_CLASS_CYCLES + ci}] += {extra}",
+                       f"cnt[{port_counter}] += 1"]
         # One bus call decodes the address and accesses the peripheral.
         if not load:
             access_opb = f"opb_write(_a, {value})"
@@ -643,23 +723,39 @@ class SourceBlockCompiler:
         lines.append(f"if _a >= {OPB_BASE_ADDRESS} and {access_opb}:")
         if load and rd:
             lines.append(f"    {value} = _o")
+        lines += ["    " + line for line in penalty]
+        lines.append("else:")
+        lines += ["    " + line for line in access]
+
+        address = self._static_address(instr, pending_imm)
+        if address is not None and address >= OPB_BASE_ADDRESS:
+            lines = self._bound_access(address, load, value, penalty, lines)
         if slot:
-            lines += [f"    _c += {extra}",
-                      f"    cnt[{port_counter}] += 1",
-                      "else:"]
-            lines += ["    " + line for line in access]
+            lines.insert(0, f"_c = {base}")
             lines += self._count(klass, "_c", extra=f"cnt[{scalar}] += 1")
             lines.append("_cycles += _c")
-            return lines
-
-        # Block-constant statistics: only the dynamic OPB penalty is
-        # recorded inline.
-        lines += [f"    cnt[{CNT_CYCLES}] += {extra}",
-                  f"    cnt[{CNT_CLASS_CYCLES + ci}] += {extra}",
-                  f"    cnt[{port_counter}] += 1",
-                  "else:"]
-        lines += ["    " + line for line in access]
         return lines
+
+    def _bound_access(self, address: int, load: bool, value: str,
+                      penalty: List[str], generic: List[str]) -> List[str]:
+        """A static OPB access: the owner's bound ``read``/``write`` at the
+        offset the factory resolved (``_b<k>``, ``_f<k>``), with
+        :meth:`~repro.microblaze.opb.OnChipPeripheralBus.try_read` /
+        ``try_write``'s counter and mask, or the ``generic`` lines when
+        no peripheral owned the address at bind time."""
+        key = (address, not load)
+        index = self._bound.setdefault(key, len(self._bound))
+        call, offset = f"_b{index}", f"_f{index}"
+        if load:
+            counter = "opb.reads += 1"
+            access = f"{value} = {call}({offset}) & {_M}"
+        else:
+            counter = "opb.writes += 1"
+            access = f"{call}({offset}, {value} & {_M})"
+        return ([f"if {call} is not None:", f"    {counter}",
+                 f"    {access}"]
+                + ["    " + line for line in penalty] + ["else:"]
+                + ["    " + line for line in generic])
 
     # ------------------------------------------------------------ terminators
     def _terminator(self, pc: int, instr: Instruction,
@@ -683,6 +779,9 @@ class SourceBlockCompiler:
         uncond = instr.klass is InstrClass.BRANCH_UNCOND
         target = self._static_target(pc, instr, pending_imm)
         dynamic_halt = uncond and target is None
+        if instr.klass is InstrClass.CALL:
+            # The link register is written before the slot runs.
+            self._known.pop(instr.rd, None)
         if instr.has_delay_slot and not (uncond and target == pc):
             end = pc + 4
             try:
@@ -890,14 +989,20 @@ class SourceBlockCompiler:
                                                     return_expr)
         indented = "\n".join("        " + line
                              for line in header + lines + footer)
+        # The factory resolves the static OPB addresses once per bind.
+        prologue = "".join(
+            f"    _b{index}, _f{index} = opb.resolve({address}, {write})\n"
+            for (address, write), index in self._bound.items())
         source = (
             f"def _make({FACTORY_PARAMS}):\n"
+            f"{prologue}"
             "    def _block(_limit):\n"
             f"{indented}\n"
             "    return _block\n"
         )
-        # Line 1 defines the factory, line 2 the block.
-        return n, end, static_cycles, source, 3 + len(header)
+        # Line 1 defines the factory, then its prologue, then the block.
+        return (n, end, static_cycles, source,
+                3 + len(self._bound) + len(header))
 
     @staticmethod
     def _self_loop(deltas: List[int], lines: List[str], until: str,

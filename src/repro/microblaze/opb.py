@@ -13,7 +13,7 @@ accesses, which the processor timing model charges through the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 #: Base of the OPB address window in the data address space.  Everything the
 #: processor loads or stores at or above this address is an OPB transaction.
@@ -146,6 +146,25 @@ class OnChipPeripheralBus:
             if peripheral.base_address <= address < peripheral.base_address + peripheral.window_size:
                 return peripheral
         return None
+
+    def resolve(self, address: int,
+                write: bool) -> Tuple[Optional[Callable], int]:
+        """The bound ``write`` (or ``read``) of the peripheral owning
+        ``address`` and the offset within its window, or ``(None, 0)``
+        when no peripheral owns it.
+
+        An owned address keeps its owner: windows never overlap and a
+        peripheral is never detached.  So the jit resolves a block's
+        static addresses once, when it binds the block, and calls the
+        owner directly with :meth:`try_read` / :meth:`try_write`'s
+        counter update and mask; an unowned address keeps the
+        per-access decode.
+        """
+        peripheral = self._find(address)
+        if peripheral is None:
+            return None, 0
+        access = peripheral.write if write else peripheral.read
+        return access, address - peripheral.base_address
 
     def try_read(self, address: int) -> Optional[int]:
         """The word at ``address``, or ``None`` when no peripheral owns

@@ -250,6 +250,73 @@ class TestCapacityRejectionMemoization:
         assert repeat.stage_cache["place"] == "negative-hit"
 
 
+# --------------------------------------------------------------------------- decompile key
+_TRIPS_TEMPLATE = """
+int n = %d;
+int a[64];
+int main() {
+    int i; int s;
+    s = 0;
+    for (i = 0; i < n; i = i + 1) { %s }
+    return s + a[5];
+}
+"""
+
+
+def _trips_program(trips, body="s = s + a[i] + i;"):
+    """A program whose text does not depend on ``trips``: the trip count
+    is a global, so it lives in the data image only."""
+    from repro.compiler import compile_to_program
+    return compile_to_program(_TRIPS_TEMPLATE % (trips, body),
+                              name=f"trips{trips}", config=PAPER_CONFIG)
+
+
+class TestDecompileKey:
+    def test_same_loop_text_hits_and_keeps_its_own_profile(self):
+        """Two programs with the same loop text at the same addresses but
+        different trip counts share the decompilation; each job's kernel
+        and body carry its own region and profile counts."""
+        cache = CadArtifactCache()
+        first_program, second_program = _trips_program(20), _trips_program(50)
+        assert first_program.text == second_program.text
+        first = WarpProcessor(config=PAPER_CONFIG,
+                              artifact_cache=cache).run(first_program)
+        second = WarpProcessor(config=PAPER_CONFIG,
+                               artifact_cache=cache).run(second_program)
+        assert _sources(first.partitioning)["decompile"] == "miss"
+        assert _sources(second.partitioning)["decompile"] == "hit"
+        for result, trips in ((first, 20), (second, 50)):
+            outcome = result.partitioning
+            assert outcome.success and result.checksums_match
+            assert outcome.region.frequency == trips
+            assert outcome.kernel.region is outcome.region
+            assert outcome.kernel.body.region is outcome.region
+        assert second.hw_iterations == 50 and first.hw_iterations == 20
+        assert second.partitioning.kernel.body.register_updates \
+            is first.partitioning.kernel.body.register_updates
+
+    def test_changed_loop_text_misses(self):
+        cache = CadArtifactCache()
+        WarpProcessor(config=PAPER_CONFIG, artifact_cache=cache).run(
+            _trips_program(20))
+        other = WarpProcessor(config=PAPER_CONFIG, artifact_cache=cache).run(
+            _trips_program(20, body="s = s + a[i] - i;"))
+        assert other.partitioning.success
+        assert _sources(other.partitioning)["decompile"] == "miss"
+
+    def test_decompilation_errors_are_memoized_as_negatives(self):
+        cache = CadArtifactCache()
+        body = "a[i] = i + 3; s = s + i;"
+        outcomes = [WarpProcessor(config=PAPER_CONFIG, artifact_cache=cache)
+                    .run(_trips_program(trips, body)).partitioning
+                    for trips in (20, 50)]
+        reason = "decompilation failed: load after store in one iteration"
+        assert [outcome.reason for outcome in outcomes] == [reason, reason]
+        assert [_sources(outcome) for outcome in outcomes] == [
+            {"decompile": "miss"}, {"decompile": "negative-hit"}]
+        assert cache.negative_hits == 1
+
+
 # --------------------------------------------------------------------------- pluggable stages
 class TestPluggableStages:
     def test_greedy_router_swaps_in_and_keeps_functionality(self, profiled):
@@ -340,7 +407,8 @@ class TestServiceStageSurface:
         assert result.ok and result.partitioned
         assert set(result.stage_wall_ms) == set(DEFAULT_STAGE_NAMES)
         assert result.stage_cache["synthesis"] == "miss"
-        assert result.stage_cache["decompile"] == "uncached"
+        assert result.stage_cache["decompile"] == "miss"
+        assert result.stage_cache["binary-update"] == "uncached"
 
         report = ServiceReport(results=[result])
         table = report.stage_table()

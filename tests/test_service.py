@@ -208,12 +208,12 @@ class TestArtifactCache:
                               artifact_cache=cache).run(program.copy())
         assert first.partitioning.success
         assert not first.partitioning.cad_cache_hit
-        assert _hits_misses(cache) == (0, 4)  # the four keyed CAD stages
+        assert _hits_misses(cache) == (0, 5)  # the five keyed CAD stages
 
         second = WarpProcessor(config=PAPER_CONFIG,
                                artifact_cache=cache).run(program.copy())
         assert second.partitioning.cad_cache_hit
-        assert _hits_misses(cache) == (4, 4)
+        assert _hits_misses(cache) == (5, 5)
         # Served from cache, yet numerically identical.
         assert second.speedup == first.speedup
         assert second.partitioning.synthesis is first.partitioning.synthesis
@@ -234,7 +234,7 @@ class TestArtifactCache:
         result = WarpProcessor(config=PAPER_CONFIG,
                                artifact_cache=cache).run(program.copy())
         assert not result.partitioning.cad_cache_hit
-        assert _hits_misses(cache) == (0, 4)
+        assert _hits_misses(cache) == (0, 5)
 
 
 # --------------------------------------------------------------------------- execution
@@ -521,5 +521,5 @@ class TestMultiprocessorSharedCache:
         assert all(core.partitioning.success for core in result.per_core)
         assert not result.per_core[0].partitioning.cad_cache_hit
         assert result.per_core[1].partitioning.cad_cache_hit
-        assert _hits_misses(cache) == (4, 4)
+        assert _hits_misses(cache) == (5, 5)
         assert result.per_core[0].speedup == result.per_core[1].speedup

@@ -7,8 +7,9 @@ small reference loop written here on top of
 
 * **Differential over the suite** — every paper benchmark, small and full
   size, runs its patched binary once with the generated kernel and once
-  with the reference loop; live-outs, iterations, WCLA cycles, port-B
-  accesses and the data-BRAM image must be identical.
+  with the reference loop; the WCLA register file after every invocation
+  (the live-outs the kernel wrote back into it), iterations, WCLA cycles,
+  port-B accesses and the data-BRAM image must be identical.
 * **Property test** — random bodies built through
   :class:`~repro.decompile.expr.ExpressionBuilder`, covering loads in both
   arms of a mux and reused after it, guarded stores, loads first read after
@@ -85,11 +86,34 @@ def reference_execute(body, live_in, memory_read, memory_write,
 
 
 def _implementation(body, start_address=0x40):
-    """The slice of a ``HardwareImplementation`` the engine reads."""
+    """The slice of a ``HardwareImplementation`` the engine reads: the
+    cycle model of :meth:`HardwareImplementation.cycles_for_iterations`
+    with a pipeline fill of 3 and an initiation interval of 2."""
     return SimpleNamespace(
         kernel=SimpleNamespace(body=body, region=SimpleNamespace(
             start_address=start_address)),
+        pipeline_fill_cycles=3, initiation_interval=2,
         cycles_for_iterations=lambda iterations: 2 * iterations + 3)
+
+
+def _invoke(engine, live_in, bram):
+    """One invocation of ``engine`` with ``live_in`` in an otherwise zero
+    register file: ``(registers the loop updates as of exit,
+    invocation)``.  The kernel returns the register file it was given and
+    changes no register the loop does not update."""
+    register_file = [0] * 32
+    for register, value in live_in.items():
+        register_file[register] = value
+    before = list(register_file)
+    returned, invocation = engine.execute(register_file, bram)
+    assert returned is register_file
+    updated = engine.body.register_updates
+    assert [value for register, value in enumerate(register_file)
+            if register not in updated] \
+        == [value for register, value in enumerate(before)
+            if register not in updated]
+    return {register: register_file[register] for register in updated}, \
+        invocation
 
 
 # ------------------------------------------------------- differential, suite
@@ -103,16 +127,23 @@ def _warp_run(warp, patched, implementation, reference):
     engine = peripheral.engine
     live_outs = []
 
-    def execute(live_in, bram):
+    def execute(register_file, bram):
         if reference:
+            live_in = {register: register_file[register]
+                       for register in engine.kernel.live_in_registers}
             live_out, iterations = reference_execute(
                 engine.body, live_in, bram.load_port_b, bram.store_port_b,
                 engine.max_iterations)
-            result = live_out, KernelInvocation(
+            for register, value in live_out.items():
+                register_file[register] = value & 0xFFFFFFFF
+            result = register_file, KernelInvocation(
                 iterations, implementation.cycles_for_iterations(iterations))
         else:
-            result = type(engine).execute(engine, live_in, bram)
-        live_outs.append(result[0])
+            result = type(engine).execute(engine, register_file, bram)
+        assert result[0] is peripheral.register_file
+        # The whole register file after each invocation: the live-outs,
+        # and every other register unchanged.
+        live_outs.append(list(register_file))
         return result
 
     engine.execute = execute
@@ -260,7 +291,8 @@ class _BodyBuilder:
         return SymbolicLoopBody(builder=b, region=None,
                                 register_updates=register_updates,
                                 stores=self.stores,
-                                continue_condition=running)
+                                continue_condition=running,
+                                live_in_registers={*REGISTERS, COUNTER})
 
 
 def _run_both(body, live_in, image, max_iterations):
@@ -272,15 +304,17 @@ def _run_both(body, live_in, image, max_iterations):
         bram.load_image(image)
         try:
             if reference:
-                outcome = reference_execute(
+                live_out, iterations = reference_execute(
                     body, live_in, bram.load_port_b, bram.store_port_b,
                     max_iterations)
+                outcome = live_out, iterations, 2 * iterations + 3
             else:
                 engine = WclaExecutionEngine(
                     _implementation(body), max_iterations_per_invocation=
                     max_iterations)
-                live_out, invocation = engine.execute(live_in, bram)
-                outcome = live_out, invocation.iterations
+                live_out, invocation = _invoke(engine, live_in, bram)
+                outcome = live_out, invocation.iterations, \
+                    invocation.hw_cycles
         except HardwareExecutionError:
             outcome = "budget"
         results.append((outcome, bram.port_b_accesses, bytes(bram.storage)))
@@ -350,9 +384,15 @@ def test_budget_exhaustion_raises_after_the_same_traffic():
     engine = WclaExecutionEngine(_implementation(body, 0x1230),
                                  max_iterations_per_invocation=7)
     bram = BlockRAM(MEMORY_BYTES)
+    register_file = [0] * 32
+    for register, value in live_in.items():
+        register_file[register] = value
+    before = list(register_file)
     with pytest.raises(HardwareExecutionError,
                        match=r"kernel at 0x1230 exceeded 7 iterations"):
-        engine.execute(live_in, bram)
+        engine.execute(register_file, bram)
+    # No live-out is committed by an invocation that did not finish.
+    assert register_file == before
 
 
 @pytest.mark.parametrize("width", [1, 2, 4])
@@ -376,7 +416,8 @@ def test_port_b_boundaries_match_the_reference(kind, width):
     body = SymbolicLoopBody(
         builder=b, region=None, register_updates=updates, stores=stores,
         continue_condition=b.condition(
-            b.binary(OpKind.SUB, counter, b.const(2)), "lt"))
+            b.binary(OpKind.SUB, counter, b.const(2)), "lt"),
+        live_in_registers={1, 2, COUNTER})
     boundaries = [MEMORY_BYTES - width, MEMORY_BYTES - width + 1,
                   MEMORY_BYTES, 0x1_0000_0000 - width]
     if width > 1:
@@ -394,8 +435,9 @@ def test_port_b_boundaries_match_the_reference(kind, width):
                         body, live_in, bram.load_port_b, bram.store_port_b,
                         10)
                 else:
-                    live_out, invocation = WclaExecutionEngine(
-                        _implementation(body)).execute(live_in, bram)
+                    live_out, invocation = _invoke(
+                        WclaExecutionEngine(_implementation(body)), live_in,
+                        bram)
                     outcome = live_out, invocation.iterations
             except MemoryError_ as error:
                 outcome = str(error)
@@ -405,6 +447,31 @@ def test_port_b_boundaries_match_the_reference(kind, width):
         faults += isinstance(results[1][0], str)
         assert results[1][1] == (1 if isinstance(results[1][0], str) else 2)
     assert faults == len(boundaries) - 1
+
+
+def test_an_undeclared_live_in_reads_zero():
+    """A register the body reads without declaring it live-in reads 0,
+    as in the reference (the invocation stub never writes it), whatever
+    the WCLA register file holds."""
+    b = ExpressionBuilder()
+    counter = b.binary(OpKind.ADD, b.live_in(COUNTER), b.const(1))
+    body = SymbolicLoopBody(
+        builder=b, region=None,
+        register_updates={COUNTER: counter,
+                          2: b.binary(OpKind.ADD, b.live_in(1),
+                                      b.live_in(7))},
+        continue_condition=b.condition(
+            b.binary(OpKind.SUB, counter, b.const(3)), "lt"),
+        live_in_registers={1, COUNTER})
+    register_file = [0] * 32
+    register_file[1], register_file[7] = 40, 5
+    _, invocation = WclaExecutionEngine(_implementation(body)).execute(
+        register_file, BlockRAM(MEMORY_BYTES))
+    reference = reference_execute(body, {1: 40, COUNTER: 0}, None, None, 10)
+    assert reference == ({COUNTER: 3, 2: 40}, 3)
+    assert (register_file[COUNTER], register_file[2], register_file[7]) \
+        == (3, 40, 5)
+    assert (invocation.iterations, invocation.hw_cycles) == (3, 9)
 
 
 def test_if_converted_chains_generate_linear_source():
@@ -420,7 +487,8 @@ def test_if_converted_chains_generate_linear_source():
                       value)
     body = SymbolicLoopBody(builder=b, region=None,
                             register_updates={3: value},
-                            continue_condition=b.condition(b.const(0), "ne"))
+                            continue_condition=b.condition(b.const(0), "ne"),
+                            live_in_registers={1, 2})
     source = hw_exec.kernel_source(body)
     assert source.count("\n") < 40 * 12
     assert source.count("load(") == 1
