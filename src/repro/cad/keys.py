@@ -118,6 +118,15 @@ def canonical_body_form(body: SymbolicLoopBody) -> str:
     return "\n".join(lines)
 
 
+def body_form(body: SymbolicLoopBody) -> str:
+    """:func:`canonical_body_form` of ``body``, serialized once per body
+    object and kept on it (:attr:`SymbolicLoopBody.canonical_form`)."""
+    form = body.canonical_form
+    if form is None:
+        form = body.canonical_form = canonical_body_form(body)
+    return form
+
+
 def canonical_wcla_form(wcla: WclaParameters) -> str:
     """Deterministic text form of the WCLA parameters (frozen dataclasses
     have a stable field-ordered ``repr``)."""

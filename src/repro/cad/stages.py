@@ -42,7 +42,7 @@ from .flow import (
     KernelRejectedError,
     register_stage,
 )
-from .keys import canonical_body_form, canonical_wcla_form, content_digest
+from .keys import body_form, canonical_wcla_form, content_digest
 
 
 # --------------------------------------------------------------------------- decompile
@@ -89,6 +89,9 @@ class DecompileStage(FlowStage):
         if body.region is not region:
             # A cached decompilation carries the region, profile counts
             # included, of the job that computed it: rebind this job's.
+            # The cached body serializes its synthesis-key form first, so
+            # every rebound copy carries it.
+            body_form(body)
             body = dataclasses.replace(body, region=region)
             kernel = dataclasses.replace(kernel, region=region, body=body)
         context.body, context.kernel = body, kernel
@@ -116,7 +119,7 @@ class SynthesisStage(FlowStage):
     def content_key(self, context: FlowContext) -> Optional[str]:
         fabric = context.wcla.fabric
         return content_digest(self.cache_token(),
-                              canonical_body_form(context.kernel.body),
+                              body_form(context.kernel.body),
                               f"lut_inputs={fabric.lut_inputs}",
                               f"memory_ports={context.wcla.memory_ports}")
 

@@ -60,6 +60,10 @@ class SymbolicLoopBody:
     live_in_registers: Set[int] = field(default_factory=set)
     written_registers: Set[int] = field(default_factory=set)
     num_instructions: int = 0
+    #: The CAD flow's canonical text form of this body, filled in once by
+    #: :func:`repro.cad.keys.body_form` (a rebound copy carries it).
+    canonical_form: Optional[str] = field(default=None, compare=False,
+                                          repr=False)
 
     def roots(self) -> List[Node]:
         """All expression roots of the iteration (for DAG walks)."""

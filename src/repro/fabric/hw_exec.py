@@ -30,6 +30,7 @@ callables.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -64,13 +65,32 @@ class KernelInvocation:
     hw_cycles: int
 
 
-#: Process-wide generated-source -> code-object cache for kernel bodies.
-#: Constants, widths and register numbers are baked into the source as
-#: literals and memory arrives through the call, so the source is a
-#: complete content address: every job that configures the same kernel
-#: reuses the bytecode.  The bound matches the 256 kernels whose four
-#: cached CAD stages fill the CAD cache (``STAGE_CACHE_ENTRIES = 1024``).
-_KERNEL_CODE_CACHE = BoundedLRU(maxsize=256)
+class _KernelCodeCache(BoundedLRU):
+    """Generated source -> code object, plus the built ``_kernel`` of
+    each live loop body in :attr:`kernels`; one :meth:`clear` drops both.
+
+    Constants, widths and register numbers are baked into the source as
+    literals and memory arrives through the call, so the source is a
+    complete content address: every job that configures the same kernel
+    reuses the bytecode.  A warm job's implementation comes from the CAD
+    cache with the same body object every time, so :attr:`kernels`
+    (``id(body)`` -> function, an entry dropped when its body is
+    collected) skips even the source walk.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        super().__init__(maxsize)
+        self.kernels: Dict[int, object] = {}
+
+    def clear(self) -> None:
+        super().clear()
+        self.kernels.clear()
+
+
+#: The process-wide kernel code cache.  The bound matches the 256 kernels
+#: whose four cached CAD stages fill the CAD cache
+#: (``STAGE_CACHE_ENTRIES = 1024``).
+_KERNEL_CODE_CACHE = _KernelCodeCache(maxsize=256)
 
 _M = "0xFFFFFFFF"
 
@@ -280,16 +300,42 @@ def kernel_source(body) -> str:
     ])
 
 
+def _build_kernel(body):
+    """``body``'s ``_kernel`` function and whether it came from
+    :data:`_KERNEL_CODE_CACHE` (built before for this body, or its code
+    object compiled for an identical source)."""
+    kernels = _KERNEL_CODE_CACHE.kernels
+    key = id(body)
+    kernel = kernels.get(key)
+    if kernel is not None:
+        return kernel, True
+    source = kernel_source(body)
+    code = _KERNEL_CODE_CACHE.get(source)
+    cached = code is not None
+    if not cached:
+        code = compile(source, "<wcla kernel>", "exec")
+        _KERNEL_CODE_CACHE.put(source, code)
+    namespace: Dict[str, object] = {}
+    exec(code, namespace)
+    kernel = kernels[key] = namespace["_kernel"]
+    # The function holds no reference to the body: the entry goes with
+    # it, before its id can be reused.
+    weakref.finalize(body, kernels.pop, key, None)
+    return kernel, cached
+
+
 class WclaExecutionEngine:
     """Functionally executes one kernel's dataflow graph.
 
-    The decompiled body is lowered once, at engine construction, to one
-    generated Python function (:func:`kernel_source`) that runs the whole
-    hardware loop: no per-node dispatch or call remains per iteration.
-    The bytecode is shared process-wide through a source-keyed cache, and
-    each translation is recorded in the code-generation accounting under
-    ``engine="wcla"``.  The implementation's per-invocation cycle
-    constants (pipeline fill, initiation interval) are read once, here.
+    The decompiled body is lowered once to one generated Python function
+    (:func:`kernel_source`) that runs the whole hardware loop: no
+    per-node dispatch or call remains per iteration.  The function is
+    built once per body object and its bytecode shared process-wide
+    through a source-keyed cache (:data:`_KERNEL_CODE_CACHE`), and each
+    engine construction is recorded in the code-generation accounting
+    under ``engine="wcla"`` (a reused function or code object is a cache
+    hit).  The implementation's per-invocation cycle constants (pipeline
+    fill, initiation interval) are read once, here.
     """
 
     def __init__(self, implementation: HardwareImplementation,
@@ -301,15 +347,7 @@ class WclaExecutionEngine:
         self.pipeline_fill_cycles = implementation.pipeline_fill_cycles
         self.initiation_interval = implementation.initiation_interval
         start = time.perf_counter()
-        source = kernel_source(self.body)
-        code = _KERNEL_CODE_CACHE.get(source)
-        cached = code is not None
-        if not cached:
-            code = compile(source, "<wcla kernel>", "exec")
-            _KERNEL_CODE_CACHE.put(source, code)
-        namespace: Dict[str, object] = {}
-        exec(code, namespace)
-        self._kernel = namespace["_kernel"]
+        self._kernel, cached = _build_kernel(self.body)
         _record_translation("wcla", "kernel", cached,
                             time.perf_counter() - start)
 

@@ -196,6 +196,9 @@ class MicroBlazeCPU:
         self.stats = ExecutionStats()
         self._imm_latch: Optional[int] = None
         self._observers: List[BranchObserver] = []
+        #: Whether every attached observer has ``on_backward_branches``
+        #: (a jit self-loop then delivers its branches in one call).
+        self._bulk_observers = True
         self._decoded: Dict[int, Instruction] = {}
         #: Scalar statistics counters (block-engine hot path); identity
         #: stable like ``registers``, folded into :attr:`stats` on sync.
@@ -223,7 +226,11 @@ class MicroBlazeCPU:
 
         The listener receives ``on_backward_branch(pc, target)`` for every
         taken branch with ``target < pc`` (and an optional
-        ``on_run_end(instructions)`` at the end of each run).  An object
+        ``on_run_end(instructions)`` at the end of each run).  While every
+        attached listener also has ``on_backward_branches(pc, target,
+        count)``, a jit self-loop hands them its branches as one count
+        when it exits instead
+        (:class:`~repro.microblaze.trace.BranchObserver`).  An object
         without ``on_backward_branch`` raises :class:`TypeError`.
         """
         if not callable(getattr(listener, "on_backward_branch", None)):
@@ -231,9 +238,16 @@ class MicroBlazeCPU:
                 f"{type(listener).__name__} has no on_backward_branch(pc, "
                 "target); the CPU reports only taken backward branches")
         self._observers.append(listener)
+        self._update_bulk_observers()
 
     def remove_listener(self, listener: BranchObserver) -> None:
         self._observers.remove(listener)
+        self._update_bulk_observers()
+
+    def _update_bulk_observers(self) -> None:
+        self._bulk_observers = all(
+            callable(getattr(observer, "on_backward_branches", None))
+            for observer in self._observers)
 
     def reset(self, entry_point: int = 0, stack_pointer: Optional[int] = None) -> None:
         """Reset architectural state and point the PC at ``entry_point``."""

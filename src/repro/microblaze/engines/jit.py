@@ -30,10 +30,22 @@ branch is taken and its ``_limit`` argument (the iterations the
 instruction budget allows; the dispatch loop passes 1 while a ticking
 peripheral is attached) has not run out.  The registers it touches are
 fast locals, read once before the loop and written back at exit, its
-dynamic counter updates go to locals, and its static statistics are
-added once, ``delta * iterations``.  Observers are still called once per
-taken backward branch, from inside the loop, so they must not read CPU
-registers or statistics mid-run.
+dynamic counter updates and its data-BRAM port-A count go to locals,
+and its static statistics are added once, ``delta * iterations``.  The
+branch is part of those: per iteration it only computes ``_taken`` and
+tests it, its statistics count as a taken branch, and a loop that falls
+through takes back the not-taken difference once at exit.  When every
+attached observer has ``on_backward_branches`` (the CPU keeps that flag,
+read once per call), no observer is called inside the loop: the exit
+delivers the iteration count in one call per observer, and a fault the
+branches already completed.  Otherwise every observer is called once per
+taken backward branch, from inside the loop.  Either way observers must
+not read CPU registers or statistics mid-run.
+
+Straight-line code renders a block-local constant register as its
+literal, so CPython folds what becomes constant; an ``add``, ``or`` or
+``xor`` with a literal 0 operand is a plain move, and a load or store
+with offset 0 takes its base as the address, both without a mask.
 
 Each program is translated once per process: a per-program translation
 table (``_CODE_CACHE.translations``) maps the instruction-BRAM digest, the
@@ -66,7 +78,8 @@ self-loop's ``except`` handler first flushes its locals and the
 statistics of every iteration begun); the dispatch loop reads the
 faulting line from the block's traceback frame, re-derives that line's
 fault point (:meth:`SourceBlockCompiler.fault_point`) and takes back the
-statistics of the instructions not yet executed, so statistics, pc and
+statistics of the instructions not yet executed (a self-loop's branch
+included when its body or delay slot faulted), so statistics, pc and
 ``imm`` latch are the interpreter's at the fault.  An observer raising
 from the hook lines has its own fault point: the branch has completed,
 so the pc is its target.  The one difference left on a faulted run is
@@ -99,14 +112,21 @@ from __future__ import annotations
 
 import re
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ... import obs
 from ...caching import BoundedLRU
 from ...isa.encoding import EncodingError
 from ...isa.instructions import Instruction, InstrClass
 from ...isa.registers import WORD_MASK, to_signed
-from ...isa.semantics import BINARY, UNARY, fuse_imm, relation_source, source
+from ...isa.semantics import (
+    BINARY,
+    UNARY,
+    OpKind,
+    fuse_imm,
+    relation_source,
+    source,
+)
 from ..engine import (
     CLASS_INDEX,
     CNT_BRANCHES_NOT_TAKEN,
@@ -251,11 +271,59 @@ obs.add_collector(_collect_codegen_metrics)
 _REG = re.compile(r"regs\[(\d+)\]")
 _REG_WRITE = re.compile(r"regs\[(\d+)\] = ")
 _CNT = re.compile(r"cnt\[(\d+)\]")
+#: An inline data-BRAM access's port-A count; a self-loop counts into
+#: the local ``_pa`` instead.
+_PORT_A = "dbram.port_a_accesses += 1"
+
+#: Operators with 0 as their identity.
+_ZERO_IDENTITY = (OpKind.ADD, OpKind.OR, OpKind.XOR)
 
 
 def _r(index: int) -> str:
     """Source expression for a register read (r0 reads as the literal 0)."""
     return "0" if index == 0 else f"regs[{index}]"
+
+
+def _operator(kind: OpKind, args: List[str]) -> str:
+    """:func:`~repro.isa.semantics.source` of ``kind`` over ``args``, or,
+    for an identity-0 operator with a literal 0 operand, the other
+    operand: registers and masked literals are words, so no mask."""
+    if kind in _ZERO_IDENTITY and "0" in args:
+        return args[1] if args[0] == "0" else args[0]
+    return source(kind, *args)
+
+
+def _scaled(expr: str, factor: int, name: str) -> str:
+    """``expr + factor * name``, omitting zero terms."""
+    if not factor:
+        return expr
+    term = name if abs(factor) == 1 else f"{abs(factor)} * {name}"
+    if not expr:
+        return term if factor > 0 else f"-{term}"
+    return f"{expr} {'+' if factor > 0 else '-'} {term}"
+
+
+class _Loop(NamedTuple):
+    """How a self-loop's branch is accounted (:meth:`SourceBlockCompiler.
+    _loop_branch`): ``branch`` holds its per-iteration statistics as a
+    taken branch, ``not_taken`` what a not-taken exit takes back of them
+    (empty for an unconditional branch), and ``bulk`` the ``(pc,
+    target)`` observers hear, ``None`` when the branch is not backward."""
+
+    branch: Dict[int, int]
+    not_taken: Dict[int, int]
+    bulk: Optional[Tuple[int, int]]
+
+
+class _Terminator(NamedTuple):
+    """The lines ending a block, the expression of its next pc (``None``
+    for a raiser), its observer calls, and, for a self-loop, its
+    :class:`_Loop`."""
+
+    lines: List[str]
+    next: Optional[str]
+    hooks: List[str]
+    loop: Optional[_Loop] = None
 
 
 def _backward_hook(guard: str, pc: int, target: str) -> List[str]:
@@ -433,10 +501,8 @@ class SourceBlockCompiler:
         n = 0
         pc = entry
         pending_imm: Optional[int] = None
-        # The terminator's static target, and the exit test of a block
-        # that branches back to its own entry (a self-loop).
+        # The terminator's static target.
         target: Optional[int] = None
-        until: Optional[str] = None
         # The pc a fault in the terminator's lines leaves; ``None`` for a
         # raiser, which sets cpu.pc itself.
         fault_pc: Optional[int] = None
@@ -474,16 +540,16 @@ class SourceBlockCompiler:
                 continue
 
             if instr.is_branch:
-                term, extra, end, fault_pc = self._terminator(pc, instr,
-                                                              pending_imm)
-                n += 1 + extra
                 target = self._static_target(pc, instr, pending_imm)
-                if term[1] is not None and target == entry:
-                    if instr.klass is InstrClass.BRANCH_COND:
-                        until = "not _taken or _i >= _limit"
-                    elif instr.klass is InstrClass.BRANCH_UNCOND \
-                            and entry != pc:  # not the halt idiom
-                        until = "_i >= _limit"
+                # A block branching back to its own entry is a self-loop
+                # (an unconditional branch to itself is the halt idiom).
+                loop = target == entry and (
+                    instr.klass is InstrClass.BRANCH_COND
+                    or (instr.klass is InstrClass.BRANCH_UNCOND
+                        and entry != pc))
+                term, extra, end, fault_pc = self._terminator(
+                    pc, instr, pending_imm, loop)
+                n += 1 + extra
                 break
 
             if klass is InstrClass.LOAD:
@@ -507,22 +573,28 @@ class SourceBlockCompiler:
             pc += 4
 
             if n >= MAX_BLOCK_INSTRUCTIONS:
-                term, end = ([], str(pc), []), pc - 4
+                term, end = _Terminator([], str(pc), []), pc - 4
                 break
 
         if points is not None:
             # Only a delay slot or a raiser can fault in the terminator's
             # lines.
             points.append((len(lines), fault_pc, pending_imm, list(deltas)))
-            if term[2]:
-                # A raising observer: the branch has completed, so the pc
-                # is its target (a register-held one is the frame's
-                # ``_target``) and the latch is clear.
-                points.append((len(lines) + len(term[0]),
-                               "_target" if target is None else target,
-                               None, list(deltas)))
-        return self._finish(entry, end, n, deltas, lines, *term,
-                            static_cycles=static_cycles, until=until)
+        if term.loop is not None:
+            # A self-loop's branch statistics are block constants from
+            # here on, so a fault before this point takes them back.
+            for index, delta in term.loop.branch.items():
+                deltas[index] += delta
+        if points is not None and (term.hooks or term.loop is not None):
+            # A raising observer: the branch has completed, so the pc is
+            # its target (a register-held one is the frame's ``_target``)
+            # and the latch is clear.  For a self-loop this is also the
+            # block's end.
+            points.append((len(lines) + len(term.lines),
+                           "_target" if target is None else target,
+                           None, list(deltas)))
+        return self._finish(entry, end, n, deltas, lines, term,
+                            static_cycles=static_cycles)
 
     def _peek(self, pc: int) -> Instruction:
         """The instruction at ``pc`` without a fetch's side effects (no
@@ -620,7 +692,13 @@ class SourceBlockCompiler:
         if unreachable is not None:
             lines.append(f"raise AssertionError('unreachable: "
                          f"{unreachable}')")
-        return lines, None, []
+        return _Terminator(lines, None, [])
+
+    def _src(self, index: int) -> str:
+        """Source of a straight-line register read: the literal of a
+        block-local constant (``r0`` reads 0), else the register."""
+        value = self._known.get(index)
+        return _r(index) if value is None else str(value)
 
     # --------------------------------------------------------- straight line
     def _straightline(self, instr: Instruction, pending_imm: Optional[int],
@@ -629,27 +707,40 @@ class SourceBlockCompiler:
 
         Statistics live in the enclosing block's constants and only
         dynamic OPB penalties are recorded inline, except in a delay
-        ``slot``: its code records its own statistics and adds its cycle
-        cost to the enclosing terminator's ``_cycles`` (the delay-slot
-        double charge).
+        ``slot``: its code records its own statistics, and the
+        terminator adds its cycle cost (:meth:`_slot_cycles`) to the
+        branch's (the delay-slot double charge).
         """
         klass = instr.klass
         if klass is InstrClass.LOAD or klass is InstrClass.STORE:
             return self._memory(instr, pending_imm, slot,
                                 load=klass is InstrClass.LOAD)
-        cycles = self.cpu.config.timings.for_class(klass)
         lines = self._compute(instr, pending_imm)
         if slot:
-            lines += self._count(klass, cycles)
-            lines.append(f"_cycles += {cycles}")
+            lines += self._count(klass,
+                                 self.cpu.config.timings.for_class(klass))
         return lines
+
+    def _slot_cycles(self, instr: Instruction):
+        """A delay slot's cycle cost: an int, or ``"_c"``, the local an
+        access that may reach the OPB accumulates its cost in."""
+        klass = instr.klass
+        timings = self.cpu.config.timings
+        if klass is InstrClass.LOAD or klass is InstrClass.STORE:
+            if self.cpu.opb is not None:
+                return "_c"
+            return timings.load if klass is InstrClass.LOAD \
+                else timings.store
+        return timings.for_class(klass)
 
     def _compute(self, instr: Instruction,
                  pending_imm: Optional[int]) -> List[str]:
         """ALU / logical / shift / multiply / divide / compare / sext: the
-        opcode table's operator rendered over the operand sources."""
+        opcode table's operator rendered over the operand sources, with
+        block-local constants as literals (CPython folds what becomes
+        constant)."""
         rd = instr.rd
-        A, B = _r(instr.ra), _r(instr.rb)
+        A, B = self._src(instr.ra), self._src(instr.rb)
         if rd == 0:
             # Writes to r0 are discarded and no compute op has another
             # side effect; the block constants still account for it.
@@ -668,7 +759,7 @@ class SourceBlockCompiler:
                     "imm5": str(instr.imm & 31)}
         kind, *sources = op
         return [f"regs[{rd}] = "
-                + source(kind, *(operands[name] for name in sources))]
+                + _operator(kind, [operands[name] for name in sources])]
 
     def _memory(self, instr: Instruction, pending_imm: Optional[int],
                 slot: bool, load: bool) -> List[str]:
@@ -685,16 +776,16 @@ class SourceBlockCompiler:
         # Loaded words are zero-extended and at most 32 bits wide, so they
         # land in the register unmasked; a load into r0 still accesses
         # memory (faults and port counters) into a scratch local.
-        value = (f"regs[{rd}]" if rd else "_v") if load else _r(rd)
+        value = (f"regs[{rd}]" if rd else "_v") if load else self._src(rd)
         access = inline_access_source(
             load, width, "_a", value, "dmem", "dwords", "dhalves",
             "bram_load" if load else "bram_store",
-            str(self.cpu.data_bram.size - width),
-            "dbram.port_a_accesses += 1")
+            str(self.cpu.data_bram.size - width), _PORT_A)
 
-        offset = _r(instr.rb) if instr.spec.fmt.value == "A" \
-            else fuse_imm(pending_imm, instr.imm)
-        lines = [f"_a = ({_r(instr.ra)} + {offset}) & {_M}"]
+        offset = self._src(instr.rb) if instr.spec.fmt.value == "A" \
+            else str(fuse_imm(pending_imm, instr.imm) & _M)
+        lines = ["_a = " + _operator(OpKind.ADD,
+                                     [self._src(instr.ra), offset])]
         if not has_opb:
             # No peripheral bus attached: the OPB arm can never be taken,
             # so the access specializes to the data BRAM alone.
@@ -702,7 +793,6 @@ class SourceBlockCompiler:
             if slot:
                 lines += self._count(klass, base,
                                      extra=f"cnt[{scalar}] += 1")
-                lines.append(f"_cycles += {base}")
             return lines
 
         # The dynamic OPB penalty: a slot adds it to its own cycle local,
@@ -733,7 +823,6 @@ class SourceBlockCompiler:
         if slot:
             lines.insert(0, f"_c = {base}")
             lines += self._count(klass, "_c", extra=f"cnt[{scalar}] += 1")
-            lines.append("_cycles += _c")
         return lines
 
     def _bound_access(self, address: int, load: bool, value: str,
@@ -759,17 +848,18 @@ class SourceBlockCompiler:
 
     # ------------------------------------------------------------ terminators
     def _terminator(self, pc: int, instr: Instruction,
-                    pending_imm: Optional[int]):
-        """Source for the branch ending a block (plus its delay slot).
+                    pending_imm: Optional[int], loop: bool):
+        """Source for the branch ending a block (plus its delay slot), in
+        its self-loop form (:meth:`_loop_branch`) when ``loop`` is set and
+        the slot can run.
 
-        Returns ``((lines, return_expr, hook_lines), extra_instructions,
-        end_address, fault_pc)``, where ``hook_lines`` call the observers
-        of a taken backward branch (:func:`_backward_hook`) and
-        ``fault_pc`` is the pc a fault in ``lines`` leaves (``None`` when
-        a raiser sets it).
+        Returns ``(terminator, extra_instructions, end_address,
+        fault_pc)``, where ``fault_pc`` is the pc a fault in the
+        terminator's lines leaves (``None`` when a raiser sets it).
         """
         end = pc
         slot: Optional[List[str]] = None
+        cycles = None
         extra = 0
         # The static halt idiom (an unconditional branch to itself) skips
         # its slot, so the slot is not even fetched (as in the interpreter).
@@ -794,19 +884,25 @@ class SourceBlockCompiler:
                 # A register-held branch reaches the fault only when it
                 # does not halt.
                 term = self._uncond_branch(pc, instr, pending_imm, raiser) \
-                    if dynamic_halt else (raiser, None, [])
+                    if dynamic_halt else _Terminator(raiser, None, [])
                 return term, 0, end, None
             # The imm latch is cleared only after the whole branch — slot
             # included — so a pending prefix fuses into the slot too.
             slot = self._straightline(slot_instr, pending_imm, slot=True)
+            cycles = self._slot_cycles(slot_instr)
             if dynamic_halt:
                 slot.insert(0, f"cpu.fetch({pc + 4})")
             extra = 1
 
-        if instr.klass is InstrClass.BRANCH_COND:
-            term = self._cond_branch(pc, instr, pending_imm, slot)
+        if loop:
+            term = self._loop_branch(pc, instr, target, slot, cycles)
         else:
-            term = self._uncond_branch(pc, instr, pending_imm, slot)
+            if slot is not None:
+                slot.append(f"_cycles += {cycles}")
+            if instr.klass is InstrClass.BRANCH_COND:
+                term = self._cond_branch(pc, instr, pending_imm, slot)
+            else:
+                term = self._uncond_branch(pc, instr, pending_imm, slot)
         return term, extra, end, end
 
     def _slot_raiser(self, pc: int, instr: Instruction,
@@ -896,7 +992,7 @@ class SourceBlockCompiler:
         ]
         hook = [] if backward is None \
             else _backward_hook(backward, pc, "_target")
-        return lines, "_next", hook
+        return _Terminator(lines, "_next", hook)
 
     def _uncond_branch(self, pc: int, instr: Instruction,
                        pending_imm: Optional[int],
@@ -936,7 +1032,7 @@ class SourceBlockCompiler:
             # An unconditional branch to itself is the halt idiom; its
             # slot was never fetched (as in the interpreter).
             lines = ["cpu.halted = True"] + footer(str(base))
-            return lines, str(static_target), hook
+            return _Terminator(lines, str(static_target), hook)
 
         if static_target is not None:
             lines = list(call_write)
@@ -946,7 +1042,7 @@ class SourceBlockCompiler:
                 lines += footer("_cycles")
             else:
                 lines += footer(str(base))
-            return lines, str(static_target), hook
+            return _Terminator(lines, str(static_target), hook)
 
         # Dynamic target: the halt check (unconditional branches only)
         # happens at run time, and a halting branch skips its slot.
@@ -968,25 +1064,69 @@ class SourceBlockCompiler:
         elif slot is not None:
             lines += slot
         lines += footer("_cycles")
-        return lines, "_target", hook
+        return _Terminator(lines, "_target", hook)
+
+    def _loop_branch(self, pc: int, instr: Instruction, entry: int,
+                     slot: Optional[List[str]], slot_cycles) -> _Terminator:
+        """The branch of a self-loop back to its ``entry`` (plus its delay
+        ``slot``, whose double charge is ``slot_cycles``).
+
+        Per iteration it only computes ``_taken`` and tests it: the
+        branch's statistics are block constants, counted as taken (with
+        a static double charge), and a not-taken exit takes back the
+        difference (:class:`_Loop`).  A slot still records its own
+        statistics per iteration, and an OPB slot's dynamic double charge
+        with them.  Observers hear the taken backward branch per
+        iteration only while one of them lacks the bulk method
+        (``_each``); otherwise the loop's exit delivers the count.
+        """
+        timings = self.cpu.config.timings
+        klass = instr.klass
+        ci = CLASS_INDEX[klass]
+        lines = list(slot or ())
+        if isinstance(slot_cycles, str):
+            lines += [f"cnt[{CNT_CYCLES}] += {slot_cycles}",
+                      f"cnt[{CNT_CLASS_CYCLES + ci}] += {slot_cycles}"]
+            slot_cycles = 0
+        cycles = timings.branch_taken + (slot_cycles or 0)
+        branch = {CNT_CYCLES: cycles, CNT_INSTRUCTIONS: 1,
+                  CNT_CLASS_COUNT + ci: 1, CNT_CLASS_CYCLES + ci: cycles,
+                  CNT_BRANCHES_TAKEN: 1}
+        if entry < pc:
+            bulk = (pc, entry)
+            hooks = ["if _each:", "    for _h in hooks:",
+                     f"        _h.on_backward_branch({pc}, {entry})"]
+        else:
+            bulk, hooks = None, []
+        if klass is InstrClass.BRANCH_UNCOND:
+            return _Terminator(lines, str(entry), hooks,
+                               _Loop(branch, {}, bulk))
+        relation = relation_source(instr.spec.condition.name.lower(),
+                                   _r(instr.ra))
+        fallthrough = pc + 8 if slot is not None else pc + 4
+        saved = timings.branch_taken - timings.branch_not_taken
+        not_taken = {CNT_CYCLES: saved, CNT_CLASS_CYCLES + ci: saved,
+                     CNT_BRANCHES_TAKEN: 1, CNT_BRANCHES_NOT_TAKEN: -1}
+        # The condition reads the register before the slot runs.
+        lines = [f"_taken = {relation}"] + lines \
+            + ["if not _taken:", "    break"]
+        return _Terminator(lines, f"{entry} if _taken else {fallthrough}",
+                           hooks, _Loop(branch, not_taken, bulk))
 
     # ------------------------------------------------------------------ emit
     def _finish(self, entry: int, end: int, n: int, deltas: List[int],
-                body: List[str], term_lines: List[str],
-                return_expr: Optional[str], hook_lines: List[str],
-                static_cycles: int = 0, until: Optional[str] = None
+                body: List[str], term: _Terminator, static_cycles: int = 0
                 ) -> Tuple[int, int, int, str, int]:
         """Assemble the block's source: ``(n, end, static_cycles, source,
         first)``, where ``first`` is the source line of ``body[0]`` (the
         fault-point line map)."""
-        lines = body + term_lines + hook_lines
-        if until is None:
+        lines = body + term.lines + term.hooks
+        if term.loop is None:
             header = [f"cnt[{index}] += {delta}"
                       for index, delta in enumerate(deltas) if delta]
-            footer = [] if return_expr is None else [f"return {return_expr}"]
+            footer = [] if term.next is None else [f"return {term.next}"]
         else:
-            header, lines, footer = self._self_loop(deltas, lines, until,
-                                                    return_expr)
+            header, lines, footer = self._self_loop(deltas, lines, term)
         indented = "\n".join("        " + line
                              for line in header + lines + footer)
         # The factory resolves the static OPB addresses once per bind.
@@ -1005,37 +1145,63 @@ class SourceBlockCompiler:
                 3 + len(self._bound) + len(header))
 
     @staticmethod
-    def _self_loop(deltas: List[int], lines: List[str], until: str,
-                   return_expr: str):
+    def _self_loop(deltas: List[int], lines: List[str], term: _Terminator):
         """``(header, loop, footer)`` of a block that branches back to its
         own entry: it iterates until the branch falls through or
-        ``_limit`` iterations have run.  The registers it touches and the
-        counters it updates live in locals, and its static statistics are
-        added once, ``delta * _i``.  A fault flushes them before it
+        ``_limit`` (at least 1) iterations have run.  The registers it
+        touches, the counters it updates and its data-BRAM port-A count
+        live in locals, and its static statistics, the branch's included,
+        are added once, ``delta * _i``, less the not-taken correction of
+        a loop that fell through.  A fault flushes them before it
         propagates, so the fault point takes back only the unearned part
-        of the current iteration."""
+        of the current iteration.  With bulk observers the exit also
+        delivers the taken backward branches: all of them, or on a fault
+        all but the current iteration's."""
+        loop = term.loop
         text = "\n".join(lines)
         touched = sorted(set(map(int, _REG.findall(text))))
         written = sorted(set(map(int, _REG_WRITE.findall(text))))
         dynamic = set(map(int, _CNT.findall(text)))
+        ports = _PORT_A in text
         header = [f"r{index} = regs[{index}]" for index in touched]
         if dynamic:
             header.append(" = ".join(f"c{index}" for index in sorted(dynamic))
                           + " = 0")
-        header += ["_i = 0", "try:", "    while True:", "        _i += 1"]
-        loop = ["        " + _CNT.sub(r"c\1", _REG.sub(r"r\1", line))
-                for line in lines]
-        loop += [f"        if {until}:", "            break"]
-        flush = [f"regs[{index}] = r{index}" for index in written]
-        for index, delta in enumerate(deltas):
-            terms = [f"c{index}"] if index in dynamic else []
-            if delta:
-                terms.append(f"{delta} * _i")
-            if terms:
-                flush.append(f"cnt[{index}] += {' + '.join(terms)}")
-        footer = ["except BaseException:"] + ["    " + line for line in flush]
-        footer += ["    raise"] + flush + [f"return {return_expr}"]
-        return header, loop, footer
+        if ports:
+            header.append("_pa = 0")
+        if loop.bulk is not None:
+            # The flag is read once per call.
+            header.append("_each = hooks and not cpu._bulk_observers")
+        header += ["_i = 0", "try:", "    for _i in range(1, _limit + 1):"]
+        body = ["        " + _CNT.sub(r"c\1", _REG.sub(r"r\1", line))
+                .replace(_PORT_A, "_pa += 1") for line in lines]
+
+        def flush(fell_through: bool, branches: str) -> List[str]:
+            out = [f"regs[{index}] = r{index}" for index in written]
+            for index, delta in enumerate(deltas):
+                expr = _scaled(f"c{index}" if index in dynamic else "",
+                               delta, "_i")
+                if fell_through:
+                    expr = _scaled(expr, -loop.not_taken.get(index, 0),
+                                   "_nt")
+                if expr:
+                    out.append(f"cnt[{index}] += {expr}")
+            if ports:
+                out.append("dbram.port_a_accesses += _pa")
+            if loop.bulk is not None:
+                out += ["if hooks and not _each:", "    for _h in hooks:",
+                        f"        _h.on_backward_branches("
+                        f"{loop.bulk[0]}, {loop.bulk[1]}, {branches})"]
+            return out
+
+        footer = ["except BaseException:"]
+        footer += ["    " + line for line in flush(False, "_i - 1")]
+        footer.append("    raise")
+        if loop.not_taken:
+            footer += ["_nt = not _taken"] + flush(True, "_i - _nt")
+        else:
+            footer += flush(False, "_i")
+        return header, body, footer + [f"return {term.next}"]
 
 
 class JitEngine(ExecutionEngine):

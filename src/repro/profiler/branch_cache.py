@@ -73,6 +73,20 @@ class BranchFrequencyCache:
         bucket.append(entry)
         self._resident[target_address] = entry
 
+    def record_run(self, branch_address: int, target_address: int,
+                   count: int) -> None:
+        """Record ``count`` consecutive taken backward branches of one
+        loop: exactly ``count`` calls of :meth:`record`, with at most one
+        FIFO insertion (the first branch's; the rest hit its entry)."""
+        if count <= 0:
+            return
+        self.record(branch_address, target_address)
+        if count > 1:
+            self.updates += count - 1
+            entry = self._resident[target_address]
+            if entry.count < self.counter_max:
+                entry.count = min(entry.count + count - 1, self.counter_max)
+
     def entries(self) -> List[BranchCacheEntry]:
         """All resident entries, hottest first."""
         resident = [entry for bucket in self.sets for entry in bucket]

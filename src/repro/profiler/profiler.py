@@ -56,7 +56,8 @@ class OnChipProfiler:
     CPU's observer protocol
     (:class:`~repro.microblaze.trace.BranchObserver`) delivers: every
     engine calls :meth:`on_backward_branch` with two scalars, once per
-    loop iteration.
+    loop iteration, or, where the ``jit`` engine runs a self-loop in one
+    call, :meth:`on_backward_branches` once with the iteration count.
     """
 
     def __init__(self, cache: Optional[BranchFrequencyCache] = None):
@@ -67,6 +68,11 @@ class OnChipProfiler:
     def on_backward_branch(self, pc: int, target: int) -> None:
         """One taken backward branch as observed on the instruction bus."""
         self.cache.record(pc, target)
+
+    def on_backward_branches(self, pc: int, target: int,
+                             count: int) -> None:
+        """``count`` consecutive taken backward branches of one loop."""
+        self.cache.record_run(pc, target, count)
 
     def on_run_end(self, instructions: int) -> None:
         """Called by the CPU with the instruction count of a finished run."""

@@ -9,7 +9,8 @@ leave both with identical entries, evictions and updates, and the
 on-chip profiler built on either with identical rankings.  The streams
 mix forward and not-taken branches in; like the CPU, the test hands the
 profiler only the taken backward ones.
-Saturated counters are checked on a fixed stream.
+Saturated counters are checked on a fixed stream.  The bulk
+``record_run(pc, target, k)`` is checked against ``k`` plain records.
 """
 
 from __future__ import annotations
@@ -89,6 +90,35 @@ def test_resident_index_matches_set_scan(seed, geometry):
             reference.cache.clear()
     assert _state(fast.cache) == _state(reference.cache)
     assert fast.critical_regions() == reference.critical_regions()
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("geometry", [(16, 4, 32), (4, 2, 3), (8, 1, 2),
+                                      (64, 8, 32), (4, 4, 0)],
+                         ids=["paper", "tiny", "direct-mapped", "large",
+                              "zero-bit"])
+def test_record_run_is_count_records(seed, geometry):
+    """``record_run(pc, target, k)`` leaves the cache exactly as ``k``
+    calls of ``record`` do, evictions and saturation included (and does
+    nothing for ``k = 0``)."""
+    rng = random.Random(seed)
+    bulk = BranchFrequencyCache(*geometry)
+    single = BranchFrequencyCache(*geometry)
+    saturated = False
+    for pc, target, taken in _stream(seed, 1500):
+        if not (taken and target < pc):
+            continue
+        count = rng.choice((0, 1, 2, rng.randint(3, 40)))
+        bulk.record_run(pc, target, count)
+        for _ in range(count):
+            single.record(pc, target)
+        assert _state(bulk) == _state(single)
+        saturated = saturated or any(entry.count >= bulk.counter_max
+                                     for entry in bulk.entries())
+    if geometry[:2] != (64, 8):
+        assert bulk.evictions > 0
+    if geometry[2] < 32:
+        assert saturated
 
 
 def test_saturated_counters_stay_put_and_follow_the_branch():

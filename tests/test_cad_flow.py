@@ -21,12 +21,14 @@ from repro.cad import (
     RouteStage,
     available_stage_names,
     build_flow,
+    keys,
     register_stage,
 )
 from repro.fabric import DEFAULT_WCLA
 from repro.microblaze import PAPER_CONFIG, run_program
 from repro.partition import DynamicPartitioningModule
 from repro.profiler import OnChipProfiler
+from repro.server import DiskArtifactStore
 from repro.service import ServiceReport, WarpJob, execute_job
 from repro.warp import WarpProcessor
 
@@ -315,6 +317,70 @@ class TestDecompileKey:
         assert [_sources(outcome) for outcome in outcomes] == [
             {"decompile": "miss"}, {"decompile": "negative-hit"}]
         assert cache.negative_hits == 1
+
+
+#: The synthesis keys of the six small-suite kernels (paper configuration),
+#: recorded before the canonical body form was kept on the body.
+SMALL_SYNTHESIS_KEYS = {
+    "brev": "de37ceb3f0ae50c9a445130d8e0627f437469dec2b50ed7d40645b9d6e1d2481",
+    "g3fax": "35e0351574857e4a679136ad9cc6e8cfafa474ec592d60973e1aa8d64eb3bcde",
+    "canrdr": "5721994dca3a6ad62ea6ad7667e9c91b9b1cb778712df65cf424604b48ce24f3",
+    "bitmnp": "5f9bff54a8e9f70bb8dce2232805bc8d0fbb027bc718b4e25fd0534beeb3bbd1",
+    "idct": "ceb3efe387df93d294b7e5c45eb14bf1244163fc616c063bf3f30bae2820781f",
+    "matmul": "f4f50622ed77996430ac1437d0882db54b3764879eb11e665456af605a15c99f",
+}
+
+
+class TestSynthesisKey:
+    @pytest.fixture
+    def serializations(self, monkeypatch):
+        """Every ``canonical_body_form`` call made through the keys."""
+        calls = []
+        serialize = keys.canonical_body_form
+
+        def counted(body):
+            calls.append(body)
+            return serialize(body)
+
+        monkeypatch.setattr(keys, "canonical_body_form", counted)
+        return calls
+
+    def test_keys_are_unchanged_and_each_body_serializes_once(
+            self, compiled_small_programs, serializations):
+        cache = CadArtifactCache()
+        for name, program in compiled_small_programs.items():
+            records = [
+                {record.stage: record for record in
+                 WarpProcessor(config=PAPER_CONFIG, artifact_cache=cache)
+                 .run(program.copy()).partitioning.stage_records}
+                for _ in range(3)]
+            assert [r["synthesis"].key for r in records] \
+                == [SMALL_SYNTHESIS_KEYS[name]] * 3
+            assert [r["decompile"].source for r in records] \
+                == ["miss", "hit", "hit"]
+        # One serialization per computed decompilation; every warm job's
+        # rebound body carries the cached body's form.
+        assert len(serializations) == len(SMALL_SYNTHESIS_KEYS)
+
+    def test_a_body_from_the_disk_tier_serializes_once(
+            self, compiled_small_programs, tmp_path, serializations):
+        program = compiled_small_programs["idct"]
+        store = DiskArtifactStore(tmp_path)
+        WarpProcessor(config=PAPER_CONFIG,
+                      artifact_cache=CadArtifactCache(store)).run(
+            program.copy())
+        del serializations[:]
+        # A fresh memory tier over the same store: a new process.
+        cache = CadArtifactCache(store)
+        outcomes = [WarpProcessor(config=PAPER_CONFIG, artifact_cache=cache)
+                    .run(program.copy()).partitioning for _ in range(3)]
+        assert [_sources(outcome)["decompile"] for outcome in outcomes] \
+            == ["disk-hit", "hit", "hit"]
+        assert {record.key for outcome in outcomes
+                for record in outcome.stage_records
+                if record.stage == "synthesis"} \
+            == {SMALL_SYNTHESIS_KEYS["idct"]}
+        assert len(serializations) == 1
 
 
 # --------------------------------------------------------------------------- pluggable stages

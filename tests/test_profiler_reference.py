@@ -11,6 +11,11 @@ either way must end with identical cache state, critical regions and
 full size plus generated programs (most of the ``faulty`` profile's runs
 fault part-way), over the paper's 16-entry/4-way cache and a 4-entry/2-way
 one that evicts constantly.
+
+The recorder has no ``on_backward_branches``, so the hook runs deliver
+branch by branch; a second run attaches profilers alone, so jit
+self-loops deliver their counts in bulk (with a third, saturating
+cache), and must end in the same state.
 """
 
 from __future__ import annotations
@@ -124,6 +129,60 @@ def test_hook_matches_step_reference(engine, key):
             reference.on_backward_branch(pc, target)
         assert _cache_state(profiler) == _cache_state(reference)
         assert profiler.instructions_observed == instructions
+
+
+#: Caches for the profilers-only runs: both geometries above and the
+#: paper's with 4-bit counters, which saturate.
+BULK_CACHES = [(16, 4, 32), (4, 2, 32), (16, 4, 4)]
+
+#: The ``loops`` profile adds single-block counted loops; without a
+#: peripheral most of them fault at their first OPB access, some after
+#: self-loops have run.
+BULK_CORPUS = CORPUS + [f"gen:loops:{seed}" for seed in range(12)]
+
+
+class _CountingProfiler(OnChipProfiler):
+    """A profiler that counts the bulk deliveries it receives."""
+
+    def __init__(self, cache):
+        super().__init__(cache)
+        self.runs = 0
+
+    def on_backward_branches(self, pc, target, count):
+        self.runs += 1
+        super().on_backward_branches(pc, target, count)
+
+
+@pytest.mark.parametrize("engine", engine_names())
+@pytest.mark.parametrize("key", BULK_CORPUS)
+def test_profilers_alone_match_step_reference(engine, key):
+    """With only profilers attached, every one has the bulk method, so a
+    jit self-loop hands each its branches as one count (a faulted loop,
+    the branches it completed): the caches must still end as if fed the
+    step reference's stream one branch at a time."""
+    branches, instructions, outcome = _reference(key)
+    profilers = [_CountingProfiler(BranchFrequencyCache(*cache))
+                 for cache in BULK_CACHES]
+    system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
+    observed_outcome = "halted"
+    try:
+        system.run(_program(key), listeners=profilers,
+                   max_instructions=BUDGET)
+    except Exception as error:  # noqa: BLE001 - the fault is compared
+        observed_outcome = f"{type(error).__name__}: {error}"
+    assert observed_outcome == outcome
+    for cache, profiler in zip(BULK_CACHES, profilers):
+        reference = OnChipProfiler(BranchFrequencyCache(*cache))
+        for pc, target in branches:
+            reference.on_backward_branch(pc, target)
+        assert _cache_state(profiler) == _cache_state(reference)
+        assert profiler.instructions_observed == instructions
+    if engine == "interp":
+        assert profilers[0].runs == 0
+    elif key.startswith("bench:") and ":canrdr:" not in key:
+        # Every other benchmark's hot loop is a self-loop (canrdr's spans
+        # several blocks).
+        assert profilers[0].runs > 0
 
 
 def test_faulty_corpus_exercises_faults():

@@ -233,14 +233,16 @@ class RaiseOnCall:
             raise RuntimeError(f"observer stop at {pc:#x} -> {target:#x}")
 
 
-def _observe(source, engine, *, peripherals=(), listeners=(),
+def _observe(source, engine, *, peripherals=(), listeners=(), ahead=(),
              max_instructions=BIG, slices=None):
-    """Run ``source`` on ``engine``: ``(observation, system)``."""
+    """Run ``source`` on ``engine``: ``(observation, system)``.  A
+    profiler is attached after the ``ahead`` listeners and before the
+    other ``listeners``."""
     program = assemble(source, name="self-loop")
     system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine,
                               peripherals=peripherals)
     profiler = OnChipProfiler()
-    for listener in (profiler, *listeners):
+    for listener in (*ahead, profiler, *listeners):
         system.cpu.add_listener(listener)
     outcome = "halted"
     try:
@@ -393,6 +395,80 @@ class TestRaisingObserver:
         assert reference["pc"] == entry
         assert reference["stats"]["branches_taken"] == raise_on
         assert _self_loop_translated(system, entry) == loop_block
+
+
+class TestProfilerBesideARaisingObserver:
+    """A listener without ``on_backward_branches`` puts every self-loop
+    on the per-branch path: ahead of the profiler or behind it, the run
+    stops where ``interp`` stops, with the same profiler state."""
+
+    @pytest.mark.parametrize("engine", BLOCK_ENGINES)
+    @pytest.mark.parametrize("ahead", [True, False],
+                             ids=["before", "after"])
+    @pytest.mark.parametrize("source,raise_on", [
+        pytest.param(COUNTDOWN, 3, id="countdown"),
+        pytest.param(COUNTDOWN_DELAY, 3, id="delay"),
+        pytest.param(STORE_LOOP, 30, id="store-loop"),
+        pytest.param(IMM_LOOP, 7, id="imm-loop"),
+    ])
+    def test_stops_where_interp_stops(self, engine, ahead, source,
+                                      raise_on):
+        def run(engine_name):
+            raiser = [RaiseOnCall(raise_on)]
+            placed = {"ahead": raiser} if ahead else {"listeners": raiser}
+            return _observe(source, engine_name, **placed)
+
+        reference, _ = run("interp")
+        observed, system = run(engine)
+        assert observed == reference
+        assert reference["outcome"].startswith("RuntimeError")
+        # The profiler heard the raising branch only if it came first.
+        assert reference["profiler"][2] == raise_on - ahead
+        assert not system.cpu._bulk_observers
+
+
+class BulkRecorder:
+    """Records what it hears as ``(pc, target, count)``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_backward_branch(self, pc, target):
+        self.calls.append((pc, target, 1))
+
+    def on_backward_branches(self, pc, target, count):
+        self.calls.append((pc, target, count))
+
+
+def test_the_bulk_flag_follows_the_listeners():
+    cpu = MicroBlazeSystem(config=PAPER_CONFIG).cpu
+    profiler, raiser = OnChipProfiler(), RaiseOnCall(1)
+    assert cpu._bulk_observers
+    cpu.add_listener(profiler)
+    assert cpu._bulk_observers
+    cpu.add_listener(raiser)
+    assert not cpu._bulk_observers
+    cpu.remove_listener(profiler)
+    assert not cpu._bulk_observers
+    cpu.remove_listener(raiser)
+    assert cpu._bulk_observers
+
+
+@pytest.mark.parametrize("engine", BLOCK_ENGINES)
+def test_bulk_observers_hear_a_self_loop_once_per_call(engine):
+    """STORE_LOOP's branch at 24 is taken 49 times: ``interp`` reports
+    each branch.  The block at entry 0 runs the first iteration and
+    reports its branch alone; the self-loop at 8 runs the other 48 and
+    reports one count at its exit."""
+    program = assemble(STORE_LOOP, name="self-loop")
+    heard = {}
+    for name in ("interp", engine):
+        recorder = BulkRecorder()
+        MicroBlazeSystem(config=PAPER_CONFIG, engine=name).run(
+            program, listeners=[recorder])
+        heard[name] = recorder.calls
+    assert heard["interp"] == [(24, 8, 1)] * 49
+    assert heard[engine] == [(24, 8, 1), (24, 8, 48)]
 
 
 def test_loops_profile_yields_multi_iteration_self_loops(monkeypatch):

@@ -27,6 +27,7 @@ small reference loop written here on top of
 
 from __future__ import annotations
 
+import gc
 from types import SimpleNamespace
 
 import pytest
@@ -536,3 +537,34 @@ def test_kernel_translations_are_accounted_and_scraped():
     events = {sample["labels"]["kind"]: sample["value"]
               for sample in wcla_samples("warp_codegen_events")}
     assert events["compiles"] == 1 and events["cache_hits"] == 1
+
+
+def test_kernel_function_is_built_once_per_live_body(monkeypatch):
+    """A second engine on the same body reuses the body's built
+    ``_kernel`` without walking the body again, counted as a ``wcla``
+    cache hit; the entry goes when the body is collected."""
+    b = ExpressionBuilder()
+    counter = b.binary(OpKind.ADD, b.live_in(COUNTER), b.const(1))
+    body = SymbolicLoopBody(
+        builder=b, region=None, register_updates={COUNTER: counter},
+        continue_condition=b.condition(
+            b.binary(OpKind.SUB, counter, b.const(4)), "lt"),
+        live_in_registers={COUNTER})
+    reset_codegen_stats()
+    first = WclaExecutionEngine(_implementation(body))
+    before = codegen_stats()["wcla"]
+    walks = []
+    monkeypatch.setattr(hw_exec, "kernel_source", walks.append)
+    second = WclaExecutionEngine(_implementation(body))
+    after = codegen_stats()["wcla"]
+    assert second._kernel is first._kernel and not walks
+    assert after["compiles"] == before["compiles"]
+    assert after["cache_hits"] == before["cache_hits"] + 1
+    bram = BlockRAM(MEMORY_BYTES, name="data")
+    assert _invoke(second, {COUNTER: 0}, bram)[1].iterations == 4
+    key = id(body)
+    kernels = hw_exec._KERNEL_CODE_CACHE.kernels
+    assert key in kernels
+    del first, second, body
+    gc.collect()
+    assert key not in kernels
