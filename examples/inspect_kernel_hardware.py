@@ -6,8 +6,10 @@ inner-product loop: the profiler's critical-region choice, the disassembled
 loop, the decompiled dataflow view (induction variable, affine memory
 accesses, operation counts), the synthesis binding (MAC, LUTs, wires,
 control FSM after logic minimisation), placement/routing statistics, the
-achievable WCLA clock, and the binary patch that redirects the loop to the
-hardware.
+achievable WCLA clock, the form of the kernel model that executes it (a
+counted loop over affine address streams, like the WCLA's loop counter
+and data address generator, or the generic per-iteration loop), and the
+binary patch that redirects the loop to the hardware.
 
 Run with:  python examples/inspect_kernel_hardware.py [benchmark]
 """
@@ -18,6 +20,7 @@ from repro.apps import benchmark_names, build_benchmark
 from repro.compiler import compile_source
 from repro.decompile import decompile_and_extract
 from repro.fabric import DEFAULT_WCLA, implement_kernel, place_kernel, route_kernel
+from repro.fabric.hw_exec import WclaExecutionEngine
 from repro.isa import decode, format_instruction
 from repro.microblaze import PAPER_CONFIG, run_program
 from repro.partition import DynamicPartitioningModule
@@ -86,6 +89,7 @@ def main() -> None:
           f"(limited by {implementation.timing.limiting_factor()}), "
           f"II = {implementation.initiation_interval}, configuration bitstream "
           f"{implementation.bitstream.total_bits} bits")
+    print(f"WCLA kernel model: {WclaExecutionEngine(implementation).form}")
     print()
 
     # Phase 4: patch the binary and show the invocation stub.

@@ -260,10 +260,11 @@ def operands(node: Node) -> Tuple[Node, ...]:
     return ()
 
 
-def walk(node: Node) -> Iterable[Node]:
-    """Yield ``node`` and every node reachable from it (depth first, deduped)."""
+def walk(*nodes: Node) -> Iterable[Node]:
+    """Yield ``nodes`` and every node reachable from them (depth first,
+    deduped)."""
     seen = set()
-    stack = [node]
+    stack = list(nodes)
     while stack:
         current = stack.pop()
         if id(current) in seen or current is None:

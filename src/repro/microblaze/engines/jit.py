@@ -49,9 +49,11 @@ with offset 0 takes its base as the address, both without a mask.
 
 Each program is translated once per process: a per-program translation
 table (``_CODE_CACHE.translations``) maps the instruction-BRAM digest, the
-configuration and the entry pc to the finished translation, so a fresh
-system running an already-seen program only replays the recorded fetches
-and binds closures.  Data-BRAM loads and stores read and write the BRAM
+configuration and the entry pc to the finished translation, whose module
+code ran once, when it was made, leaving its ``_make`` factory.  So a
+fresh system running an already-seen program only replays the recorded
+fetches and calls each block's factory to bind its closure.  Data-BRAM
+loads and stores read and write the BRAM
 in place when the address is valid: a byte indexes its storage, a word
 or halfword its native-order ``word_view`` / ``half_view`` at the
 shifted address (on a big-endian host, where the views would read the
@@ -112,6 +114,7 @@ from __future__ import annotations
 
 import re
 import time
+import weakref
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ... import obs
@@ -168,15 +171,17 @@ class _CodeCache(BoundedLRU):
     state arrives through the factory call, never through globals), so
     identical blocks of different programs share bytecode.
 
-    The translation table maps ``(compiler class, OPB present,
-    cpu.config, data BRAM size, instruction BRAM digest, entry pc)`` to
-    ``(n, end, static_cycles, code, fetched)``, where
-    ``fetched`` holds the instructions the translation fetched.
-    Everything block emission reads is in the key, so a fresh system
-    running a program this process has already run — a service job, a
-    sweep pass, the evaluation harness — only replays those fetches and
-    binds a closure: no fetch, decode or source emission.  Its own,
-    smaller bound keeps a stream of distinct programs from holding every
+    The translation table maps ``(image key, entry pc)`` to ``(n, end,
+    static_cycles, make, addresses, fetched)``.  The image key
+    (:class:`_ImageKey`) is ``(compiler class, OPB present, cpu.config,
+    data BRAM size, instruction BRAM digest)``; ``make`` is the block's
+    factory (see :func:`factory`), and ``addresses`` and ``fetched`` hold
+    each word the translation fetched and its instruction.  Everything block emission reads is in
+    the key, so a fresh system running a program this process has
+    already run — a service job, a sweep pass, the evaluation harness —
+    only replays those fetches and calls ``make``: no fetch, decode,
+    source emission or ``exec``.  Its own, smaller bound, counted in
+    translations, keeps a stream of distinct programs from holding every
     decoded instruction it ever ran.
     """
 
@@ -205,11 +210,17 @@ _CODEGEN: Dict[str, Dict[str, float]] = {}
 
 _CODEGEN_KEYS = ("compiles", "cache_hits", "compile_seconds")
 
+#: Event counts a label's bucket keeps beyond the translation accounting:
+#: ``wcla`` counts the kernel invocations that fell back from the counted
+#: loop to the generic one (:mod:`repro.fabric.hw_exec`).
+_CODEGEN_EVENTS = {"wcla": ("fallbacks",)}
+
 
 def _codegen_bucket(label: str) -> Dict[str, float]:
     bucket = _CODEGEN.get(label)
     if bucket is None:
-        bucket = _CODEGEN[label] = dict.fromkeys(_CODEGEN_KEYS, 0)
+        bucket = _CODEGEN[label] = dict.fromkeys(
+            _CODEGEN_KEYS + _CODEGEN_EVENTS.get(label, ()), 0)
         bucket["compile_seconds"] = 0.0
     return bucket
 
@@ -342,9 +353,11 @@ def _backward_hook(guard: str, pc: int, target: str) -> List[str]:
 #: translation binds, see :func:`bind`.  ``opb`` is the peripheral bus
 #: itself: the factory resolves the block's static OPB addresses through
 #: it, and the resolved accesses count its ``reads`` and ``writes``.
+#: The helpers that are the same for every CPU (``to_signed``,
+#: ``signed_division``, ``IllegalInstruction``) are the factory's
+#: globals, see :func:`factory`.
 FACTORY_PARAMS = ("cpu, regs, cnt, bram_load, bram_store, opb_read, "
-                  "opb_write, hooks, to_signed, signed_division, "
-                  "IllegalInstruction, dmem, dwords, dhalves, dbram, opb")
+                  "opb_write, hooks, dmem, dwords, dhalves, dbram, opb")
 
 
 def compile_source(source: str, filename: str):
@@ -356,9 +369,28 @@ def compile_source(source: str, filename: str):
     return code, _CODE_CACHE.hits > hits_before
 
 
-def bind(code, cpu):
-    """Run a generated module's code object and call its ``_make``
-    factory with ``cpu``'s state.
+#: The globals every generated module shares (filled on first use: the
+#: CPU module imports this one).
+_FACTORY_GLOBALS: Dict[str, object] = {}
+
+
+def factory(code):
+    """Run a generated module's code object, once per translation, and
+    return its ``_make`` factory (see :func:`bind`).  ``_make`` lands in
+    a mapping of its own, so translations made concurrently share the
+    globals safely."""
+    if not _FACTORY_GLOBALS:
+        from ..cpu import IllegalInstruction
+        _FACTORY_GLOBALS.update(
+            to_signed=to_signed, signed_division=signed_division,
+            IllegalInstruction=IllegalInstruction)
+    names: Dict[str, object] = {}
+    exec(code, _FACTORY_GLOBALS, names)
+    return names["_make"]
+
+
+def bind(make, cpu):
+    """Call a translation's ``_make`` factory with ``cpu``'s state.
 
     Register file, counter array, observer list, BRAM storage and its
     word and halfword views keep their identity for the CPU's lifetime,
@@ -369,18 +401,45 @@ def bind(code, cpu):
     address no peripheral owns yet stays on the per-access decode, so a
     peripheral attached after the bind is still reached.
     """
-    from ..cpu import IllegalInstruction
-    namespace: Dict[str, object] = {}
-    exec(code, namespace)
     opb = cpu.opb
     dbram = cpu.data_bram
-    return namespace["_make"](
+    return make(
         cpu, cpu.registers, cpu._counters, dbram.load, dbram.store,
         opb.try_read if opb is not None else None,
         opb.try_write if opb is not None else None,
-        cpu._observers, to_signed, signed_division, IllegalInstruction,
-        dbram.storage, dbram.word_view, dbram.half_view, dbram, opb,
+        cpu._observers, dbram.storage, dbram.word_view, dbram.half_view,
+        dbram, opb,
     )
+
+
+class _ImageKey:
+    """The fixed part of a translation-table key: ``(compiler class, OPB
+    present, cpu.config, data BRAM size, instruction BRAM digest)``.
+
+    It is hashed once, and :meth:`of` interns it, so every system
+    running the same image under the same configuration holds the same
+    object and a table lookup compares it by identity."""
+
+    __slots__ = ("parts", "_hash", "__weakref__")
+    _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+    def __init__(self, parts: tuple) -> None:
+        self.parts = parts
+        self._hash = hash(parts)
+
+    @classmethod
+    def of(cls, parts: tuple) -> "_ImageKey":
+        key = cls._interned.get(parts)
+        if key is None:
+            key = cls._interned[parts] = cls(parts)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, _ImageKey)
+                                 and self.parts == other.parts)
 
 
 class SourceBlockCompiler:
@@ -404,6 +463,10 @@ class SourceBlockCompiler:
         #: The block's static OPB accesses, ``(address, write)`` -> the
         #: index of the factory locals its resolution binds.
         self._bound: Dict[Tuple[int, bool], int] = {}
+        #: The fixed part of this system's translation-table keys, kept
+        #: until the image digest changes.
+        self._image: Optional[_ImageKey] = None
+        self._image_digest: Optional[str] = None
 
     # ------------------------------------------------------------------ entry
     def compile_block(self, entry: int) -> JitBlock:
@@ -412,29 +475,42 @@ class SourceBlockCompiler:
         configuration before, freshly translated otherwise."""
         start = time.perf_counter()
         cpu = self.cpu
-        key = (type(self), cpu.opb is not None, cpu.config,
-               cpu.data_bram.size, self.engine.image_digest(), entry)
+        digest = self.engine.image_digest()
+        if self._image_digest is not digest:
+            self._image_digest = digest
+            self._image = _ImageKey.of(
+                (type(self), cpu.opb is not None, cpu.config,
+                 cpu.data_bram.size, digest))
+        key = (self._image, entry)
         table = _CODE_CACHE.translations
         translation = table.get(key)
         if translation is not None:
             cached = True
-            n, end, static_cycles, code, fetched = translation
+            n, end, static_cycles, make, addresses, fetched = translation
             # Replay the fetch side effects the translation would have
             # had: the decode cache and the instruction-port counter end
             # up exactly as after a fresh translation.
             decoded = cpu._decoded
-            for instr in fetched:
-                if instr.address not in decoded:
-                    decoded[instr.address] = instr
-                    cpu.instr_bram.port_a_accesses += 1
+            if decoded.keys().isdisjoint(addresses):
+                decoded.update(zip(addresses, fetched))
+                cpu.instr_bram.port_a_accesses += len(addresses)
+            else:
+                for address, instr in zip(addresses, fetched):
+                    if address not in decoded:
+                        decoded[address] = instr
+                        cpu.instr_bram.port_a_accesses += 1
         else:
             self._fetched = []
             n, end, static_cycles, source, _ = self._translate(entry)
             code, cached = compile_source(source, f"<jit block {entry:#x}>")
+            make = factory(code)
             if self._fetched is not None:
-                table.put(key, (n, end, static_cycles, code,
-                                tuple(self._fetched)))
-        block: JitBlock = (n, bind(code, cpu), entry, end,
+                # Each word once: a fetch of a decoded word counts no port
+                # access.
+                fetched = {instr.address: instr for instr in self._fetched}
+                table.put(key, (n, end, static_cycles, make,
+                                tuple(fetched), tuple(fetched.values())))
+        block: JitBlock = (n, bind(make, cpu), entry, end,
                            static_cycles)
         self.blocks[entry] = block
         _record_translation("jit", "block", cached,

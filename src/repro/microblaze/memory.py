@@ -171,19 +171,37 @@ def inline_access_source(load: bool, width: int, address: str, value: str,
     guard = f"not 0 <= {address} <= {top}"
     if width > 1:
         guard = f"{address} & {width - 1} or {guard}"
-    masked = value if width == 4 else f"({value}) & {(1 << 8 * width) - 1}"
-    if width == 1 or LITTLE_ENDIAN_HOST:
-        cell = {1: f"{memory}[{address}]", 2: f"{halves}[{address} >> 1]",
-                4: f"{words}[{address} >> 2]"}[width]
-        fast = f"{value} = {cell}" if load else f"{cell} = {masked}"
-    else:
-        span = f"{memory}[{address}:{address} + {width}]"
-        fast = f'{value} = int.from_bytes({span}, "little")' if load \
-            else f'{span} = ({masked}).to_bytes({width}, "little")'
+    shift = stream_shift(width)
+    fast = stream_access_source(
+        load, width, f"{address} >> {shift}" if shift else address, value,
+        memory, words, halves)
     slow = f"{value} = {checked}({address}, {width})" if load \
         else f"{checked}({address}, {value}, {width})"
     return [f"if {guard}:", f"    {slow}", "else:", f"    {fast}",
             f"    {count}"]
+
+
+def stream_shift(width: int) -> int:
+    """How far right a valid address shifts to become the index that
+    :func:`stream_access_source` reads at: the item index of the word
+    and halfword views, or, on a big-endian host, the byte address."""
+    return width.bit_length() - 1 if LITTLE_ENDIAN_HOST else 0
+
+
+def stream_access_source(load: bool, width: int, index: str, value: str,
+                         memory: str, words: str, halves: str) -> str:
+    """The source line of one access that its caller has already proved
+    aligned and in range, at ``index`` (its address shifted right by
+    :func:`stream_shift`): the fast path of :func:`inline_access_source`,
+    and on its own an access of a WCLA kernel's address stream."""
+    masked = value if width == 4 else f"({value}) & {(1 << 8 * width) - 1}"
+    if width == 1 or LITTLE_ENDIAN_HOST:
+        view = {1: memory, 2: halves, 4: words}[width]
+        cell = f"{view}[{index}]"
+        return f"{value} = {cell}" if load else f"{cell} = {masked}"
+    span = f"{memory}[{index}:{index} + {width}]"
+    return f'{value} = int.from_bytes({span}, "little")' if load \
+        else f'{span} = ({masked}).to_bytes({width}, "little")'
 
 
 @dataclass

@@ -5,6 +5,11 @@
   registers, data BRAM, decode cache and memory-port counters are
   bit-identical to the reference interpreter (the table replays the
   fetches a fresh translation would have made).
+* **Bind once** — a table hit calls the translation's stored factory
+  (no ``exec``); with some of its words already decoded, the replay of
+  its fetches leaves the decode cache and port counts of a fresh
+  translation; and a stream of distinct programs never leaves more than
+  1,024 translations in the table.
 * **Keys** — translations are never shared across configurations,
   fault-statistics modes or compiler classes, and a live patch or a
   checkpoint restore re-keys the next translations to the new image.
@@ -44,7 +49,7 @@ from repro.microblaze import (
     run_slice,
     spawn_from_checkpoint,
 )
-from repro.microblaze.engines import _REGISTRY, register_engine
+from repro.microblaze.engines import _REGISTRY, jit, register_engine
 from repro.microblaze import memory
 from repro.microblaze.memory import inline_access_source
 from repro.microblaze.engines.jit import (
@@ -220,6 +225,82 @@ def test_raiser_blocks_are_never_shared(translations):
         if engine == "jit":
             assert translations == [base]
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+# ------------------------------------------------------------ bind once
+def test_warm_system_binds_every_block_without_exec(
+        compiled_small_programs, monkeypatch):
+    """A table hit calls the translation's stored factory: a warm
+    system runs no module code and makes no factory, yet binds every
+    block it runs and matches the interpreter."""
+    program = compiled_small_programs["idct"]
+    _run(program)
+    execs, factories = [], []
+    run_module, make_factory = exec, jit.factory
+
+    def counting_exec(*args):
+        execs.append(args)
+        return run_module(*args)
+
+    def counting_factory(code):
+        factories.append(code)
+        return make_factory(code)
+
+    monkeypatch.setattr(jit, "exec", counting_exec, raising=False)
+    monkeypatch.setattr(jit, "factory", counting_factory)
+    system, observed = _run(program)
+    assert execs == [] and factories == []
+    assert system.cpu._blocks
+    assert observed == _run(program, engine="interp")[1]
+
+
+def test_replay_over_decoded_words_matches_a_fresh_translation(
+        compiled_small_programs, translations):
+    """With some of a block's words already decoded, a table hit replays
+    its fetches word by word: the decode cache and every port count end
+    up as after a fresh translation, and as on the interpreter."""
+    program = compiled_small_programs["bitmnp"]
+    decoded_first = range(0, 4 * len(program.text), 12)
+
+    def run(engine):
+        system = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
+        system.load(program)
+        system.cpu.reset(entry_point=program.entry_point)
+        for address in decoded_first:
+            system.cpu.fetch(address)
+        system.cpu.run()
+        return _observe(system)
+
+    _CODE_CACHE.clear()
+    del translations[:]
+    fresh = run("jit")
+    assert translations
+    del translations[:]
+    replayed = run("jit")
+    assert translations == []
+    assert replayed == fresh == run("interp")
+
+
+def _block_chain(seed: int, links: int = 12) -> str:
+    """A program of ``links`` + 1 blocks, each ending in a taken branch
+    to the next, unique to ``seed``."""
+    lines = [f"addi r3, r0, {seed}"]
+    for link in range(links):
+        lines += [f"beqi r0, l{link}", f"l{link}:", "addi r3, r3, 1"]
+    return "\n".join(lines + ["bri 0"])
+
+
+def test_table_is_bounded_by_translations(translations):
+    """A stream of distinct programs never leaves more than 1,024
+    translations in the table, however many programs it held."""
+    table = _CODE_CACHE.translations
+    assert table.maxsize == 1024
+    largest = 0
+    for _ in range(100):
+        _run(assemble(_block_chain(next(_IMAGE_SEEDS))))
+        largest = max(largest, len(table))
+    assert len(translations) > 1024
+    assert largest == 1024
 
 
 # ------------------------------------------------ new images, new keys

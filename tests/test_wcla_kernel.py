@@ -5,11 +5,13 @@ loop body to one generated Python function.  These tests hold it to a
 small reference loop written here on top of
 :func:`repro.decompile.expr.evaluate`:
 
-* **Differential over the suite** — every paper benchmark, small and full
-  size, runs its patched binary once with the generated kernel and once
-  with the reference loop; the WCLA register file after every invocation
-  (the live-outs the kernel wrote back into it), iterations, WCLA cycles,
-  port-B accesses and the data-BRAM image must be identical.
+* **Differential over the suite** — every partitioned paper benchmark,
+  small and full size, on the paper and the minimal configuration, runs
+  its patched binary once with the generated kernel and once with the
+  reference loop; the WCLA register file after every invocation (the
+  live-outs the kernel wrote back into it), iterations, WCLA cycles,
+  port-B accesses and the data-BRAM image must be identical.  Every one
+  of those kernels runs as a counted loop and never falls back.
 * **Property test** — random bodies built through
   :class:`~repro.decompile.expr.ExpressionBuilder`, covering loads in both
   arms of a mux and reused after it, guarded stores, loads first read after
@@ -21,13 +23,23 @@ small reference loop written here on top of
 * **Port-B boundaries** — loads and stores of every width at the last
   valid address, past the end and misaligned raise the reference's
   exception after the same counted traffic.
-* **Telemetry** — kernel translations show up in the code-generation
-  accounting and the live metrics under ``engine="wcla"``.
+* **Counted loops** — bodies of the counted shape (an induction variable
+  compared with a constant or an invariant register, affine address
+  streams) over both compares, all relations, steps of ±1 and ±k, the
+  counter on either side, counters next to the signed and unsigned
+  wraps, streams ending at the last valid address or past it, misaligned
+  bases, guarded stores, loads in ``Mux`` arms and budgets just below
+  and at the trip count; plus one named case per fallback trigger.
+* **Telemetry** — kernel translations and counted-loop fallbacks show up
+  in the code-generation accounting and the live metrics under
+  ``engine="wcla"``.
 """
 
 from __future__ import annotations
 
 import gc
+import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -46,11 +58,13 @@ from repro.fabric.hw_exec import (
     WclaPeripheral,
 )
 from repro.microblaze import (
+    MINIMAL_CONFIG,
     PAPER_CONFIG,
     BlockRAM,
     MemoryError_,
     MicroBlazeSystem,
 )
+from repro.microblaze import memory
 from repro.microblaze.engines.jit import codegen_stats, reset_codegen_stats
 from repro.warp import WarpProcessor
 
@@ -161,20 +175,38 @@ def _warp_run(warp, patched, implementation, reference):
     }
 
 
-@pytest.mark.parametrize("small", [True, False], ids=["small", "full"])
-def test_generated_kernels_match_the_reference_over_the_suite(small):
-    warp = WarpProcessor(config=PAPER_CONFIG)
+#: The benchmarks each configuration partitions (without a multiplier or
+#: a barrel shifter, brev, idct and matmul keep their loops in software).
+PARTITIONED = {"paper": BENCHMARKS, "minimal": ("g3fax", "canrdr", "bitmnp")}
+
+
+@pytest.mark.parametrize("small,config", [
+    (True, "paper"), (False, "paper"), (True, "minimal"), (False, "minimal"),
+], ids=["small", "full", "small-minimal", "full-minimal"])
+def test_generated_kernels_match_the_reference_over_the_suite(small, config):
+    """Every partitioned kernel runs as a counted loop that never falls
+    back, and matches the reference."""
+    config = {"paper": PAPER_CONFIG, "minimal": MINIMAL_CONFIG}[config]
+    warp = WarpProcessor(config=config)
     benchmarks = {bench.name: bench for bench in build_suite(small=small)}
     assert sorted(benchmarks) == sorted(BENCHMARKS)
     for name in BENCHMARKS:
         program = compile_source(benchmarks[name].source, name=name,
-                                 config=PAPER_CONFIG).program
+                                 config=config).program
         software, profiler = warp.profile(program)
         patched = program.copy()
         outcome = warp.dpm.partition(patched,
                                      profiler.most_critical_region())
-        assert outcome.success, name
+        partitioned = name in PARTITIONED[
+            "paper" if config is PAPER_CONFIG else "minimal"]
+        assert outcome.success == partitioned, name
+        if not partitioned:
+            continue
+        fallbacks = _fallbacks()
         generated = _warp_run(warp, patched, outcome.implementation, False)
+        assert _fallbacks() == fallbacks, name
+        assert WclaExecutionEngine(outcome.implementation).form \
+            .startswith("counted loop, "), name
         reference = _warp_run(warp, patched, outcome.implementation, True)
         assert generated["invocations"] >= 1, name
         assert generated == reference, name
@@ -296,12 +328,18 @@ class _BodyBuilder:
                                 live_in_registers={*REGISTERS, COUNTER})
 
 
-def _run_both(body, live_in, image, max_iterations):
+def _fallbacks() -> int:
+    """Kernel invocations so far that fell back to the generic loop."""
+    return codegen_stats().get("wcla", {}).get("fallbacks", 0)
+
+
+def _run_both(body, live_in, image, max_iterations, size=MEMORY_BYTES):
     """Run the generated engine and the reference on identical memories;
-    return each side's (outcome, port-B accesses, memory image)."""
+    return each side's (outcome, port-B accesses, memory image), where a
+    port-B fault's outcome is its message."""
     results = []
     for reference in (False, True):
-        bram = BlockRAM(MEMORY_BYTES, name="data")
+        bram = BlockRAM(size, name="data")
         bram.load_image(image)
         try:
             if reference:
@@ -318,6 +356,8 @@ def _run_both(body, live_in, image, max_iterations):
                     invocation.hw_cycles
         except HardwareExecutionError:
             outcome = "budget"
+        except MemoryError_ as error:
+            outcome = str(error)
         results.append((outcome, bram.port_b_accesses, bytes(bram.storage)))
     return results
 
@@ -496,6 +536,295 @@ def test_if_converted_chains_generate_linear_source():
     generated, reference = _run_both(body, {1: 4, 2: 0x5A5A_5A5A},
                                      bytes(range(64)), 5)
     assert generated == reference
+
+
+# -------------------------------------------------------- counted loops
+#: The data BRAM of the counted-shape cases.
+COUNTED_BYTES = 256
+#: The induction register, the loop-invariant bound register and the
+#: loop-invariant base registers of up to three address streams.
+IV, BOUND, BASES = 5, 6, (7, 8, 9)
+#: Counter values start next to zero, the signed wrap or the unsigned wrap.
+EDGES = (0, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF)
+COMPARES = (OpKind.CMP_SIGN, OpKind.CMP_SIGN_U)
+#: Where an address stream's highest address lands: the last valid
+#: address, the first aligned address past the end, straddling the end,
+#: misaligned, or anywhere that keeps the whole stream inside (drawn
+#: more often, so that most cases with several streams still run
+#: counted).
+STREAM_ENDS = ("last", "past", "straddle", "misaligned") + ("inside",) * 6
+
+
+class _RandomDraws:
+    """Case choices from a seeded :class:`random.Random`."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def pick(self, options):
+        return self.rng.choice(options)
+
+    def integer(self, low, high):
+        return self.rng.randint(low, high)
+
+
+class _HypothesisDraws:
+    """Case choices from hypothesis (so failures shrink)."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def pick(self, options):
+        return self.data.draw(st.sampled_from(options))
+
+    def integer(self, low, high):
+        return self.data.draw(st.integers(min_value=low, max_value=high))
+
+
+def _trips(body, live_in, cap=64):
+    """The first iteration whose continue condition fails, or ``None``
+    past ``cap``: only the counter moves, and the condition reads no
+    memory."""
+    state = dict(live_in)
+    for iteration in range(1, cap + 1):
+        if not evaluate(body.continue_condition, state, None, {}):
+            return iteration
+        state[IV] = evaluate(body.register_updates[IV], state, None, {})
+    return None
+
+
+def _counted_case(draw):
+    """A body of the counted shape, its live-ins, a memory image and a
+    budget.  The continue condition compares ``r5 + offset`` (either
+    side, either compare, any relation) with a constant or the invariant
+    ``r6``; ``r5`` steps by ±1 or ±k.  Each access streams over ``r5``
+    from its own invariant base, which is chosen so that the stream's
+    highest address over the iterations that run lands at one of
+    :data:`STREAM_ENDS`.  Loads accumulate into ``r1`` (read and
+    written), one of them possibly read first in a ``Mux`` arm and again
+    lazily after it; stores may be guarded.  ``r2`` and ``r10`` are only
+    written, ``r3`` is a constant and ``r4`` a bare live-in."""
+    b = ExpressionBuilder()
+    step = draw.pick([1, -1, 2, -2, 3, -3, 8, -8])
+    iv = b.live_in(IV)
+    if step < 0 and draw.pick([False, True]):
+        update = b.binary(OpKind.SUB, iv, b.const(-step))
+    else:
+        update = b.binary(OpKind.ADD, iv, b.const(step))
+    offset = draw.pick([0, 1, -1, 5, 0x8000_0000])
+    start = (draw.pick(EDGES) + draw.integer(-12, 12)) & 0xFFFF_FFFF
+    # The bound lies near the compared value, next to a wrap, or anywhere.
+    near = draw.pick(["value", "value", "edge", "anywhere"])
+    if near == "value":
+        limit = (start + offset + draw.integer(-40, 40)) & 0xFFFF_FFFF
+    elif near == "edge":
+        limit = (draw.pick(EDGES) + draw.integer(-3, 3)) & 0xFFFF_FFFF
+    else:
+        limit = draw.integer(0, 0xFFFF_FFFF)
+    bound = b.const(limit) if draw.pick([True, False]) else b.live_in(BOUND)
+    counter = b.binary(OpKind.ADD, iv, b.const(offset))
+    sides = (bound, counter) if draw.pick([True, False]) else (counter, bound)
+    running = b.condition(b.binary(draw.pick(COMPARES), *sides),
+                          draw.pick(RELATIONS))
+    odd = b.condition(b.binary(OpKind.AND, iv, b.const(1)), "ne")
+    total = b.live_in(1)
+    stores, streams = [], []
+    for number in range(draw.integer(1, 3)):
+        kind = draw.pick(["load", "mux-load", "store", "guarded-store"])
+        width, scale = draw.pick([1, 2, 4]), draw.integer(-2, 2)
+        streams.append((width, scale, draw.pick(STREAM_ENDS)))
+        address = b.binary(OpKind.ADD, b.live_in(BASES[number]),
+                           b.binary(OpKind.MUL, iv, b.const(scale * width)))
+        if kind == "load":
+            total = b.binary(OpKind.ADD, total, b.load(address, width, number))
+        elif kind == "mux-load":
+            load = b.load(address, width, number)
+            total = b.binary(OpKind.XOR, b.binary(
+                OpKind.ADD, total, b.mux(odd, load, b.const(3))), load)
+        else:
+            stores.append(StoreOp(
+                address=address, value=b.binary(OpKind.XOR, total, iv),
+                width=width, guard=odd if kind == "guarded-store" else None,
+                sequence=number))
+    body = SymbolicLoopBody(
+        builder=b, region=None,
+        register_updates={IV: update, 1: total,
+                          2: b.binary(OpKind.XOR, total, b.const(0x5A5A)),
+                          3: b.const(0x1234), 4: b.live_in(1), 10: counter},
+        stores=stores, continue_condition=running,
+        live_in_registers={IV, 1, BOUND, *BASES})
+    live_in = {IV: start, 1: draw.integer(0, 0xFFFF_FFFF), BOUND: limit}
+    trips = _trips(body, live_in)
+    if trips is None:
+        budget = draw.integer(1, 40)
+    else:
+        budget = draw.pick([max(trips - 1, 1), trips, trips, trips + 3])
+    runs = budget if trips is None else min(trips, budget)
+    for number, (width, scale, end) in enumerate(streams):
+        # The iteration at the stream's highest address.
+        top = runs if scale * step >= 0 else 1
+        counter_there = (start + (top - 1) * step) & 0xFFFF_FFFF
+        last = COUNTED_BYTES - width
+        span = min(abs(scale * step) * (runs - 1), last // width)
+        highest = {"last": last, "past": last + width, "straddle": last + 1,
+                   "misaligned": last - 1 if width > 1 else last,
+                   "inside": width * draw.integer(span, last // width)}[end]
+        live_in[BASES[number]] = (highest - scale * width * counter_there) \
+            & 0xFFFF_FFFF
+    image = random.Random(draw.integer(0, 1 << 30)).randbytes(COUNTED_BYTES)
+    return body, live_in, image, budget
+
+
+def _check_counted(case):
+    """Run one counted-shape case on the generated kernel and the
+    reference: register file, iterations, ``hw_cycles``, port-B count
+    and memory image must agree.  Returns whether the kernel fell back."""
+    body, live_in, image, budget = case
+    engine = WclaExecutionEngine(_implementation(body))
+    assert engine.form.startswith("counted loop, ")
+    before = _fallbacks()
+    generated, reference = _run_both(body, live_in, image, budget,
+                                     size=COUNTED_BYTES)
+    assert generated == reference
+    return _fallbacks() > before
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_counted_bodies_match_the_reference(data):
+    _check_counted(_counted_case(_HypothesisDraws(data)))
+
+
+@pytest.mark.parametrize("little", [True, False], ids=["views", "slices"])
+def test_counted_bodies_reach_both_entries(little, monkeypatch):
+    """The counted-shape generator exercises both the counted loop and
+    its fallback, each on a fair share of cases, and every case matches
+    the reference, with the streams indexing the word and halfword views
+    or, as on a big-endian host (forced here), converted storage slices
+    at byte indices."""
+    if little and sys.byteorder != "little":
+        pytest.skip("the views hold byte-swapped words on this host")
+    monkeypatch.setattr(memory, "LITTLE_ENDIAN_HOST", little)
+    fell_back = [_check_counted(_counted_case(_RandomDraws(seed)))
+                 for seed in range(400)]
+    assert sum(fell_back) >= 100 and fell_back.count(False) >= 100
+
+
+def _stream_body(width, stride_words, bound=None, relation="lt",
+                 compare=OpKind.CMP_SIGN, step=1, skip=None):
+    """``do r1 += mem[r7 + r5 * stride] while ((r5 += step) <relation>
+    bound)`` as a body, or, with ``skip``, a store of ``r1`` there guarded
+    by ``r5 != skip``; the bound is the literal ``bound`` or, when
+    ``None``, the register r6."""
+    b = ExpressionBuilder()
+    iv = b.live_in(IV)
+    address = b.binary(OpKind.ADD, b.live_in(BASES[0]), b.binary(
+        OpKind.MUL, iv, b.const(stride_words * width)))
+    following = b.binary(OpKind.ADD, iv, b.const(step))
+    updates = {IV: following}
+    stores = []
+    if skip is not None:
+        stores.append(StoreOp(
+            address=address, value=b.live_in(1), width=width, sequence=1,
+            guard=b.condition(b.binary(OpKind.SUB, iv, b.const(skip)),
+                              "ne")))
+        updates[1] = b.binary(OpKind.ADD, b.live_in(1), b.const(1))
+    else:
+        updates[1] = b.binary(OpKind.ADD, b.live_in(1),
+                              b.load(address, width, 1))
+    limit = b.live_in(BOUND) if bound is None else b.const(bound)
+    return SymbolicLoopBody(
+        builder=b, region=None, register_updates=updates, stores=stores,
+        continue_condition=b.condition(b.binary(compare, limit, following),
+                                       relation),
+        live_in_registers={IV, 1, BOUND, BASES[0]})
+
+
+#: One case per fallback trigger: ``(body, live-ins, budget, outcome)``,
+#: where ``outcome`` is "budget", "fault" or "done".
+FALLBACKS = {
+    # Eight trips, seven allowed: the budget runs out first.
+    "trips-past-budget": (
+        _stream_body(4, 1, bound=8), {IV: 0, 1: 0, BASES[0]: 0}, 7,
+        "budget"),
+    # Unsigned (r5 += 4) <= 0xFFFFFFFF from 0xFFFFFFFA: the counter reads
+    # 0xFFFFFFFE, then wraps to 2, and the loop runs on.
+    "counter-wraps": (
+        _stream_body(4, 0, compare=OpKind.CMP_SIGN_U, relation="le",
+                     bound=0xFFFF_FFFF, step=4),
+        {IV: 0xFFFF_FFFA, 1: 0, BASES[0]: 0}, 9, "budget"),
+    # Moving away from the bound while the condition holds:
+    # (r5 += 1) > 3 from 10.
+    "moving-away": (
+        _stream_body(4, 0, relation="gt", bound=3),
+        {IV: 10, 1: 0, BASES[0]: 0}, 5, "budget"),
+    # (r5 += 2) != 7 from 0 never meets the bound before the counter
+    # wraps.
+    "off-the-grid": (
+        _stream_body(4, 0, relation="ne", bound=7, step=2),
+        {IV: 0, 1: 0, BASES[0]: 0}, 6, "budget"),
+    # The stream's last word lies one word past the BRAM.
+    "past-the-end": (
+        _stream_body(4, 1, bound=4),
+        {IV: 0, 1: 0, BASES[0]: COUNTED_BYTES - 12}, 10, "fault"),
+    # A descending stream: its first address is 8, its last one -4.
+    "before-the-start": (
+        _stream_body(4, -1, bound=4), {IV: 0, 1: 0, BASES[0]: 8}, 10,
+        "fault"),
+    # A halfword stream at an odd base.
+    "misaligned": (
+        _stream_body(2, 1, bound=4), {IV: 0, 1: 0, BASES[0]: 33}, 10,
+        "fault"),
+    # The stream's last store would land past the BRAM, but its guard is
+    # false on that iteration: the generic loop finishes normally.
+    "guarded-past-the-end": (
+        _stream_body(4, 1, bound=4, skip=3),
+        {IV: 0, 1: 0, BASES[0]: COUNTED_BYTES - 12}, 10, "done"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_each_fallback_trigger_runs_the_generic_loop(name):
+    body, live_in, budget, outcome = FALLBACKS[name]
+    image = bytes(range(COUNTED_BYTES))
+    before = _fallbacks()
+    fell_back = _check_counted((body, live_in, image, budget))
+    assert fell_back and _fallbacks() == before + 1
+    generated = _run_both(body, live_in, image, budget,
+                          size=COUNTED_BYTES)[0][0]
+    assert {"budget": generated == "budget",
+            "fault": isinstance(generated, str) and generated != "budget",
+            "done": isinstance(generated, tuple)}[outcome], generated
+
+
+def test_counted_entry_at_the_last_valid_address():
+    """The same shapes inside the BRAM run counted, up to a stream ending
+    at the last valid address, and match the reference."""
+    image = bytes(range(COUNTED_BYTES))
+    for width in (1, 2, 4):
+        body = _stream_body(width, 1, bound=4)
+        live_in = {IV: 0, 1: 0, BASES[0]: COUNTED_BYTES - 4 * width}
+        assert not _check_counted((body, live_in, image, 4))
+    body = _stream_body(4, -1, bound=4)
+    assert not _check_counted((body, {IV: 0, 1: 0, BASES[0]: 12}, image, 4))
+
+
+def test_a_forced_fallback_is_counted_and_scraped():
+    """An out-of-range stream counts one ``wcla`` fallback, in the
+    accounting, the live metrics and the ``warp_codegen_events`` scrape,
+    and still matches the reference."""
+    body, live_in, budget, _ = FALLBACKS["guarded-past-the-end"]
+    reset_codegen_stats()
+    with obs.active_telemetry() as telemetry:
+        assert _check_counted((body, live_in, bytes(COUNTED_BYTES), budget))
+        snapshot = telemetry.snapshot()
+    assert codegen_stats()["wcla"]["fallbacks"] == 1
+    events = {sample["labels"]["kind"]: sample["value"]
+              for sample in snapshot["warp_codegen_events"]["samples"]
+              if sample["labels"]["engine"] == "wcla"}
+    assert events["fallbacks"] == 1
+    assert [sample["value"] for sample
+            in snapshot["warp_codegen_fallbacks"]["samples"]] == [1]
 
 
 # ---------------------------------------------------------------- telemetry
