@@ -838,12 +838,11 @@ class WclaPeripheral:
     def tick(self, cycles: int) -> None:  # pragma: no cover - time handled analytically
         return None
 
-    # ------------------------------------------------------------ checkpointing
+    # ------------------------------------------------------------ inspection
     def snapshot_state(self) -> Dict:
-        """Device state for the system checkpoint (configuration — the
-        implementation and the kernel function generated from it — is
-        rebuilt by whoever reconstructs the peripheral, not carried in the
-        blob)."""
+        """Device state as plain builtins (the configuration, i.e. the
+        implementation and the kernel function generated from it, is not
+        part of it)."""
         return {
             "register_file": list(self.register_file),
             "done": self.done,
@@ -851,13 +850,6 @@ class WclaPeripheral:
             "total_hw_cycles": self.total_hw_cycles,
             "total_iterations": self.total_iterations,
         }
-
-    def restore_state(self, state: Dict) -> None:
-        self.register_file[:] = state["register_file"]
-        self.done = state["done"]
-        self.invocations = state["invocations"]
-        self.total_hw_cycles = state["total_hw_cycles"]
-        self.total_iterations = state["total_iterations"]
 
     # ------------------------------------------------------------------- engine
     def _run_kernel(self) -> None:

@@ -11,9 +11,9 @@ Three layers, each usable on its own:
   images, statistics, memory-port counters and profiler rankings against
   the reference interpreter.
 - :mod:`repro.fuzz.bisect` — on divergence, binary-search the first
-  divergent instruction with engine-independent ``WARPCKPT`` checkpoints
-  and :func:`repro.microblaze.checkpoint.run_slice` budget splitting, and
-  emit a re-runnable :class:`~repro.fuzz.bisect.ReproBundle`.
+  divergent instruction, replaying each probe from reset with one
+  :func:`repro.microblaze.run_slice` budget, and emit a re-runnable
+  :class:`~repro.fuzz.bisect.ReproBundle`.
 """
 
 from .bisect import ReproBundle, bisect_divergence

@@ -1,14 +1,13 @@
-"""Checkpoint-driven bisection of engine divergences.
+"""Replay bisection of engine divergences.
 
 Given a program on which an engine's final state disagrees with the
 reference interpreter, :func:`bisect_divergence` binary-searches the
-*first divergent instruction* without ever re-simulating the common
-prefix from scratch: each side keeps a cache of engine-independent
-``WARPCKPT`` checkpoints, a probe at instruction count *k* spawns a fresh
-system from the nearest cached count ≤ *k* (:func:`spawn_from_checkpoint`)
-and covers the remainder with one :func:`run_slice` budget split, and the
-newly reached boundary joins the cache for the next probe.  Probe counts
-snap to instruction boundaries exactly like the engines themselves do —
+*first divergent instruction*.  A probe at instruction count *k* builds a
+fresh system on each side, starts the program from reset and runs it with
+one :func:`~repro.microblaze.run_slice` budget of *k*; fuzz programs are
+short, so replaying the prefix costs less than carrying state between
+probes would.  Probe counts snap to instruction boundaries exactly like
+the engines themselves do —
 ``cpu.step()`` retires a branch and its delay slot atomically, so the
 search recognises a divergence landing *inside* a delay pair and reports
 the pair's branch pc.  A side that faults is compared at its fault point
@@ -28,20 +27,14 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .. import obs
 from ..isa import decode, format_instruction, listing
 from ..isa.program import Program
-from ..microblaze import PAPER_CONFIG
-from ..microblaze.checkpoint import run_slice, spawn_from_checkpoint
+from ..microblaze import PAPER_CONFIG, run_slice
 from ..microblaze.config import MicroBlazeConfig
-from .harness import (
-    DEFAULT_MAX_INSTRUCTIONS,
-    REFERENCE_ENGINE,
-    _build_system,
-    fuzz_peripherals,
-)
+from .harness import DEFAULT_MAX_INSTRUCTIONS, REFERENCE_ENGINE, _build_system
 
 #: How many differing data-BRAM words a state diff lists (the digests
 #: always cover the full image).
@@ -70,56 +63,36 @@ class _BoundaryState:
                 self.opb, self.fault)
 
 
-class _Replayer:
-    """One engine's deterministic replay line with a checkpoint cache."""
-
-    def __init__(self, program: Program, engine: str, *,
-                 config: MicroBlazeConfig, with_opb: bool):
-        self.engine = engine
-        self.config = config
-        self.with_opb = with_opb
-        system = _build_system(engine, config, with_opb)
-        system.start(program)
-        #: instruction count -> WARPCKPT blob at that boundary.
-        self.checkpoints: Dict[int, bytes] = {0: system.checkpoint()}
-
-    def _spawn(self, blob: bytes):
-        peripherals = fuzz_peripherals() if self.with_opb else ()
-        return spawn_from_checkpoint(blob, peripherals=peripherals,
-                                     engine=self.engine)
-
-    def state_at(self, count: int) -> _BoundaryState:
-        """The state at instruction boundary ``count`` (snapped forward to
-        the end of an atomic delay pair, or to the run's own end when it
-        halts/faults earlier)."""
-        base = max(c for c in self.checkpoints if c <= count)
-        system = self._spawn(self.checkpoints[base])
-        fault = None
-        if count > base:
-            try:
-                run_slice(system, count - base)
-            except Exception as error:  # noqa: BLE001 - fault is data here
-                fault = f"{type(error).__name__}: {error}"
-        actual = system.cpu.stats.instructions
-        if fault is None and actual not in self.checkpoints:
-            self.checkpoints[actual] = system.checkpoint()
-        opb = [system.opb.reads, system.opb.writes]
-        for peripheral in system.opb.peripherals:
-            snapshot = getattr(peripheral, "snapshot_state", None)
-            if callable(snapshot):
-                opb.append((peripheral.name, repr(snapshot())))
-        stats = system.cpu.stats.to_plain()
-        return _BoundaryState(
-            instructions=actual,
-            pc=system.cpu.pc,
-            halted=system.cpu.halted,
-            registers=tuple(system.cpu.registers),
-            stats=tuple(sorted(stats.items(),
-                               key=lambda item: repr(item[0]))),
-            data=bytes(system.data_bram.storage),
-            opb=tuple(opb),
-            fault=fault,
-        )
+def _state_at(program: Program, engine: str, count: int, *,
+              config: MicroBlazeConfig, with_opb: bool) -> _BoundaryState:
+    """``engine``'s state at instruction boundary ``count``, replayed on a
+    fresh system from reset (snapped forward to the end of an atomic delay
+    pair, or to the run's own end when it halts/faults earlier)."""
+    system = _build_system(engine, config, with_opb)
+    system.start(program)
+    fault = None
+    if count > 0:
+        try:
+            run_slice(system, count)
+        except Exception as error:  # noqa: BLE001 - fault is data here
+            fault = f"{type(error).__name__}: {error}"
+    opb = [system.opb.reads, system.opb.writes]
+    for peripheral in system.opb.peripherals:
+        snapshot = getattr(peripheral, "snapshot_state", None)
+        if callable(snapshot):
+            opb.append((peripheral.name, repr(snapshot())))
+    stats = system.cpu.stats.to_plain()
+    return _BoundaryState(
+        instructions=system.cpu.stats.instructions,
+        pc=system.cpu.pc,
+        halted=system.cpu.halted,
+        registers=tuple(system.cpu.registers),
+        stats=tuple(sorted(stats.items(),
+                           key=lambda item: repr(item[0]))),
+        data=bytes(system.data_bram.storage),
+        opb=tuple(opb),
+        fault=fault,
+    )
 
 
 # ----------------------------------------------------------------------- bundle
@@ -230,14 +203,14 @@ def bisect_divergence(program: Program, engine: str, *,
     """Locate the first divergent instruction of ``engine`` vs the
     reference on ``program``; ``None`` when the final states agree.
 
-    Each probe costs one checkpoint spawn plus at most half the remaining
-    window of instructions (``run_slice`` budget splitting), so the whole
-    search is O(end · log end) instructions with a warm prefix cache —
-    never a from-scratch replay per probe.
+    Each probe replays both sides from reset to its count, which never
+    exceeds the run's length ``end``, so the whole search costs
+    O(end · log end) instructions.
     """
-    ref_side = _Replayer(program, reference, config=config,
+    def state_at(side: str, count: int) -> _BoundaryState:
+        return _state_at(program, side, count, config=config,
                          with_opb=with_opb)
-    eng_side = _Replayer(program, engine, config=config, with_opb=with_opb)
+
     steps = 0
 
     def probe(count: int) -> Tuple[int, bool, _BoundaryState,
@@ -246,14 +219,16 @@ def bisect_divergence(program: Program, engine: str, *,
         steps += 1
         if obs.ACTIVE is not None:
             obs.inc("warp_fuzz_bisect_steps_total", engine=engine)
-        ref_state = ref_side.state_at(count)
-        eng_state = eng_side.state_at(count)
+        ref_state = state_at(reference, count)
+        eng_state = state_at(engine, count)
         equal = ref_state.comparable() == eng_state.comparable()
         return ref_state.instructions, equal, ref_state, eng_state
 
-    end_count, end_equal, ref_final, eng_final = probe(max_instructions)
+    _, end_equal, ref_final, eng_final = probe(max_instructions)
     if end_equal:
         return None
+    reference_end = ref_final.instructions
+    engine_end = eng_final.instructions
 
     lo = 0
     if ref_final.instructions == eng_final.instructions:
@@ -283,7 +258,7 @@ def bisect_divergence(program: Program, engine: str, *,
             # (lo, hi): there is no boundary between them to probe.
             break
 
-    boundary_ref = ref_side.state_at(lo)
+    boundary_ref = state_at(reference, lo)
     bundle = ReproBundle(
         seed=seed,
         profile=profile,
@@ -297,8 +272,8 @@ def bisect_divergence(program: Program, engine: str, *,
         first_divergent_instruction=_decode_at(program, boundary_ref.pc),
         state_diff=_state_diff(ref_final, eng_final),
         bisect_steps=steps,
-        reference_end=ref_side.state_at(max_instructions).instructions,
-        engine_end=eng_side.state_at(max_instructions).instructions,
+        reference_end=reference_end,
+        engine_end=engine_end,
         replay={
             "how": "repro.fuzz.generator.generate_program(seed, profile)",
             "seed": seed,

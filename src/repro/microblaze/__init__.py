@@ -10,17 +10,6 @@ through its taken backward branches (:mod:`~repro.microblaze.trace`), which
 is how the warp processor's profiler is driven.
 """
 
-from .checkpoint import (
-    CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
-    CheckpointError,
-    capture_checkpoint,
-    describe_checkpoint,
-    fan_out,
-    restore_checkpoint,
-    run_slice,
-    spawn_from_checkpoint,
-)
 from .config import MINIMAL_CONFIG, PAPER_CONFIG, MicroBlazeConfig, PipelineTimings
 from .cpu import (
     CPUError,
@@ -39,19 +28,10 @@ from .engines import (
 )
 from .memory import BlockRAM, LocalMemoryBus, MemoryError_
 from .opb import OPB_BASE_ADDRESS, BusError, OnChipPeripheralBus, SimplePeripheral
-from .system import ExecutionResult, MicroBlazeSystem, run_program
+from .system import ExecutionResult, MicroBlazeSystem, run_program, run_slice
 from .trace import BranchObserver
 
 __all__ = [
-    "CHECKPOINT_MAGIC",
-    "CHECKPOINT_VERSION",
-    "CheckpointError",
-    "capture_checkpoint",
-    "describe_checkpoint",
-    "fan_out",
-    "restore_checkpoint",
-    "run_slice",
-    "spawn_from_checkpoint",
     "DEFAULT_ENGINE",
     "ExecutionEngine",
     "UnknownEngineError",
@@ -78,4 +58,5 @@ __all__ = [
     "ExecutionResult",
     "MicroBlazeSystem",
     "run_program",
+    "run_slice",
 ]

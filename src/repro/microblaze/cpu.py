@@ -43,8 +43,7 @@ taken backward branches, which is all the on-chip profiler snoops, and
 keep working at full speed on every engine.  A run outside the selected
 engine's declared capabilities (cycle budgets, halt addresses) falls
 back to the interpreter.  This module is a thin driver over the engine
-registry: engine selection, invalidation and the checkpoint
-derived-state rebuild all go through the
+registry: engine selection and invalidation go through the
 :class:`~repro.microblaze.engines.ExecutionEngine` contract.
 """
 
@@ -116,10 +115,11 @@ class ExecutionStats:
 
     # ------------------------------------------------------------ serialization
     def to_plain(self) -> Dict:
-        """A plain-builtins view of the record (checkpoint serialization).
+        """A plain-builtins view of the record.
 
-        Instruction classes are stored by *name* so the checkpoint format
-        does not depend on enum identity or ordering.
+        Instruction classes are keyed by *name*, so the view does not
+        depend on enum identity or ordering (the fuzz harness and
+        bisector compare engines' statistics through it).
         """
         return {
             "cycles": self.cycles,
@@ -136,25 +136,6 @@ class ExecutionStats:
             "opb_writes": self.opb_writes,
             "halted": self.halted,
         }
-
-    @classmethod
-    def from_plain(cls, plain: Dict) -> "ExecutionStats":
-        """Inverse of :meth:`to_plain`."""
-        return cls(
-            cycles=plain["cycles"],
-            instructions=plain["instructions"],
-            class_counts={InstrClass[name]: count
-                          for name, count in plain["class_counts"].items()},
-            class_cycles={InstrClass[name]: count
-                          for name, count in plain["class_cycles"].items()},
-            branches_taken=plain["branches_taken"],
-            branches_not_taken=plain["branches_not_taken"],
-            loads=plain["loads"],
-            stores=plain["stores"],
-            opb_reads=plain["opb_reads"],
-            opb_writes=plain["opb_writes"],
-            halted=plain["halted"],
-        )
 
 
 class MicroBlazeCPU:
@@ -302,40 +283,6 @@ class MicroBlazeCPU:
         else:
             self._decoded.pop(address, None)
         self._engine_impl.invalidate(address)
-
-    # ------------------------------------------------------------- checkpointing
-    def snapshot_state(self) -> Dict:
-        """Architectural state as plain builtins (checkpoint/restore hook).
-
-        The scalar counter array is folded into :attr:`stats` first, so the
-        snapshot is engine-independent: a state captured on the jit
-        engine restores bit-exactly onto the interpreter and vice versa.
-        Decode and superblock caches are *not* part of the architectural
-        state (they are rebuilt lazily after a restore).
-        """
-        self._sync_counters()
-        return {
-            "registers": list(self.registers),
-            "pc": self.pc,
-            "halted": self.halted,
-            "halt_address": self.halt_address,
-            "imm_latch": self._imm_latch,
-            "stats": self.stats.to_plain(),
-        }
-
-    def restore_state(self, state: Dict) -> None:
-        """Restore a :meth:`snapshot_state` capture (checkpoint hook)."""
-        self.registers[:] = [value & WORD_MASK for value in state["registers"]]
-        self.pc = state["pc"]
-        self.halted = state["halted"]
-        self.halt_address = state["halt_address"]
-        self._imm_latch = state["imm_latch"]
-        self.stats = ExecutionStats.from_plain(state["stats"])
-        self._counters[:] = [0] * len(self._counters)
-        # Derived state: the decode cache and the engine's translations are
-        # never part of a snapshot and must be rebuilt lazily.
-        self._decoded.clear()
-        self._engine_impl.on_restore()
 
     # -------------------------------------------------------------- execution
     def run(self, max_instructions: int = 50_000_000,

@@ -22,7 +22,7 @@ Two engines register themselves on import:
   with the interpreter; both read what each instruction does from the
   opcode table and :mod:`repro.isa.semantics`).
 
-**The engine contract** covers three responsibilities:
+**The engine contract** covers two responsibilities:
 
 1. *Dispatch loop* — :meth:`ExecutionEngine.run` executes until halt or
    budget and calls ``on_backward_branch(pc, target)`` on the CPU's
@@ -34,13 +34,10 @@ Two engines register themselves on import:
    derived translations covering a patched byte address (or everything)
    and forgets the instruction-image digest (:meth:`~ExecutionEngine.
    image_digest`) that keys the process-wide translation table.  Every
-   write to the instruction BRAM — ``MicroBlazeSystem.load``, live
-   patching, checkpoint restore — goes through it.  The CPU's word-level
-   decode cache is invalidated by the driver; the engine only manages its
-   own translations.
-3. *Checkpoint derived-state rebuild* — :meth:`ExecutionEngine.on_restore`
-   runs after a checkpoint restore; translations are derived state, never
-   part of a snapshot, and must be rebuilt lazily.
+   write to the instruction BRAM (``MicroBlazeSystem.load`` and live
+   patching) goes through it.  The CPU's word-level decode cache is
+   invalidated by the driver; the engine only manages its own
+   translations.
 
 **Registering an engine**::
 
@@ -154,16 +151,6 @@ class ExecutionEngine:
     def _block_range(block: tuple) -> Tuple[int, int]:
         """(entry, end) byte range of one cached translation (inclusive)."""
         raise NotImplementedError
-
-    # ---------------------------------------------------------- checkpointing
-    def on_restore(self) -> None:
-        """Checkpoint derived-state rebuild hook.
-
-        Called after a checkpoint restore has rewritten the instruction
-        BRAM and architectural state: translations are derived state (a
-        snapshot never carries them) and must be rebuilt lazily.
-        """
-        self.invalidate()
 
 
 # --------------------------------------------------------------------------- registry

@@ -96,15 +96,10 @@ class SimplePeripheral:
     def tick(self, cycles: int) -> None:  # pragma: no cover - nothing to do
         return None
 
-    # ------------------------------------------------------------ checkpointing
+    # ------------------------------------------------------------ inspection
     def snapshot_state(self) -> Dict:
         return {"registers": list(self.registers),
                 "reads": self.reads, "writes": self.writes}
-
-    def restore_state(self, state: Dict) -> None:
-        self.registers[:] = state["registers"]
-        self.reads = state["reads"]
-        self.writes = state["writes"]
 
 
 class BusError(Exception):

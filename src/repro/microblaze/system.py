@@ -12,12 +12,12 @@ dynamic partitioning module has generated hardware).  It loads a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..isa.instructions import InstrClass
 from ..isa.program import Program
 from .config import MicroBlazeConfig, PAPER_CONFIG
-from .cpu import ExecutionStats, MicroBlazeCPU
+from .cpu import ExecutionLimitExceeded, ExecutionStats, MicroBlazeCPU
 from .memory import BlockRAM, LocalMemoryBus
 from .opb import OnChipPeripheralBus, Peripheral
 from .trace import BranchObserver
@@ -112,9 +112,6 @@ class MicroBlazeSystem:
         self.cpu = MicroBlazeCPU(config, self.instr_bram, self.data_bram, self.opb,
                                  engine=engine)
         self._loaded_program: Optional[Program] = None
-        #: Program metadata recovered from a checkpoint restore (the image
-        #: itself lives in the BRAMs); see :meth:`restore_checkpoint`.
-        self._checkpoint_meta: Optional[Dict] = None
 
     # ----------------------------------------------------------------- loading
     def attach_peripheral(self, peripheral: Peripheral) -> None:
@@ -139,7 +136,6 @@ class MicroBlazeSystem:
         self.data_bram.load_image(bytes(program.data))
         self.cpu.invalidate_decode_cache()
         self._loaded_program = program
-        self._checkpoint_meta = None
 
     # ----------------------------------------------------------------- running
     def run(
@@ -170,7 +166,35 @@ class MicroBlazeSystem:
         finally:
             for listener in attached:
                 self.cpu.remove_listener(listener)
+        return self._result(stats)
 
+    # ------------------------------------------------------- sliced execution
+    def start(self, program: Program) -> None:
+        """Load ``program`` and reset the CPU without running it.
+
+        Use together with :func:`run_slice` and :meth:`resume` for sliced
+        execution; :meth:`run` is the load-reset-run convenience for
+        uninterrupted runs.
+        """
+        self.load(program)
+        self.cpu.reset(entry_point=program.entry_point,
+                       stack_pointer=self.data_bram.size - 4)
+
+    def resume(self, max_instructions: int = 50_000_000) -> ExecutionResult:
+        """Continue executing from the current CPU state to completion.
+
+        Unlike :meth:`run` this performs no reset, so it picks up exactly
+        where a preempted slice left off.  The returned result is
+        indistinguishable from an uninterrupted :meth:`run` of the same
+        program: statistics are cumulative across slices and the data-image
+        window matches the program's.
+        """
+        if self._loaded_program is None:
+            raise RuntimeError("nothing to resume: no program loaded")
+        return self._result(self.cpu.run(max_instructions=max_instructions))
+
+    def _result(self, stats: ExecutionStats) -> ExecutionResult:
+        loaded = self._loaded_program
         return ExecutionResult(
             program_name=loaded.name,
             config=self.config,
@@ -179,54 +203,24 @@ class MicroBlazeSystem:
             data_image=bytes(self.data_bram.storage[:max(loaded.data_size, 4096)]),
         )
 
-    # ----------------------------------------------------------- checkpointing
-    def start(self, program: Program) -> None:
-        """Load ``program`` and reset the CPU without running it.
 
-        Use together with :func:`repro.microblaze.checkpoint.run_slice` and
-        :meth:`resume` for preemptible (sliced) execution; :meth:`run` is
-        the load-reset-run convenience for uninterrupted runs.
-        """
-        self.load(program)
-        self.cpu.reset(entry_point=program.entry_point,
-                       stack_pointer=self.data_bram.size - 4)
+def run_slice(system: MicroBlazeSystem, slice_instructions: int) -> bool:
+    """Execute at most ``slice_instructions`` further instructions.
 
-    def checkpoint(self) -> bytes:
-        """Snapshot the whole system to a compact, versioned bytes blob."""
-        from .checkpoint import capture_checkpoint
-        return capture_checkpoint(self)
-
-    def restore_checkpoint(self, blob: bytes) -> None:
-        """Restore a :meth:`checkpoint` blob bit-exactly into this system."""
-        from .checkpoint import restore_checkpoint
-        restore_checkpoint(self, blob)
-
-    def resume(self, max_instructions: int = 50_000_000) -> ExecutionResult:
-        """Continue executing from the current CPU state to completion.
-
-        Unlike :meth:`run` this performs no reset, so it picks up exactly
-        where a restored checkpoint (or a preempted slice) left off.  The
-        returned result is indistinguishable from an uninterrupted
-        :meth:`run` of the same program: statistics are cumulative across
-        slices and the data-image window matches the original program's.
-        """
-        if self._loaded_program is not None:
-            name = self._loaded_program.name
-            data_size = self._loaded_program.data_size
-        elif self._checkpoint_meta is not None:
-            name = self._checkpoint_meta["name"]
-            data_size = self._checkpoint_meta["data_size"]
-        else:
-            raise RuntimeError("nothing to resume: no program loaded and no "
-                               "checkpoint restored")
-        stats = self.cpu.run(max_instructions=max_instructions)
-        return ExecutionResult(
-            program_name=name,
-            config=self.config,
-            stats=stats,
-            return_value=self.cpu.read_register(3),
-            data_image=bytes(self.data_bram.storage[:max(data_size, 4096)]),
-        )
+    Returns ``True`` when the program ran to completion within the slice
+    and ``False`` when it was preempted at an instruction boundary, from
+    which :meth:`MicroBlazeSystem.resume` or another ``run_slice``
+    continues.  Statistics are cumulative across slices, so a sliced run
+    finishes with *identical* stats to an uninterrupted one.
+    """
+    if slice_instructions <= 0:
+        raise ValueError("slice_instructions must be positive")
+    budget = system.cpu.stats.instructions + slice_instructions
+    try:
+        system.cpu.run(max_instructions=budget)
+    except ExecutionLimitExceeded:
+        return False
+    return True
 
 
 def run_program(

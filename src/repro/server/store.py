@@ -32,11 +32,11 @@ Design points:
   the store grows past ``max_bytes`` the oldest-mtime entries are
   evicted until it fits.
 
-Trust model: unlike checkpoint blobs (which refuse all pickled globals),
-store entries hold real repo classes and are unpickled normally.  The
-store is a *local cache directory* with filesystem permissions, not a
-network input — do not point it at untrusted data.  Nothing travels the
-wire protocol as a pickle; the wire carries JSON only.
+Trust model: store entries hold real repo classes and are unpickled
+normally.  The store is a *local cache directory* with filesystem
+permissions, not a network input — do not point it at untrusted data.
+Nothing travels the wire protocol as a pickle; the wire carries JSON
+only.
 """
 
 from __future__ import annotations

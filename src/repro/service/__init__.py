@@ -15,10 +15,6 @@ framing from one simulation to batches:
   :class:`WarpService` ties scheduler, pool and the per-stage CAD
   artifact cache of :mod:`repro.cad` together.
 * :mod:`~repro.service.cli` — the ``repro-warp`` command-line front end.
-
-CPU checkpoint/restore — the primitive behind job preemption, migration
-and scenario fan-out — lives at the simulator layer in
-:mod:`repro.microblaze.checkpoint`.
 """
 
 from ..cad import (

@@ -183,8 +183,7 @@ class TestDeletedEngines:
     """The closure-based ``threaded`` engine and the region-fusing
     ``region`` engine are gone with no alias: every entry point that
     takes an engine name — simulator, job, job file, sweep, wire message,
-    CLI verb — fails loudly at the registry check (the checkpoint path
-    is pinned in ``test_checkpoint.py``)."""
+    CLI verb — fails loudly at the registry check."""
 
     @staticmethod
     def _assert_rejected(info, deleted):

@@ -2,10 +2,10 @@
 entry point.
 
 Block engines have one mode, interpreter-exact at a fault, so the opt-in
-flag is gone from the CPU, the system, checkpoint restore, the
-``repro-warp fuzz`` verb, job files and the wire codec.  A caller still
-passing it fails instead of silently getting a different contract; a
-version-1 wire sender's default ``false`` still decodes unchanged.
+flag is gone from the CPU, the system, the ``repro-warp fuzz`` verb, job
+files and the wire codec.  A caller still passing it fails instead of
+silently getting a different contract; a version-1 wire sender's default
+``false`` still decodes unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.microblaze import (
     PAPER_CONFIG,
     run_program,
 )
-from repro.microblaze.checkpoint import spawn_from_checkpoint
 from repro.microblaze.memory import BlockRAM
 from repro.server import protocol
 from repro.service.cli import load_job_file, main
@@ -43,15 +42,8 @@ def _run_program(**kwargs):
     return run_program(assemble(PROGRAM), PAPER_CONFIG, **kwargs)
 
 
-def _spawn(**kwargs):
-    system = MicroBlazeSystem(config=PAPER_CONFIG)
-    system.start(assemble(PROGRAM))
-    return spawn_from_checkpoint(system.checkpoint(), **kwargs)
-
-
-@pytest.mark.parametrize("build", [_cpu, _system, _run_program, _spawn],
-                         ids=["cpu", "system", "run_program",
-                              "spawn_from_checkpoint"])
+@pytest.mark.parametrize("build", [_cpu, _system, _run_program],
+                         ids=["cpu", "system", "run_program"])
 @pytest.mark.parametrize("value", [True, False])
 def test_keyword_raises_type_error(build, value):
     build()  # the same call without the keyword works

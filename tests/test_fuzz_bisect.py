@@ -1,13 +1,15 @@
-"""Checkpoint-driven divergence bisection.
+"""Replay bisection of engine divergences.
 
 The headline guarantee: register a deliberately wrong engine (an
-interpreter that corrupts one register the first time a chosen pc
-retires), fuzz it, and the bisector must pin the *exact* injected pc and
-produce a repro bundle that replays from ``(seed, profile)`` alone.
+interpreter that corrupts one register every time a chosen pc retires),
+fuzz it, and the bisector must pin the *exact* injected pc and produce a
+repro bundle that replays from ``(seed, profile)`` alone, with or without
+a peripheral on the bus.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Optional
 
 import pytest
@@ -15,11 +17,13 @@ import pytest
 from repro.fuzz import (
     bisect_divergence,
     check_program,
+    fuzz_peripherals,
     generate_program,
     run_campaign,
 )
 from repro.microblaze import (
     ExecutionLimitExceeded,
+    MemoryError_,
     MicroBlazeSystem,
     PAPER_CONFIG,
 )
@@ -51,18 +55,35 @@ class MutantEngine(InterpreterEngine):
                 cpu.registers[3] ^= 0x10000
 
 
-def _retired_steps(program):
+def _retired_steps(program, with_opb=False):
     """The reference retirement order: ``(pc, instructions_before)`` per
     :meth:`step` call.  A branch retires atomically with its delay slot,
     so the instruction count can advance by two between steps — step
-    index and instruction count are *not* interchangeable."""
-    system = MicroBlazeSystem(config=PAPER_CONFIG, engine="interp")
+    index and instruction count are *not* interchangeable.  A run that
+    faults on a memory access ends with the step that raised."""
+    system = MicroBlazeSystem(
+        config=PAPER_CONFIG, engine="interp",
+        peripherals=fuzz_peripherals() if with_opb else ())
     system.start(program)
     steps = []
-    while not system.cpu.halted:
-        steps.append((system.cpu.pc, system.cpu.stats.instructions))
-        system.cpu.step()
-    return steps
+    try:
+        while not system.cpu.halted:
+            steps.append((system.cpu.pc, system.cpu.stats.instructions))
+            system.cpu.step()
+    except MemoryError_:
+        pass
+    return steps, system.cpu.halted
+
+
+@contextmanager
+def _registered_mutant(target_pc):
+    MutantEngine.target_pc = target_pc
+    register_engine("mutant", MutantEngine)
+    try:
+        yield
+    finally:
+        del _REGISTRY["mutant"]
+        MutantEngine.target_pc = None
 
 
 @pytest.fixture()
@@ -70,13 +91,9 @@ def mutant_engine():
     program = generate_program(SEED, PROFILE)
     # Inject in the checksum epilogue: it retires exactly once and the
     # fold chain is bijective, so the corruption reaches the final state.
-    MutantEngine.target_pc = _retired_steps(program)[-4][0]
-    register_engine("mutant", MutantEngine)
-    try:
-        yield program, MutantEngine.target_pc
-    finally:
-        del _REGISTRY["mutant"]
-        MutantEngine.target_pc = None
+    target_pc = _retired_steps(program)[0][-4][0]
+    with _registered_mutant(target_pc):
+        yield program, target_pc
 
 
 class TestMutantPinpointing:
@@ -86,7 +103,7 @@ class TestMutantPinpointing:
                                    profile=PROFILE)
         assert bundle is not None
         assert bundle.first_divergent_pc == target_pc
-        expected = next(count for pc, count in _retired_steps(program)
+        expected = next(count for pc, count in _retired_steps(program)[0]
                         if pc == target_pc)
         assert bundle.instructions_before_divergence == expected
         assert "r3" in bundle.state_diff["registers"]
@@ -144,3 +161,26 @@ class TestAgreementAndFaults:
         assert bundle.engine == "mutant"
         assert bundle.reference == "interp"
         assert bundle.first_divergent_instruction
+
+
+class TestPeripheralPath:
+    """``opb`` programs bisect with the fuzz peripheral attached: every
+    probe builds its own peripheral, whose state is compared like the
+    CPU's.  Seed 2 faults on a static address past the peripheral window,
+    so both sides of its bisection end in a fault."""
+
+    @pytest.mark.parametrize("seed", (0, 1, 2, 3))
+    def test_mutant_is_pinned_with_peripherals(self, seed):
+        program = generate_program(seed, "opb")
+        steps, halted = _retired_steps(program, with_opb=True)
+        assert halted == (seed != 2)
+        target_pc = steps[-4][0]
+        expected = next(count for pc, count in steps if pc == target_pc)
+        with _registered_mutant(target_pc):
+            bundle = bisect_divergence(program, "mutant", seed=seed,
+                                       profile="opb", with_opb=True)
+        assert bundle is not None
+        assert bundle.first_divergent_pc == target_pc
+        assert bundle.instructions_before_divergence == expected
+        assert "r3" in bundle.state_diff["registers"]
+        assert bundle.reference_end == bundle.engine_end

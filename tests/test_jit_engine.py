@@ -9,8 +9,7 @@
   interpreter-identical state: statistics, registers, pc, imm latch.
 * **Cache invalidation** — generated blocks must drop when the dynamic
   partitioning module patches the executing binary, survive a patch
-  outside their range, and all drop on a wholesale ``invalidate()`` or a
-  checkpoint restore.
+  outside their range, and all drop on a wholesale ``invalidate()``.
 * **Dispatch fallback** — a full-trace listener keeps the run on the
   interpreter.
 * **Telemetry** — translations land in ``codegen_stats()`` and in the
@@ -36,8 +35,6 @@ from repro.microblaze import (
     MicroBlazeSystem,
     MINIMAL_CONFIG,
     PAPER_CONFIG,
-    capture_checkpoint,
-    restore_checkpoint,
     run_program,
 )
 from repro.microblaze.engines.jit import (
@@ -464,20 +461,6 @@ class TestCacheInvalidation:
         assert not impl.blocks
         assert impl._image_digest is None
         system.cpu.run()
-        assert system.cpu.read_register(3) == 10
-
-    def test_checkpoint_restore_drops_translations(self):
-        """Translations are derived state: restoring a checkpoint onto a
-        warm system drops them all, and the resumed run rebuilds them."""
-        system, _program = self._warm_system()
-        impl = system.cpu._engine_impl
-        blob = capture_checkpoint(system)
-        system.cpu.run()
-        assert impl.blocks
-        restore_checkpoint(system, blob)
-        assert not impl.blocks
-        assert impl._image_digest is None
-        system.resume()
         assert system.cpu.read_register(3) == 10
 
 

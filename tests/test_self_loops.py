@@ -18,8 +18,12 @@ import pytest
 
 from repro.fuzz import generate_program, observe
 from repro.isa.assembler import assemble
-from repro.microblaze import MicroBlazeSystem, PAPER_CONFIG, engine_names
-from repro.microblaze.checkpoint import run_slice
+from repro.microblaze import (
+    MicroBlazeSystem,
+    PAPER_CONFIG,
+    engine_names,
+    run_slice,
+)
 from repro.microblaze.engines import jit
 from repro.microblaze.opb import OPB_BASE_ADDRESS, SimplePeripheral
 from repro.profiler.profiler import OnChipProfiler

@@ -12,15 +12,15 @@
   1,024 translations in the table.
 * **Keys** — translations are never shared across configurations,
   fault-statistics modes or compiler classes, and a live patch or a
-  checkpoint restore re-keys the next translations to the new image.
+  second load re-keys the next translations to the new image.
 * **Inline BRAM accesses** — every load/store width at the last valid
   address, just past the end, misaligned and at a wrapped negative
   address, on two data-BRAM sizes, on every block engine in both
   statistics modes, against the interpreter's exception, message,
   statistics and port counters; the emitted access itself, in both its
   word-view and its big-endian slice rendering, against ``BlockRAM``'s
-  checked methods; and jit code reading contents that a checkpoint
-  restore or a second load wrote through the same views.
+  checked methods; and jit code reading contents that a second load
+  wrote through the same views.
 
 No test depends on what earlier tests left in the table: each either
 warms it with a *different* program that shares entry pcs first or runs
@@ -43,11 +43,8 @@ from repro.microblaze import (
     MemoryError_,
     MicroBlazeConfig,
     MicroBlazeSystem,
-    capture_checkpoint,
     engine_names,
-    restore_checkpoint,
     run_slice,
-    spawn_from_checkpoint,
 )
 from repro.microblaze.engines import _REGISTRY, jit, register_engine
 from repro.microblaze import memory
@@ -344,20 +341,16 @@ def test_live_patch_rekeys_translations(engine, compiled_small_programs):
 
 
 @pytest.mark.parametrize("engine", BLOCK_ENGINES)
-def test_checkpoint_restore_rekeys_translations(engine,
-                                                compiled_small_programs):
+def test_second_load_rekeys_translations(engine, compiled_small_programs):
     program = compiled_small_programs["matmul"]
     other = compiled_small_programs["brev"]
-    source = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
-    source.start(program)
-    assert not run_slice(source, 400)
-    blob = capture_checkpoint(source)
 
-    target, _ = _run(other, engine=engine)  # warm on another image
-    restore_checkpoint(target, blob)
-    observed = _observe(target, target.resume())
-    reference_system = spawn_from_checkpoint(blob, engine="interp")
-    assert observed == _observe(reference_system, reference_system.resume())
+    def reloaded(engine):
+        system, _ = _run(other, engine=engine)  # warm on another image
+        system.load(program)
+        return _observe(system, system.run())
+
+    assert reloaded(engine) == reloaded("interp")
     # And the other program still runs on its own translations.
     assert _run(other, engine=engine)[1] == _run(other, engine="interp")[1]
 
@@ -584,10 +577,10 @@ def _view_reader(word: int, half: int, byte: int):
     """)
 
 
-def test_views_read_restored_and_reloaded_contents():
-    """A checkpoint restore and a second load rewrite the data BRAM in
-    place: jit code indexes the same word and halfword views and reads
-    the new contents, as the interpreter does."""
+def test_views_read_reloaded_contents():
+    """A second load rewrites the data BRAM in place: jit code indexes the
+    same word and halfword views and reads the new contents, as the
+    interpreter does."""
     system = MicroBlazeSystem(config=PAPER_CONFIG, engine="jit")
     bram = system.data_bram
     words, halves = bram.word_view, bram.half_view
@@ -607,15 +600,6 @@ def test_views_read_restored_and_reloaded_contents():
     first = (0x0102_0304, 0x0506, 0x07)
     check(system.run(_view_reader(*first)), interp(_view_reader(*first)),
           *first)
-
-    restored = (0x8899_AABB, 0xCCDD, 0xEE)
-    source = MicroBlazeSystem(config=PAPER_CONFIG, engine="jit")
-    source.start(_view_reader(*restored))
-    assert not run_slice(source, 2)
-    blob = capture_checkpoint(source)
-    restore_checkpoint(system, blob)
-    check(system.resume(),
-          spawn_from_checkpoint(blob, engine="interp").resume(), *restored)
 
     reloaded = (0xFFFF_FFFF, 0xFFFF, 0xFF)
     system.load(_view_reader(*reloaded))
