@@ -3,16 +3,17 @@ implement → binary update).
 
 The paper's core contribution is the lean CAD flow the dynamic
 partitioning module runs on chip.  This package makes that flow an
-explicit, first-class pipeline instead of a hardcoded call sequence:
+explicit pipeline of six fixed stages instead of a hardcoded call
+sequence:
 
 * :mod:`~repro.cad.flow` — the :class:`FlowStage` contract (name,
   content-key contribution, compute/install, modelled on-chip cycles), the
   :class:`FlowContext` threading typed artifacts between stages, the
   :class:`CadFlow` driver (per-stage host wall time, modelled DPM cycles,
-  tracing hooks), the stage registry, and the :class:`DpmCostModel` whose
+  caching, failure mapping), and the :class:`DpmCostModel` whose
   per-phase constants the stages consult.
-* :mod:`~repro.cad.stages` — the concrete stages plus registered
-  alternates (e.g. the single-pass greedy router ``route-greedy``).
+* :mod:`~repro.cad.stages` — the six stages and :data:`PAPER_FLOW`, the
+  one flow that runs them in the paper's order.
 * :mod:`~repro.cad.keys` — deterministic canonical forms and the SHA-256
   content digests the stages build their cache keys from.
 * :mod:`~repro.cad.artifacts` — the :class:`CadArtifactCache` of per-stage
@@ -45,7 +46,6 @@ from .artifacts import (
     is_negative_artifact,
 )
 from .flow import (
-    DEFAULT_STAGE_NAMES,
     CadFlow,
     DpmCostModel,
     FlowContext,
@@ -54,14 +54,11 @@ from .flow import (
     KernelDoesNotFitError,
     KernelRejectedError,
     StageRecord,
-    available_stage_names,
-    build_flow,
-    build_stage,
-    register_stage,
     served_from_cache,
-    validate_job_stage_names,
 )
 from .stages import (
+    DEFAULT_STAGE_NAMES,
+    PAPER_FLOW,
     BinaryUpdateStage,
     DecompileStage,
     ImplementationStage,
@@ -93,12 +90,8 @@ __all__ = [
     "KernelDoesNotFitError",
     "KernelRejectedError",
     "StageRecord",
-    "available_stage_names",
-    "build_flow",
-    "build_stage",
-    "register_stage",
     "served_from_cache",
-    "validate_job_stage_names",
+    "PAPER_FLOW",
     "BinaryUpdateStage",
     "DecompileStage",
     "ImplementationStage",

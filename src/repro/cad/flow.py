@@ -2,7 +2,7 @@
 
 A :class:`CadFlow` is an ordered sequence of :class:`FlowStage` passes —
 decompile, synthesis/tech-map, placement, routing, implementation, binary
-update by default — threaded through one :class:`FlowContext` that carries
+update — threaded through one :class:`FlowContext` that carries
 the typed artifacts from stage to stage.  The driver owns everything the
 stages have in common:
 
@@ -15,22 +15,19 @@ stages have in common:
   and how it was satisfied (a ``SOURCE_*`` value: ``miss``/``hit``/
   ``negative-hit``/``disk-hit``/``uncached``).  Every cache
   count a job reports derives from these records (:func:`served_from_cache`);
-* **tracing** — hooks invoked after every stage record;
 * **failure mapping** — domain errors are wrapped in :class:`FlowError`
   (keeping the failing stage's name and the original cause) so the DPM can
   translate them into the exact legacy outcome shapes.
 
-Alternate passes register under the stage registry
-(:func:`register_stage`) and are selected per flow — and, through
-:class:`~repro.service.jobs.WarpJob.stages`, per service job — by name via
-:func:`build_flow`.
+The flow is fixed: :data:`repro.cad.stages.PAPER_FLOW` runs the paper's
+six stages in order, and every DPM runs it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import chaos, obs
 from ..decompile.kernel import HardwareKernel
@@ -60,7 +57,7 @@ class DpmCostModel:
     multi-processor round-robin study has something meaningful to add up.
     Each :class:`FlowStage` reads its own constant and reports its modelled
     cycles; :meth:`partitioning_cycles` remains as the closed-form sum over
-    the default stages.
+    the stages.
     """
 
     clock_mhz: float = 85.0
@@ -176,8 +173,7 @@ class FlowStage:
 
     Subclasses define the five aspects the driver composes:
 
-    * ``name`` — the slot this stage fills (``"route"`` for every router
-      variant); ``variant`` distinguishes alternates in the content key;
+    * ``name`` — the stage's name in records, spans and cache counters;
     * :meth:`content_key` — the stage's content-address contribution, or
       ``None`` for uncacheable stages (decompile, binary update).  Keys
       chain the upstream digest from ``context.digests``;
@@ -195,13 +191,14 @@ class FlowStage:
     """
 
     name: str = "stage"
-    variant: str = "default"
     key_version: int = 1
     negative_exceptions: Tuple[type, ...] = ()
 
     def cache_token(self) -> str:
-        """Stage identity prefix of the content key."""
-        return f"{self.name}/{self.variant}:v{self.key_version}"
+        """Stage identity prefix of the content key.  The ``default``
+        tag is what every stage wrote when alternates existed; it stays
+        so entries already in a disk store remain addressable."""
+        return f"{self.name}/default:v{self.key_version}"
 
     def content_key(self, context: FlowContext) -> Optional[str]:
         return None
@@ -227,8 +224,6 @@ class FlowStage:
 
 
 # --------------------------------------------------------------------------- driver
-TraceHook = Callable[[StageRecord, FlowContext], None]
-
 #: Transient-fault (``ChaosError``) retries per stage compute before the
 #: fault escapes to the job level.
 STAGE_TRANSIENT_RETRIES = 3
@@ -237,16 +232,8 @@ STAGE_TRANSIENT_RETRIES = 3
 class CadFlow:
     """Runs an ordered sequence of stages over one :class:`FlowContext`."""
 
-    def __init__(self, stages: Sequence[FlowStage],
-                 trace_hooks: Sequence[TraceHook] = ()):
-        self.stages = list(stages)
-        self.trace_hooks = list(trace_hooks)
-
-    def stage_names(self) -> List[str]:
-        return [stage.name for stage in self.stages]
-
-    def add_trace_hook(self, hook: TraceHook) -> None:
-        self.trace_hooks.append(hook)
+    def __init__(self, stages: Sequence[FlowStage]):
+        self.stages = tuple(stages)
 
     # --------------------------------------------------------------------- run
     def run(self, context: FlowContext) -> FlowContext:
@@ -317,8 +304,6 @@ class CadFlow:
                     obs.inc("warp_stage_lookups_total", stage=record.stage,
                             source=record.source)
             context.records.append(record)
-            for hook in self.trace_hooks:
-                hook(record, context)
 
     def _compute(self, stage: FlowStage, context: FlowContext,
                  key: Optional[str], record: StageRecord):
@@ -343,59 +328,3 @@ class CadFlow:
                     context.cache.stage_store(stage.name, key,
                                               stage.negative_marker(error))
                 raise
-
-
-# --------------------------------------------------------------------------- registry
-_REGISTRY: Dict[str, Callable[[], FlowStage]] = {}
-
-#: The paper's lean on-chip flow, in order.
-DEFAULT_STAGE_NAMES = ("decompile", "synthesis", "place", "route",
-                       "implement", "binary-update")
-
-
-def register_stage(name: str, factory: Callable[[], FlowStage]) -> None:
-    """Register a stage (or an alternate variant) under ``name``."""
-    if name in _REGISTRY:
-        raise ValueError(f"stage {name!r} is already registered")
-    _REGISTRY[name] = factory
-
-
-def available_stage_names() -> List[str]:
-    return sorted(_REGISTRY)
-
-
-def build_stage(name: str) -> FlowStage:
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        raise ValueError(f"unknown CAD stage {name!r}; available: "
-                         f"{available_stage_names()}")
-    return factory()
-
-
-def build_flow(stage_names: Optional[Sequence[str]] = None,
-               trace_hooks: Sequence[TraceHook] = ()) -> CadFlow:
-    """Assemble a :class:`CadFlow` from registered stage names (the
-    default flow when ``stage_names`` is ``None``)."""
-    names = DEFAULT_STAGE_NAMES if stage_names is None else tuple(stage_names)
-    return CadFlow([build_stage(name) for name in names],
-                   trace_hooks=trace_hooks)
-
-
-def validate_job_stage_names(stage_names: Sequence[str]) -> None:
-    """Check a *declarative* stage list (a job spec) fills every slot of
-    the default pipeline, in order.
-
-    Registered alternates swap within a slot (``route-greedy`` still fills
-    the ``route`` slot), but the stages feed each other through the
-    :class:`FlowContext`, so a list that omits or reorders slots would only
-    fail deep inside a worker with a cryptic attribute error.  Raises
-    :class:`ValueError` naming the offending list instead.  Programmatic
-    flows built directly from :class:`CadFlow` stay unconstrained.
-    """
-    slots = tuple(build_stage(name).name for name in stage_names)
-    if slots != DEFAULT_STAGE_NAMES:
-        raise ValueError(
-            f"stage list {tuple(stage_names)} fills slots {slots}; a job's "
-            f"flow must fill the slots {DEFAULT_STAGE_NAMES} in order "
-            f"(alternates swap within a slot, e.g. 'route-greedy' for "
-            f"'route')")

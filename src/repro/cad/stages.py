@@ -1,4 +1,5 @@
-"""Concrete passes of the on-chip CAD flow, plus registered alternates.
+"""The six passes of the on-chip CAD flow and :data:`PAPER_FLOW`, the one
+flow that runs them in the paper's order.
 
 Each stage declares exactly what it consumes in its content key:
 
@@ -7,9 +8,8 @@ Each stage declares exactly what it consumes in its content key:
   count, memory ports);
 * ``place`` — the synthesis digest plus the fabric geometry the placer
   reads (rows, columns, LUTs per CLB);
-* ``route`` — the placement digest plus the channel capacity (and the
-  router's iteration bound, so the greedy variant never collides with the
-  negotiated-congestion default);
+* ``route`` — the placement digest plus the channel capacity and the
+  router's iteration bound;
 * ``implement`` — the routing digest plus the full WCLA (every timing
   constant shapes the clock estimate).
 
@@ -31,16 +31,16 @@ from typing import Optional
 from ..decompile.kernel import extract_kernel
 from ..decompile.symexec import DecompilationError, decompile_region
 from ..fabric.place import FabricCapacityError, place_kernel
-from ..fabric.route import PathfinderLiteRouter
+from ..fabric.route import route_kernel
 from ..fabric.implementation import implement_kernel
 from ..synthesis.datapath import synthesize_kernel
 from .artifacts import CapacityRejection
 from .flow import (
+    CadFlow,
     FlowContext,
     FlowStage,
     KernelDoesNotFitError,
     KernelRejectedError,
-    register_stage,
 )
 from .keys import body_form, canonical_wcla_form, content_digest
 
@@ -177,29 +177,20 @@ class PlacementStage(FlowStage):
 
 # --------------------------------------------------------------------------- routing
 class RouteStage(FlowStage):
-    """Negotiated-congestion routing ("Pathfinder-lite") of the placed nets.
-
-    ``route-greedy`` registers the single-pass variant (``max_iterations=1``,
-    no rip-up-and-reroute) under the same stage slot; its ``variant`` tag
-    keeps the two routers' cache entries apart.
+    """Negotiated-congestion routing ("Pathfinder-lite") of the placed nets,
+    with the router's default bound of four rip-up-and-reroute iterations.
     """
 
     name = "route"
-
-    def __init__(self, variant: str = "default", max_iterations: int = 4):
-        self.variant = variant
-        self.max_iterations = max_iterations
 
     def content_key(self, context: FlowContext) -> Optional[str]:
         return content_digest(self.cache_token(),
                               context.digests["place"],
                               f"channel_width={context.wcla.fabric.channel_width}",
-                              f"max_iterations={self.max_iterations}")
+                              "max_iterations=4")
 
     def compute(self, context: FlowContext):
-        router = PathfinderLiteRouter(context.wcla.fabric,
-                                      max_iterations=self.max_iterations)
-        return router.route(context.placement)
+        return route_kernel(context.placement, context.wcla)
 
     def install(self, context: FlowContext, value) -> None:
         context.routing = value
@@ -255,12 +246,16 @@ class BinaryUpdateStage(FlowStage):
         context.patch = value
 
 
-# --------------------------------------------------------------------------- registry
-register_stage("decompile", DecompileStage)
-register_stage("synthesis", SynthesisStage)
-register_stage("place", PlacementStage)
-register_stage("route", RouteStage)
-register_stage("route-greedy",
-               lambda: RouteStage(variant="greedy", max_iterations=1))
-register_stage("implement", ImplementationStage)
-register_stage("binary-update", BinaryUpdateStage)
+# --------------------------------------------------------------------------- the flow
+#: The paper's lean on-chip flow: its six stages, in order.  Every DPM
+#: runs it; the stages hold no state, so one instance serves them all.
+PAPER_FLOW = CadFlow((
+    DecompileStage(),
+    SynthesisStage(),
+    PlacementStage(),
+    RouteStage(),
+    ImplementationStage(),
+    BinaryUpdateStage(),
+))
+
+DEFAULT_STAGE_NAMES = tuple(stage.name for stage in PAPER_FLOW.stages)

@@ -163,7 +163,7 @@ def register_engine(name: str, factory: EngineFactory) -> None:
     """Register ``factory`` (``cpu -> ExecutionEngine``) under ``name``.
 
     Re-registering a name replaces the factory (so tests and downstream
-    code can swap variants), mirroring ``repro.cad.register_stage``.
+    code can swap variants).
     """
     if not name or not isinstance(name, str):
         raise ValueError("engine name must be a non-empty string")

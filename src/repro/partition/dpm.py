@@ -14,25 +14,24 @@ possible).
 The flow itself lives in :mod:`repro.cad`: an explicit pass pipeline
 (decompile → synthesis → place → route → implement → binary update) with
 per-stage content-addressed caching, per-stage host wall time and modelled
-DPM cycles, and a registry of alternate passes.  This module is the thin
-driver that runs one :class:`~repro.cad.CadFlow` per critical region and
-translates stage failures into :class:`PartitioningOutcome` records.
+DPM cycles.  This module is the thin driver that runs
+:data:`~repro.cad.PAPER_FLOW` once per critical region and translates
+stage failures into :class:`PartitioningOutcome` records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..cad import (
-    CadFlow,
+    PAPER_FLOW,
     DpmCostModel,
     FlowContext,
     FlowError,
     KernelDoesNotFitError,
     KernelRejectedError,
     StageRecord,
-    build_flow,
     served_from_cache,
 )
 from ..decompile.kernel import HardwareKernel
@@ -98,31 +97,19 @@ class DynamicPartitioningModule:
     graph and the WCLA parameters: repeated partitioning of the same loop
     body — across service jobs, across the cores of a multiprocessor
     system, across sweep repetitions — skips the CAD work stage by stage.
-    Without a cache the flow always runs, exactly as before.
-
-    The flow is pluggable: pass ``stage_names`` (registry names, e.g.
-    swapping ``"route"`` for ``"route-greedy"``) or a prebuilt ``flow`` to
-    replace passes; ``trace_hooks`` observe every stage record.
+    Without a cache the flow always runs, exactly as before.  Every
+    outcome's ``stage_records`` hold one :class:`~repro.cad.StageRecord`
+    per stage attempted.
     """
 
     def __init__(self, wcla: WclaParameters = DEFAULT_WCLA,
                  wcla_base_address: int = OPB_BASE_ADDRESS,
                  cost_model: Optional[DpmCostModel] = None,
-                 artifact_cache=None,
-                 flow: Optional[CadFlow] = None,
-                 stage_names: Optional[Sequence[str]] = None,
-                 trace_hooks: Sequence = ()):
-        if flow is not None and (stage_names is not None
-                                 or len(tuple(trace_hooks)) > 0):
-            raise ValueError("pass either a prebuilt flow or the "
-                             "stage_names/trace_hooks it would be built "
-                             "with, not both")
+                 artifact_cache=None):
         self.wcla = wcla
         self.wcla_base_address = wcla_base_address
         self.cost_model = cost_model if cost_model is not None else DpmCostModel()
         self.artifact_cache = artifact_cache
-        self.flow = flow if flow is not None \
-            else build_flow(stage_names, trace_hooks=trace_hooks)
 
     def partition(self, program: Program,
                   region: Optional[CriticalRegion]) -> PartitioningOutcome:
@@ -144,7 +131,7 @@ class DynamicPartitioningModule:
             region=region,
         )
         try:
-            self.flow.run(context)
+            PAPER_FLOW.run(context)
         except FlowError as error:
             return self._failure_outcome(context, error)
         return PartitioningOutcome(

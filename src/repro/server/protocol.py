@@ -320,7 +320,6 @@ def job_to_plain(job: WarpJob) -> Dict[str, Any]:
         "engine": job.engine,
         "max_instructions": job.max_instructions,
         "priority": job.priority,
-        "stages": list(job.stages) if job.stages is not None else None,
         "timeout_s": job.timeout_s,
         "trace_id": job.trace_id,
         # Fuzz-campaign jobs (additive keys — absent for classic jobs on
@@ -350,7 +349,11 @@ def job_from_plain(plain: Dict[str, Any]) -> WarpJob:
         raise JobSpecError(f"wire job {plain['name']!r}: fuzz_precise was "
                            "removed; block engines always match the "
                            "interpreter at a fault")
-    stages = plain.get("stages")
+    if plain.get("stages") is not None:
+        # Version-1 senders always write ``"stages": null`` for the
+        # one CAD flow; a stage list asks for a choice that is gone.
+        raise JobSpecError(f"wire job {plain['name']!r}: stages was "
+                           "removed; every job runs the paper's CAD flow")
     fuzz_engines = plain.get("fuzz_engines")
     return WarpJob(
         name=plain["name"],
@@ -363,7 +366,6 @@ def job_from_plain(plain: Dict[str, Any]) -> WarpJob:
         engine=plain.get("engine"),
         max_instructions=plain.get("max_instructions", 50_000_000),
         priority=plain.get("priority", 0),
-        stages=tuple(stages) if stages is not None else None,
         timeout_s=plain.get("timeout_s"),
         trace_id=plain.get("trace_id"),
         fuzz_profile=plain.get("fuzz_profile"),

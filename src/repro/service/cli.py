@@ -4,12 +4,9 @@ Local subcommands::
 
     repro-warp suite [--benchmarks brev,matmul] [--configs paper,minimal]
                      [--engines jit,interp] [--small] [--workers N]
-                     [--stages decompile,synthesis,...] [--store DIR]
-                     [--repeat N] [--out report.json]
+                     [--store DIR] [--repeat N] [--out report.json]
 
-runs the built-in suite sweep (benchmarks × configurations × engines;
-``--stages`` swaps registered CAD passes for every job of the sweep,
-entering each job's dedup key exactly like ``WarpJob(stages=...)``), and ::
+runs the built-in suite sweep (benchmarks × configurations × engines), and ::
 
     repro-warp jobs examples/service_jobs.json [--workers N] [--out ...]
 
@@ -54,16 +51,12 @@ Job files are JSON::
         {"name": "brev-nobs", "benchmark": "brev", "small": true,
          "priority": 5, "config": {"use_barrel_shifter": false},
          "config_label": "no-bs"},
-        {"name": "greedy", "benchmark": "idct",
-         "stages": ["decompile", "synthesis", "place", "route-greedy",
-                    "implement", "binary-update"]},
         {"name": "inline", "source": "int main() { ... }"}
     ]}
 
 where ``config`` holds :class:`~repro.microblaze.config.MicroBlazeConfig`
-field overrides applied to the paper configuration and ``stages``
-optionally swaps registered CAD flow passes (see
-:func:`repro.cad.available_stage_names`).  Both subcommands print the
+field overrides applied to the paper configuration.  Every job runs the
+paper's one CAD flow.  Both subcommands print the
 suite-level speedup/energy tables and write the full JSON report (per-job
 metrics, CAD-cache and per-stage hit/miss counters, per-stage wall times)
 to ``--out``.
@@ -141,13 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               f"registry ({', '.join(engine_names())})")
         sub.add_argument("--small", action="store_true",
                          help="use the reduced-size benchmark parameters")
-        sub.add_argument("--stages", default=None,
-                         help="comma-separated CAD stage names replacing the "
-                              "default flow for every job of the sweep "
-                              "(e.g. decompile,synthesis,place,route-greedy,"
-                              "implement,binary-update); part of each job's "
-                              "dedup key, exactly like a job file's "
-                              "'stages' field")
 
     suite = subparsers.add_parser(
         "suite", help="run the built-in suite sweep (benchmarks × configs "
@@ -302,7 +288,7 @@ def load_job_file(path: Path) -> List[WarpJob]:
                            f"'jobs' array")
     jobs: List[WarpJob] = []
     allowed = {"name", "benchmark", "source", "small", "engine", "priority",
-               "max_instructions", "config", "config_label", "stages",
+               "max_instructions", "config", "config_label",
                "timeout_s", "fuzz_profile", "fuzz_seed", "fuzz_count",
                "fuzz_engines"}
     for index, entry in enumerate(entries):
@@ -328,9 +314,6 @@ def load_job_file(path: Path) -> List[WarpJob]:
             priority=_int_field(entry, "priority", 0, path),
             max_instructions=_int_field(entry, "max_instructions",
                                         50_000_000, path),
-            # Shape, registry membership and slot coverage are validated by
-            # WarpJob itself (JobSpecError).
-            stages=entry.get("stages"),
             timeout_s=entry.get("timeout_s"),
             fuzz_profile=entry.get("fuzz_profile"),
             fuzz_seed=_int_field(entry, "fuzz_seed", 0, path),
@@ -354,10 +337,8 @@ def _sweep_jobs_from_args(args) -> List[WarpJob]:
         configs.append((label, NAMED_CONFIGS[label]))
     engines = _split(args.engines)
     benchmarks = _split(args.benchmarks) if args.benchmarks else None
-    stages = _split(args.stages) if args.stages else None
     return suite_sweep_jobs(configs=configs, engines=engines,
-                            benchmarks=benchmarks, small=args.small,
-                            stages=stages)
+                            benchmarks=benchmarks, small=args.small)
 
 
 def _fuzz_jobs_from_args(args) -> List[WarpJob]:

@@ -21,12 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 from dataclasses import fields as dataclasses_fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cad import (
-    CACHE_SERVED_SOURCES,
-    SOURCE_DISK,
-    SOURCE_MISS,
-    validate_job_stage_names,
-)
+from ..cad import CACHE_SERVED_SOURCES, SOURCE_DISK, SOURCE_MISS
 from ..eval.figures import metric_rows
 from ..eval.reporting import format_table
 from ..fabric.architecture import DEFAULT_WCLA, WclaParameters
@@ -80,11 +75,8 @@ class WarpJob:
     kernel-language text) or ``fuzz_profile`` (a differential fuzzing
     campaign over generated programs — see :mod:`repro.fuzz`) must be
     given.  ``name`` and ``priority`` are scheduling metadata and do not
-    participate in content deduplication.
-    ``stages`` optionally swaps registered CAD flow passes for this job
-    (e.g. ``("decompile", "synthesis", "place", "route-greedy",
-    "implement", "binary-update")``); it changes the computed result, so
-    it is part of the dedup key.
+    participate in content deduplication.  Every job runs the same CAD
+    flow (:data:`repro.cad.PAPER_FLOW`).
     """
 
     name: str
@@ -97,7 +89,6 @@ class WarpJob:
     engine: Optional[str] = None
     max_instructions: int = 50_000_000
     priority: int = 0
-    stages: Optional[Tuple[str, ...]] = None
     #: Wall-clock budget for this job's execution (``None`` = unbounded).
     #: Enforced by the pool watchdog: a pooled job still running past its
     #: budget has its shard killed and is reported as a timeout, while
@@ -152,30 +143,6 @@ class WarpJob:
                 validate_engine_name(self.engine)
             except UnknownEngineError as error:
                 raise JobSpecError(f"job {self.name!r}: {error}") from error
-        if self.stages is not None:
-            if isinstance(self.stages, str):
-                raise JobSpecError(
-                    f"job {self.name!r}: 'stages' must be a sequence of "
-                    f"stage names, not a single string"
-                )
-            if not isinstance(self.stages, tuple):
-                try:
-                    object.__setattr__(self, "stages", tuple(self.stages))
-                except TypeError as error:
-                    raise JobSpecError(
-                        f"job {self.name!r}: 'stages' must be a sequence "
-                        f"of stage names"
-                    ) from error
-            if not self.stages or not all(isinstance(stage, str)
-                                          for stage in self.stages):
-                raise JobSpecError(
-                    f"job {self.name!r}: 'stages' must be a non-empty "
-                    f"sequence of stage names"
-                )
-            try:
-                validate_job_stage_names(self.stages)
-            except ValueError as error:
-                raise JobSpecError(f"job {self.name!r}: {error}") from error
 
     def _validate_fuzz(self) -> None:
         from ..fuzz.generator import profile_names
@@ -217,7 +184,7 @@ class WarpJob:
         """Content identity: two jobs with equal keys compute the same
         result, whatever they are named or prioritized."""
         return (self.benchmark, self.source, self.small, self.config,
-                self.wcla, self.engine, self.max_instructions, self.stages,
+                self.wcla, self.engine, self.max_instructions,
                 self.fuzz_profile, self.fuzz_seed, self.fuzz_count,
                 self.fuzz_engines)
 
@@ -615,22 +582,17 @@ def suite_sweep_jobs(
     small: bool = False,
     wcla: WclaParameters = DEFAULT_WCLA,
     max_instructions: int = 50_000_000,
-    stages: Optional[Sequence[str]] = None,
 ) -> List[WarpJob]:
     """The built-in suite sweep: benchmarks × configurations × engines.
 
     ``configs`` is a sequence of ``(label, config)`` pairs, defaulting to
-    the paper configuration alone.  ``stages`` optionally swaps registered
-    CAD flow passes for every job of the sweep (validated by
-    :class:`WarpJob`, and part of each job's dedup key exactly like
-    ``WarpJob(stages=...)``).
+    the paper configuration alone.
     """
     from ..apps import benchmark_names
 
     if configs is None:
         configs = [("paper", PAPER_CONFIG)]
     names = list(benchmarks) if benchmarks else benchmark_names()
-    stages = tuple(stages) if stages is not None else None
     jobs: List[WarpJob] = []
     for name in names:
         for label, config in configs:
@@ -644,7 +606,6 @@ def suite_sweep_jobs(
                     wcla=wcla,
                     engine=engine,
                     max_instructions=max_instructions,
-                    stages=stages,
                 ))
     return jobs
 

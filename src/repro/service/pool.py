@@ -264,8 +264,7 @@ def _execute_attempt(job: WarpJob,
         program = compile_source_cached(source, name=name,
                                         config=job.config).program
         processor = WarpProcessor(config=job.config, wcla=job.wcla,
-                                  engine=job.engine, artifact_cache=cache,
-                                  stage_names=job.stages)
+                                  engine=job.engine, artifact_cache=cache)
         warp = processor.run(program, max_instructions=job.max_instructions)
 
         outcome = warp.partitioning

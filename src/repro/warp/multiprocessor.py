@@ -118,8 +118,7 @@ class MultiProcessorWarpSystem:
                  wcla: WclaParameters = DEFAULT_WCLA,
                  num_dpm_modules: int = 1,
                  engine: Optional[str] = None,
-                 artifact_cache=None,
-                 stage_names=None):
+                 artifact_cache=None):
         if num_cores <= 0:
             raise ValueError("a warp system needs at least one core")
         if num_dpm_modules <= 0:
@@ -133,12 +132,11 @@ class MultiProcessorWarpSystem:
         #: serves every core, so cores running the same application reuse
         #: one set of CAD artifacts instead of re-synthesizing per core.
         self.artifact_cache = artifact_cache
-        #: One shared DPM — and therefore one shared CAD flow (stages,
-        #: tracing hooks, cache) — serving every core, exactly as the
-        #: paper's single partitioning module does.
+        #: One shared DPM — and therefore one shared CAD cache — serving
+        #: every core, exactly as the paper's single partitioning module
+        #: does.
         self.dpm = DynamicPartitioningModule(wcla=wcla,
-                                             artifact_cache=artifact_cache,
-                                             stage_names=stage_names)
+                                             artifact_cache=artifact_cache)
 
     def run(self, programs: Sequence[Program]) -> MultiProcessorResult:
         """Run one program per core through the warp flow.

@@ -119,21 +119,20 @@ class WarpProcessor:
         wcla_base_address: int = OPB_BASE_ADDRESS,
         engine: Optional[str] = None,
         artifact_cache=None,
-        stage_names=None,
         dpm: Optional[DynamicPartitioningModule] = None,
     ):
         self.config = config
         self.engine = engine
         if dpm is not None:
             if wcla is not DEFAULT_WCLA or wcla_base_address != OPB_BASE_ADDRESS \
-                    or artifact_cache is not None or stage_names is not None:
+                    or artifact_cache is not None:
                 raise ValueError(
                     "pass either a prebuilt dpm or the wcla/"
-                    "wcla_base_address/artifact_cache/stage_names it would "
-                    "be built from, not both")
+                    "wcla_base_address/artifact_cache it would be built "
+                    "from, not both")
             # A shared DPM (e.g. the one a MultiProcessorWarpSystem serves
-            # all its cores with): the processor adopts its flow, WCLA and
-            # cache wholesale.
+            # all its cores with): the processor adopts its WCLA and cache
+            # wholesale.
             self.dpm = dpm
             self.wcla = dpm.wcla
             self.wcla_base_address = dpm.wcla_base_address
@@ -143,12 +142,10 @@ class WarpProcessor:
             # The optional content-addressed CAD cache (see repro.cad) lets
             # repeated partitionings of the same kernel skip
             # synthesis/place/route stage by stage; the warp service's
-            # workers pass their per-process instance here.  ``stage_names``
-            # swaps registered flow passes (e.g. "route-greedy").
+            # workers pass their per-process instance here.
             self.dpm = DynamicPartitioningModule(wcla=wcla,
                                                  wcla_base_address=wcla_base_address,
-                                                 artifact_cache=artifact_cache,
-                                                 stage_names=stage_names)
+                                                 artifact_cache=artifact_cache)
 
     # ----------------------------------------------------------------- phases
     def profile(self, program: Program,

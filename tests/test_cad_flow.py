@@ -1,11 +1,10 @@
 """The staged CAD flow: pass pipeline, per-stage caching, bit-exactness.
 
-Covers the ISSUE 3 acceptance criteria: the staged flow must produce
-outcomes bit-identical to the monolithic flow on every cache path
-(uncached, cold, warm), a routing-only WCLA
+The staged flow must produce outcomes bit-identical to the monolithic
+flow on every cache path (uncached, cold, warm), a routing-only WCLA
 sweep must reuse synthesis and placement via stage-level cache entries,
-capacity rejections must be memoized with a distinct counter, and
-alternate passes must be swappable through the stage registry.
+capacity rejections must be memoized with a distinct counter, and the
+stages' content keys must stay the ones existing disk stores hold.
 """
 
 from __future__ import annotations
@@ -16,13 +15,10 @@ import pytest
 
 from repro.cad import (
     DEFAULT_STAGE_NAMES,
+    PAPER_FLOW,
     CadArtifactCache,
     DpmCostModel,
-    RouteStage,
-    available_stage_names,
-    build_flow,
     keys,
-    register_stage,
 )
 from repro.fabric import DEFAULT_WCLA
 from repro.microblaze import PAPER_CONFIG, run_program
@@ -31,9 +27,6 @@ from repro.profiler import OnChipProfiler
 from repro.server import DiskArtifactStore
 from repro.service import ServiceReport, WarpJob, execute_job
 from repro.warp import WarpProcessor
-
-GREEDY_STAGES = ("decompile", "synthesis", "place", "route-greedy",
-                 "implement", "binary-update")
 
 
 def _fabric_variant(**overrides):
@@ -68,24 +61,20 @@ def _assert_outcomes_match(a, b):
     assert a.patch.stub_words == b.patch.stub_words
 
 
-# --------------------------------------------------------------------------- registry
-class TestRegistry:
-    def test_default_flow_matches_the_paper_pipeline(self):
+# --------------------------------------------------------------------------- the one flow
+class TestOneFlow:
+    def test_the_flow_is_the_paper_pipeline(self):
         assert DEFAULT_STAGE_NAMES == ("decompile", "synthesis", "place",
                                        "route", "implement", "binary-update")
-        assert build_flow().stage_names() == list(DEFAULT_STAGE_NAMES)
+        assert tuple(stage.name for stage in PAPER_FLOW.stages) \
+            == DEFAULT_STAGE_NAMES
 
-    def test_alternates_are_registered(self):
-        names = available_stage_names()
-        assert "route" in names and "route-greedy" in names
-
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError, match="unknown CAD stage"):
-            build_flow(("decompile", "no-such-stage"))
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_stage("route", RouteStage)
+    def test_processor_rejects_dpm_plus_overrides(self):
+        dpm = DynamicPartitioningModule()
+        with pytest.raises(ValueError, match="prebuilt dpm"):
+            WarpProcessor(dpm=dpm, artifact_cache=CadArtifactCache())
+        with pytest.raises(ValueError, match="prebuilt dpm"):
+            WarpProcessor(dpm=dpm, wcla=_fabric_variant(channel_width=6))
 
 
 # --------------------------------------------------------------------------- bit-exactness
@@ -331,6 +320,43 @@ SMALL_SYNTHESIS_KEYS = {
 }
 
 
+#: The place, route and implement keys of the same six kernels, recorded
+#: while the flow still had a stage registry: entries already in a disk
+#: store stay addressable.
+SMALL_STAGE_KEYS = {
+    "brev": (
+        "cc1b8da8f258f05a706c81eac8fa56df680fa0ecb46d663365ce6081b6f381dd",
+        "f39cbcfcaa34c75f8f8c80eb50cd35f73d7e925c36501319f16bc0301316e6b3",
+        "fac5edbe03e6dba63638acf3b26947142e06545644ad57a6b1315ab6bad6fd2d",
+    ),
+    "g3fax": (
+        "b7eb3394e60300db78d8eb2f11512b4b88f867dc2e32774ef51b595104ae8632",
+        "e4cb0ff344c41974d97560fc146815646199603823d35a5047c901d5aa0c5b37",
+        "5048eb689551f440bb5328e3e9a9d913b5b1ff162ce19eefdb6b2b186a44fe1d",
+    ),
+    "canrdr": (
+        "fbbb0d08e70affb94b80e6ac54d807133feb1187037597f0fb9d650b453e81ce",
+        "4d8fe019334b8b21fd973f560ff62b24a5d5a2f162bde6115e6ecd5c0759628c",
+        "52caf06d5201ff68733755f09ff16abb29656338bae9a554c7f6b5fded6bb51a",
+    ),
+    "bitmnp": (
+        "ea38e32cb7cacd93c2857f6a08376f1be72b038e0650477b137d314ae321203a",
+        "6df87f4a001f2f8101f2799bf984039920347b21e359b7659e1b2fb203e764c4",
+        "ff630deee150b252f89795908bea198fd622e8036ba6e3135c034025e263414d",
+    ),
+    "idct": (
+        "372052181c2d2a5f25a6ad3371c47cad85b7ef950a1037f0673c4d28c0d9a8da",
+        "02339367ae8f9f49eb4941b0775866c26a74185bf8ee95907d12c9ed121d601c",
+        "230a864e4579ddff764b7ff75af79fdb815c9118dd5b3dcfc0aa64570d9c33f0",
+    ),
+    "matmul": (
+        "e517f12c3e2d78434e6fb2bce892a62cb9592453b16351aa59e5e82d7af306b4",
+        "25aa60ffd4c6ae21eeff417fd161866464efb4d8d46525837a8a0892bcb1373c",
+        "3ccb43aa670d44044186c6dfc053d8ee5a140fb4d8c1e8d80f235560822b119d",
+    ),
+}
+
+
 class TestSynthesisKey:
     @pytest.fixture
     def serializations(self, monkeypatch):
@@ -362,6 +388,16 @@ class TestSynthesisKey:
         # rebound body carries the cached body's form.
         assert len(serializations) == len(SMALL_SYNTHESIS_KEYS)
 
+    def test_place_route_and_implement_keys_are_unchanged(self, profiled):
+        for name, (program, region) in profiled.items():
+            outcome = DynamicPartitioningModule(
+                artifact_cache=CadArtifactCache()).partition(program.copy(),
+                                                             region)
+            records = {record.stage: record.key
+                       for record in outcome.stage_records}
+            assert (records["place"], records["route"],
+                    records["implement"]) == SMALL_STAGE_KEYS[name], name
+
     def test_a_body_from_the_disk_tier_serializes_once(
             self, compiled_small_programs, tmp_path, serializations):
         program = compiled_small_programs["idct"]
@@ -383,87 +419,6 @@ class TestSynthesisKey:
         assert len(serializations) == 1
 
 
-# --------------------------------------------------------------------------- pluggable stages
-class TestPluggableStages:
-    def test_greedy_router_swaps_in_and_keeps_functionality(self, profiled):
-        program, region = profiled["brev"]
-        cache = CadArtifactCache()
-        default = DynamicPartitioningModule(
-            artifact_cache=cache).partition(program.copy(), region)
-        greedy = DynamicPartitioningModule(
-            artifact_cache=cache,
-            stage_names=GREEDY_STAGES).partition(program.copy(), region)
-        assert greedy.success
-        assert greedy.routing.iterations == 1
-        sources = _sources(greedy)
-        # Upstream stages are shared with the default flow; the alternate
-        # router (and everything keyed below it) recomputes.
-        assert sources["synthesis"] == "hit"
-        assert sources["place"] == "hit"
-        assert sources["route"] == "miss"
-        assert default.synthesis is greedy.synthesis
-
-    def test_greedy_flow_end_to_end_through_the_warp_processor(
-            self, compiled_small_programs):
-        processor = WarpProcessor(config=PAPER_CONFIG,
-                                  stage_names=GREEDY_STAGES)
-        result = processor.run(compiled_small_programs["brev"].copy())
-        assert result.partitioning.success
-        assert result.checksums_match
-        assert result.speedup > 1.0
-
-    def test_job_stages_participate_in_dedup(self):
-        plain = WarpJob(name="a", benchmark="brev", small=True)
-        greedy = WarpJob(name="b", benchmark="brev", small=True,
-                         stages=GREEDY_STAGES)
-        assert plain.dedup_key() != greedy.dedup_key()
-        # List specs coerce to a hashable tuple.
-        listed = WarpJob(name="c", benchmark="brev", small=True,
-                         stages=list(GREEDY_STAGES))
-        assert listed.dedup_key() == greedy.dedup_key()
-
-    def test_job_rejects_malformed_stage_specs(self):
-        from repro.service import JobSpecError
-        with pytest.raises(JobSpecError, match="single string"):
-            WarpJob(name="s", benchmark="brev", stages="route-greedy")
-        with pytest.raises(JobSpecError, match="non-empty"):
-            WarpJob(name="e", benchmark="brev", stages=())
-        # Slot coverage is validated at spec time, not deep in a worker:
-        # omitting or reordering a slot is a JobSpecError.
-        with pytest.raises(JobSpecError, match="slots"):
-            WarpJob(name="m", benchmark="brev",
-                    stages=GREEDY_STAGES[1:])  # decompile omitted
-        with pytest.raises(JobSpecError, match="slots"):
-            WarpJob(name="o", benchmark="brev",
-                    stages=("decompile", "place", "synthesis", "route",
-                            "implement", "binary-update"))
-
-    def test_dpm_rejects_flow_plus_build_arguments(self):
-        from repro.cad import build_flow
-        with pytest.raises(ValueError, match="prebuilt flow"):
-            DynamicPartitioningModule(flow=build_flow(),
-                                      trace_hooks=[lambda r, c: None])
-        with pytest.raises(ValueError, match="prebuilt flow"):
-            DynamicPartitioningModule(flow=build_flow(),
-                                      stage_names=GREEDY_STAGES)
-
-    def test_processor_rejects_dpm_plus_overrides(self):
-        dpm = DynamicPartitioningModule()
-        with pytest.raises(ValueError, match="prebuilt dpm"):
-            WarpProcessor(dpm=dpm, stage_names=GREEDY_STAGES)
-        with pytest.raises(ValueError, match="prebuilt dpm"):
-            WarpProcessor(dpm=dpm, artifact_cache=CadArtifactCache())
-
-    def test_trace_hooks_observe_every_stage(self, profiled):
-        program, region = profiled["brev"]
-        seen = []
-        dpm = DynamicPartitioningModule(
-            trace_hooks=[lambda record, context: seen.append(record.stage)])
-        outcome = dpm.partition(program.copy(), region)
-        assert outcome.success
-        assert seen == list(DEFAULT_STAGE_NAMES)
-
-
 # --------------------------------------------------------------------------- service surface
 class TestServiceStageSurface:
     def test_execute_job_reports_per_stage_accounting(self):
@@ -483,25 +438,6 @@ class TestServiceStageSurface:
         assert plain["stages"]["synthesis"]["misses"] == 1
         assert plain["cache"]["negative_hits"] == 0
         assert "stages" in plain["tables"]
-
-    def test_job_file_accepts_and_validates_stages(self, tmp_path):
-        import json
-        from repro.service.cli import load_job_file
-        from repro.service import JobSpecError
-
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps({"jobs": [
-            {"name": "g", "benchmark": "brev", "small": True,
-             "stages": list(GREEDY_STAGES)}]}))
-        jobs = load_job_file(good)
-        assert jobs[0].stages == GREEDY_STAGES
-
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"jobs": [
-            {"name": "b", "benchmark": "brev",
-             "stages": ["decompile", "warp-speed"]}]}))
-        with pytest.raises(JobSpecError, match="warp-speed"):
-            load_job_file(bad)
 
 
 # --------------------------------------------------------------------------- layering

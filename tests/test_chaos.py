@@ -14,6 +14,7 @@ never hangs, never silent divergence.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -34,6 +35,7 @@ from repro.chaos import (
     SITE_WIRE_WRITE,
     SITE_WORKER_JOB,
 )
+from repro.microblaze import PAPER_CONFIG
 from repro.microblaze.engines import engine_names
 from repro.retry import DEFAULT_REMOTE_POLICY, RetryPolicy
 from repro.server import DiskArtifactStore, GatewayClient, WarpGateway, \
@@ -51,13 +53,14 @@ def _no_plan_leaks():
 
 def _parity_jobs():
     """A small but representative batch: duplicate content (dedup path),
-    a custom stage list, two different benchmarks."""
+    a custom processor configuration, two different benchmarks."""
     return [
         WarpJob(name="brev", benchmark="brev", small=True, priority=2),
         WarpJob(name="brev-twin", benchmark="brev", small=True),
-        WarpJob(name="idct-greedy", benchmark="idct", small=True,
-                stages=("decompile", "synthesis", "place", "route-greedy",
-                        "implement", "binary-update")),
+        WarpJob(name="idct-no-mul", benchmark="idct", small=True,
+                config=dataclasses.replace(PAPER_CONFIG,
+                                           use_multiplier=False),
+                config_label="no-mul"),
     ]
 
 

@@ -4,6 +4,7 @@ client, and the server-side CLI verbs."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
 import socket
@@ -65,9 +66,10 @@ def _small_jobs():
     return [
         WarpJob(name="brev-s", benchmark="brev", small=True, priority=2),
         WarpJob(name="brev-s-twin", benchmark="brev", small=True),
-        WarpJob(name="idct-greedy", benchmark="idct", small=True,
-                stages=("decompile", "synthesis", "place", "route-greedy",
-                        "implement", "binary-update")),
+        WarpJob(name="idct-no-mul", benchmark="idct", small=True,
+                config=dataclasses.replace(PAPER_CONFIG,
+                                           use_multiplier=False),
+                config_label="no-mul"),
     ]
 
 
@@ -186,9 +188,7 @@ class TestWireProtocol:
 
     def test_job_codec_preserves_content_identity(self):
         """A job survives the wire with its dedup key (and therefore its
-        CAD cache addresses) intact — config, WCLA and stages included."""
-        import dataclasses
-
+        CAD cache addresses) intact — config and WCLA included."""
         job = WarpJob(
             name="wire", benchmark="idct", small=True,
             config=dataclasses.replace(PAPER_CONFIG, use_multiplier=False),
@@ -196,8 +196,6 @@ class TestWireProtocol:
             wcla=WclaParameters(fabric=FabricParameters(channel_width=6),
                                 num_registers=4),
             engine="interp", max_instructions=123_456, priority=7,
-            stages=("decompile", "synthesis", "place", "route-greedy",
-                    "implement", "binary-update"),
         )
         clone = protocol.job_from_plain(
             json.loads(json.dumps(protocol.job_to_plain(job))))
@@ -937,34 +935,6 @@ class TestGatewayConcurrency:
 
 # ----------------------------------------------------------------------- CLI verbs
 class TestServerCli:
-    def test_suite_stages_flag_threads_into_jobs(self, tmp_path):
-        """Satellite: `repro-warp suite --stages` selects alternate CAD
-        passes from the sweep CLI, dedup-keyed like WarpJob(stages=...)."""
-        out = tmp_path / "report.json"
-        code = main(["suite", "--benchmarks", "brev", "--small",
-                     "--stages", "decompile,synthesis,place,route-greedy,"
-                                 "implement,binary-update",
-                     "--out", str(out), "--quiet"])
-        assert code == 0
-        plain = json.loads(out.read_text())
-        assert plain["num_jobs"] == 1 and plain["num_failed"] == 0
-        # The greedy router filled the route slot.
-        assert "route" in plain["jobs"][0]["stage_cache"]
-
-        from repro.service.jobs import suite_sweep_jobs
-        stages = ("decompile", "synthesis", "place", "route-greedy",
-                  "implement", "binary-update")
-        with_stages = suite_sweep_jobs(benchmarks=["brev"], stages=stages)
-        without = suite_sweep_jobs(benchmarks=["brev"])
-        assert with_stages[0].stages == stages
-        assert with_stages[0].dedup_key() != without[0].dedup_key()
-
-    def test_suite_rejects_unknown_stage_lists(self, capsys):
-        code = main(["suite", "--benchmarks", "brev", "--small",
-                     "--stages", "synthesis,place", "--quiet"])
-        assert code == 2
-        assert "stage" in capsys.readouterr().err
-
     def test_submit_cli_round_trip(self, tmp_path):
         jobfile = EXAMPLES / "remote_jobs.json"
         out = tmp_path / "remote.json"
@@ -988,6 +958,9 @@ class TestServerCli:
         (["serve", "--port", "0", "--peer", "127.0.0.1:7878"], "--peer"),
         (["mesh", "--gateway", "127.0.0.1:7877"], "'mesh'"),
         (["remote-suite", "--gateways", "127.0.0.1:7877"], "'remote-suite'"),
+        (["suite", "--benchmarks", "brev", "--small",
+          "--stages", "decompile,synthesis,place,route-greedy,implement,"
+                      "binary-update"], "--stages"),
     ])
     def test_deleted_cli_entry_points_exit_2(self, argv, named, capsys):
         with pytest.raises(SystemExit) as excinfo:
