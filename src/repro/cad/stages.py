@@ -61,7 +61,8 @@ class DecompileStage(FlowStage):
     name = "decompile"
     # v2: a load after a store of the same iteration is rejected.
     # v3: the stage is keyed on the region's text.
-    key_version = 3
+    # v4: a register written on one arm of a branch is a live-in.
+    key_version = 4
     negative_exceptions = (DecompilationError,)
 
     def content_key(self, context: FlowContext) -> Optional[str]:

@@ -105,8 +105,9 @@ class SymbolicExecutor:
         if register == 0:
             return self.builder.const(0)
         if register not in state:
-            if register not in self._written:
-                self._live_in.add(register)
+            # Also a register written on only one arm of an earlier
+            # branch: the merge reads its value from before the loop.
+            self._live_in.add(register)
             state[register] = self.builder.live_in(register)
         return state[register]
 

@@ -135,6 +135,21 @@ int main() {
 """
 
 
+_ONE_ARM_SOURCE = """
+int a[16] = {1, 9, 2, 8, 3, 7, 4, 6, 5, 5, 6, 4, 7, 3, 8, 2};
+int main() {
+    int i; int s; int x;
+    s = 0;
+    x = 7;
+    for (i = 0; i < 16; i = i + 1) {
+        if (a[i] > 5) { x = a[i]; }
+        s = s + x;
+    }
+    return s;
+}
+"""
+
+
 def _software_and_warp_runs(body, config):
     """The warp result for a two-loop program whose first loop is ``body``,
     and the run its answer comes from: the patched warp run when the
@@ -177,6 +192,25 @@ class TestWarpTransparency:
         software = result.software_result
         assert warp.return_value == software.return_value
         assert bytes(warp.data_image) == bytes(software.data_image)
+
+    @pytest.mark.parametrize("config", [PAPER_CONFIG, MINIMAL_CONFIG],
+                             ids=["paper", "minimal"])
+    def test_register_written_on_one_arm_is_a_live_in(self, config):
+        """``x`` keeps its value from before the loop until the taken arm
+        first writes it, so the kernel must read it from the register
+        file, not start it at 0."""
+        from repro.compiler import compile_to_program
+
+        program = compile_to_program(_ONE_ARM_SOURCE, name="one-arm",
+                                     config=config)
+        result = WarpProcessor(config=config).run(program)
+        assert result.partitioning.success
+        software = result.software_result
+        assert software.return_value == 115
+        assert result.warp_mb_result.return_value == 115
+        assert bytes(result.warp_mb_result.data_image) \
+            == bytes(software.data_image)
+        assert result.checksums_match
 
 
 # --------------------------------------------------------------------------- multiprocessor
