@@ -195,9 +195,9 @@ class FlowStage:
     negative_exceptions: Tuple[type, ...] = ()
 
     def cache_token(self) -> str:
-        """Stage identity prefix of the content key.  The ``default``
-        tag is what every stage wrote when alternates existed; it stays
-        so entries already in a disk store remain addressable."""
+        """Stage identity prefix of the content key.  The fixed
+        ``default`` tag keeps keys byte-identical to the entries already
+        in disk stores."""
         return f"{self.name}/default:v{self.key_version}"
 
     def content_key(self, context: FlowContext) -> Optional[str]:

@@ -87,7 +87,7 @@ def test_fuzz_verb_flag_exits_2(capsys):
 @pytest.mark.parametrize("field, value", [
     ("fuzz_precise", True),
     ("stages", GREEDY_STAGES),
-])
+], ids=["fuzz_precise", "stages"])
 def test_job_file_field_is_unknown(tmp_path, field, value):
     jobfile = tmp_path / "jobs.json"
     jobfile.write_text(json.dumps({"jobs": [
@@ -106,7 +106,7 @@ def _wire(job: WarpJob, **extra) -> dict:
 @pytest.mark.parametrize("field, value", [
     ("fuzz_precise", True),
     ("stages", GREEDY_STAGES),
-])
+], ids=["fuzz_precise", "stages"])
 def test_wire_codec_rejects_a_truthy_flag(field, value):
     job = WarpJob(name="fuzz", fuzz_profile="alu", fuzz_count=2)
     with pytest.raises(JobSpecError, match=f"{field} was removed"):
@@ -116,7 +116,7 @@ def test_wire_codec_rejects_a_truthy_flag(field, value):
 @pytest.mark.parametrize("field, value", [
     ("fuzz_precise", False),
     ("stages", None),
-])
+], ids=["fuzz_precise", "stages"])
 def test_wire_codec_accepts_a_version_1_senders_default(field, value):
     """A sender from before the deletion always writes
     ``fuzz_precise: false`` and ``stages: null``: it still decodes to the
