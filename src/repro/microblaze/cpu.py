@@ -343,8 +343,15 @@ class MicroBlazeCPU:
                 )
             self.step()
 
-    def _sync_counters(self) -> None:
-        """Fold the scalar counter array into :attr:`stats` and zero it."""
+    def _sync_counters(self, fold: bool = True) -> None:
+        """Fold the scalar counter array into :attr:`stats` and zero it.
+
+        With ``fold`` (a block engine's end of run) the engine's deferred
+        block execution counts are added into the array first
+        (:meth:`~repro.microblaze.engines.ExecutionEngine.
+        fold_block_counts`); without it only the counters move, which
+        is all a mid-run interpreter step needs for its budget check.
+        """
         from .engine import (CLASS_LIST, CNT_BRANCHES_NOT_TAKEN,
                              CNT_BRANCHES_TAKEN, CNT_CLASS_COUNT,
                              CNT_CLASS_CYCLES, CNT_CYCLES, CNT_INSTRUCTIONS,
@@ -352,6 +359,8 @@ class MicroBlazeCPU:
                              CNT_STORES)
 
         counters = self._counters
+        if fold:
+            self._engine_impl.fold_block_counts(counters)
         stats = self.stats
         stats.cycles += counters[CNT_CYCLES]
         stats.instructions += counters[CNT_INSTRUCTIONS]

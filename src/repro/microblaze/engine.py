@@ -1,11 +1,20 @@
 """Counter layout and helpers shared by the MicroBlaze engines.
 
-The reference interpreter (:mod:`repro.microblaze.cpu`) and the block
-engine (:mod:`repro.microblaze.engines.jit`) record statistics into one
-flat list of integer counters, ``MicroBlazeCPU._counters``, which
-``MicroBlazeCPU._sync_counters`` folds into
-:class:`~repro.microblaze.cpu.ExecutionStats`.  This module fixes that
-layout:
+The block engine (:mod:`repro.microblaze.engines.jit`) records
+statistics into one flat list of integer counters,
+``MicroBlazeCPU._counters``, which ``MicroBlazeCPU._sync_counters``
+folds into :class:`~repro.microblaze.cpu.ExecutionStats` (the reference
+interpreter records into the statistics directly).  Most of a block's
+statistics do not go through the array while it runs: each bound block
+owns a slot in its engine's ``bc`` list and adds its executions there,
+and at the end of each run ``_sync_counters`` first adds Σ ``bc[slot] ×
+deltas[slot]`` (each slot's sparse ``(index, delta)`` pairs) into the
+array and zeroes ``bc``.  The array itself carries, as the block runs,
+only what is read mid-run (``CNT_INSTRUCTIONS`` for the dispatch loop's
+budget, ``CNT_CYCLES`` for ticking peripherals) and what is dynamic (OPB
+penalties and counts, a delay slot's OPB double charge, a branch's
+not-taken cycle correction); a mid-run interpreter step folds the array
+but not the slots.  This module fixes the array's layout:
 
 * ``CNT_*`` name the scalar slots (cycles, instructions, taken and
   not-taken branches, loads, stores, OPB reads and writes);

@@ -109,14 +109,25 @@ class ExecutionEngine:
         self._image_digest: Optional[str] = None
 
     def image_digest(self) -> str:
-        """SHA-256 of the instruction BRAM image, computed on first use
-        after each :meth:`invalidate` (block engines key shared
-        translations by it)."""
+        """SHA-256 of the instruction BRAM image without its trailing
+        zero bytes, computed on first use after each :meth:`invalidate`
+        (block engines key shared translations by it, next to the BRAM
+        size in the configuration).  Only the bytes up to the BRAM's
+        :attr:`~repro.microblaze.memory.BlockRAM.extent`, the words the
+        program load and later patches wrote, are read, so equal images
+        give equal digests whatever was loaded before."""
         digest = self._image_digest
         if digest is None:
+            bram = self.cpu.instr_bram
             digest = self._image_digest = bytes_digest(
-                self.cpu.instr_bram.storage)
+                bram.storage[:bram.extent].rstrip(b"\0"))
         return digest
+
+    def fold_block_counts(self, counters) -> None:
+        """Add the statistics the engine defers during a run into the
+        CPU's ``counters`` (a block engine's per-block execution counts;
+        :meth:`~repro.microblaze.cpu.MicroBlazeCPU._sync_counters` calls
+        it).  Engines that defer nothing inherit this no-op."""
 
     # ------------------------------------------------------------- dispatch
     def run(self, max_instructions: int,

@@ -11,10 +11,15 @@ translators (decode once, generate code, run many): for every superblock
 * the straight-line handler bodies are inlined as plain statements with
   operand indices, immediates (``imm`` prefixes statically fused) and
   latencies baked in as literals,
-* the block's static statistics are folded into a handful of
-  pre-aggregated constant counter additions at the top,
-* only genuinely dynamic contributions (OPB access penalties, branch
-  taken/not-taken cycles, delay-slot costs) remain as runtime code,
+* the block's static statistics — its delay slot's and its branch's,
+  counted as taken, included — are one execution count: the block adds
+  one to its slot in the engine's ``bc`` list, which
+  :meth:`JitEngine.fold_block_counts` multiplies out once per run, and
+  adds only the :data:`EAGER` instruction and cycle counts to the
+  counter array,
+* only genuinely dynamic contributions (OPB access penalties, a
+  not-taken branch's correction, a delay slot's OPB double charge)
+  remain as runtime code,
 * the terminating branch sits at the end and returns the next program
   counter (backward-branch observer calls included),
 
@@ -31,10 +36,11 @@ instruction budget allows; the dispatch loop passes 1 while a ticking
 peripheral is attached) has not run out.  The registers it touches are
 fast locals, read once before the loop and written back at exit, its
 dynamic counter updates and its data-BRAM port-A count go to locals,
-and its static statistics are added once, ``delta * iterations``.  The
-branch is part of those: per iteration it only computes ``_taken`` and
-tests it, its statistics count as a taken branch, and a loop that falls
-through takes back the not-taken difference once at exit.  When every
+and its exit adds its iterations to its slot (the eager counters,
+``delta * iterations``).  The branch is part of those: per iteration it
+only computes ``_taken`` and tests it, its statistics count as a taken
+branch, and a loop that falls through adds one to its correction slot
+at exit.  When every
 attached observer has ``on_backward_branches`` (the CPU keeps that flag,
 read once per call), no observer is called inside the loop: the exit
 delivers the iteration count in one call per observer, and a fault the
@@ -75,9 +81,9 @@ cycles, branch-event streams, memory-port counters, the seed's delay-slot
 double charge) and compiles compile-time faults into raiser blocks that
 fire at the same execution point with the same exception and message.
 A *runtime* fault (misaligned access, unmapped OPB address) landing
-mid-block finds the block's statistics already added wholesale (a
-self-loop's ``except`` handler first flushes its locals and the
-statistics of every iteration begun); the dispatch loop reads the
+mid-block finds the block's statistics already added wholesale, as its
+execution count (a self-loop's ``except`` handler first flushes its
+locals and counts every iteration begun); the dispatch loop reads the
 faulting line from the block's traceback frame, re-derives that line's
 fault point (:meth:`SourceBlockCompiler.fault_point`) and takes back the
 statistics of the instructions not yet executed (a self-loop's branch
@@ -172,12 +178,13 @@ class _CodeCache(BoundedLRU):
     identical blocks of different programs share bytecode.
 
     The translation table maps ``(image key, entry pc)`` to ``(n, end,
-    static_cycles, make, addresses, fetched)``.  The image key
+    static_cycles, make, slots, addresses, fetched)``.  The image key
     (:class:`_ImageKey`) is ``(compiler class, OPB present, cpu.config,
     data BRAM size, instruction BRAM digest)``; ``make`` is the block's
-    factory (see :func:`factory`), and ``addresses`` and ``fetched`` hold
-    each word the translation fetched and its instruction.  Everything block emission reads is in
-    the key, so a fresh system running a program this process has
+    factory (see :func:`factory`), ``slots`` the sparse deltas of its
+    execution-count slots (see :func:`bind`), and ``addresses`` and
+    ``fetched`` hold each word the translation fetched and its
+    instruction.  Everything block emission reads is in the key, so a fresh system running a program this process has
     already run — a service job, a sweep pass, the evaluation harness —
     only replays those fetches and calls ``make``: no fetch, decode,
     source emission or ``exec``.  Its own, smaller bound, counted in
@@ -314,27 +321,39 @@ def _scaled(expr: str, factor: int, name: str) -> str:
     return f"{expr} {'+' if factor > 0 else '-'} {term}"
 
 
-class _Loop(NamedTuple):
-    """How a self-loop's branch is accounted (:meth:`SourceBlockCompiler.
-    _loop_branch`): ``branch`` holds its per-iteration statistics as a
-    taken branch, ``not_taken`` what a not-taken exit takes back of them
-    (empty for an unconditional branch), and ``bulk`` the ``(pc,
-    target)`` observers hear, ``None`` when the branch is not backward."""
+def _plus(*parts: Dict[int, int]) -> Dict[int, int]:
+    """The sum of sparse counter deltas."""
+    total: Dict[int, int] = {}
+    for part in parts:
+        for index, delta in part.items():
+            total[index] = total.get(index, 0) + delta
+    return total
 
-    branch: Dict[int, int]
-    not_taken: Dict[int, int]
-    bulk: Optional[Tuple[int, int]]
+
+def _sparse(deltas) -> tuple:
+    """The ``(index, delta)`` pairs of ``deltas`` items that go through an
+    execution-count slot: the nonzero ones that are not :data:`EAGER`."""
+    return tuple((index, delta) for index, delta in deltas
+                 if delta and index not in EAGER)
 
 
 class _Terminator(NamedTuple):
     """The lines ending a block, the expression of its next pc (``None``
-    for a raiser), its observer calls, and, for a self-loop, its
-    :class:`_Loop`."""
+    for a raiser), its observer calls, its static statistics (the
+    branch's, counted as taken, and its delay slot's), the
+    ``correction`` its other path adds to them once (a not-taken branch,
+    or a register-held branch that halts and so skips its slot), whether
+    it is a self-loop's branch, and the ``(pc, target)`` a self-loop
+    delivers to bulk observers (``None`` when its branch is not
+    backward)."""
 
     lines: List[str]
     next: Optional[str]
     hooks: List[str]
-    loop: Optional[_Loop] = None
+    deltas: Dict[int, int] = {}
+    correction: Dict[int, int] = {}
+    loop: bool = False
+    bulk: Optional[Tuple[int, int]] = None
 
 
 def _backward_hook(guard: str, pc: int, target: str) -> List[str]:
@@ -356,8 +375,16 @@ def _backward_hook(guard: str, pc: int, target: str) -> List[str]:
 #: The helpers that are the same for every CPU (``to_signed``,
 #: ``signed_division``, ``IllegalInstruction``) are the factory's
 #: globals, see :func:`factory`.
-FACTORY_PARAMS = ("cpu, regs, cnt, bram_load, bram_store, opb_read, "
-                  "opb_write, hooks, dmem, dwords, dhalves, dbram, opb")
+FACTORY_PARAMS = ("cpu, regs, cnt, bc, slot, bram_load, bram_store, "
+                  "opb_read, opb_write, hooks, dmem, dwords, dhalves, dbram, "
+                  "opb")
+
+#: The counters a block adds to ``cnt`` as it runs: the dispatch loop
+#: reads the instruction count for its budget and the ticking path the
+#: cycle count for ``opb.tick_bounded``.  Every other static statistic
+#: goes through the block's execution-count slots (:meth:`JitEngine.
+#: fold_block_counts`).
+EAGER = (CNT_CYCLES, CNT_INSTRUCTIONS)
 
 
 def compile_source(source: str, filename: str):
@@ -389,22 +416,30 @@ def factory(code):
     return names["_make"]
 
 
-def bind(make, cpu):
+def bind(make, cpu, slots):
     """Call a translation's ``_make`` factory with ``cpu``'s state.
 
     Register file, counter array, observer list, BRAM storage and its
     word and halfword views keep their identity for the CPU's lifetime,
     so one bind lasts until the engine invalidates the translation.  The
-    factory also resolves each static OPB address of the block to the
-    bound ``read``/``write`` of the peripheral owning it on *this* bus
+    bind gives the block ``len(slots)`` fresh execution-count slots in
+    the engine's ``bc`` list, ``slots`` holding each one's sparse
+    ``(counter index, delta)`` pairs (:meth:`JitEngine.add_slots`); the
+    block counts into ``bc[slot]`` onward.  Slots are per bind, not per
+    translation, because the translation table shares translations
+    between systems.  The factory also resolves each static OPB address
+    of the block to the bound ``read``/``write`` of the peripheral
+    owning it on *this* bus
     (:meth:`~repro.microblaze.opb.OnChipPeripheralBus.resolve`); an
     address no peripheral owns yet stays on the per-access decode, so a
     peripheral attached after the bind is still reached.
     """
     opb = cpu.opb
     dbram = cpu.data_bram
+    engine = cpu._engine_impl
     return make(
-        cpu, cpu.registers, cpu._counters, dbram.load, dbram.store,
+        cpu, cpu.registers, cpu._counters, engine.bc,
+        engine.add_slots(slots), dbram.load, dbram.store,
         opb.try_read if opb is not None else None,
         opb.try_write if opb is not None else None,
         cpu._observers, dbram.storage, dbram.word_view, dbram.half_view,
@@ -486,7 +521,8 @@ class SourceBlockCompiler:
         translation = table.get(key)
         if translation is not None:
             cached = True
-            n, end, static_cycles, make, addresses, fetched = translation
+            n, end, static_cycles, make, slots, addresses, fetched = \
+                translation
             # Replay the fetch side effects the translation would have
             # had: the decode cache and the instruction-port counter end
             # up exactly as after a fresh translation.
@@ -501,16 +537,16 @@ class SourceBlockCompiler:
                         cpu.instr_bram.port_a_accesses += 1
         else:
             self._fetched = []
-            n, end, static_cycles, source, _ = self._translate(entry)
+            n, end, static_cycles, source, _, slots = self._translate(entry)
             code, cached = compile_source(source, f"<jit block {entry:#x}>")
             make = factory(code)
             if self._fetched is not None:
                 # Each word once: a fetch of a decoded word counts no port
                 # access.
                 fetched = {instr.address: instr for instr in self._fetched}
-                table.put(key, (n, end, static_cycles, make,
+                table.put(key, (n, end, static_cycles, make, slots,
                                 tuple(fetched), tuple(fetched.values())))
-        block: JitBlock = (n, bind(make, cpu), entry, end,
+        block: JitBlock = (n, bind(make, cpu, slots), entry, end,
                            static_cycles)
         self.blocks[entry] = block
         _record_translation("jit", "block", cached,
@@ -563,9 +599,10 @@ class SourceBlockCompiler:
             self._fetched.append(instr)
         return instr
 
-    def _translate(self, entry: int) -> Tuple[int, int, int, str, int]:
+    def _translate(self, entry: int) -> Tuple[int, int, int, str, int,
+                                              tuple]:
         """Fetch, decode and emit the superblock at ``entry``: ``(n, end,
-        static_cycles, source, first body line)``."""
+        static_cycles, source, first body line, slots)``."""
         cpu = self.cpu
         timings = cpu.config.timings
         points = self._points
@@ -656,16 +693,15 @@ class SourceBlockCompiler:
             # Only a delay slot or a raiser can fault in the terminator's
             # lines.
             points.append((len(lines), fault_pc, pending_imm, list(deltas)))
-        if term.loop is not None:
-            # A self-loop's branch statistics are block constants from
-            # here on, so a fault before this point takes them back.
-            for index, delta in term.loop.branch.items():
-                deltas[index] += delta
-        if points is not None and (term.hooks or term.loop is not None):
-            # A raising observer: the branch has completed, so the pc is
-            # its target (a register-held one is the frame's ``_target``)
-            # and the latch is clear.  For a self-loop this is also the
-            # block's end.
+        # The branch's and its delay slot's statistics are block constants
+        # from here on, so a fault before this point takes them back.
+        for index, delta in term.deltas.items():
+            deltas[index] += delta
+        if points is not None:
+            # The block's end, whose deltas are the block's constants, and
+            # where a raising observer leaves: the branch has completed,
+            # so the pc is its target (a register-held one is the frame's
+            # ``_target``) and the latch is clear.
             points.append((len(lines) + len(term.lines),
                            "_target" if target is None else target,
                            None, list(deltas)))
@@ -744,21 +780,52 @@ class SourceBlockCompiler:
         return (base + offset) & _M
 
     @staticmethod
-    def _count(klass: InstrClass, cycles, extra: str = "") -> List[str]:
-        """Source lines recording one instruction's own statistics.
-
-        ``cycles`` is an int literal or the name of a local holding the
-        dynamic cycle count; ``extra`` optionally names one more scalar
-        counter (loads/stores) to bump.
-        """
+    def _branch_stats(klass: InstrClass, cycles: int) -> Dict[int, int]:
+        """A taken branch's statistics, ``cycles`` its static cost."""
         ci = CLASS_INDEX[klass]
-        lines = [f"cnt[{CNT_CYCLES}] += {cycles}",
-                 f"cnt[{CNT_INSTRUCTIONS}] += 1"]
-        if extra:
-            lines.append(extra)
-        lines += [f"cnt[{CNT_CLASS_COUNT + ci}] += 1",
-                  f"cnt[{CNT_CLASS_CYCLES + ci}] += {cycles}"]
-        return lines
+        return {CNT_CYCLES: cycles, CNT_INSTRUCTIONS: 1,
+                CNT_CLASS_COUNT + ci: 1, CNT_CLASS_CYCLES + ci: cycles,
+                CNT_BRANCHES_TAKEN: 1}
+
+    def _slot_stats(self, instr: Instruction,
+                    branch: InstrClass) -> Dict[int, int]:
+        """A delay slot's static statistics and the branch's double
+        charge of its static cycles (an OPB access's penalty is charged
+        to both where it happens, see :meth:`_memory`)."""
+        klass = instr.klass
+        timings = self.cpu.config.timings
+        ci = CLASS_INDEX[klass]
+        stats = {CNT_INSTRUCTIONS: 1, CNT_CLASS_COUNT + ci: 1}
+        if klass is InstrClass.LOAD:
+            cycles = timings.load
+            stats[CNT_LOADS] = 1
+        elif klass is InstrClass.STORE:
+            cycles = timings.store
+            stats[CNT_STORES] = 1
+        else:
+            cycles = timings.for_class(klass)
+        stats[CNT_CYCLES] = 2 * cycles
+        stats[CNT_CLASS_CYCLES + ci] = cycles
+        stats[CNT_CLASS_CYCLES + CLASS_INDEX[branch]] = cycles
+        return stats
+
+    @staticmethod
+    def _not_taken(klass: InstrClass, saved: int) -> Dict[int, int]:
+        """What a not-taken exit adds to a branch counted as taken:
+        ``saved`` is the taken cost less the not-taken one."""
+        ci = CLASS_INDEX[klass]
+        return {CNT_CYCLES: -saved, CNT_CLASS_CYCLES + ci: -saved,
+                CNT_BRANCHES_TAKEN: -1, CNT_BRANCHES_NOT_TAKEN: 1}
+
+    @staticmethod
+    def _correct(correction: Dict[int, int]) -> List[str]:
+        """Lines applying a block's ``correction`` once: its eager
+        counters in place, the rest as one count in the correction slot
+        ``bc[slot + 1]``."""
+        lines = [f"cnt[{index}] {'+' if delta > 0 else '-'}= {abs(delta)}"
+                 for index, delta in sorted(correction.items())
+                 if index in EAGER and delta]
+        return lines + ["bc[slot + 1] += 1"]
 
     def _raiser(self, pc: int, statement: str,
                 unreachable: Optional[str]):
@@ -778,36 +845,20 @@ class SourceBlockCompiler:
 
     # --------------------------------------------------------- straight line
     def _straightline(self, instr: Instruction, pending_imm: Optional[int],
-                      slot: bool = False) -> List[str]:
+                      branch: Optional[InstrClass] = None) -> List[str]:
         """Source for one non-branch instruction.
 
         Statistics live in the enclosing block's constants and only
-        dynamic OPB penalties are recorded inline, except in a delay
-        ``slot``: its code records its own statistics, and the
-        terminator adds its cycle cost (:meth:`_slot_cycles`) to the
-        branch's (the delay-slot double charge).
+        dynamic OPB penalties are recorded inline.  In the delay slot of
+        a ``branch`` (its class) the penalty is charged twice, to the slot
+        and to the branch (the delay-slot double charge); the slot's
+        static statistics are the terminator's (:meth:`_slot_stats`).
         """
         klass = instr.klass
         if klass is InstrClass.LOAD or klass is InstrClass.STORE:
-            return self._memory(instr, pending_imm, slot,
+            return self._memory(instr, pending_imm, branch,
                                 load=klass is InstrClass.LOAD)
-        lines = self._compute(instr, pending_imm)
-        if slot:
-            lines += self._count(klass,
-                                 self.cpu.config.timings.for_class(klass))
-        return lines
-
-    def _slot_cycles(self, instr: Instruction):
-        """A delay slot's cycle cost: an int, or ``"_c"``, the local an
-        access that may reach the OPB accumulates its cost in."""
-        klass = instr.klass
-        timings = self.cpu.config.timings
-        if klass is InstrClass.LOAD or klass is InstrClass.STORE:
-            if self.cpu.opb is not None:
-                return "_c"
-            return timings.load if klass is InstrClass.LOAD \
-                else timings.store
-        return timings.for_class(klass)
+        return self._compute(instr, pending_imm)
 
     def _compute(self, instr: Instruction,
                  pending_imm: Optional[int]) -> List[str]:
@@ -838,7 +889,7 @@ class SourceBlockCompiler:
                 + _operator(kind, [operands[name] for name in sources])]
 
     def _memory(self, instr: Instruction, pending_imm: Optional[int],
-                slot: bool, load: bool) -> List[str]:
+                branch: Optional[InstrClass], load: bool) -> List[str]:
         timings = self.cpu.config.timings
         has_opb = self.cpu.opb is not None
         rd = instr.rd
@@ -848,7 +899,6 @@ class SourceBlockCompiler:
         klass = InstrClass.LOAD if load else InstrClass.STORE
         ci = CLASS_INDEX[klass]
         port_counter = CNT_OPB_READS if load else CNT_OPB_WRITES
-        scalar = CNT_LOADS if load else CNT_STORES
         # Loaded words are zero-extended and at most 32 bits wide, so they
         # land in the register unmasked; a load into r0 still accesses
         # memory (faults and port counters) into a scratch local.
@@ -865,20 +915,19 @@ class SourceBlockCompiler:
         if not has_opb:
             # No peripheral bus attached: the OPB arm can never be taken,
             # so the access specializes to the data BRAM alone.
-            lines += access
-            if slot:
-                lines += self._count(klass, base,
-                                     extra=f"cnt[{scalar}] += 1")
-            return lines
+            return lines + access
 
-        # The dynamic OPB penalty: a slot adds it to its own cycle local,
-        # every other access to the block's counters.
-        if slot:
-            penalty = [f"_c += {extra}", f"cnt[{port_counter}] += 1"]
-        else:
+        # The dynamic OPB penalty; a delay slot's is charged to the branch
+        # too.
+        if branch is None:
             penalty = [f"cnt[{CNT_CYCLES}] += {extra}",
+                       f"cnt[{CNT_CLASS_CYCLES + ci}] += {extra}"]
+        else:
+            penalty = [f"cnt[{CNT_CYCLES}] += {2 * extra}",
                        f"cnt[{CNT_CLASS_CYCLES + ci}] += {extra}",
-                       f"cnt[{port_counter}] += 1"]
+                       f"cnt[{CNT_CLASS_CYCLES + CLASS_INDEX[branch]}] "
+                       f"+= {extra}"]
+        penalty.append(f"cnt[{port_counter}] += 1")
         # One bus call decodes the address and accesses the peripheral.
         if not load:
             access_opb = f"opb_write(_a, {value})"
@@ -896,9 +945,6 @@ class SourceBlockCompiler:
         address = self._static_address(instr, pending_imm)
         if address is not None and address >= OPB_BASE_ADDRESS:
             lines = self._bound_access(address, load, value, penalty, lines)
-        if slot:
-            lines.insert(0, f"_c = {base}")
-            lines += self._count(klass, "_c", extra=f"cnt[{scalar}] += 1")
         return lines
 
     def _bound_access(self, address: int, load: bool, value: str,
@@ -935,7 +981,7 @@ class SourceBlockCompiler:
         """
         end = pc
         slot: Optional[List[str]] = None
-        cycles = None
+        stats: Dict[int, int] = {}
         extra = 0
         # The static halt idiom (an unconditional branch to itself) skips
         # its slot, so the slot is not even fetched (as in the interpreter).
@@ -964,21 +1010,18 @@ class SourceBlockCompiler:
                 return term, 0, end, None
             # The imm latch is cleared only after the whole branch — slot
             # included — so a pending prefix fuses into the slot too.
-            slot = self._straightline(slot_instr, pending_imm, slot=True)
-            cycles = self._slot_cycles(slot_instr)
+            slot = self._straightline(slot_instr, pending_imm, instr.klass)
+            stats = self._slot_stats(slot_instr, instr.klass)
             if dynamic_halt:
                 slot.insert(0, f"cpu.fetch({pc + 4})")
             extra = 1
 
         if loop:
-            term = self._loop_branch(pc, instr, target, slot, cycles)
+            term = self._loop_branch(pc, instr, target, slot, stats)
+        elif instr.klass is InstrClass.BRANCH_COND:
+            term = self._cond_branch(pc, instr, pending_imm, slot, stats)
         else:
-            if slot is not None:
-                slot.append(f"_cycles += {cycles}")
-            if instr.klass is InstrClass.BRANCH_COND:
-                term = self._cond_branch(pc, instr, pending_imm, slot)
-            else:
-                term = self._uncond_branch(pc, instr, pending_imm, slot)
+            term = self._uncond_branch(pc, instr, pending_imm, slot, stats)
         return term, extra, end, end
 
     def _slot_raiser(self, pc: int, instr: Instruction,
@@ -1021,10 +1064,12 @@ class SourceBlockCompiler:
 
     def _cond_branch(self, pc: int, instr: Instruction,
                      pending_imm: Optional[int],
-                     slot: Optional[List[str]]):
+                     slot: Optional[List[str]], stats: Dict[int, int]):
+        """A conditional branch, counted as taken in the block's
+        statistics (``stats``: its delay slot's); a not-taken branch adds
+        its correction once, after the slot ran."""
         timings = self.cpu.config.timings
         klass = InstrClass.BRANCH_COND
-        ci = CLASS_INDEX[klass]
         fallthrough = pc + 8 if slot is not None else pc + 4
 
         cond = relation_source(instr.spec.condition.name.lower(), "_x")
@@ -1032,51 +1077,41 @@ class SourceBlockCompiler:
         # Observers hear only taken backward branches: a register-held
         # target is tested at run time, a static one at translation.
         static_target = self._static_target(pc, instr, pending_imm)
+        lines = [f"_x = {_r(instr.ra)}", f"if {cond}:", "    _taken = True"]
         if static_target is None:
-            target = f"({pc} + to_signed({_r(instr.rb)})) & {_M}"
+            lines.append(f"    _target = ({pc} + to_signed({_r(instr.rb)}))"
+                         f" & {_M}")
+            target = "_target"
             backward: Optional[str] = f"_taken and _target < {pc}"
         else:
             target = str(static_target)
             backward = "_taken" if static_target < pc else None
-
-        lines = [
-            f"_x = {_r(instr.ra)}",
-            f"if {cond}:",
-            f"    _taken = True",
-            f"    _target = {target}",
-            f"    _cycles = {timings.branch_taken}",
-            f"    _next = _target",
-            f"else:",
-            f"    _taken = False",
-            f"    _cycles = {timings.branch_not_taken}",
-            f"    _next = {fallthrough}",
-        ]
-        # The slot executes before any of the branch's own statistics are
-        # recorded (interpreter order — a faulting slot must leave the
-        # branch unrecorded).
-        if slot is not None:
-            lines += slot
-        lines += [
-            f"if _taken:",
-            f"    cnt[{CNT_BRANCHES_TAKEN}] += 1",
-            f"else:",
-            f"    cnt[{CNT_BRANCHES_NOT_TAKEN}] += 1",
-            f"cnt[{CNT_CYCLES}] += _cycles",
-            f"cnt[{CNT_INSTRUCTIONS}] += 1",
-            f"cnt[{CNT_CLASS_COUNT + ci}] += 1",
-            f"cnt[{CNT_CLASS_CYCLES + ci}] += _cycles",
-        ]
+        lines += ["else:", "    _taken = False"]
+        correction = self._not_taken(
+            klass, timings.branch_taken - timings.branch_not_taken)
+        correct = ["    " + line for line in self._correct(correction)]
+        if slot is None:
+            lines += correct
+        else:
+            # The slot executes before the branch completes (interpreter
+            # order: a faulting slot leaves the branch unrecorded).
+            lines += slot + ["if not _taken:"] + correct
         hook = [] if backward is None \
-            else _backward_hook(backward, pc, "_target")
-        return _Terminator(lines, "_next", hook)
+            else _backward_hook(backward, pc, target)
+        return _Terminator(
+            lines, f"{target} if _taken else {fallthrough}", hook,
+            _plus(self._branch_stats(klass, timings.branch_taken), stats),
+            correction)
 
     def _uncond_branch(self, pc: int, instr: Instruction,
                        pending_imm: Optional[int],
-                       slot: Optional[List[str]]):
-        """BRANCH_UNCOND, CALL and RETURN terminators (always taken)."""
+                       slot: Optional[List[str]],
+                       stats: Optional[Dict[int, int]] = None):
+        """BRANCH_UNCOND, CALL and RETURN terminators (always taken);
+        ``stats`` are the delay slot's statistics, which a register-held
+        branch that halts (and so skips the slot) takes back."""
         timings = self.cpu.config.timings
         klass = instr.klass
-        ci = CLASS_INDEX[klass]
         is_uncond = klass is InstrClass.BRANCH_UNCOND
         is_call = klass is InstrClass.CALL
         rd = instr.rd
@@ -1085,15 +1120,7 @@ class SourceBlockCompiler:
             base = timings.ret
         else:
             base = timings.call if is_call else timings.branch_taken
-
-        def footer(cycles: str) -> List[str]:
-            return [
-                f"cnt[{CNT_CYCLES}] += {cycles}",
-                f"cnt[{CNT_INSTRUCTIONS}] += 1",
-                f"cnt[{CNT_CLASS_COUNT + ci}] += 1",
-                f"cnt[{CNT_CLASS_CYCLES + ci}] += {cycles}",
-                f"cnt[{CNT_BRANCHES_TAKEN}] += 1",
-            ]
+        deltas = _plus(self._branch_stats(klass, base), stats or {})
 
         if static_target is None:
             hook = _backward_hook(f"_target < {pc}", pc, "_target")
@@ -1107,18 +1134,12 @@ class SourceBlockCompiler:
         if static_target is not None and is_uncond and static_target == pc:
             # An unconditional branch to itself is the halt idiom; its
             # slot was never fetched (as in the interpreter).
-            lines = ["cpu.halted = True"] + footer(str(base))
-            return _Terminator(lines, str(static_target), hook)
+            return _Terminator(["cpu.halted = True"], str(static_target),
+                               hook, deltas)
 
         if static_target is not None:
-            lines = list(call_write)
-            if slot is not None:
-                lines.append(f"_cycles = {base}")
-                lines += slot
-                lines += footer("_cycles")
-            else:
-                lines += footer(str(base))
-            return _Terminator(lines, str(static_target), hook)
+            return _Terminator(call_write + list(slot or ()),
+                               str(static_target), hook, deltas)
 
         # Dynamic target: the halt check (unconditional branches only)
         # happens at run time, and a halting branch skips its slot.
@@ -1130,44 +1151,41 @@ class SourceBlockCompiler:
         else:
             target_expr = f"({pc} + to_signed({_r(instr.rb)})) & {_M}"
         lines = [f"_target = {target_expr}"] + call_write
-        lines.append(f"_cycles = {base}")
+        correction: Dict[int, int] = {}
         if is_uncond:
             lines.append(f"if _target == {pc}:")
             lines.append("    cpu.halted = True")
             if slot is not None:
+                if stats:
+                    correction = {index: -delta
+                                  for index, delta in stats.items()}
+                    lines += ["    " + line
+                              for line in self._correct(correction)]
                 lines.append("else:")
                 lines += ["    " + line for line in slot]
         elif slot is not None:
             lines += slot
-        lines += footer("_cycles")
-        return _Terminator(lines, "_target", hook)
+        return _Terminator(lines, "_target", hook, deltas, correction)
 
     def _loop_branch(self, pc: int, instr: Instruction, entry: int,
-                     slot: Optional[List[str]], slot_cycles) -> _Terminator:
+                     slot: Optional[List[str]],
+                     stats: Dict[int, int]) -> _Terminator:
         """The branch of a self-loop back to its ``entry`` (plus its delay
-        ``slot``, whose double charge is ``slot_cycles``).
+        ``slot``, whose statistics and double charge are ``stats``).
 
         Per iteration it only computes ``_taken`` and tests it: the
-        branch's statistics are block constants, counted as taken (with
-        a static double charge), and a not-taken exit takes back the
-        difference (:class:`_Loop`).  A slot still records its own
-        statistics per iteration, and an OPB slot's dynamic double charge
-        with them.  Observers hear the taken backward branch per
-        iteration only while one of them lacks the bulk method
-        (``_each``); otherwise the loop's exit delivers the count.
+        branch's statistics are block constants, counted as taken, and a
+        not-taken exit adds its correction once.  A slot's OPB penalty
+        stays dynamic (:meth:`_memory`).  Observers hear the taken
+        backward branch per iteration only while one of them lacks the
+        bulk method (``_each``); otherwise the loop's exit delivers the
+        count.
         """
         timings = self.cpu.config.timings
         klass = instr.klass
-        ci = CLASS_INDEX[klass]
         lines = list(slot or ())
-        if isinstance(slot_cycles, str):
-            lines += [f"cnt[{CNT_CYCLES}] += {slot_cycles}",
-                      f"cnt[{CNT_CLASS_CYCLES + ci}] += {slot_cycles}"]
-            slot_cycles = 0
-        cycles = timings.branch_taken + (slot_cycles or 0)
-        branch = {CNT_CYCLES: cycles, CNT_INSTRUCTIONS: 1,
-                  CNT_CLASS_COUNT + ci: 1, CNT_CLASS_CYCLES + ci: cycles,
-                  CNT_BRANCHES_TAKEN: 1}
+        deltas = _plus(self._branch_stats(klass, timings.branch_taken),
+                       stats)
         if entry < pc:
             bulk = (pc, entry)
             hooks = ["if _each:", "    for _h in hooks:",
@@ -1175,31 +1193,40 @@ class SourceBlockCompiler:
         else:
             bulk, hooks = None, []
         if klass is InstrClass.BRANCH_UNCOND:
-            return _Terminator(lines, str(entry), hooks,
-                               _Loop(branch, {}, bulk))
+            return _Terminator(lines, str(entry), hooks, deltas, loop=True,
+                               bulk=bulk)
         relation = relation_source(instr.spec.condition.name.lower(),
                                    _r(instr.ra))
         fallthrough = pc + 8 if slot is not None else pc + 4
-        saved = timings.branch_taken - timings.branch_not_taken
-        not_taken = {CNT_CYCLES: saved, CNT_CLASS_CYCLES + ci: saved,
-                     CNT_BRANCHES_TAKEN: 1, CNT_BRANCHES_NOT_TAKEN: -1}
+        correction = self._not_taken(
+            klass, timings.branch_taken - timings.branch_not_taken)
         # The condition reads the register before the slot runs.
         lines = [f"_taken = {relation}"] + lines \
             + ["if not _taken:", "    break"]
         return _Terminator(lines, f"{entry} if _taken else {fallthrough}",
-                           hooks, _Loop(branch, not_taken, bulk))
+                           hooks, deltas, correction, True, bulk)
 
     # ------------------------------------------------------------------ emit
     def _finish(self, entry: int, end: int, n: int, deltas: List[int],
                 body: List[str], term: _Terminator, static_cycles: int = 0
-                ) -> Tuple[int, int, int, str, int]:
+                ) -> Tuple[int, int, int, str, int, tuple]:
         """Assemble the block's source: ``(n, end, static_cycles, source,
-        first)``, where ``first`` is the source line of ``body[0]`` (the
-        fault-point line map)."""
+        first, slots)``, where ``first`` is the source line of ``body[0]``
+        (the fault-point line map) and ``slots`` the sparse deltas of the
+        block's execution-count slots: its statistics, then its
+        correction's when it has one (:meth:`JitEngine.add_slots`).
+
+        A block that is not a self-loop adds its statistics wholesale on
+        entry: the :data:`EAGER` counters to ``cnt``, the rest as one
+        count in ``bc[slot]``."""
+        slots = (_sparse(enumerate(deltas)),)
+        if term.correction:
+            slots += (_sparse(term.correction.items()),)
         lines = body + term.lines + term.hooks
-        if term.loop is None:
-            header = [f"cnt[{index}] += {delta}"
-                      for index, delta in enumerate(deltas) if delta]
+        if not term.loop:
+            header = ["bc[slot] += 1"] if slots[0] else []
+            header += [f"cnt[{index}] += {deltas[index]}"
+                       for index in EAGER if deltas[index]]
             footer = [] if term.next is None else [f"return {term.next}"]
         else:
             header, lines, footer = self._self_loop(deltas, lines, term)
@@ -1218,7 +1245,7 @@ class SourceBlockCompiler:
         )
         # Line 1 defines the factory, then its prologue, then the block.
         return (n, end, static_cycles, source,
-                3 + len(self._bound) + len(header))
+                3 + len(self._bound) + len(header), slots)
 
     @staticmethod
     def _self_loop(deltas: List[int], lines: List[str], term: _Terminator):
@@ -1226,14 +1253,14 @@ class SourceBlockCompiler:
         own entry: it iterates until the branch falls through or
         ``_limit`` (at least 1) iterations have run.  The registers it
         touches, the counters it updates and its data-BRAM port-A count
-        live in locals, and its static statistics, the branch's included,
-        are added once, ``delta * _i``, less the not-taken correction of
-        a loop that fell through.  A fault flushes them before it
+        live in locals.  Its exit adds its iterations ``_i`` to its slot
+        ``bc[slot]`` (and ``_nt``, whether the branch fell through, to
+        the correction slot ``bc[slot + 1]``), and ``delta * _i`` only to
+        the :data:`EAGER` counters.  A fault flushes the same before it
         propagates, so the fault point takes back only the unearned part
         of the current iteration.  With bulk observers the exit also
         delivers the taken backward branches: all of them, or on a fault
         all but the current iteration's."""
-        loop = term.loop
         text = "\n".join(lines)
         touched = sorted(set(map(int, _REG.findall(text))))
         written = sorted(set(map(int, _REG_WRITE.findall(text))))
@@ -1245,7 +1272,7 @@ class SourceBlockCompiler:
                           + " = 0")
         if ports:
             header.append("_pa = 0")
-        if loop.bulk is not None:
+        if term.bulk is not None:
             # The flag is read once per call.
             header.append("_each = hooks and not cpu._bulk_observers")
         header += ["_i = 0", "try:", "    for _i in range(1, _limit + 1):"]
@@ -1254,26 +1281,30 @@ class SourceBlockCompiler:
 
         def flush(fell_through: bool, branches: str) -> List[str]:
             out = [f"regs[{index}] = r{index}" for index in written]
-            for index, delta in enumerate(deltas):
+            for index in sorted(dynamic.union(EAGER)):
+                eager = index in EAGER
                 expr = _scaled(f"c{index}" if index in dynamic else "",
-                               delta, "_i")
-                if fell_through:
-                    expr = _scaled(expr, -loop.not_taken.get(index, 0),
+                               deltas[index] if eager else 0, "_i")
+                if fell_through and eager:
+                    expr = _scaled(expr, term.correction.get(index, 0),
                                    "_nt")
                 if expr:
                     out.append(f"cnt[{index}] += {expr}")
+            out.append("bc[slot] += _i")
+            if fell_through:
+                out.append("bc[slot + 1] += _nt")
             if ports:
                 out.append("dbram.port_a_accesses += _pa")
-            if loop.bulk is not None:
+            if term.bulk is not None:
                 out += ["if hooks and not _each:", "    for _h in hooks:",
                         f"        _h.on_backward_branches("
-                        f"{loop.bulk[0]}, {loop.bulk[1]}, {branches})"]
+                        f"{term.bulk[0]}, {term.bulk[1]}, {branches})"]
             return out
 
         footer = ["except BaseException:"]
         footer += ["    " + line for line in flush(False, "_i - 1")]
         footer.append("    raise")
-        if loop.not_taken:
+        if term.correction:
             footer += ["_nt = not _taken"] + flush(True, "_i - _nt")
         else:
             footer += flush(False, "_i")
@@ -1288,7 +1319,38 @@ class JitEngine(ExecutionEngine):
 
     def __init__(self, cpu) -> None:
         super().__init__(cpu)
+        #: Execution counts of the bound blocks' slots, and each slot's
+        #: sparse ``(counter index, delta)`` pairs (:func:`bind`).
+        self.bc: List[int] = []
+        self.slot_deltas: List[tuple] = []
         self.compiler = SourceBlockCompiler(self)
+
+    def add_slots(self, slots: tuple) -> int:
+        """Append execution-count slots with these sparse deltas and
+        return the index of the first."""
+        first = len(self.bc)
+        self.bc += [0] * len(slots)
+        self.slot_deltas += slots
+        return first
+
+    def fold_block_counts(self, counters: List[int]) -> None:
+        """Add Σ ``bc[slot] × deltas[slot]`` into ``counters`` and zero
+        the counts."""
+        bc = self.bc
+        deltas = self.slot_deltas
+        for slot, count in enumerate(bc):
+            if count:
+                for index, delta in deltas[slot]:
+                    counters[index] += count * delta
+                bc[slot] = 0
+
+    def invalidate(self, address: Optional[int] = None) -> None:
+        """Drop translations; dropping all of them also frees their
+        slots, after folding any count left in them."""
+        super().invalidate(address)
+        if address is None:
+            self.fold_block_counts(self.cpu._counters)
+            del self.bc[:], self.slot_deltas[:]
 
     @staticmethod
     def _block_range(block: tuple) -> Tuple[int, int]:
@@ -1354,12 +1416,13 @@ class JitEngine(ExecutionEngine):
                     if deadline is not None and deadline < block[4]:
                         # A peripheral boundary falls inside this block:
                         # interpreter granularity until it has passed.
-                        # Counters fold into stats first (exact budget
-                        # checks) and any imm latch the step leaves is
+                        # The counters fold into stats first (exact
+                        # budget checks; the block counts wait for the
+                        # end of the run) and any imm latch the step leaves is
                         # drained — fused translations assume latch-free
                         # entry.  The interpreter keeps cpu.pc, also at
                         # a fault.
-                        cpu._sync_counters()
+                        cpu._sync_counters(fold=False)
                         cpu.pc = pc
                         try:
                             cpu.step()

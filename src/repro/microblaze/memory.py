@@ -47,6 +47,13 @@ class BlockRAM:
         #: can be rewritten in place but never resized.
         self.word_view = memoryview(self.storage)[:size_bytes & ~3].cast("I")
         self.half_view = memoryview(self.storage)[:size_bytes & ~1].cast("H")
+        #: One past the highest byte this class's writers have stored
+        #: since construction or :meth:`clear` (the rest is still zero).
+        #: Writes straight into ``storage`` or its views (the jit's and
+        #: the WCLA's inline data accesses) are not tracked, so only the
+        #: instruction BRAM, which nothing else writes, is keyed by it
+        #: (:meth:`~repro.microblaze.engines.ExecutionEngine.image_digest`).
+        self.extent = 0
         #: Number of accesses performed through port A (processor side).
         self.port_a_accesses = 0
         #: Number of accesses performed through port B (DPM / WCLA side).
@@ -78,6 +85,7 @@ class BlockRAM:
         """Write ``width`` bytes at ``address`` through port A."""
         self._check(address, width)
         self.port_a_accesses += 1
+        self._extend(address + width)
         self.storage[address:address + width] = (value & ((1 << (8 * width)) - 1)).to_bytes(
             width, "little"
         )
@@ -96,11 +104,21 @@ class BlockRAM:
         """Write through the second port (DPM / WCLA side)."""
         self._check(address, width)
         self.port_b_accesses += 1
+        self._extend(address + width)
         self.storage[address:address + width] = (value & ((1 << (8 * width)) - 1)).to_bytes(
             width, "little"
         )
 
+    def _extend(self, end: int) -> None:
+        if end > self.extent:
+            self.extent = end
+
     # ------------------------------------------------------------ bulk load
+    def clear(self) -> None:
+        """Zero the whole BRAM in place (its views stay valid)."""
+        self.storage[:] = bytes(self.size)
+        self.extent = 0
+
     def load_image(self, image: bytes, base: int = 0) -> None:
         """Initialise the BRAM contents from ``image`` starting at ``base``."""
         if base + len(image) > self.size:
@@ -108,6 +126,7 @@ class BlockRAM:
                 f"{self.name}: image of {len(image)} bytes at base {base:#x} "
                 f"does not fit in {self.size} bytes"
             )
+        self._extend(base + len(image))
         self.storage[base:base + len(image)] = image
 
     def words(self, start: int = 0, count: Optional[int] = None) -> List[int]:
@@ -138,6 +157,7 @@ class BlockRAM:
                 f"{self.name}: word range {len(words)}@{address:#x} outside "
                 f"0..{self.size:#x}"
             )
+        self._extend(address + 4 * len(words))
         struct.pack_into(f"<{len(words)}I", self.storage, address, *words)
 
 

@@ -130,8 +130,8 @@ class MicroBlazeSystem:
                 f"{self.data_bram.size}-byte data BRAM"
             )
         # Clear memories so that back-to-back runs are independent.
-        self.instr_bram.storage[:] = b"\x00" * self.instr_bram.size
-        self.data_bram.storage[:] = b"\x00" * self.data_bram.size
+        self.instr_bram.clear()
+        self.data_bram.clear()
         self.instr_bram.store_words(0, program.text)
         self.data_bram.load_image(bytes(program.data))
         self.cpu.invalidate_decode_cache()

@@ -68,6 +68,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import signal
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -426,13 +427,22 @@ def _cmd_serve(args) -> int:
           f"{max_batches} concurrent batches"
           + (f", store {args.store}" if args.store else "")
           + (", telemetry off" if args.no_telemetry else "")
-          + "]; stop with the shutdown verb or Ctrl-C", flush=True)
+          + "]; stop with the shutdown verb, Ctrl-C or SIGTERM", flush=True)
+    # SIGTERM stops the gateway the way Ctrl-C does, so its pool shuts
+    # its workers down instead of leaving them behind.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         thread.join()
     except KeyboardInterrupt:
         gateway.request_stop()
         thread.join(timeout=30)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
+
+
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
 
 
 def _cmd_submit(args) -> int:

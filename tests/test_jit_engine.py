@@ -21,11 +21,13 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro import obs
 from repro.apps import build_benchmark, build_suite
-from repro.compiler import compile_source
+from repro.compiler import compile_source, compile_to_program
 from repro.isa import assemble
 from repro.microblaze import (
     ExecutionLimitExceeded,
@@ -39,6 +41,7 @@ from repro.microblaze import (
 )
 from repro.microblaze.engines.jit import (
     _CODE_CACHE,
+    EAGER,
     codegen_stats,
     reset_codegen_stats,
 )
@@ -462,6 +465,58 @@ class TestCacheInvalidation:
         assert impl._image_digest is None
         system.cpu.run()
         assert system.cpu.read_register(3) == 10
+
+    def test_image_key_covers_the_written_words(self):
+        """Equal images give equal keys whatever was loaded before, and a
+        patched word, in the text or past it, changes the key."""
+        program = assemble(self.LOOP)
+        fresh = MicroBlazeSystem(config=PAPER_CONFIG, engine="jit")
+        fresh.load(program)
+        reused = MicroBlazeSystem(config=PAPER_CONFIG, engine="jit")
+        reused.load(assemble(self.LOOP + "    addi r3, r3, 1\n" * 40))
+        reused.load(program)
+        assert fresh.instr_bram.extent == reused.instr_bram.extent \
+            == 4 * len(program.text)
+        key = fresh.cpu._engine_impl.image_digest()
+        assert reused.cpu._engine_impl.image_digest() == key
+
+        patched = assemble(self.LOOP.replace("addi r3, r3, 1",
+                                             "addi r3, r3, 16")).text[2]
+        patch_live_words(fresh, 8, [patched])
+        assert fresh.cpu._engine_impl.image_digest() != key
+        patch_live_words(fresh, 8, [program.text[2]])
+        assert fresh.cpu._engine_impl.image_digest() == key
+        stub = 4 * len(program.text) + 64
+        patch_live_words(fresh, stub, [patched])
+        assert fresh.instr_bram.extent == stub + 4
+        assert fresh.cpu._engine_impl.image_digest() != key
+        patch_live_words(fresh, stub, [0])
+        assert fresh.cpu._engine_impl.image_digest() == key
+
+
+# ----------------------------------------------------------------- block counts
+def test_non_loop_blocks_add_only_eager_constants():
+    """A block that is not a self-loop records its static statistics as
+    one count in its slot: the only constant counter additions left at
+    its top level are the eager counters', across the six full-size
+    benchmarks' blocks."""
+    constant = re.compile(r"^        cnt\[(\d+)\] [+-]= \d+$", re.M)
+    checked = 0
+    for bench in build_suite():
+        program = compile_to_program(bench.source, name=bench.name,
+                                     config=PAPER_CONFIG)
+        system = MicroBlazeSystem(config=PAPER_CONFIG, engine="jit")
+        system.run(program)
+        compiler = system.cpu._engine_impl.compiler
+        for entry in system.cpu._blocks:
+            source = compiler._translate(entry)[3]
+            if "for _i in range(" in source:
+                continue
+            counters = set(map(int, constant.findall(source)))
+            assert counters <= set(EAGER), (bench.name, hex(entry), source)
+            assert "\n        bc[slot] += 1\n" in source
+            checked += 1
+    assert checked >= 60
 
 
 # -------------------------------------------------------------------- telemetry

@@ -482,22 +482,27 @@ def test_loops_profile_yields_multi_iteration_self_loops(monkeypatch):
     calls = []
     bind = jit.bind
 
-    def recording(code, cpu):
-        block = bind(code, cpu)
+    def recording(make, cpu, slots):
+        # The loop's slot counts its iterations, its correction slot
+        # whether the branch fell through.
+        bc = cpu._engine_impl.bc
+        first = len(bc)
+        block = bind(make, cpu, slots)
         if "_i" not in block.__code__.co_varnames:
             return block
-        counters = cpu._counters
+
+        def taken():
+            return bc[first] - (bc[first + 1] if len(slots) > 1 else 0)
 
         def counted(limit):
-            before = counters[jit.CNT_BRANCHES_TAKEN]
+            before = taken()
             raised = True
             try:
                 pc = block(limit)
                 raised = False
                 return pc
             finally:
-                calls.append((counters[jit.CNT_BRANCHES_TAKEN] - before,
-                              raised))
+                calls.append((taken() - before, raised))
         return counted
 
     monkeypatch.setattr(jit, "bind", recording)
@@ -508,3 +513,158 @@ def test_loops_profile_yields_multi_iteration_self_loops(monkeypatch):
     assert max(taken) >= 10
     assert sum(count >= 2 for count in taken) >= 8
     assert any(raised and count >= 1 for count, raised in calls)
+
+
+# -------------------------------------------------------------- block counts
+#: A straight-line block writes the OPB, then faults on a misaligned
+#: load (``r5`` = 9) before its branch.
+OPB_THEN_MISALIGNED = f"""
+    li   r17, {OPB_BASE_ADDRESS}
+    addi r5, r0, 9
+    sw   r5, r17, r0
+    addi r3, r3, 1
+    lw   r6, r5, r0
+    bri  0
+"""
+
+#: MISALIGNED_LATE with an OPB read at the top of every iteration.
+OPB_LOOP_MISALIGNED_LATE = f"""
+    li   r17, {OPB_BASE_ADDRESS}
+    addi r5, r0, 9
+    addi r6, r0, 0
+loop:
+    lw   r7, r17, r0
+    andi r11, r6, 16
+    bsrli r11, r11, 3
+    lw   r8, r6, r11
+    add  r3, r3, r8
+    addi r6, r6, 4
+    addi r5, r5, -1
+    bnei r5, loop
+    bri  0
+"""
+
+
+def _device():
+    return (SimplePeripheral(OPB_BASE_ADDRESS),)
+
+
+@pytest.mark.parametrize("engine", BLOCK_ENGINES)
+class TestBlockCounts:
+    """Blocks count their executions in the engine's slots, which fold
+    into the statistics once per run: every statistic, per-class cycles
+    included, equals ``interp``'s, and no count is left unfolded."""
+
+    @staticmethod
+    def _check(source, engine, make_peripherals=tuple, **kwargs):
+        reference, _ = _observe(source, "interp",
+                                peripherals=make_peripherals(), **kwargs)
+        observed, system = _observe(source, engine,
+                                    peripherals=make_peripherals(), **kwargs)
+        assert observed["stats"]["class_cycles"] \
+            == reference["stats"]["class_cycles"]
+        if reference["outcome"] != "halted":
+            # A translation fetched its block's words past the fault or
+            # budget stop, which the interpreter never fetches.
+            for run in (observed, reference):
+                run["ports"] = run["ports"][:2] + run["ports"][3:]
+        assert observed == reference
+        assert not any(system.cpu._engine_impl.bc)
+        return reference, system
+
+    @pytest.mark.parametrize("source,make_peripherals", [
+        (MISALIGNED_LATE, tuple),
+        (OPB_LOOP_MISALIGNED_LATE, _device),
+        (DELAY_SLOT_LOOP, tuple),
+    ])
+    def test_fault_on_a_later_iteration_of_a_self_loop(
+            self, engine, source, make_peripherals):
+        reference, system = self._check(source, engine, make_peripherals)
+        assert "misaligned" in reference["outcome"]
+        assert reference["stats"]["branches_taken"] == 4
+        entry = assemble(source).symbols["loop"].address
+        assert _self_loop_translated(system, entry)
+
+    def test_fault_mid_block_after_an_opb_access(self, engine):
+        reference, _ = self._check(OPB_THEN_MISALIGNED, engine, _device)
+        assert "misaligned" in reference["outcome"]
+        assert reference["stats"]["opb_writes"] == 1
+        assert reference["stats"]["instructions"] == 5
+
+    # STORE_LOOP runs 2 + 5 * 50 + 1 = 253 instructions: stops before
+    # the loop, inside it, before the halting branch (the near-budget
+    # hand-off to the interpreter) and exactly at the end.
+    @pytest.mark.parametrize("budget", [1, 2, 3, 12, 250, 252, 253])
+    def test_budget_stop_and_the_near_budget_hand_off(self, engine,
+                                                      budget):
+        reference, _ = self._check(STORE_LOOP, engine,
+                                   max_instructions=budget)
+        assert reference["stats"]["instructions"] == min(budget, 253)
+
+    @pytest.mark.parametrize("period", [3, 7, 50])
+    def test_ticking_deadline_inside_a_block(self, engine, period):
+        reference, _ = self._check(TIMER_LOOP, engine,
+                                   make_peripherals=lambda: (Timer(period),))
+        assert reference["opb"][2][0]["total"] \
+            == reference["stats"]["cycles"]
+
+    @pytest.mark.parametrize("slices", [(7,), (13, 3), (1, 50)])
+    def test_run_slice_split(self, engine, slices):
+        reference, _ = self._check(STORE_LOOP, engine, slices=slices)
+        assert reference["outcome"] == "halted"
+
+    def test_one_translation_bound_into_two_systems(self, engine):
+        """Two systems bind the same translations from the table, each
+        with its own slots: a run of the second nested inside a run of
+        the first (from an observer) folds only its own counts."""
+        program = assemble(STORE_LOOP, name="self-loop")
+        first = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
+        second = MicroBlazeSystem(config=PAPER_CONFIG, engine=engine)
+        first.start(program)
+        second.start(program)
+
+        class RunSecond:
+            ran = False
+
+            def on_backward_branch(self, pc, target):
+                if not self.ran:
+                    self.ran = True
+                    second.resume()
+
+        first.cpu.add_listener(RunSecond())
+        first.resume()
+        reference = MicroBlazeSystem(config=PAPER_CONFIG,
+                                     engine="interp").run(program)
+        for system in (first, second):
+            assert system.cpu.stats.to_plain() \
+                == reference.stats.to_plain()
+            assert not any(system.cpu._engine_impl.bc)
+        if engine == "jit":
+            loops = [system.cpu._blocks[8][1] for system in (first, second)]
+            assert loops[0].__code__ is loops[1].__code__
+            assert first.cpu._engine_impl.bc \
+                is not second.cpu._engine_impl.bc
+
+
+@pytest.mark.parametrize("ticking", [False, True])
+def test_the_counts_fold_once_per_run(monkeypatch, ticking):
+    program = assemble(TIMER_LOOP, name="timer-loop")
+    device = Timer(7) if ticking else SimplePeripheral(OPB_BASE_ADDRESS)
+    system = MicroBlazeSystem(config=PAPER_CONFIG, peripherals=(device,))
+    system.start(program)
+    assert bool(system.opb.ticking) == ticking
+    folds = []
+    fold = jit.JitEngine.fold_block_counts
+
+    def counting(self, counters):
+        folds.append(list(self.bc))
+        return fold(self, counters)
+
+    monkeypatch.setattr(jit.JitEngine, "fold_block_counts", counting)
+    system.resume()
+    assert len(folds) == 1
+    if not ticking:
+        # The self-loop's iterations (all 40 but the first, which the
+        # entry block runs) wait in its slot until the fold.
+        assert 39 in folds[0]
+    assert not any(system.cpu._engine_impl.bc)

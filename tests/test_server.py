@@ -994,3 +994,81 @@ def test_gateway_smoke_example_jobs():
     _assert_results_identical(remote.results, local.results)
     assert remote.speedup_table() == local.speedup_table()
     assert remote.energy_table() == local.energy_table()
+
+
+# ------------------------------------------------------------------ serve signals
+def _parent_and_state(pid: int):
+    """``(parent pid, state letter)`` of a live process, ``None`` once it
+    is gone (Linux ``/proc``)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return int(fields[1]), fields[0]
+
+
+def _children(pid: int):
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            info = _parent_and_state(int(entry))
+            if info is not None and info[0] == pid:
+                found.append(int(entry))
+    return found
+
+
+def _running(pid: int) -> bool:
+    info = _parent_and_state(pid)
+    return info is not None and info[1] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads worker processes from /proc")
+def test_sigterm_stops_serve_and_its_workers():
+    """``kill <serve pid>`` shuts the gateway's pool down: no shard
+    worker outlives the serve process."""
+    import re
+    import select
+    import signal
+    import subprocess
+    import sys
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(repro.__file__).resolve().parents[1]))
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "repro.service.cli", "serve", "--port", "0",
+         "--workers", "2", "--no-telemetry"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env)
+    workers = []
+    try:
+        ready, _, _ = select.select([serve.stdout], [], [], 60)
+        assert ready, "serve printed nothing within 60 s"
+        banner = serve.stdout.readline()
+        address = re.search(r"listening on (\S+)", banner)
+        assert address, banner
+        # Six distinct jobs reach both shards.
+        jobs = [WarpJob(name=name, benchmark=name, small=True)
+                for name in ("brev", "g3fax", "canrdr", "bitmnp", "idct",
+                             "matmul")]
+        with GatewayClient(address.group(1)) as client:
+            assert client.submit(jobs).num_failed == 0
+        workers = _children(serve.pid)
+        assert len(workers) == 2, workers
+        serve.send_signal(signal.SIGTERM)
+        assert serve.wait(timeout=30) == 0
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        if serve.poll() is None:
+            serve.kill()
+            serve.wait(timeout=30)
+        serve.stdout.close()
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)

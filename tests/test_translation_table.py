@@ -133,12 +133,12 @@ class _MarkingCompiler(SourceBlockCompiler):
     """An emission override: every block also records its entry pc."""
 
     def _finish(self, entry, *args, **kwargs):
-        n, end, static_cycles, source, first = super()._finish(
+        n, end, static_cycles, source, first, slots = super()._finish(
             entry, *args, **kwargs)
         source = source.replace(
             "    def _block(_limit):\n",
             f"    def _block(_limit):\n        cpu.marks.add({entry})\n", 1)
-        return n, end, static_cycles, source, first + 1
+        return n, end, static_cycles, source, first + 1, slots
 
 
 class _MarkingJit(JitEngine):
