@@ -15,12 +15,13 @@ Two engines register themselves on import:
 
 * ``interp`` — the reference interpreter (defines the semantics);
 * ``jit`` (the default) — the source-generating engine: per superblock it
-  emits specialized Python source (handler bodies inlined, statistics
-  folded into constants, the terminating branch at the end), ``exec``\\ s
-  it once into a cached closure, and dispatches block-at-a-time
-  (:mod:`repro.microblaze.engine` holds the counter layout it shares
-  with the interpreter; both read what each instruction does from the
-  opcode table and :mod:`repro.isa.semantics`).
+  emits specialized Python source (handler bodies inlined, static
+  statistics counted as one execution of the block and folded once per
+  run, the terminating branch at the end), ``exec``\\ s it once into a
+  cached closure, and dispatches block-at-a-time
+  (:mod:`repro.microblaze.engine` holds the counter layout and says how
+  the block counts fold into it; both engines read what each instruction
+  does from the opcode table and :mod:`repro.isa.semantics`).
 
 **The engine contract** covers two responsibilities:
 

@@ -184,10 +184,11 @@ class _CodeCache(BoundedLRU):
     factory (see :func:`factory`), ``slots`` the sparse deltas of its
     execution-count slots (see :func:`bind`), and ``addresses`` and
     ``fetched`` hold each word the translation fetched and its
-    instruction.  Everything block emission reads is in the key, so a fresh system running a program this process has
-    already run — a service job, a sweep pass, the evaluation harness —
-    only replays those fetches and calls ``make``: no fetch, decode,
-    source emission or ``exec``.  Its own, smaller bound, counted in
+    instruction.  Everything block emission reads is in the key, so a
+    fresh system running a program this process has already run — a
+    service job, a sweep pass, the evaluation harness — only replays
+    those fetches and calls ``make``: no fetch, decode, source emission
+    or ``exec``.  Its own, smaller bound, counted in
     translations, keeps a stream of distinct programs from holding every
     decoded instruction it ever ran.
     """
@@ -665,12 +666,7 @@ class SourceBlockCompiler:
                 n += 1 + extra
                 break
 
-            if klass is InstrClass.LOAD:
-                cycles = timings.load
-            elif klass is InstrClass.STORE:
-                cycles = timings.store
-            else:
-                cycles = timings.for_class(klass)
+            cycles = self._cycles(timings, klass)
             static_cycles += cycles
             if points is not None:
                 points.append((len(lines), pc, pending_imm, list(deltas)))
@@ -780,6 +776,15 @@ class SourceBlockCompiler:
         return (base + offset) & _M
 
     @staticmethod
+    def _cycles(timings, klass: InstrClass) -> int:
+        """A straight-line instruction's static cycle cost."""
+        if klass is InstrClass.LOAD:
+            return timings.load
+        if klass is InstrClass.STORE:
+            return timings.store
+        return timings.for_class(klass)
+
+    @staticmethod
     def _branch_stats(klass: InstrClass, cycles: int) -> Dict[int, int]:
         """A taken branch's statistics, ``cycles`` its static cost."""
         ci = CLASS_INDEX[klass]
@@ -793,20 +798,15 @@ class SourceBlockCompiler:
         charge of its static cycles (an OPB access's penalty is charged
         to both where it happens, see :meth:`_memory`)."""
         klass = instr.klass
-        timings = self.cpu.config.timings
+        cycles = self._cycles(self.cpu.config.timings, klass)
         ci = CLASS_INDEX[klass]
-        stats = {CNT_INSTRUCTIONS: 1, CNT_CLASS_COUNT + ci: 1}
+        stats = {CNT_CYCLES: 2 * cycles, CNT_INSTRUCTIONS: 1,
+                 CNT_CLASS_COUNT + ci: 1, CNT_CLASS_CYCLES + ci: cycles,
+                 CNT_CLASS_CYCLES + CLASS_INDEX[branch]: cycles}
         if klass is InstrClass.LOAD:
-            cycles = timings.load
             stats[CNT_LOADS] = 1
         elif klass is InstrClass.STORE:
-            cycles = timings.store
             stats[CNT_STORES] = 1
-        else:
-            cycles = timings.for_class(klass)
-        stats[CNT_CYCLES] = 2 * cycles
-        stats[CNT_CLASS_CYCLES + ci] = cycles
-        stats[CNT_CLASS_CYCLES + CLASS_INDEX[branch]] = cycles
         return stats
 
     @staticmethod
@@ -894,7 +894,6 @@ class SourceBlockCompiler:
         has_opb = self.cpu.opb is not None
         rd = instr.rd
         width = instr.spec.width
-        base = timings.load if load else timings.store
         extra = timings.opb_access_extra
         klass = InstrClass.LOAD if load else InstrClass.STORE
         ci = CLASS_INDEX[klass]
@@ -1320,7 +1319,9 @@ class JitEngine(ExecutionEngine):
     def __init__(self, cpu) -> None:
         super().__init__(cpu)
         #: Execution counts of the bound blocks' slots, and each slot's
-        #: sparse ``(counter index, delta)`` pairs (:func:`bind`).
+        #: sparse ``(counter index, delta)`` pairs (:func:`bind`).  A
+        #: slot lives as long as the engine: an invalidated translation's
+        #: slots stay behind, folded to zero.
         self.bc: List[int] = []
         self.slot_deltas: List[tuple] = []
         self.compiler = SourceBlockCompiler(self)
@@ -1343,14 +1344,6 @@ class JitEngine(ExecutionEngine):
                 for index, delta in deltas[slot]:
                     counters[index] += count * delta
                 bc[slot] = 0
-
-    def invalidate(self, address: Optional[int] = None) -> None:
-        """Drop translations; dropping all of them also frees their
-        slots, after folding any count left in them."""
-        super().invalidate(address)
-        if address is None:
-            self.fold_block_counts(self.cpu._counters)
-            del self.bc[:], self.slot_deltas[:]
 
     @staticmethod
     def _block_range(block: tuple) -> Tuple[int, int]:
